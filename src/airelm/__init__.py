@@ -8,7 +8,7 @@ least squares and re-tracked online while the channel ages.
 
 __version__ = "0.1.0"
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, OutputError
 from .rng import (RngStream, SUB_SPLIT, SUB_CHANNEL, SUB_TRAIN_NOISE,
                   SUB_TEST_NOISE, SUB_DIGITAL, SUB_MINIBATCH, SUB_AR,
                   SUB_SYNTH, SUB_FEATSEL)
@@ -32,7 +32,7 @@ from .experiments import (TrialResult, run_sweep_nr, run_sweep_snr,
                           write_manifest)
 
 __all__ = [
-    "ConfigError", "DataError", "RngStream",
+    "ConfigError", "DataError", "OutputError", "RngStream",
     "SUB_SPLIT", "SUB_CHANNEL", "SUB_TRAIN_NOISE", "SUB_TEST_NOISE",
     "SUB_DIGITAL", "SUB_MINIBATCH", "SUB_AR", "SUB_SYNTH", "SUB_FEATSEL",
     "sample_gaussian", "sample_cgaussian", "svd", "pseudoinverse",

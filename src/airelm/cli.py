@@ -9,7 +9,9 @@ Subcommands map one-to-one onto the experiment runners:
     airelm single      --seed 7 --baseline
 
 Without --config, built-in defaults run the synthetic two-Gaussians dataset.
-Exit codes: 0 success, 1 configuration error, 2 data error.
+Exit codes: 0 success, 1 configuration error, 2 data error, 3 output error
+(the --out directory does not exist, or the CSV cannot be written).  A
+missing output directory is found before any trial runs.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import sys
 from dataclasses import replace
 
 from .config import ExperimentConfig, parse_config
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, OutputError
 from .experiments import run, summarize
 
 _SUBCOMMANDS = {
@@ -99,6 +101,9 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
+    except OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 3
     _print_summary(results)
     if cfg.out is not None:
         print(f"results: {cfg.out}")

@@ -11,7 +11,7 @@ import configparser
 import os
 from dataclasses import dataclass, field, replace
 
-from .errors import ConfigError
+from .errors import ConfigError, OutputError
 
 KINDS = ("sweep_nr", "sweep_snr", "sweep_kappa", "online", "single")
 
@@ -104,6 +104,12 @@ class ExperimentConfig:
             raise ConfigError("dataset name 'mnist' needs images and labels paths")
         if ds.name == "secom" and (ds.path is None or ds.labels is None):
             raise ConfigError("dataset name 'secom' needs path and labels")
+        if cfg.out is not None:
+            parent = os.path.dirname(os.path.abspath(cfg.out))
+            if not os.path.isdir(parent):
+                raise OutputError(f"output directory does not exist: {parent}")
+            if os.path.isdir(cfg.out):
+                raise OutputError(f"output path is a directory: {cfg.out}")
         return cfg
 
 

@@ -1,8 +1,8 @@
 """Error taxonomy shared across the package.
 
-Both error types subclass ValueError so library code can be used without
-importing them; the CLI maps them to distinct exit codes (config -> 1,
-data -> 2).
+ConfigError and DataError subclass ValueError and OutputError subclasses
+OSError, so library code can be used without importing them; the CLI maps
+them to distinct exit codes (config -> 1, data -> 2, output -> 3).
 """
 
 
@@ -12,3 +12,7 @@ class ConfigError(ValueError):
 
 class DataError(ValueError):
     """Malformed or unusable input data: parse failures, bad magic, bad labels."""
+
+
+class OutputError(OSError):
+    """The results cannot be written: missing output directory, unwritable path."""

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -29,9 +30,9 @@ from .config import ExperimentConfig, config_to_dict
 from .data import (Dataset, RawTable, load_csv, load_idx, load_wbcd,
                    mnist_binarize, secom_prepare, split_standardize,
                    synth_two_gaussians)
-from .elm import (HiddenLayer, classify, digital_elm_hidden, fit,
+from .elm import (ElmModel, HiddenLayer, classify, digital_elm_hidden, fit,
                   online_update, predict)
-from .errors import ConfigError
+from .errors import ConfigError, OutputError
 from .rng import (RngStream, SUB_SPLIT, SUB_CHANNEL, SUB_TRAIN_NOISE,
                   SUB_TEST_NOISE, SUB_DIGITAL, SUB_MINIBATCH, SUB_AR,
                   SUB_SYNTH, SUB_FEATSEL)
@@ -310,7 +311,7 @@ def run_online(cfg: ExperimentConfig):
                 acc = _accuracy(m, dataset, test_noise)
                 return acc, (acc / acc_full if acc_full > 0 else float("nan"))
 
-            stale = ElmModelView(model.w, layer_k)
+            stale = ElmModel(w=model.w, hidden=layer_k)
             acc, nacc = norm_acc(stale)
             rows.append(TrialResult(
                 experiment="online", dataset=ds_name, seed=seed, model="mimo",
@@ -348,15 +349,6 @@ def run_online(cfg: ExperimentConfig):
     else:
         nested = [one(s) for s in seeds]
     return [row for rows in nested for row in rows]
-
-
-class ElmModelView:
-    """A stale combiner paired with a new channel layer, for evaluation only."""
-
-    def __init__(self, w, hidden):
-        self.w = w
-        self.hidden = hidden
-        self.receive_power = float(w @ w)
 
 
 RUNNERS = {
@@ -424,7 +416,7 @@ def emit_csv(table, path, columns=TRIAL_COLUMNS) -> None:
     try:
         fh = open(path, "w", newline="")
     except OSError as exc:
-        raise OSError(f"cannot write CSV to {path}: {exc}") from None
+        raise OutputError(f"cannot write CSV to {path}: {exc}") from None
     with fh:
         writer = _csv.writer(fh)
         writer.writerow(columns)
@@ -450,9 +442,30 @@ def sha256_file(path) -> str:
     return digest.hexdigest()
 
 
-def write_manifest(cfg: ExperimentConfig, results, csv_path) -> str:
-    """Sidecar JSON recording config, seed, version, dataset checksums, and
-    timing (timing lives here, not in the CSV, to keep CSV bytes stable)."""
+def _environment(cfg: ExperimentConfig) -> dict:
+    """numpy and BLAS build, and the thread settings the timings ran under."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        blas = {}           # numpy before 1.26 only prints its config
+    env = {"numpy": np.__version__, "blas": blas.get("name"),
+           "blas_version": blas.get("version"), "threads": cfg.threads}
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        if var in os.environ:
+            env[var] = os.environ[var]
+    return env
+
+
+def write_manifest(cfg: ExperimentConfig, results, csv_path,
+                   elapsed_ms: float = None) -> str:
+    """Sidecar JSON recording config, seed, version, dataset checksums, the
+    environment and timing (timing lives here, not in the CSV, to keep CSV
+    bytes stable).
+
+    total_wall_ms sums the per-trial times, so it exceeds the wall time when
+    trials overlap on several threads; elapsed_ms is the runner's own wall
+    time, given by `run`, and null when the caller did not time the run.
+    """
     checksums = {}
     ds = cfg.dataset
     for p in (ds.path, ds.images, ds.labels):
@@ -469,6 +482,8 @@ def write_manifest(cfg: ExperimentConfig, results, csv_path) -> str:
         "dataset_checksums": checksums,
         "n_result_rows": len(results),
         "total_wall_ms": float(np.sum(walls)) if walls else 0.0,
+        "elapsed_ms": elapsed_ms,
+        "environment": _environment(cfg),
         "mean_trial_wall_ms": float(np.mean(walls)) if walls else 0.0,
         "created_unix": int(time.time()),
     }
@@ -482,8 +497,10 @@ def write_manifest(cfg: ExperimentConfig, results, csv_path) -> str:
 def run(cfg: ExperimentConfig):
     """Dispatch on cfg.kind; emit CSV + manifest when an output path is set."""
     cfg = cfg.resolved()
+    t0 = time.perf_counter()
     results = RUNNERS[cfg.kind](cfg)
+    elapsed_ms = (time.perf_counter() - t0) * 1e3
     if cfg.out is not None:
         emit_csv(results, cfg.out)
-        write_manifest(cfg, results, cfg.out)
+        write_manifest(cfg, results, cfg.out, elapsed_ms)
     return results

@@ -13,6 +13,10 @@ from .rng import RngStream
 
 DEFAULT_REL_TOL = 1e-12
 
+# Largest condition number of G that `min_norm_lstsq` solves through the Gram
+# matrix; see its docstring for the error bound behind the value.
+GRAM_MAX_COND = 1e4
+
 
 def sample_gaussian(rng: RngStream, rows: int, cols: int, mean: float = 0.0,
                     std: float = 1.0) -> np.ndarray:
@@ -51,6 +55,18 @@ def svd(a: np.ndarray):
     return u, s, vt.conj().T
 
 
+def _cutoff(rel_tol: float, shape, s_max: float) -> float:
+    """Singular-value cutoff tau = rel_tol * max(rows, cols) * s_max.
+
+    Singular values at or below tau count as zero.  Rejects a rel_tol
+    outside (0, 1): a negative one keeps zero singular values and divides
+    by them, and one >= 1 cuts every direction.
+    """
+    if not (0.0 < rel_tol < 1.0):
+        raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol!r}")
+    return rel_tol * max(shape) * s_max
+
+
 def pseudoinverse(a: np.ndarray, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray:
     """Moore-Penrose pseudoinverse via SVD with a relative cutoff.
 
@@ -61,11 +77,8 @@ def pseudoinverse(a: np.ndarray, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray
     a = np.asarray(a, dtype=float)
     if not np.all(np.isfinite(a)):
         raise ValueError("pseudoinverse: input contains NaN or Inf")
-    if not (0.0 < rel_tol < 1.0):
-        raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol!r}")
     u, s, v = svd(a)
-    tau = rel_tol * max(a.shape) * (s[0] if s.size else 0.0)
-    keep = s > tau
+    keep = s > _cutoff(rel_tol, a.shape, s[0] if s.size else 0.0)
     inv_s = np.zeros_like(s)
     inv_s[keep] = 1.0 / s[keep]
     return v @ (inv_s[:, None] * u.T)
@@ -73,11 +86,27 @@ def pseudoinverse(a: np.ndarray, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray
 
 def min_norm_lstsq(g: np.ndarray, t: np.ndarray,
                    rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray:
-    """Minimum-norm least-squares solution w of G w ~= t.
+    """Minimum-norm least-squares solution w of G w ~= t, i.e. w = G^+ t.
 
-    Computed as G^+ t through the SVD, without forming the pseudoinverse
-    explicitly.  Among all minimizers of ||G w - t|| the returned w has the
-    smallest Euclidean norm and lies in the row space of G.
+    Among all minimizers of ||G w - t|| the returned w has the smallest
+    Euclidean norm and lies in the row space of G.  Two paths compute it:
+
+    - Gram solve.  A = G G^T when G has no more rows than columns, else
+      G^T G, is factored as Q diag(lam) Q^T with `eigh`.  Then
+      w = G^T Q lam^-1 Q^T t (wide G) or w = Q lam^-1 Q^T G^T t (tall G).
+      It runs when lam_min > 0 and the condition number
+      kappa(G) = sqrt(lam_max / lam_min) is at most GRAM_MAX_COND.
+    - Thin SVD of G, keeping singular values above
+      tau = rel_tol * max(rows, cols) * s_max, for every other G.
+
+    Why the bound 1e4: forming A squares the conditioning, so the Gram
+    solve's relative error grows like kappa^2 * eps, about 1e-8 at 1e4.
+    Past it the SVD is the accurate path.  Both paths solve the same
+    problem: a G on the Gram path has s_min / s_max >= 1e-4, while the
+    SVD path drops only s <= tau, and at the default rel_tol tau / s_max
+    is 1e-12 * max(rows, cols), far below 1e-4.  For a larger rel_tol
+    the Gram path also requires s_min > tau, so no singular value the SVD
+    path would drop ever reaches the Gram path.
     """
     g = np.asarray(g, dtype=float)
     t = np.asarray(t, dtype=float)
@@ -88,9 +117,18 @@ def min_norm_lstsq(g: np.ndarray, t: np.ndarray,
     if t.ndim != 1 or g.ndim != 2 or g.shape[0] != t.shape[0]:
         raise ValueError(
             f"min_norm_lstsq: shape mismatch, G is {g.shape}, t has {t.shape}")
+    wide = g.shape[0] <= g.shape[1]
+    if g.size:
+        lam, q = np.linalg.eigh(g @ g.T if wide else g.T @ g)
+        lam_min, lam_max = lam[0], lam[-1]      # eigh sorts ascending
+        tau = _cutoff(rel_tol, g.shape, np.sqrt(max(lam_max, 0.0)))
+        if (lam_min > 0.0 and lam_max <= GRAM_MAX_COND ** 2 * lam_min
+                and lam_min > tau ** 2):
+            if wide:
+                return g.T @ (q @ ((q.T @ t) / lam))
+            return q @ ((q.T @ (g.T @ t)) / lam)
     u, s, v = svd(g)
-    tau = rel_tol * max(g.shape) * (s[0] if s.size else 0.0)
-    keep = s > tau
+    keep = s > _cutoff(rel_tol, g.shape, s[0] if s.size else 0.0)
     coeff = np.zeros_like(s)
     coeff[keep] = (u.T @ t)[keep] / s[keep]
     return v @ coeff

@@ -88,6 +88,22 @@ def test_data_error_exits_2(tmp_path, capsys):
     assert "ragged" in capsys.readouterr().err
 
 
+def test_missing_output_directory_exits_3(tmp_path, capsys, monkeypatch):
+    import airelm.cli
+
+    def no_compute(cfg):
+        raise AssertionError("the experiment ran before --out was checked")
+
+    monkeypatch.setattr(airelm.cli, "run", no_compute)
+    out = tmp_path / "no_such_dir" / "r.csv"
+    rc = main(["single", "--seeds", "1", "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("output error:") and "no_such_dir" in err
+    assert not out.parent.exists()
+
+
 def test_threads_flag_preserves_bytes(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     cfg = _ini(tmp_path,

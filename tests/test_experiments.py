@@ -201,6 +201,20 @@ def test_manifest_contents(tmp_path):
     assert doc["dataset_checksums"] == {"synthetic": "size=120,d=8,sep=4.0"}
     assert doc["n_result_rows"] == len(rows)
     assert doc["total_wall_ms"] > 0
+    assert doc["elapsed_ms"] is None        # the caller did not time the run
+    env = doc["environment"]
+    assert env["numpy"] == np.__version__
+    assert env["threads"] == 1
+    assert {"blas", "blas_version"} <= set(env)
+    assert set(env) - {"numpy", "blas", "blas_version", "threads"} <= {
+        "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}
+    # run() records the runner's own wall time; on one thread it encloses
+    # every trial, and the CSV bytes do not depend on it
+    csv_bytes = csv_path.read_bytes()
+    run(dataclasses.replace(cfg, out=str(csv_path)))
+    doc = json.loads(open(mpath).read())
+    assert doc["elapsed_ms"] >= doc["total_wall_ms"] > 0
+    assert csv_path.read_bytes() == csv_bytes
 
 
 def test_manifest_checksum_tracks_source_file(tmp_path, wbcd_csv):

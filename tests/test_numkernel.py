@@ -13,6 +13,7 @@ from airelm.rng import (
     SUB_SYNTH,
     SUB_FEATSEL,
 )
+from airelm import numkernel
 from airelm.numkernel import (
     DEFAULT_REL_TOL,
     min_norm_lstsq,
@@ -66,14 +67,18 @@ def test_pinv_zero_matrix():
     assert np.allclose(pseudoinverse(np.zeros((3, 2))), np.zeros((2, 3)))
 
 
-def test_pinv_rel_tol_validation():
+@pytest.mark.parametrize(
+    "solve", [pseudoinverse,
+              lambda a, rel_tol: min_norm_lstsq(a, np.ones(2), rel_tol)],
+    ids=["pseudoinverse", "min_norm_lstsq"])
+def test_pinv_rel_tol_validation(solve):
     a = np.eye(2)
     with pytest.raises(ValueError):
-        pseudoinverse(a, rel_tol=0.0)
+        solve(a, rel_tol=0.0)
     with pytest.raises(ValueError):
-        pseudoinverse(a, rel_tol=1.0)
+        solve(a, rel_tol=1.0)
     with pytest.raises(ValueError):
-        pseudoinverse(a, rel_tol=-1e-3)
+        solve(a, rel_tol=-1e-3)
 
 
 def test_pinv_cutoff_discards_tiny_directions():
@@ -131,14 +136,66 @@ def test_min_norm_accepts_column_targets():
     assert np.allclose(w, [1.0, 2.0])
 
 
-def test_min_norm_matches_numpy_lstsq():
+def _conditioned(rng, rows, cols, cond):
+    """rows x cols matrix whose singular values fall from 1 to 1/cond."""
+    k = min(rows, cols)
+    u, _ = np.linalg.qr(rng.normal(size=(rows, k)))
+    v, _ = np.linalg.qr(rng.normal(size=(cols, k)))
+    return u @ np.diag(np.geomspace(1.0, 1.0 / cond, k)) @ v.T
+
+
+def _solver_cases():
+    """(G, t, whether min_norm_lstsq must take the SVD fallback).
+
+    Inputs on both sides of GRAM_MAX_COND = 1e4: random wide, tall and
+    square G, conditioned ones at 1e3, 5e3, 2e4 and 1e7, and a rank-3 8x8.
+    """
     rng = np.random.default_rng(3)
+    cases = []
     for rows, cols in [(20, 8), (8, 20), (16, 16)]:
-        g = rng.normal(size=(rows, cols))
-        t = rng.normal(size=rows)
+        cases.append((rng.normal(size=(rows, cols)), rng.normal(size=rows),
+                      False))
+    for g, fallback in [(_conditioned(rng, 12, 30, 1e3), False),
+                        (_conditioned(rng, 30, 12, 1e3), False),
+                        (_conditioned(rng, 16, 16, 5e3), False),
+                        (_conditioned(rng, 16, 16, 2e4), True),
+                        (_conditioned(rng, 12, 12, 1e7), True),
+                        (rng.normal(size=(8, 3)) @ rng.normal(size=(3, 8)),
+                         True)]:
+        cases.append((g, rng.normal(size=g.shape[0]), fallback))
+    return cases
+
+
+def test_min_norm_matches_numpy_lstsq():
+    for g, t, _ in _solver_cases():
         w = min_norm_lstsq(g, t)
-        ref = np.linalg.lstsq(g, t, rcond=None)[0]
+        ref = np.linalg.lstsq(g, t, rcond=DEFAULT_REL_TOL * max(g.shape))[0]
         assert np.allclose(w, ref, atol=1e-10)
+
+
+def test_min_norm_svd_fallback_only_when_ill_conditioned(monkeypatch):
+    """The Gram solve and the SVD stay two branches, chosen by kappa(G)."""
+    calls = []
+    real_svd = numkernel.svd
+
+    def counting_svd(a):
+        calls.append(a.shape)
+        return real_svd(a)
+
+    monkeypatch.setattr(numkernel, "svd", counting_svd)
+    for g, t, fallback in _solver_cases():
+        calls.clear()
+        min_norm_lstsq(g, t)
+        assert len(calls) == int(fallback), (g.shape, np.linalg.cond(g))
+    # a rel_tol whose cutoff lies above s_min sends even kappa = 1e3 to the
+    # SVD, which then drops the directions below the cutoff
+    rng = np.random.default_rng(4)
+    g, t = _conditioned(rng, 12, 12, 1e3), rng.normal(size=12)
+    calls.clear()
+    w = min_norm_lstsq(g, t, rel_tol=1e-3)
+    assert len(calls) == 1
+    ref = np.linalg.lstsq(g, t, rcond=1e-3 * 12)[0]
+    assert np.allclose(w, ref, atol=1e-10)
 
 
 def test_min_norm_has_smallest_norm_in_solution_set():
