@@ -46,7 +46,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="CSV output path")
         p.add_argument("--baseline", action=argparse.BooleanOptionalAction,
                        help="also run the digital-ELM baseline")
-        p.add_argument("--threads", type=int, help="worker threads for trials")
+        p.add_argument("--threads", type=int,
+                       help="worker threads for trials; BLAS runs one "
+                            "thread per worker")
     return parser
 
 

@@ -8,6 +8,7 @@ typos fail fast instead of silently running defaults.
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import dataclass, field, replace
 
@@ -84,6 +85,20 @@ class ExperimentConfig:
             cfg = replace(cfg, grid=DEFAULT_GRIDS[cfg.kind])
         if cfg.kind in DEFAULT_GRIDS and not cfg.grid:
             raise ConfigError(f"{cfg.kind} needs a nonempty sweep grid")
+        for g in cfg.grid or ():
+            if math.isnan(g):
+                raise ConfigError(f"sweep grid values must be numbers, got {g}")
+            if cfg.kind == "sweep_nr" and not (math.isfinite(g) and g >= 1
+                                               and g == int(g)):
+                raise ConfigError(
+                    f"sweep_nr grid values are antenna counts and must be "
+                    f"positive integers, got {g}")
+        snrs = cfg.grid if cfg.kind == "sweep_snr" else ()
+        for snr in (cfg.snr_db, *snrs):
+            # -inf dB is a zero signal: sigma2 = P / 0 is infinite, the fit NaN
+            if math.isnan(snr) or snr == -math.inf:
+                raise ConfigError(
+                    f"snr_db must be a finite number or inf, got {snr}")
         if cfg.seeds < 1:
             raise ConfigError(f"seeds must be >= 1, got {cfg.seeds}")
         if cfg.threads < 1:

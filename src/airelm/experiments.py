@@ -33,6 +33,7 @@ from .data import (Dataset, RawTable, load_csv, load_idx, load_wbcd,
 from .elm import (ElmModel, HiddenLayer, classify, digital_elm_hidden, fit,
                   online_update, predict)
 from .errors import ConfigError, OutputError
+from .numkernel import blas_thread_control, one_blas_thread
 from .rng import (RngStream, SUB_SPLIT, SUB_CHANNEL, SUB_TRAIN_NOISE,
                   SUB_TEST_NOISE, SUB_DIGITAL, SUB_MINIBATCH, SUB_AR,
                   SUB_SYNTH, SUB_FEATSEL)
@@ -193,6 +194,23 @@ def _digital_trial(cfg, dataset, trial, n_hidden: int):
 # ---------------------------------------------------------------------------
 # experiment runners
 
+def _map_trials(cfg: ExperimentConfig, fn, tasks):
+    """Run fn on every task, on cfg.threads workers, and flatten the row lists.
+
+    cfg.threads is the only parallelism: BLAS is held at one thread per
+    worker for the whole map, so workers do not oversubscribe the cores and
+    LAPACK results, hence the CSV bytes, do not depend on the core count.
+    Rows come back in task order whatever the thread count.
+    """
+    with one_blas_thread():
+        if cfg.threads > 1:
+            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+                nested = list(pool.map(fn, tasks))
+        else:
+            nested = [fn(task) for task in tasks]
+    return [row for rows in nested for row in rows]
+
+
 def _run_grid(cfg: ExperimentConfig, experiment: str, points):
     """Shared sweep driver.
 
@@ -227,12 +245,7 @@ def _run_grid(cfg: ExperimentConfig, experiment: str, points):
         return rows
 
     tasks = [(point, seed) for point in points for seed in range(cfg.seeds)]
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            nested = list(pool.map(one, tasks))
-    else:
-        nested = [one(t) for t in tasks]
-    return [row for rows in nested for row in rows]
+    return _map_trials(cfg, one, tasks)
 
 
 def run_sweep_nr(cfg: ExperimentConfig):
@@ -271,7 +284,8 @@ def run_online(cfg: ExperimentConfig):
     evolve H, record the pre-update normalized accuracy (iteration 0) and
     the trace of the mini-batch rule (iterations 1..n), where the
     normalizer is the full-data LS solution recomputed under the stepped
-    channel.
+    channel.  Each step's measured wall time goes on its iteration-0 row;
+    the other rows carry none, and the H(0) fit belongs to no step.
     """
     cfg = cfg.resolved()
     base_table = _load_base_table(cfg)
@@ -281,7 +295,6 @@ def run_online(cfg: ExperimentConfig):
     def one(seed):
         trial = RngStream(cfg.master_seed).split(seed)
         dataset = _trial_dataset(cfg, base_table, trial)
-        t0 = time.perf_counter()
         chan = sample_ricean(
             _channel_cfg(cfg, cfg.n_r, dataset.d, cfg.kappa),
             trial.split(SUB_CHANNEL))
@@ -300,6 +313,7 @@ def run_online(cfg: ExperimentConfig):
         model = fit(layer, dataset.x_train, dataset.t_train, train_noise)
         rows = []
         for step in range(1, cfg.steps + 1):
+            t0 = time.perf_counter()
             chan = evolve_ar(chan, ar, ar_rng)
             layer_k = HiddenLayer(h_real=chan.h_real, rapp=layer.rapp,
                                   noise=layer.noise)
@@ -313,12 +327,13 @@ def run_online(cfg: ExperimentConfig):
 
             stale = ElmModel(w=model.w, hidden=layer_k)
             acc, nacc = norm_acc(stale)
-            rows.append(TrialResult(
+            step_row = TrialResult(
                 experiment="online", dataset=ds_name, seed=seed, model="mimo",
                 n_r=cfg.n_r, snr_db=cfg.snr_db, kappa=cfg.kappa, eta=cfg.eta,
                 step=step, iteration=0, accuracy=acc,
                 normalized_accuracy=nacc,
-                receive_power=float(model.w @ model.w)))
+                receive_power=float(model.w @ model.w))
+            rows.append(step_row)
 
             trace = []
 
@@ -337,18 +352,10 @@ def run_online(cfg: ExperimentConfig):
                     kappa=cfg.kappa, eta=cfg.eta, step=step, iteration=i + 1,
                     accuracy=acc, normalized_accuracy=nacc,
                     receive_power=float(m.receive_power)))
-        wall = (time.perf_counter() - t0) * 1e3
-        for r in rows:
-            r.wall_ms = wall / len(rows)
+            step_row.wall_ms = (time.perf_counter() - t0) * 1e3
         return rows
 
-    seeds = list(range(cfg.seeds))
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            nested = list(pool.map(one, seeds))
-    else:
-        nested = [one(s) for s in seeds]
-    return [row for rows in nested for row in rows]
+    return _map_trials(cfg, one, range(cfg.seeds))
 
 
 RUNNERS = {
@@ -449,7 +456,9 @@ def _environment(cfg: ExperimentConfig) -> dict:
     except (TypeError, KeyError):
         blas = {}           # numpy before 1.26 only prints its config
     env = {"numpy": np.__version__, "blas": blas.get("name"),
-           "blas_version": blas.get("version"), "threads": cfg.threads}
+           "blas_version": blas.get("version"), "threads": cfg.threads,
+           # every trial runs inside `one_blas_thread`
+           "blas_threads": 1 if blas_thread_control() else None}
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         if var in os.environ:
             env[var] = os.environ[var]

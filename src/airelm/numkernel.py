@@ -2,10 +2,15 @@
 
 Matrices are plain float64 (or complex128) numpy arrays in row-major order;
 no wrapper class is introduced.  All operations are pure functions of their
-inputs plus, where present, the RngStream state.
+inputs plus, where present, the RngStream state.  `one_blas_thread` holds
+the BLAS that numpy links against at one thread, so that LAPACK results do
+not depend on the core count and trial workers do not oversubscribe it.
 """
 
 from __future__ import annotations
+
+import contextlib
+import functools
 
 import numpy as np
 
@@ -16,6 +21,53 @@ DEFAULT_REL_TOL = 1e-12
 # Largest condition number of G that `min_norm_lstsq` solves through the Gram
 # matrix; see its docstring for the error bound behind the value.
 GRAM_MAX_COND = 1e4
+
+
+@functools.cache
+def blas_thread_control():
+    """(get, set) thread-count functions of numpy's BLAS, or None.
+
+    Looked up once, on first use, through the handle of numpy's own linalg
+    extension: dlsym searches that library's dependencies, so this finds
+    the OpenBLAS numpy loaded, under the plain or the scipy-openblas
+    names, 64-bit-integer builds included.  None for a BLAS without these
+    entry points (MKL, Accelerate, unknown builds).
+    """
+    import ctypes
+    from numpy.linalg import _umath_linalg
+    lib = ctypes.CDLL(_umath_linalg.__file__)
+    for prefix in ("scipy_openblas", "openblas"):
+        for suffix in ("64_", ""):
+            try:
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}")
+                put = getattr(lib, f"{prefix}_set_num_threads{suffix}")
+            except AttributeError:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Hold BLAS at one thread inside the block; restore the count on exit.
+
+    Does nothing when the BLAS exposes no thread control.  The count is
+    process-wide: a block entered by one thread covers BLAS calls from
+    every thread.
+    """
+    control = blas_thread_control()
+    if control is None:
+        yield
+        return
+    get, put = control
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
 
 
 def sample_gaussian(rng: RngStream, rows: int, cols: int, mean: float = 0.0,
@@ -92,21 +144,22 @@ def min_norm_lstsq(g: np.ndarray, t: np.ndarray,
     Euclidean norm and lies in the row space of G.  Two paths compute it:
 
     - Gram solve.  A = G G^T when G has no more rows than columns, else
-      G^T G, is factored as Q diag(lam) Q^T with `eigh`.  Then
-      w = G^T Q lam^-1 Q^T t (wide G) or w = Q lam^-1 Q^T G^T t (tall G).
-      It runs when lam_min > 0 and the condition number
-      kappa(G) = sqrt(lam_max / lam_min) is at most GRAM_MAX_COND.
+      G^T G.  `eigvalsh` gives its eigenvalues lam for the gate, and an LU
+      solve (`np.linalg.solve`) gives w = G^T A^-1 t (wide G) or
+      w = A^-1 G^T t (tall G).  It runs when lam_min > 0 and the condition
+      number kappa(G) = sqrt(lam_max / lam_min) is at most GRAM_MAX_COND.
     - Thin SVD of G, keeping singular values above
       tau = rel_tol * max(rows, cols) * s_max, for every other G.
 
     Why the bound 1e4: forming A squares the conditioning, so the Gram
     solve's relative error grows like kappa^2 * eps, about 1e-8 at 1e4.
-    Past it the SVD is the accurate path.  Both paths solve the same
-    problem: a G on the Gram path has s_min / s_max >= 1e-4, while the
-    SVD path drops only s <= tau, and at the default rel_tol tau / s_max
-    is 1e-12 * max(rows, cols), far below 1e-4.  For a larger rel_tol
-    the Gram path also requires s_min > tau, so no singular value the SVD
-    path would drop ever reaches the Gram path.
+    Past it the SVD is the accurate path.  The LU solve of A adds an error
+    of the same order, kappa(A) * eps = kappa^2 * eps.  Both paths solve
+    the same problem: a G on the Gram path has s_min / s_max >= 1e-4,
+    while the SVD path drops only s <= tau, and at the default rel_tol
+    tau / s_max is 1e-12 * max(rows, cols), far below 1e-4.  For a larger
+    rel_tol the Gram path also requires s_min > tau, so no singular value
+    the SVD path would drop ever reaches the Gram path.
     """
     g = np.asarray(g, dtype=float)
     t = np.asarray(t, dtype=float)
@@ -119,14 +172,15 @@ def min_norm_lstsq(g: np.ndarray, t: np.ndarray,
             f"min_norm_lstsq: shape mismatch, G is {g.shape}, t has {t.shape}")
     wide = g.shape[0] <= g.shape[1]
     if g.size:
-        lam, q = np.linalg.eigh(g @ g.T if wide else g.T @ g)
-        lam_min, lam_max = lam[0], lam[-1]      # eigh sorts ascending
+        a = g @ g.T if wide else g.T @ g
+        lam = np.linalg.eigvalsh(a)
+        lam_min, lam_max = lam[0], lam[-1]      # eigvalsh sorts ascending
         tau = _cutoff(rel_tol, g.shape, np.sqrt(max(lam_max, 0.0)))
         if (lam_min > 0.0 and lam_max <= GRAM_MAX_COND ** 2 * lam_min
                 and lam_min > tau ** 2):
             if wide:
-                return g.T @ (q @ ((q.T @ t) / lam))
-            return q @ ((q.T @ (g.T @ t)) / lam)
+                return g.T @ np.linalg.solve(a, t)
+            return np.linalg.solve(a, g.T @ t)
     u, s, v = svd(g)
     keep = s > _cutoff(rel_tol, g.shape, s[0] if s.size else 0.0)
     coeff = np.zeros_like(s)

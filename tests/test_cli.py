@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -105,14 +107,68 @@ def test_missing_output_directory_exits_3(tmp_path, capsys, monkeypatch):
 
 
 def test_threads_flag_preserves_bytes(tmp_path):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    bodies = [
+        "[experiment]\nkind = sweep_nr\nseeds = 2\n"
+        "[dataset]\nname = synthetic\nsynth_size = 120\n"
+        "[sweep]\ngrid = 32, 64\n",
+        # WBCD-shaped: the 455 x 455 Gram matrix is large enough that LAPACK
+        # runs threaded when BLAS is not held at one thread
+        "[experiment]\nkind = sweep_nr\nseeds = 1\n"
+        "[dataset]\nname = synthetic\nsynth_size = 569\nsynth_d = 30\n"
+        "[sweep]\ngrid = 512\n",
+    ]
+    for body in bodies:
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        cfg = _ini(tmp_path, body)
+        assert main(["sweep-nr", "--config", cfg, "--out", str(a)]) == 0
+        assert main(["sweep-nr", "--config", cfg, "--out", str(b),
+                     "--threads", "2"]) == 0
+        assert a.read_bytes() == b.read_bytes(), body
+
+
+def test_blas_thread_env_preserves_bytes(tmp_path):
     cfg = _ini(tmp_path,
-               "[experiment]\nkind = sweep_nr\nseeds = 2\n"
-               "[dataset]\nname = synthetic\nsynth_size = 120\n"
-               "[sweep]\ngrid = 32, 64\n")
-    assert main(["sweep-nr", "--config", cfg, "--out", str(a)]) == 0
-    assert main(["sweep-nr", "--config", cfg, "--out", str(b), "--threads", "2"]) == 0
-    assert a.read_bytes() == b.read_bytes()
+               "[experiment]\nkind = online\nseeds = 1\n"
+               "[dataset]\nname = synthetic\nsynth_size = 569\nsynth_d = 30\n"
+               "[model]\nn_r = 512\n"
+               "[online]\nsteps = 1\niters_per_step = 2\n")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.abspath(src), *filter(None, [env.get("PYTHONPATH")])])
+    outs = []
+    for blas_threads in (None, "1"):
+        out = tmp_path / f"blas_{blas_threads}.csv"
+        run_env = dict(env)
+        if blas_threads is not None:
+            run_env["OPENBLAS_NUM_THREADS"] = blas_threads
+        subprocess.run([sys.executable, "-m", "airelm.cli", "online",
+                        "--config", cfg, "--out", str(out)],
+                       env=run_env, check=True, capture_output=True,
+                       timeout=120)
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("body, message", [
+    ("[sweep]\ngrid = 16.7, 32\n", "16.7"),
+    ("[sweep]\ngrid = 16, nan\n", "nan"),
+    ("[channel]\nsnr_db = -inf\n", "-inf"),
+], ids=["fractional_n_r", "nan_grid", "minus_inf_snr"])
+def test_bad_sweep_values_exit_1_before_compute(tmp_path, capsys, monkeypatch,
+                                                body, message):
+    import airelm.cli
+
+    def no_compute(cfg):
+        raise AssertionError("the experiment ran before the config was checked")
+
+    monkeypatch.setattr(airelm.cli, "run", no_compute)
+    cfg = _ini(tmp_path, "[experiment]\nkind = sweep_nr\nseeds = 1\n" + body)
+    rc = main(["sweep-nr", "--config", cfg])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("config error:") and message in err
 
 
 def test_manifest_records_cli_config(tmp_path):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from airelm.config import DatasetConfig, ExperimentConfig, parse_config
+from airelm import experiments
 from airelm.errors import ConfigError
 from airelm.experiments import (
     SUMMARY_COLUMNS,
@@ -23,6 +24,7 @@ from airelm.experiments import (
     summarize,
     write_manifest,
 )
+from airelm.numkernel import blas_thread_control
 
 
 def _cfg(kind="sweep_nr", **kw):
@@ -81,6 +83,30 @@ def test_threads_do_not_change_results():
     b = run_sweep_nr(_cfg(grid=(32, 64), seeds=2, threads=2))
     assert [(r.seed, r.n_r, r.accuracy) for r in a] == \
            [(r.seed, r.n_r, r.accuracy) for r in b]
+
+
+def test_trials_run_on_one_blas_thread(monkeypatch):
+    control = blas_thread_control()
+    if control is None:
+        pytest.skip("this BLAS exposes no thread-count control")
+    get, put = control
+    fit = experiments.fit
+    seen = []
+
+    def fit_and_record(*args, **kwargs):
+        seen.append(get())
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "fit", fit_and_record)
+    original = get()
+    put(2)              # a count other than 1, so the restore is visible
+    try:
+        before = get()
+        run(_cfg(grid=(32,), threads=2))
+        assert seen and set(seen) == {1}
+        assert get() == before
+    finally:
+        put(original)
 
 
 def test_kappa_zero_cell_matches_nr_sweep():
@@ -205,8 +231,10 @@ def test_manifest_contents(tmp_path):
     env = doc["environment"]
     assert env["numpy"] == np.__version__
     assert env["threads"] == 1
-    assert {"blas", "blas_version"} <= set(env)
-    assert set(env) - {"numpy", "blas", "blas_version", "threads"} <= {
+    assert {"blas", "blas_version", "blas_threads"} <= set(env)
+    assert env["blas_threads"] == (1 if blas_thread_control() else None)
+    assert set(env) - {"numpy", "blas", "blas_version", "threads",
+                       "blas_threads"} <= {
         "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}
     # run() records the runner's own wall time; on one thread it encloses
     # every trial, and the CSV bytes do not depend on it
@@ -272,6 +300,9 @@ def test_online_row_schema():
     assert len(rows) == 2 * (1 + 2)
     assert all(r.experiment == "online" for r in rows)
     assert all(r.model == "mimo" for r in rows)
+    # each step's time sits on its iteration-0 row, none on the others
+    assert all(r.wall_ms > 0 for r in rows if r.iteration == 0)
+    assert all(r.wall_ms is None for r in rows if r.iteration > 0)
 
 
 # -------------------------------------------------------------- config
