@@ -12,8 +12,7 @@ from .errors import ConfigError, DataError, OutputError
 from .rng import (RngStream, SUB_SPLIT, SUB_CHANNEL, SUB_TRAIN_NOISE,
                   SUB_TEST_NOISE, SUB_DIGITAL, SUB_MINIBATCH, SUB_AR,
                   SUB_SYNTH, SUB_FEATSEL)
-from .numkernel import (sample_gaussian, sample_cgaussian, svd, pseudoinverse,
-                        min_norm_lstsq)
+from .numkernel import sample_cgaussian, svd, pseudoinverse, min_norm_lstsq
 from .activation import (RappParams, rapp, rapp_vec, rapp_deriv, rapp_peak,
                          sigmoid)
 from .channel import (RiceanConfig, ArConfig, NoiseModel, NOISELESS,
@@ -23,8 +22,8 @@ from .elm import (HiddenLayer, DigitalLayer, ElmModel, augment, hidden_matrix,
                   train, fit, predict, classify, online_update,
                   digital_elm_hidden)
 from .data import (RawTable, StandardizationStats, Dataset, load_csv,
-                   load_wbcd, load_idx, mnist_binarize, secom_prepare,
-                   split_standardize, synth_two_gaussians)
+                   load_wbcd, load_idx, load_secom, mnist_binarize,
+                   secom_prepare, split_standardize, synth_two_gaussians)
 from .config import DatasetConfig, ExperimentConfig, parse_config
 from .experiments import (TrialResult, run_sweep_nr, run_sweep_snr,
                           run_sweep_kappa, run_online, run_single, run,
@@ -35,7 +34,7 @@ __all__ = [
     "ConfigError", "DataError", "OutputError", "RngStream",
     "SUB_SPLIT", "SUB_CHANNEL", "SUB_TRAIN_NOISE", "SUB_TEST_NOISE",
     "SUB_DIGITAL", "SUB_MINIBATCH", "SUB_AR", "SUB_SYNTH", "SUB_FEATSEL",
-    "sample_gaussian", "sample_cgaussian", "svd", "pseudoinverse",
+    "sample_cgaussian", "svd", "pseudoinverse",
     "min_norm_lstsq",
     "RappParams", "rapp", "rapp_vec", "rapp_deriv", "rapp_peak", "sigmoid",
     "RiceanConfig", "ArConfig", "NoiseModel", "NOISELESS", "ChannelMatrix",
@@ -45,8 +44,8 @@ __all__ = [
     "train", "fit", "predict", "classify", "online_update",
     "digital_elm_hidden",
     "RawTable", "StandardizationStats", "Dataset", "load_csv", "load_wbcd",
-    "load_idx", "mnist_binarize", "secom_prepare", "split_standardize",
-    "synth_two_gaussians",
+    "load_idx", "load_secom", "mnist_binarize", "secom_prepare",
+    "split_standardize", "synth_two_gaussians",
     "DatasetConfig", "ExperimentConfig", "parse_config",
     "TrialResult", "run_sweep_nr", "run_sweep_snr", "run_sweep_kappa",
     "run_online", "run_single", "run", "summarize", "emit_csv",

@@ -130,14 +130,19 @@ def evolve_ar(h_prev: ChannelMatrix, cfg: ArConfig, rng: RngStream) -> ChannelMa
 
 def apply_channel(h_real: np.ndarray, x_tilde: np.ndarray, noise: NoiseModel,
                   rng: RngStream = None) -> np.ndarray:
-    """Receive vector y~ = H^r x~ + n_r with n_r ~ N(0, sigma^2/2) i.i.d."""
+    """Receive vector y~ = H^r x~ + n_r with n_r ~ N(0, sigma^2/2) i.i.d.
+
+    x_tilde is one transmit vector or a batch of them, one per row; a batch
+    gives one receive vector per row, x~ (H^r)^T plus noise drawn for the
+    whole batch in one call (row-major, so row by row).
+    """
     h_real = np.asarray(h_real, dtype=float)
-    x = np.asarray(x_tilde, dtype=float).reshape(-1)
-    if h_real.shape[1] != x.shape[0]:
+    x = np.asarray(x_tilde, dtype=float)
+    if x.ndim not in (1, 2) or h_real.shape[1] != x.shape[-1]:
         raise ValueError(
             f"apply_channel: H^r has {h_real.shape[1]} columns but x~ has "
-            f"length {x.shape[0]}")
-    y = h_real @ x
+            f"shape {x.shape}")
+    y = x @ h_real.T
     if not noise.noiseless:
         if rng is None:
             raise ValueError("apply_channel: finite-SNR noise needs an RngStream")

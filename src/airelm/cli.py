@@ -20,16 +20,23 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .config import ExperimentConfig, parse_config
+from .config import KINDS, ExperimentConfig, parse_config
 from .errors import ConfigError, DataError, OutputError
 from .experiments import run, summarize
 
-_SUBCOMMANDS = {
-    "sweep-nr": "sweep_nr",
-    "sweep-snr": "sweep_snr",
-    "sweep-kappa": "sweep_kappa",
-    "online": "online",
-    "single": "single",
+_SUBCOMMANDS = {kind.replace("_", "-"): kind for kind in KINDS}
+
+# flag -> (the config field it overrides, argparse options)
+_FLAGS = {
+    "--seed": ("master_seed", dict(type=int,
+                                   help="master seed (overrides config)")),
+    "--seeds": ("seeds", dict(type=int, help="number of trial seeds")),
+    "--out": ("out", dict(help="CSV output path")),
+    "--baseline": ("baseline", dict(action=argparse.BooleanOptionalAction,
+                                    help="also run the digital-ELM baseline")),
+    "--threads": ("threads", dict(type=int,
+                                  help="worker threads for trials; BLAS runs "
+                                       "one thread per worker")),
 }
 
 
@@ -41,14 +48,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name in _SUBCOMMANDS:
         p = sub.add_parser(name, help=f"run the {name.replace('-', ' ')} experiment")
         p.add_argument("--config", help="INI experiment config file")
-        p.add_argument("--seed", type=int, help="master seed (overrides config)")
-        p.add_argument("--seeds", type=int, help="number of trial seeds")
-        p.add_argument("--out", help="CSV output path")
-        p.add_argument("--baseline", action=argparse.BooleanOptionalAction,
-                       help="also run the digital-ELM baseline")
-        p.add_argument("--threads", type=int,
-                       help="worker threads for trials; BLAS runs one "
-                            "thread per worker")
+        for flag, (dest, options) in _FLAGS.items():
+            p.add_argument(flag, dest=dest, **options)
     return parser
 
 
@@ -82,20 +83,9 @@ def main(argv=None) -> int:
             cfg = parse_config(args.config, kind=kind)
         else:
             cfg = ExperimentConfig(kind=kind)
-        overrides = {}
-        if args.seed is not None:
-            overrides["master_seed"] = args.seed
-        if args.seeds is not None:
-            overrides["seeds"] = args.seeds
-        if args.out is not None:
-            overrides["out"] = args.out
-        if args.baseline is not None:
-            overrides["baseline"] = args.baseline
-        if args.threads is not None:
-            overrides["threads"] = args.threads
-        if overrides:
-            cfg = replace(cfg, **overrides)
-        cfg = cfg.resolved()
+        overrides = {dest: getattr(args, dest) for dest, _ in _FLAGS.values()
+                     if getattr(args, dest) is not None}
+        cfg = replace(cfg, **overrides).resolved()
         results = run(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -1,7 +1,7 @@
 """Experiment configuration: dataclasses plus strict INI-file parsing.
 
-Config files are flat INI text with sections mirroring the config fields
-(see the schema table below).  Unknown sections or keys are hard errors so
+Config files are flat INI text: each config field is one key, in the section
+named by its field metadata.  Unknown sections or keys are hard errors so
 typos fail fast instead of silently running defaults.
 """
 
@@ -10,7 +10,7 @@ from __future__ import annotations
 import configparser
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .errors import ConfigError, OutputError
 
@@ -23,56 +23,106 @@ DEFAULT_GRIDS = {
 }
 
 
+def _to_bool(raw: str) -> bool:
+    low = raw.strip().lower()
+    if low in ("1", "true", "yes", "on"):
+        return True
+    if low in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(raw)
+
+
+def _to_float(raw: str) -> float:
+    low = raw.strip().lower()
+    if low in ("inf", "+inf", "infinity", "noiseless"):
+        return float("inf")
+    return float(raw)
+
+
+def _to_grid(raw: str) -> tuple:
+    parts = [p for chunk in raw.split(",") for p in chunk.split()]
+    if not parts:
+        raise ValueError(raw)
+    return tuple(_to_float(p) for p in parts)
+
+
+def _to_label_map(raw: str) -> dict:
+    out = {}
+    for item in raw.split(","):
+        item = item.strip()
+        if not item:
+            continue
+        key, _, val = item.partition(":")
+        if not _:
+            raise ValueError(raw)
+        out[key.strip()] = int(val)
+    if not out:
+        raise ValueError(raw)
+    return out
+
+
+def _to_label_column(raw: str):
+    raw = raw.strip()
+    try:
+        return int(raw)
+    except ValueError:
+        return raw
+
+
+def _key(section: str, default, parse):
+    """A config field read from INI key `[section] <field name>` by `parse`."""
+    return field(default=default,
+                 metadata={"section": section, "parse": parse})
+
+
 @dataclass(frozen=True)
 class DatasetConfig:
-    name: str = "synthetic"          # synthetic | wbcd | csv | mnist | secom
-    path: str = None                 # csv file (wbcd/csv); secom features file
-    images: str = None               # mnist idx images
-    labels: str = None               # mnist idx labels; secom labels file
-    label_column: object = 0
-    delimiter: str = ","
-    missing_token: str = None
-    has_header: bool = True
-    label_map: dict = None
-    train_ratio: float = 0.8
-    subsample: int = None            # optional row cap before splitting
-    synth_size: int = 400
-    synth_d: int = 8
-    synth_separation: float = 4.0
-    mnist_pixels: int = 100
-    secom_features: int = 20
+    # synthetic | wbcd | csv | mnist | secom
+    name: str = _key("dataset", "synthetic", str)
+    path: str = _key("dataset", None, str)     # csv file; secom features file
+    images: str = _key("dataset", None, str)   # mnist idx images
+    labels: str = _key("dataset", None, str)   # mnist idx labels; secom labels
+    label_column: object = _key("dataset", 0, _to_label_column)
+    delimiter: str = _key("dataset", ",", str)
+    missing_token: str = _key("dataset", None, str)
+    has_header: bool = _key("dataset", True, _to_bool)
+    label_map: dict = _key("dataset", None, _to_label_map)
+    train_ratio: float = _key("dataset", 0.8, float)
+    # optional row cap before splitting
+    subsample: int = _key("dataset", None, int)
+    synth_size: int = _key("dataset", 400, int)
+    synth_d: int = _key("dataset", 8, int)
+    synth_separation: float = _key("dataset", 4.0, float)
+    mnist_pixels: int = _key("dataset", 100, int)
+    secom_features: int = _key("dataset", 20, int)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    kind: str = "single"
-    seeds: int = 300
-    master_seed: int = 0
-    baseline: bool = False
-    threads: int = 1
-    out: str = None
+    kind: str = _key("experiment", "single", str)
+    seeds: int = _key("experiment", 300, int)
+    master_seed: int = _key("experiment", 0, int)
+    baseline: bool = _key("experiment", False, _to_bool)
+    threads: int = _key("experiment", 1, int)
+    out: str = _key("experiment", None, str)
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
-    # channel
-    kappa: float = 0.0
-    pathloss: float = 1.0
-    los_angle_rx: float = 0.0
-    los_angle_tx: float = 0.0
-    snr_db: float = float("inf")
-    # activation
-    y_sat: float = 1.5
-    alpha: int = 2
-    # model
-    n_r: int = None                  # resolved by `resolved()`: 1024 online, else 256
-    digital_low: float = -1.0
-    digital_high: float = 1.0
-    # sweep
-    grid: tuple = None
-    # online
-    eta: float = 0.9
-    gamma: float = 0.5
-    batch_size: int = 32
-    steps: int = 5
-    iters_per_step: int = 20
+    kappa: float = _key("channel", 0.0, float)
+    pathloss: float = _key("channel", 1.0, float)
+    los_angle_rx: float = _key("channel", 0.0, float)
+    los_angle_tx: float = _key("channel", 0.0, float)
+    snr_db: float = _key("channel", float("inf"), _to_float)
+    y_sat: float = _key("activation", 1.5, float)
+    alpha: int = _key("activation", 2, int)
+    # resolved by `resolved()`: 1024 online, else 256
+    n_r: int = _key("model", None, int)
+    digital_low: float = _key("model", -1.0, float)
+    digital_high: float = _key("model", 1.0, float)
+    grid: tuple = _key("sweep", None, _to_grid)
+    eta: float = _key("online", 0.9, float)
+    gamma: float = _key("online", 0.5, float)
+    batch_size: int = _key("online", 32, int)
+    steps: int = _key("online", 5, int)
+    iters_per_step: int = _key("online", 20, int)
 
     def resolved(self) -> "ExperimentConfig":
         """Fill kind-dependent defaults and validate."""
@@ -128,77 +178,11 @@ class ExperimentConfig:
         return cfg
 
 
-_SCHEMA = {
-    "experiment": ("kind", "seeds", "master_seed", "baseline", "threads", "out"),
-    "dataset": ("name", "path", "images", "labels", "label_column", "delimiter",
-                "missing_token", "has_header", "label_map", "train_ratio",
-                "subsample", "synth_size", "synth_d", "synth_separation",
-                "mnist_pixels", "secom_features"),
-    "channel": ("kappa", "pathloss", "los_angle_rx", "los_angle_tx", "snr_db"),
-    "activation": ("y_sat", "alpha"),
-    "model": ("n_r", "digital_low", "digital_high"),
-    "sweep": ("grid",),
-    "online": ("eta", "gamma", "batch_size", "steps", "iters_per_step"),
-}
-
-
-def _convert(section, key, raw, to, path):
-    try:
-        return to(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(
-            f"{path}: bad value for [{section}] {key} = {raw!r}") from None
-
-
-def _to_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(raw)
-
-
-def _to_float(raw: str) -> float:
-    low = raw.strip().lower()
-    if low in ("inf", "+inf", "infinity", "noiseless"):
-        return float("inf")
-    return float(raw)
-
-
-def _to_grid(raw: str) -> tuple:
-    parts = [p for chunk in raw.split(",") for p in chunk.split()]
-    if not parts:
-        raise ValueError(raw)
-    return tuple(_to_float(p) for p in parts)
-
-
-def _to_label_map(raw: str) -> dict:
-    out = {}
-    for item in raw.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        key, _, val = item.partition(":")
-        if not _:
-            raise ValueError(raw)
-        out[key.strip()] = int(val)
-    if not out:
-        raise ValueError(raw)
-    return out
-
-
-def _to_label_column(raw: str):
-    raw = raw.strip()
-    try:
-        return int(raw)
-    except ValueError:
-        return raw
-
-
 def parse_config(path: str, kind: str = None) -> ExperimentConfig:
     """Read an INI config file into an ExperimentConfig.
 
+    Each config field is one INI key, in the section its field metadata
+    names; keys the file leaves unset or empty keep the field default.
     `kind`, when given (by the CLI subcommand), overrides any kind in the
     file.  Unknown sections/keys raise ConfigError.
     """
@@ -210,65 +194,28 @@ def parse_config(path: str, kind: str = None) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
+    keys = {(f.metadata["section"], f.name): (cls, f.metadata["parse"])
+            for cls in (DatasetConfig, ExperimentConfig)
+            for f in fields(cls) if f.metadata}
+    values = {DatasetConfig: {}, ExperimentConfig: {}}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in {sec for sec, _ in keys}:
             raise ConfigError(f"{path}: unknown section [{section}]")
-        for key in parser[section]:
-            if key not in _SCHEMA[section]:
+        for key, raw in parser[section].items():
+            if (section, key) not in keys:
                 raise ConfigError(f"{path}: unknown key {key!r} in [{section}]")
-
-    def get(section, key, to, default):
-        if parser.has_option(section, key):
-            raw = parser.get(section, key)
-            if raw.strip() == "":
-                return default
-            return _convert(section, key, raw, to, path)
-        return default
-
-    ds = DatasetConfig(
-        name=get("dataset", "name", str, "synthetic"),
-        path=get("dataset", "path", str, None),
-        images=get("dataset", "images", str, None),
-        labels=get("dataset", "labels", str, None),
-        label_column=get("dataset", "label_column", _to_label_column, 0),
-        delimiter=get("dataset", "delimiter", str, ","),
-        missing_token=get("dataset", "missing_token", str, None),
-        has_header=get("dataset", "has_header", _to_bool, True),
-        label_map=get("dataset", "label_map", _to_label_map, None),
-        train_ratio=get("dataset", "train_ratio", float, 0.8),
-        subsample=get("dataset", "subsample", int, None),
-        synth_size=get("dataset", "synth_size", int, 400),
-        synth_d=get("dataset", "synth_d", int, 8),
-        synth_separation=get("dataset", "synth_separation", float, 4.0),
-        mnist_pixels=get("dataset", "mnist_pixels", int, 100),
-        secom_features=get("dataset", "secom_features", int, 20),
-    )
-    cfg = ExperimentConfig(
-        kind=kind or get("experiment", "kind", str, "single"),
-        seeds=get("experiment", "seeds", int, 300),
-        master_seed=get("experiment", "master_seed", int, 0),
-        baseline=get("experiment", "baseline", _to_bool, False),
-        threads=get("experiment", "threads", int, 1),
-        out=get("experiment", "out", str, None),
-        dataset=ds,
-        kappa=get("channel", "kappa", float, 0.0),
-        pathloss=get("channel", "pathloss", float, 1.0),
-        los_angle_rx=get("channel", "los_angle_rx", float, 0.0),
-        los_angle_tx=get("channel", "los_angle_tx", float, 0.0),
-        snr_db=get("channel", "snr_db", _to_float, float("inf")),
-        y_sat=get("activation", "y_sat", float, 1.5),
-        alpha=get("activation", "alpha", int, 2),
-        n_r=get("model", "n_r", int, None),
-        digital_low=get("model", "digital_low", float, -1.0),
-        digital_high=get("model", "digital_high", float, 1.0),
-        grid=get("sweep", "grid", _to_grid, None),
-        eta=get("online", "eta", float, 0.9),
-        gamma=get("online", "gamma", float, 0.5),
-        batch_size=get("online", "batch_size", int, 32),
-        steps=get("online", "steps", int, 5),
-        iters_per_step=get("online", "iters_per_step", int, 20),
-    )
-    return cfg.resolved()
+            cls, parse = keys[section, key]
+            if not raw.strip():
+                continue
+            try:
+                values[cls][key] = parse(raw)
+            except (TypeError, ValueError):
+                raise ConfigError(f"{path}: bad value for [{section}] {key} = "
+                                  f"{raw!r}") from None
+    if kind:
+        values[ExperimentConfig]["kind"] = kind
+    return ExperimentConfig(dataset=DatasetConfig(**values[DatasetConfig]),
+                            **values[ExperimentConfig]).resolved()
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:

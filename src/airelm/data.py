@@ -96,10 +96,10 @@ def load_csv(path, label_column, delimiter: str = ",", missing_token: str = None
              has_header: bool = True, label_map: dict = None) -> RawTable:
     """Parse a delimiter-separated table into a RawTable.
 
-    label_column is a header name when has_header, else a 0-based column
-    index.  Cells equal to missing_token become masked NaNs; any other
-    non-numeric feature cell is a row-indexed error, as is a row whose label
-    fails to parse (through label_map if given).
+    label_column is a header name (with has_header) or a 0-based column
+    index in [0, width).  Cells equal to missing_token become masked NaNs;
+    any other non-numeric feature cell is a row-indexed error, as is a row
+    whose label fails to parse (through label_map if given).
     """
     try:
         fh = open(path, newline="")
@@ -110,21 +110,24 @@ def load_csv(path, label_column, delimiter: str = ",", missing_token: str = None
     if not rows:
         raise DataError(f"{path}: empty file")
 
-    if has_header:
-        header = [h.strip() for h in rows[0]]
-        body = rows[1:]
-        if isinstance(label_column, str):
-            if label_column not in header:
-                raise DataError(f"{path}: no column named {label_column!r}")
-            label_idx = header.index(label_column)
-        else:
-            label_idx = int(label_column)
-    else:
-        header = None
-        body = rows
-        label_idx = int(label_column)
-
+    header = [h.strip() for h in rows[0]] if has_header else None
+    body = rows[1:] if has_header else rows
     width = len(rows[0])
+    if has_header and isinstance(label_column, str):
+        if label_column not in header:
+            raise DataError(f"{path}: no column named {label_column!r}")
+        label_idx = header.index(label_column)
+    else:
+        try:
+            label_idx = int(label_column)
+        except (TypeError, ValueError):
+            raise DataError(f"{path}: label_column {label_column!r} is "
+                            f"neither a header name nor an index") from None
+        # a negative index would pick the label but keep it as a feature
+        if not 0 <= label_idx < width:
+            raise DataError(f"{path}: label_column {label_idx} is outside the "
+                            f"{width} columns")
+
     feats, labels, mask = [], [], []
     for i, row in enumerate(body):
         lineno = i + (2 if has_header else 1)
@@ -182,6 +185,61 @@ def load_wbcd(path) -> RawTable:
     return RawTable(features=table.features[:, 1:],
                     labels=table.labels,
                     present=table.present[:, 1:])
+
+
+def _text_rows(path) -> list:
+    """(line number, whitespace-split cells) for every nonblank line."""
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
+    with fh:
+        return [(n, line.split()) for n, line in enumerate(fh, 1)
+                if line.strip()]
+
+
+def load_secom(features_path, labels_path) -> RawTable:
+    """SECOM's two files: a space-separated feature matrix with "NaN" for a
+    missing cell, and a label file whose first column is the -1/+1 label.
+
+    An empty features file, a ragged or non-numeric feature row, an
+    unparseable label and unequal row counts are errors; a row's error
+    names its file and line.
+    """
+    feat_rows = _text_rows(features_path)
+    if not feat_rows:
+        raise DataError(f"{features_path}: empty file")
+    width = len(feat_rows[0][1])
+    feats = np.empty((len(feat_rows), width))
+    mask = np.ones_like(feats, dtype=bool)
+    for i, (lineno, row) in enumerate(feat_rows):
+        if len(row) != width:
+            raise DataError(
+                f"{features_path}:{lineno}: ragged row, expected {width} "
+                f"cells got {len(row)}")
+        for j, cell in enumerate(row):
+            if cell == "NaN":
+                feats[i, j] = np.nan
+                mask[i, j] = False
+                continue
+            try:
+                feats[i, j] = float(cell)
+            except ValueError:
+                raise DataError(
+                    f"{features_path}:{lineno}: non-numeric cell {cell!r} "
+                    f"in column {j}") from None
+    label_rows = _text_rows(labels_path)
+    if len(label_rows) != len(feat_rows):
+        raise DataError(
+            f"SECOM: {len(feat_rows)} feature rows vs {len(label_rows)} labels")
+    labels = np.empty(len(label_rows), dtype=int)
+    for i, (lineno, row) in enumerate(label_rows):
+        try:
+            labels[i] = int(float(row[0]))
+        except (ValueError, OverflowError):
+            raise DataError(
+                f"{labels_path}:{lineno}: unparseable label {row[0]!r}") from None
+    return RawTable(features=feats, labels=labels, present=mask)
 
 
 _IDX_IMAGE_MAGIC = 0x00000803

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace, field
 import numpy as np
 
 from .activation import RappParams, DEFAULT_RAPP, rapp_vec, sigmoid
-from .channel import NoiseModel, NOISELESS
+from .channel import NoiseModel, NOISELESS, apply_channel
 from .errors import ConfigError
 from .numkernel import min_norm_lstsq
 from .rng import RngStream
@@ -87,9 +87,9 @@ def _augment_rows(x: np.ndarray) -> np.ndarray:
 def hidden_matrix(layer, x: np.ndarray, rng: RngStream = None) -> np.ndarray:
     """Hidden-layer output matrix G, one row per data point.
 
-    For a channel layer, row i is rapp(H^r x~(i) + n_r) with fresh i.i.d.
-    noise per data point when the noise model has finite power (the draw
-    order matches per-row sequential application).  For a digital layer,
+    For a channel layer, row i is rapp(H^r x~(i) + n_r), the rows received
+    in one batch by `apply_channel`, with fresh i.i.d. noise per data point
+    when the noise model has finite power.  For a digital layer,
     row i is sigmoid(W x~(i)).
     """
     a = _augment_rows(x)
@@ -99,15 +99,7 @@ def hidden_matrix(layer, x: np.ndarray, rng: RngStream = None) -> np.ndarray:
                 f"feature dimension {a.shape[1] - 1} does not match layer "
                 f"d={layer.d}")
         return sigmoid(a @ layer.weights.T)
-    if a.shape[1] != layer.h_real.shape[1]:
-        raise ValueError(
-            f"feature dimension {a.shape[1] - 1} does not match channel "
-            f"d={layer.d}")
-    y = a @ layer.h_real.T
-    if not layer.noise.noiseless:
-        if rng is None:
-            raise ValueError("hidden_matrix: finite-SNR noise needs an RngStream")
-        y = y + rng.normal(0.0, np.sqrt(layer.noise.sigma2 / 2.0), y.shape)
+    y = apply_channel(layer.h_real, a, layer.noise, rng)
     return rapp_vec(y, layer.rapp)
 
 

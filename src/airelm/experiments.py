@@ -27,9 +27,9 @@ from .activation import RappParams
 from .channel import (ArConfig, NoiseModel, NOISELESS, RiceanConfig,
                       sample_ricean, evolve_ar, sigma2_for_snr)
 from .config import ExperimentConfig, config_to_dict
-from .data import (Dataset, RawTable, load_csv, load_idx, load_wbcd,
-                   mnist_binarize, secom_prepare, split_standardize,
-                   synth_two_gaussians)
+from .data import (Dataset, RawTable, load_csv, load_idx, load_secom,
+                   load_wbcd, mnist_binarize, secom_prepare,
+                   split_standardize, synth_two_gaussians)
 from .elm import (ElmModel, HiddenLayer, classify, digital_elm_hidden, fit,
                   online_update, predict)
 from .errors import ConfigError, OutputError
@@ -88,35 +88,8 @@ def _load_base_table(cfg: ExperimentConfig):
     if ds.name == "mnist":
         return load_idx(ds.images, ds.labels)
     if ds.name == "secom":
-        # SECOM ships as two files: a space-separated feature matrix and a
-        # label file whose first column is the -1/+1 label.
-        return _load_secom(ds.path, ds.labels)
+        return load_secom(ds.path, ds.labels)
     raise ConfigError(f"unknown dataset name {ds.name!r}")
-
-
-def _load_secom(features_path, labels_path) -> RawTable:
-    import csv as _csv
-    with open(features_path) as fh:
-        feat_rows = [r.split() for r in fh if r.strip()]
-    with open(labels_path) as fh:
-        label_rows = [r.split() for r in fh if r.strip()]
-    feats = np.empty((len(feat_rows), len(feat_rows[0])))
-    mask = np.ones_like(feats, dtype=bool)
-    from .errors import DataError
-    for i, row in enumerate(feat_rows):
-        if len(row) != feats.shape[1]:
-            raise DataError(f"{features_path}:{i + 1}: ragged row")
-        for j, cell in enumerate(row):
-            if cell == "NaN":
-                feats[i, j] = np.nan
-                mask[i, j] = False
-            else:
-                feats[i, j] = float(cell)
-    if len(label_rows) != len(feat_rows):
-        raise DataError(
-            f"SECOM: {len(feat_rows)} feature rows vs {len(label_rows)} labels")
-    labels = np.array([int(float(r[0])) for r in label_rows])
-    return RawTable(features=feats, labels=labels, present=mask)
 
 
 def _trial_dataset(cfg: ExperimentConfig, base_table, trial: RngStream) -> Dataset:
@@ -146,19 +119,25 @@ def _trial_dataset(cfg: ExperimentConfig, base_table, trial: RngStream) -> Datas
 # ---------------------------------------------------------------------------
 # single-trial cores
 
-def _rapp_params(cfg: ExperimentConfig) -> RappParams:
-    return RappParams(y_sat=cfg.y_sat, alpha=cfg.alpha)
+def _channel_layer(cfg, dataset, trial, n_r: int, kappa: float, snr_db: float):
+    """Draw the trial's channel and build the hidden layer it realizes.
 
-
-def _channel_cfg(cfg: ExperimentConfig, n_r: int, d: int, kappa: float) -> RiceanConfig:
-    return RiceanConfig(n_r=n_r, n_t=d + 1, kappa=kappa, pathloss=cfg.pathloss,
-                        los_angle_rx=cfg.los_angle_rx,
-                        los_angle_tx=cfg.los_angle_tx)
-
-
-def _augmented_train(dataset: Dataset) -> np.ndarray:
-    return np.hstack([dataset.x_train,
-                      np.ones((dataset.x_train.shape[0], 1))])
+    The noise power puts the training set at snr_db at the receiver;
+    snr_db = +inf is noiseless.  Returns (channel, layer).
+    """
+    chan = sample_ricean(
+        RiceanConfig(n_r=n_r, n_t=dataset.d + 1, kappa=kappa,
+                     pathloss=cfg.pathloss, los_angle_rx=cfg.los_angle_rx,
+                     los_angle_tx=cfg.los_angle_tx),
+        trial.split(SUB_CHANNEL))
+    noise = NOISELESS
+    if not np.isposinf(snr_db):
+        x_tilde = np.hstack([dataset.x_train,
+                             np.ones((dataset.x_train.shape[0], 1))])
+        noise = NoiseModel(sigma2_for_snr(chan.h_real, x_tilde, snr_db))
+    layer = HiddenLayer(h_real=chan.h_real, noise=noise,
+                        rapp=RappParams(y_sat=cfg.y_sat, alpha=cfg.alpha))
+    return chan, layer
 
 
 def _accuracy(model, dataset: Dataset, rng) -> float:
@@ -168,14 +147,7 @@ def _accuracy(model, dataset: Dataset, rng) -> float:
 
 def _mimo_trial(cfg, dataset, trial, n_r: int, kappa: float, snr_db: float):
     """Fit and evaluate one over-the-air ELM trial; returns a result triple."""
-    chan = sample_ricean(_channel_cfg(cfg, n_r, dataset.d, kappa),
-                         trial.split(SUB_CHANNEL))
-    if np.isposinf(snr_db):
-        noise = NOISELESS
-    else:
-        sigma2 = sigma2_for_snr(chan.h_real, _augmented_train(dataset), snr_db)
-        noise = NoiseModel(sigma2)
-    layer = HiddenLayer(h_real=chan.h_real, rapp=_rapp_params(cfg), noise=noise)
+    _, layer = _channel_layer(cfg, dataset, trial, n_r, kappa, snr_db)
     model = fit(layer, dataset.x_train, dataset.t_train,
                 trial.split(SUB_TRAIN_NOISE))
     acc = _accuracy(model, dataset, trial.split(SUB_TEST_NOISE))
@@ -295,21 +267,13 @@ def run_online(cfg: ExperimentConfig):
     def one(seed):
         trial = RngStream(cfg.master_seed).split(seed)
         dataset = _trial_dataset(cfg, base_table, trial)
-        chan = sample_ricean(
-            _channel_cfg(cfg, cfg.n_r, dataset.d, cfg.kappa),
-            trial.split(SUB_CHANNEL))
-        if np.isposinf(cfg.snr_db):
-            noise = NOISELESS
-        else:
-            noise = NoiseModel(sigma2_for_snr(
-                chan.h_real, _augmented_train(dataset), cfg.snr_db))
+        chan, layer = _channel_layer(cfg, dataset, trial, cfg.n_r, cfg.kappa,
+                                     cfg.snr_db)
         train_noise = trial.split(SUB_TRAIN_NOISE)
         test_noise = trial.split(SUB_TEST_NOISE)
         ar_rng = trial.split(SUB_AR)
         batch_rng = trial.split(SUB_MINIBATCH)
 
-        layer = HiddenLayer(h_real=chan.h_real, rapp=_rapp_params(cfg),
-                            noise=noise)
         model = fit(layer, dataset.x_train, dataset.t_train, train_noise)
         rows = []
         for step in range(1, cfg.steps + 1):

@@ -70,16 +70,6 @@ def one_blas_thread():
         put(before)
 
 
-def sample_gaussian(rng: RngStream, rows: int, cols: int, mean: float = 0.0,
-                    std: float = 1.0) -> np.ndarray:
-    """rows x cols matrix of i.i.d. N(mean, std^2) entries."""
-    if rows < 1 or cols < 1:
-        raise ValueError(f"matrix dimensions must be positive, got {rows}x{cols}")
-    if std < 0:
-        raise ValueError("std must be non-negative")
-    return rng.normal(mean, std, (rows, cols))
-
-
 def sample_cgaussian(rng: RngStream, rows: int, cols: int, std: float = 1.0) -> np.ndarray:
     """Complex matrix with i.i.d. CN(0, std^2) entries.
 

@@ -200,6 +200,21 @@ def test_apply_channel_noise_perturbs():
     assert np.all(np.isfinite(y))
 
 
+def test_apply_channel_batch_one_row_per_vector():
+    rng = RngStream(31)
+    h = rng.normal(size=(5, 3))
+    xs = rng.normal(size=(4, 3))
+    y = apply_channel(h, xs, NOISELESS)
+    assert y.shape == (4, 5)
+    for i in range(4):
+        assert np.allclose(y[i], apply_channel(h, xs[i], NOISELESS), atol=1e-13)
+    with pytest.raises(ValueError):
+        apply_channel(h, np.ones((4, 5)), NOISELESS)
+    # one draw of N(0, sigma^2/2) noise for the whole batch, row by row
+    noisy = apply_channel(h, xs, NoiseModel(sigma2=0.5), RngStream(32))
+    assert np.array_equal(noisy, xs @ h.T + RngStream(32).normal(0.0, 0.5, (4, 5)))
+
+
 def test_noise_model_flags():
     assert NOISELESS.noiseless
     assert NoiseModel(sigma2=0.0).noiseless

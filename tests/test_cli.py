@@ -1,5 +1,6 @@
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -90,6 +91,20 @@ def test_data_error_exits_2(tmp_path, capsys):
     assert "ragged" in capsys.readouterr().err
 
 
+def test_secom_non_numeric_cell_exits_2(tmp_path, capsys):
+    feats, labels = tmp_path / "secom.data", tmp_path / "labels.data"
+    feats.write_text("1 2 3\n4 abc 6\n")
+    labels.write_text("-1 x\n1 y\n")
+    rc = main(["single", "--config",
+               _ini(tmp_path,
+                    f"[dataset]\nname = secom\npath = {feats}\n"
+                    f"labels = {labels}\nsecom_features = 2\n")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("data error:") and "secom.data:2: non-numeric" in err
+
+
 def test_missing_output_directory_exits_3(tmp_path, capsys, monkeypatch):
     import airelm.cli
 
@@ -174,7 +189,7 @@ def test_bad_sweep_values_exit_1_before_compute(tmp_path, capsys, monkeypatch,
 def test_manifest_records_cli_config(tmp_path):
     out = tmp_path / "r.csv"
     main(["single", "--seeds", "3", "--seed", "9", "--out", str(out)])
-    doc = json.loads(open(str(out) + ".manifest.json").read())
+    doc = json.loads(pathlib.Path(str(out) + ".manifest.json").read_text())
     assert doc["master_seed"] == 9
     assert doc["config"]["seeds"] == 3
     assert doc["config"]["kind"] == "single"

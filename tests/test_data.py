@@ -7,6 +7,7 @@ from airelm.data import (
     RawTable,
     load_csv,
     load_idx,
+    load_secom,
     load_wbcd,
     mnist_binarize,
     secom_prepare,
@@ -76,6 +77,24 @@ def test_load_csv_label_map(tmp_path):
     table = load_csv(str(p), label_column=0, label_map={"pos": 1, "neg": -1})
     assert np.array_equal(table.labels, [1, -1])
     assert table.features.shape == (2, 1)
+
+
+@pytest.mark.parametrize("column", [9, 3, -1])
+def test_load_csv_label_column_out_of_range(tmp_path, column):
+    # -1 used to read the last column as the label and keep it as a feature
+    p = tmp_path / "t.csv"
+    p.write_text("a,b,label\n1,2,1\n3,4,-1\n")
+    with pytest.raises(DataError, match=f"label_column {column} is outside"):
+        load_csv(str(p), label_column=column)
+    with pytest.raises(DataError, match=f"label_column {column} is outside"):
+        load_csv(str(p), label_column=column, has_header=False)
+
+
+def test_load_csv_label_name_needs_header(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("1,2,1\n3,4,-1\n")
+    with pytest.raises(DataError, match="neither a header name nor an index"):
+        load_csv(str(p), label_column="label", has_header=False)
 
 
 def test_load_wbcd_shape_and_classes(wbcd_csv):
@@ -194,6 +213,33 @@ def _secom_table():
     present = ~np.isnan(feats)
     labels = np.array([-1, -1, 1, -1])
     return RawTable(feats, labels, present)
+
+
+def _secom_files(tmp_path, features, labels="-1 a\n1 b\n"):
+    f, lab = tmp_path / "secom.data", tmp_path / "secom_labels.data"
+    f.write_text(features)
+    lab.write_text(labels)
+    return str(f), str(lab)
+
+
+def test_load_secom_values_and_missing(tmp_path):
+    table = load_secom(*_secom_files(tmp_path, "1.5 NaN 3\n\n4 5 -6e1\n"))
+    assert np.array_equal(table.features, [[1.5, np.nan, 3.0], [4.0, 5.0, -60.0]],
+                          equal_nan=True)
+    assert np.array_equal(table.present, [[True, False, True], [True] * 3])
+    assert np.array_equal(table.labels, [-1, 1])
+
+
+@pytest.mark.parametrize("features, labels, message", [
+    ("1 2\n\n3 abc\n", "-1\n1\n", r"secom\.data:3: non-numeric cell 'abc'"),
+    ("1 2\n3\n", "-1\n1\n", r"secom\.data:2: ragged row"),
+    ("\n", "-1\n", r"secom\.data: empty file"),
+    ("1 2\n3 4\n", "-1\nx\n", r"secom_labels\.data:2: unparseable label 'x'"),
+    ("1 2\n3 4\n", "-1\n", "2 feature rows vs 1 labels"),
+], ids=["non_numeric", "ragged", "empty", "bad_label", "count_mismatch"])
+def test_load_secom_errors(tmp_path, features, labels, message):
+    with pytest.raises(DataError, match=message):
+        load_secom(*_secom_files(tmp_path, features, labels))
 
 
 def test_secom_mean_impute():

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -220,7 +221,7 @@ def test_manifest_contents(tmp_path):
     emit_csv(rows, str(csv_path))
     mpath = write_manifest(cfg, rows, str(csv_path))
     assert mpath == str(csv_path) + ".manifest.json"
-    doc = json.loads(open(mpath).read())
+    doc = json.loads(pathlib.Path(mpath).read_text())
     assert doc["master_seed"] == 0
     assert doc["config"]["kind"] == "sweep_nr"
     assert "library_version" in doc
@@ -240,7 +241,7 @@ def test_manifest_contents(tmp_path):
     # every trial, and the CSV bytes do not depend on it
     csv_bytes = csv_path.read_bytes()
     run(dataclasses.replace(cfg, out=str(csv_path)))
-    doc = json.loads(open(mpath).read())
+    doc = json.loads(pathlib.Path(mpath).read_text())
     assert doc["elapsed_ms"] >= doc["total_wall_ms"] > 0
     assert csv_path.read_bytes() == csv_bytes
 
@@ -254,10 +255,12 @@ def test_manifest_checksum_tracks_source_file(tmp_path, wbcd_csv):
     rows = run_sweep_nr(cfg)
     csv_path = tmp_path / "out.csv"
     emit_csv(rows, str(csv_path))
-    doc1 = json.loads(open(write_manifest(cfg, rows, str(csv_path))).read())
+    manifest = pathlib.Path(write_manifest(cfg, rows, str(csv_path)))
+    doc1 = json.loads(manifest.read_text())
     with open(local, "ab") as f:
         f.write(b" ")
-    doc2 = json.loads(open(write_manifest(cfg, rows, str(csv_path))).read())
+    write_manifest(cfg, rows, str(csv_path))
+    doc2 = json.loads(manifest.read_text())
     assert doc1["dataset_checksums"] != doc2["dataset_checksums"]
 
 

@@ -19,7 +19,6 @@ from airelm.numkernel import (
     min_norm_lstsq,
     pseudoinverse,
     sample_cgaussian,
-    sample_gaussian,
     svd,
 )
 
@@ -231,14 +230,6 @@ def test_min_norm_rejects_bad_shapes():
 
 
 # ---------------------------------------------------------- sampling
-
-def test_sample_gaussian_moments():
-    rng = RngStream(123)
-    x = sample_gaussian(rng, 400, 250, mean=0.0, std=2.0)
-    assert x.shape == (400, 250)
-    assert abs(x.mean()) < 0.02
-    assert abs(x.std() - 2.0) < 0.02
-
 
 def test_sample_cgaussian_split_variance():
     # unit-variance complex entries: each part carries variance 1/2
