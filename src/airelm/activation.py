@@ -45,9 +45,17 @@ def rapp(y: float, p: RappParams = DEFAULT_RAPP) -> float:
 
 
 def rapp_vec(y: np.ndarray, p: RappParams = DEFAULT_RAPP) -> np.ndarray:
-    """Element-wise Rapp activation; shape preserved."""
+    """Element-wise Rapp activation; shape preserved.
+
+    The denominator is built in one buffer that then takes the result, so
+    the call allocates one array the size of y.
+    """
     y = np.asarray(y, dtype=float)
-    return y / (1.0 + (y / p.y_sat) ** p.alpha)
+    den = np.divide(y, p.y_sat, out=np.empty_like(y))
+    den **= p.alpha
+    den += 1.0
+    np.divide(y, den, out=den)
+    return den if den.ndim else den[()]
 
 
 def rapp_deriv(y: np.ndarray, p: RappParams = DEFAULT_RAPP) -> np.ndarray:
@@ -77,13 +85,18 @@ def rapp_peak(p: RappParams = DEFAULT_RAPP):
 
 
 def sigmoid(x):
-    """Logistic function 1 / (1 + exp(-x)), overflow-safe for any finite x."""
+    """Logistic function 1 / (1 + exp(-x)), overflow-safe for any finite x.
+
+    With e = exp(-|x|), which never overflows, it is 1 / (1 + e) for
+    x >= 0 and e / (1 + e) below; both halves are computed in place.
+    """
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    e = np.abs(x, out=np.empty_like(x))
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    out /= e
     if out.ndim == 0:
         return float(out)
     return out

@@ -146,7 +146,7 @@ def apply_channel(h_real: np.ndarray, x_tilde: np.ndarray, noise: NoiseModel,
     if not noise.noiseless:
         if rng is None:
             raise ValueError("apply_channel: finite-SNR noise needs an RngStream")
-        y = y + rng.normal(0.0, np.sqrt(noise.sigma2 / 2.0), y.shape)
+        y += rng.normal(0.0, np.sqrt(noise.sigma2 / 2.0), y.shape)
     return y
 
 

@@ -35,8 +35,9 @@ _FLAGS = {
     "--baseline": ("baseline", dict(action=argparse.BooleanOptionalAction,
                                     help="also run the digital-ELM baseline")),
     "--threads": ("threads", dict(type=int,
-                                  help="worker threads for trials; BLAS runs "
-                                       "one thread per worker")),
+                                  help="worker threads, each running whole "
+                                       "seeds; BLAS runs one thread per "
+                                       "worker")),
 }
 
 

@@ -12,6 +12,8 @@ import math
 import os
 from dataclasses import dataclass, field, fields, replace
 
+from .activation import RappParams
+from .channel import ArConfig
 from .errors import ConfigError, OutputError
 
 KINDS = ("sweep_nr", "sweep_snr", "sweep_kappa", "online", "single")
@@ -151,6 +153,19 @@ class ExperimentConfig:
                     f"snr_db must be a finite number or inf, got {snr}")
         if cfg.seeds < 1:
             raise ConfigError(f"seeds must be >= 1, got {cfg.seeds}")
+        if cfg.n_r < 1:
+            raise ConfigError(f"n_r must be >= 1, got {cfg.n_r}")
+        RappParams(y_sat=cfg.y_sat, alpha=cfg.alpha)    # validates both
+        ArConfig(eta=cfg.eta)                           # eta in (0, 1]
+        if not (0.0 < cfg.gamma < 1.0):
+            raise ConfigError(f"gamma must lie in (0, 1), got {cfg.gamma}")
+        if cfg.batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {cfg.batch_size}")
+        if cfg.steps < 1:
+            raise ConfigError(f"steps must be >= 1, got {cfg.steps}")
+        if not cfg.digital_low < cfg.digital_high:
+            raise ConfigError(f"need digital_low < digital_high, got "
+                              f"[{cfg.digital_low}, {cfg.digital_high}]")
         if cfg.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {cfg.threads}")
         if not (0.0 < cfg.dataset.train_ratio < 1.0):

@@ -92,14 +92,29 @@ def _to_pm1(labels: np.ndarray) -> np.ndarray:
     raise DataError(f"cannot map label values {sorted(vals)} to -1/+1")
 
 
+def _finite_cell(cell: str, path, lineno: int, column: int) -> float:
+    """A present feature cell as a float; non-numeric, NaN and infinite
+    values are errors naming file, line and column."""
+    try:
+        value = float(cell)
+    except ValueError:
+        raise DataError(f"{path}:{lineno}: non-numeric cell {cell!r} in "
+                        f"column {column}") from None
+    if not np.isfinite(value):
+        raise DataError(f"{path}:{lineno}: non-finite cell {cell!r} in "
+                        f"column {column}")
+    return value
+
+
 def load_csv(path, label_column, delimiter: str = ",", missing_token: str = None,
              has_header: bool = True, label_map: dict = None) -> RawTable:
     """Parse a delimiter-separated table into a RawTable.
 
     label_column is a header name (with has_header) or a 0-based column
     index in [0, width).  Cells equal to missing_token become masked NaNs;
-    any other non-numeric feature cell is a row-indexed error, as is a row
-    whose label fails to parse (through label_map if given).
+    any other non-numeric, NaN or infinite feature cell is a row-indexed
+    error, as is a row whose label fails to parse (through label_map if
+    given).
     """
     try:
         fh = open(path, newline="")
@@ -143,7 +158,7 @@ def load_csv(path, label_column, delimiter: str = ",", missing_token: str = None
         else:
             try:
                 labels.append(int(float(raw_label)))
-            except ValueError:
+            except (ValueError, OverflowError):
                 raise DataError(
                     f"{path}:{lineno}: unparseable label {raw_label!r}") from None
         frow, mrow = [], []
@@ -155,11 +170,7 @@ def load_csv(path, label_column, delimiter: str = ",", missing_token: str = None
                 frow.append(np.nan)
                 mrow.append(False)
                 continue
-            try:
-                frow.append(float(cell))
-            except ValueError:
-                raise DataError(
-                    f"{path}:{lineno}: non-numeric cell {cell!r} in column {j}") from None
+            frow.append(_finite_cell(cell, path, lineno, j))
             mrow.append(True)
         feats.append(frow)
         mask.append(mrow)
@@ -202,9 +213,9 @@ def load_secom(features_path, labels_path) -> RawTable:
     """SECOM's two files: a space-separated feature matrix with "NaN" for a
     missing cell, and a label file whose first column is the -1/+1 label.
 
-    An empty features file, a ragged or non-numeric feature row, an
-    unparseable label and unequal row counts are errors; a row's error
-    names its file and line.
+    An empty features file, a ragged row, a non-numeric or infinite cell or
+    a NaN spelt other than "NaN", an unparseable label and unequal row
+    counts are errors; a row's error names its file and line.
     """
     feat_rows = _text_rows(features_path)
     if not feat_rows:
@@ -222,12 +233,7 @@ def load_secom(features_path, labels_path) -> RawTable:
                 feats[i, j] = np.nan
                 mask[i, j] = False
                 continue
-            try:
-                feats[i, j] = float(cell)
-            except ValueError:
-                raise DataError(
-                    f"{features_path}:{lineno}: non-numeric cell {cell!r} "
-                    f"in column {j}") from None
+            feats[i, j] = _finite_cell(cell, features_path, lineno, j)
     label_rows = _text_rows(labels_path)
     if len(label_rows) != len(feat_rows):
         raise DataError(

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -50,7 +51,7 @@ SUMMARY_COLUMNS = ("model", "n_r", "snr_db", "kappa", "eta", "step",
                    "mean_receive_power", "mean_wall_ms")
 
 
-@dataclass
+@dataclass(slots=True)
 class TrialResult:
     """One per-seed outcome row (or one online trace point)."""
 
@@ -119,39 +120,58 @@ def _trial_dataset(cfg: ExperimentConfig, base_table, trial: RngStream) -> Datas
 # ---------------------------------------------------------------------------
 # single-trial cores
 
-def _channel_layer(cfg, dataset, trial, n_r: int, kappa: float, snr_db: float):
-    """Draw the trial's channel and build the hidden layer it realizes.
-
-    The noise power puts the training set at snr_db at the receiver;
-    snr_db = +inf is noiseless.  Returns (channel, layer).
-    """
-    chan = sample_ricean(
+def _draw_channel(cfg, dataset, trial, n_r: int, kappa: float):
+    """The trial's channel realization at (n_r, kappa)."""
+    return sample_ricean(
         RiceanConfig(n_r=n_r, n_t=dataset.d + 1, kappa=kappa,
                      pathloss=cfg.pathloss, los_angle_rx=cfg.los_angle_rx,
                      los_angle_tx=cfg.los_angle_tx),
         trial.split(SUB_CHANNEL))
+
+
+def _channel_layer(cfg, dataset, h_real, snr_db: float) -> HiddenLayer:
+    """The hidden layer a channel realizes at snr_db.
+
+    The noise power puts the training set at snr_db at the receiver;
+    snr_db = +inf is noiseless.
+    """
     noise = NOISELESS
-    if not np.isposinf(snr_db):
+    if snr_db != math.inf:
         x_tilde = np.hstack([dataset.x_train,
                              np.ones((dataset.x_train.shape[0], 1))])
-        noise = NoiseModel(sigma2_for_snr(chan.h_real, x_tilde, snr_db))
-    layer = HiddenLayer(h_real=chan.h_real, noise=noise,
-                        rapp=RappParams(y_sat=cfg.y_sat, alpha=cfg.alpha))
-    return chan, layer
+        noise = NoiseModel(sigma2_for_snr(h_real, x_tilde, snr_db))
+    return HiddenLayer(h_real=h_real, noise=noise,
+                       rapp=RappParams(y_sat=cfg.y_sat, alpha=cfg.alpha))
+
+
+class _NoiseReplay:
+    """A noise substream's first draw, replayed at any noise level.
+
+    numpy's normal(mean, std, size) is mean + std * z element by element,
+    z its standard-normal draw, so `normal` returns bit for bit what the
+    stream itself returns as its first draw of that size.  z is drawn on
+    the first call and kept for later ones of the same size; set `last`
+    before the final call, which scales z in place and lets it go.
+    """
+
+    def __init__(self, stream: RngStream):
+        self._stream, self._z, self.last = stream, None, False
+
+    def normal(self, mean, std, size):
+        if self._z is None:
+            self._z, self._stream = self._stream.normal(0.0, 1.0, size), None
+        if self.last:
+            out, self._z = self._z, None
+            out *= std
+        else:
+            out = std * self._z
+        out += mean
+        return out
 
 
 def _accuracy(model, dataset: Dataset, rng) -> float:
     t_hat = predict(model, dataset.x_test, rng)
     return float(np.mean(classify(t_hat) == dataset.t_test))
-
-
-def _mimo_trial(cfg, dataset, trial, n_r: int, kappa: float, snr_db: float):
-    """Fit and evaluate one over-the-air ELM trial; returns a result triple."""
-    _, layer = _channel_layer(cfg, dataset, trial, n_r, kappa, snr_db)
-    model = fit(layer, dataset.x_train, dataset.t_train,
-                trial.split(SUB_TRAIN_NOISE))
-    acc = _accuracy(model, dataset, trial.split(SUB_TEST_NOISE))
-    return acc, model.train_residual, model.receive_power
 
 
 def _digital_trial(cfg, dataset, trial, n_hidden: int):
@@ -188,36 +208,65 @@ def _run_grid(cfg: ExperimentConfig, experiment: str, points):
 
     points is a list of (n_r, kappa, snr_db, with_baseline) tuples; for every
     point x seed, one mimo trial (plus optionally one digital trial) runs.
-    Results are ordered by (point, seed, model) regardless of thread count.
+    Every point of a seed splits the same trial stream, so a seed's dataset,
+    its channel at each (n_r, kappa) and its standard-normal noise blocks at
+    each n_r are the same at every point; only the noise level changes.  One
+    task per seed therefore builds the dataset once, draws a channel when
+    (n_r, kappa) changes from the previous point, and keeps each noise
+    block only while a later finite-SNR point needs it.  Results are
+    ordered by (point, seed, model) regardless of thread count.
     """
     base_table = _load_base_table(cfg)
     ds_name = cfg.dataset.name
+    finite = [snr_db != math.inf for _, _, snr_db, _ in points]
+    # whether a later finite-SNR point needs point i's noise blocks again
+    reused = [any(f and q[0] == p[0]
+                  for q, f in zip(points[i + 1:], finite[i + 1:]))
+              for i, p in enumerate(points)]
 
-    def one(task):
-        n_r, kappa, snr_db, with_baseline = task[0]
-        seed = task[1]
+    def one(seed):
         trial = RngStream(cfg.master_seed).split(seed)
         dataset = _trial_dataset(cfg, base_table, trial)
-        rows = []
-        t0 = time.perf_counter()
-        acc, resid, power = _mimo_trial(cfg, dataset, trial, n_r, kappa, snr_db)
-        rows.append(TrialResult(
-            experiment=experiment, dataset=ds_name, seed=seed, model="mimo",
-            n_r=n_r, snr_db=snr_db, kappa=kappa, accuracy=acc,
-            train_residual=resid, receive_power=power,
-            wall_ms=(time.perf_counter() - t0) * 1e3))
-        if with_baseline:
+        chan_key = chan = None
+        held = {}           # n_r -> (train, test) noise replays
+        by_point = []
+        for i, (n_r, kappa, snr_db, with_baseline) in enumerate(points):
+            rows = []
             t0 = time.perf_counter()
-            acc, resid, power = _digital_trial(cfg, dataset, trial, n_r)
+            if (n_r, kappa) != chan_key:
+                chan_key = (n_r, kappa)
+                chan = _draw_channel(cfg, dataset, trial, n_r, kappa)
+            layer = _channel_layer(cfg, dataset, chan.h_real, snr_db)
+            train_noise = test_noise = None
+            if finite[i]:
+                train_noise, test_noise = held.pop(n_r, None) or (
+                    _NoiseReplay(trial.split(SUB_TRAIN_NOISE)),
+                    _NoiseReplay(trial.split(SUB_TEST_NOISE)))
+                if reused[i]:
+                    held[n_r] = (train_noise, test_noise)
+                train_noise.last = test_noise.last = not reused[i]
+            model = fit(layer, dataset.x_train, dataset.t_train, train_noise)
+            acc = _accuracy(model, dataset, test_noise)
             rows.append(TrialResult(
                 experiment=experiment, dataset=ds_name, seed=seed,
-                model="digital", n_r=n_r, snr_db=float("inf"), kappa=kappa,
-                accuracy=acc, train_residual=resid, receive_power=power,
+                model="mimo", n_r=n_r, snr_db=snr_db, kappa=kappa,
+                accuracy=acc, train_residual=model.train_residual,
+                receive_power=model.receive_power,
                 wall_ms=(time.perf_counter() - t0) * 1e3))
-        return rows
+            if with_baseline:
+                t0 = time.perf_counter()
+                acc, resid, power = _digital_trial(cfg, dataset, trial, n_r)
+                rows.append(TrialResult(
+                    experiment=experiment, dataset=ds_name, seed=seed,
+                    model="digital", n_r=n_r, snr_db=float("inf"),
+                    kappa=kappa, accuracy=acc, train_residual=resid,
+                    receive_power=power,
+                    wall_ms=(time.perf_counter() - t0) * 1e3))
+            by_point.append(rows)
+        return [by_point]       # one item per seed once flattened
 
-    tasks = [(point, seed) for point in points for seed in range(cfg.seeds)]
-    return _map_trials(cfg, one, tasks)
+    per_seed = _map_trials(cfg, one, range(cfg.seeds))
+    return [row for point in zip(*per_seed) for rows in point for row in rows]
 
 
 def run_sweep_nr(cfg: ExperimentConfig):
@@ -267,8 +316,8 @@ def run_online(cfg: ExperimentConfig):
     def one(seed):
         trial = RngStream(cfg.master_seed).split(seed)
         dataset = _trial_dataset(cfg, base_table, trial)
-        chan, layer = _channel_layer(cfg, dataset, trial, cfg.n_r, cfg.kappa,
-                                     cfg.snr_db)
+        chan = _draw_channel(cfg, dataset, trial, cfg.n_r, cfg.kappa)
+        layer = _channel_layer(cfg, dataset, chan.h_real, cfg.snr_db)
         train_noise = trial.split(SUB_TRAIN_NOISE)
         test_noise = trial.split(SUB_TEST_NOISE)
         ar_rng = trial.split(SUB_AR)
@@ -375,7 +424,7 @@ def _fmt(value) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
-        if np.isposinf(value):
+        if value == math.inf:
             return "inf"
         return str(float(value))
     return str(value)

@@ -171,6 +171,7 @@ def min_norm_lstsq(g: np.ndarray, t: np.ndarray,
             if wide:
                 return g.T @ np.linalg.solve(a, t)
             return np.linalg.solve(a, g.T @ t)
+        del a, lam          # free the Gram matrix before the SVD's buffers
     u, s, v = svd(g)
     keep = s > _cutoff(rel_tol, g.shape, s[0] if s.size else 0.0)
     coeff = np.zeros_like(s)

@@ -32,6 +32,8 @@ noise draw) can never shift the draws seen by another:
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 # Documented substream ids (see table above).
@@ -63,9 +65,13 @@ class RngStream:
             raise ValueError("seed must be a non-negative integer")
         self.seed = seed
         self.key = tuple(int(k) for k in key)
-        self._gen = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(seed, spawn_key=self.key))
-        )
+
+    @functools.cached_property
+    def _gen(self):
+        # built on the first draw: root and per-trial streams are only split
+        return np.random.Generator(
+            np.random.Philox(np.random.SeedSequence(self.seed,
+                                                    spawn_key=self.key)))
 
     def split(self, *ids: int) -> "RngStream":
         """Child stream with this stream's key extended by ``ids``."""

@@ -143,3 +143,48 @@ def test_sigmoid_monotone():
 
 def test_sigmoid_scalar_returns_float():
     assert isinstance(sigmoid(0.3), float)
+
+
+# ------------------------------------------- in-place forms, bit for bit
+
+def _textbook_sigmoid(x):
+    """The two-branch form the in-place sigmoid replaced."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+_FIXED_INPUTS = [
+    np.array([0.0, -0.0, 1e-320, -1e-320, 0.5, -0.5, 36.7, -36.7, 709.0,
+              -709.0, 745.0, -745.0, 800.0, -800.0, 1e308, -1e308]),
+    np.random.default_rng(7).normal(0.0, 5.0, (37, 19)),
+    np.random.default_rng(8).uniform(-1e6, 1e6, (3, 4, 5)),
+    np.array(-0.0),
+    np.array(2.5),
+    np.zeros((0, 3)),
+]
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("x", _FIXED_INPUTS)
+def test_sigmoid_equals_two_branch_form_bit_for_bit(x):
+    with np.errstate(over="ignore"):
+        assert np.array_equal(_bits(sigmoid(x)), _bits(_textbook_sigmoid(x)))
+
+
+@pytest.mark.parametrize("x", _FIXED_INPUTS)
+@pytest.mark.parametrize("params", [DEFAULT_RAPP, RappParams(1.0, 4),
+                                    RappParams(0.7, 6)])
+def test_rapp_vec_equals_direct_formula_bit_for_bit(x, params):
+    with np.errstate(over="ignore"):
+        direct = x / (1.0 + (x / params.y_sat) ** params.alpha)
+        got = rapp_vec(x, params)
+    assert np.array_equal(_bits(got), _bits(direct))
+    assert type(got) is type(direct)     # a 0-d input gives a numpy scalar

@@ -105,6 +105,22 @@ def test_secom_non_numeric_cell_exits_2(tmp_path, capsys):
     assert err.startswith("data error:") and "secom.data:2: non-numeric" in err
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_non_finite_data_cell_exits_2(tmp_path, capsys, cell):
+    data = tmp_path / "d.csv"
+    rows = [f"{i},{i % 3},{1 if i % 2 else -1}" for i in range(8)]
+    rows[4] = f"{cell},4,-1"
+    data.write_text("a,b,label\n" + "\n".join(rows) + "\n")
+    rc = main(["single", "--seeds", "1", "--config",
+               _ini(tmp_path, f"[dataset]\nname = csv\npath = {data}\n"
+                              "label_column = label\n[model]\nn_r = 8\n")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("data error:")
+    assert f"d.csv:6: non-finite cell '{cell}' in column 0" in err
+
+
 def test_missing_output_directory_exits_3(tmp_path, capsys, monkeypatch):
     import airelm.cli
 
@@ -141,6 +157,25 @@ def test_threads_flag_preserves_bytes(tmp_path):
         assert a.read_bytes() == b.read_bytes(), body
 
 
+@pytest.mark.parametrize("command, body", [
+    ("sweep-snr", "[sweep]\ngrid = 0, 10, 30\n"),
+    ("sweep-kappa", "[channel]\nsnr_db = 10\n[sweep]\ngrid = 0, 1, 10\n"),
+], ids=["sweep-snr", "sweep-kappa"])
+def test_threads_flag_preserves_seed_major_bytes(tmp_path, command, body):
+    # three seeds on two workers: one worker runs two whole seeds
+    cfg = _ini(tmp_path,
+               "[experiment]\nseeds = 3\n"
+               "[dataset]\nname = synthetic\nsynth_size = 120\n"
+               "[model]\nn_r = 32\n" + body)
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main([command, "--config", cfg, "--out", str(a)]) == 0
+    assert main([command, "--config", cfg, "--out", str(b),
+                 "--threads", "2"]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    assert len(a.read_text().splitlines()) == 1 + 3 * (4 if command ==
+                                                       "sweep-snr" else 3)
+
+
 def test_blas_thread_env_preserves_bytes(tmp_path):
     cfg = _ini(tmp_path,
                "[experiment]\nkind = online\nseeds = 1\n"
@@ -169,7 +204,18 @@ def test_blas_thread_env_preserves_bytes(tmp_path):
     ("[sweep]\ngrid = 16.7, 32\n", "16.7"),
     ("[sweep]\ngrid = 16, nan\n", "nan"),
     ("[channel]\nsnr_db = -inf\n", "-inf"),
-], ids=["fractional_n_r", "nan_grid", "minus_inf_snr"])
+    ("[model]\nn_r = 0\n", "n_r must be >= 1"),
+    ("[online]\ngamma = 2\n", "gamma must lie in (0, 1)"),
+    ("[online]\neta = 0\n", "eta must lie in (0, 1]"),
+    ("[online]\nbatch_size = 0\n", "batch_size must be >= 1"),
+    ("[activation]\nalpha = 3\n", "alpha must be an even integer"),
+    ("[activation]\ny_sat = 0\n", "y_sat must be positive"),
+    # steps = 0 used to end in a summarize traceback after the run
+    ("[online]\nsteps = 0\n", "steps must be >= 1"),
+    ("[model]\ndigital_low = 1\ndigital_high = 0\n", "digital_low < digital_high"),
+], ids=["fractional_n_r", "nan_grid", "minus_inf_snr", "zero_n_r",
+        "gamma_above_1", "zero_eta", "zero_batch_size", "odd_alpha",
+        "zero_y_sat", "zero_steps", "inverted_digital_range"])
 def test_bad_sweep_values_exit_1_before_compute(tmp_path, capsys, monkeypatch,
                                                 body, message):
     import airelm.cli

@@ -60,6 +60,31 @@ def test_load_csv_bad_cell(tmp_path):
         load_csv(str(p), label_column=2)
 
 
+@pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "1e999"])
+def test_load_csv_non_finite_cell(tmp_path, cell):
+    # a NaN or inf cell used to pass as a present value and end the run in
+    # a solver traceback after compute had started
+    p = tmp_path / "t.csv"
+    p.write_text(f"x,y,l\n1,2,1\n3,{cell},-1\n")
+    with pytest.raises(DataError,
+                       match=rf"t\.csv:3: non-finite cell '{cell}' in column 1"):
+        load_csv(str(p), label_column=2)
+
+
+def test_load_csv_missing_token_may_be_nan(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("x,y,l\n1,nan,1\n3,4,-1\n")
+    table = load_csv(str(p), label_column=2, missing_token="nan")
+    assert not table.present[0, 1]
+
+
+def test_load_csv_infinite_label(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("x,l\n1,1\n2,inf\n")
+    with pytest.raises(DataError, match=r"t\.csv:3: unparseable label 'inf'"):
+        load_csv(str(p), label_column=1)
+
+
 def test_unusable_labels_caught_at_split_time(tmp_path):
     # raw tables may hold any numeric labels (MNIST digits etc.);
     # the +-1 requirement bites when building a classification split
@@ -233,10 +258,13 @@ def test_load_secom_values_and_missing(tmp_path):
 @pytest.mark.parametrize("features, labels, message", [
     ("1 2\n\n3 abc\n", "-1\n1\n", r"secom\.data:3: non-numeric cell 'abc'"),
     ("1 2\n3\n", "-1\n1\n", r"secom\.data:2: ragged row"),
+    ("1 2\n3 inf\n", "-1\n1\n", r"secom\.data:2: non-finite cell 'inf'"),
+    ("1 nan\n3 4\n", "-1\n1\n", r"secom\.data:1: non-finite cell 'nan'"),
     ("\n", "-1\n", r"secom\.data: empty file"),
     ("1 2\n3 4\n", "-1\nx\n", r"secom_labels\.data:2: unparseable label 'x'"),
     ("1 2\n3 4\n", "-1\n", "2 feature rows vs 1 labels"),
-], ids=["non_numeric", "ragged", "empty", "bad_label", "count_mismatch"])
+], ids=["non_numeric", "ragged", "inf", "lowercase_nan", "empty", "bad_label",
+        "count_mismatch"])
 def test_load_secom_errors(tmp_path, features, labels, message):
     with pytest.raises(DataError, match=message):
         load_secom(*_secom_files(tmp_path, features, labels))

@@ -26,6 +26,7 @@ from airelm.experiments import (
     write_manifest,
 )
 from airelm.numkernel import blas_thread_control
+from airelm.rng import RngStream, SUB_TEST_NOISE, SUB_TRAIN_NOISE
 
 
 def _cfg(kind="sweep_nr", **kw):
@@ -108,6 +109,83 @@ def test_trials_run_on_one_blas_thread(monkeypatch):
         assert get() == before
     finally:
         put(original)
+
+
+# -------------------------------------------------- seed-major driver
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(experiments, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind, grid", [("sweep_snr", (0.0, 10.0, 20.0)),
+                                        ("sweep_nr", (16, 32, 64))])
+def test_each_seed_builds_its_dataset_once(monkeypatch, kind, grid):
+    built = _count_calls(monkeypatch, "_trial_dataset")
+    prepared = _count_calls(monkeypatch, "split_standardize")
+    run(_cfg(kind=kind, grid=grid, seeds=3, n_r=32, snr_db=20.0))
+    assert len(built) == len(prepared) == 3
+
+
+def test_snr_sweep_draws_each_seeds_channel_and_noise_once(monkeypatch):
+    drawn = _count_calls(monkeypatch, "sample_ricean")
+    noise_draws = []
+    normal = RngStream.normal
+
+    def counted(stream, *args, **kwargs):
+        if stream.key[-1] in (SUB_TRAIN_NOISE, SUB_TEST_NOISE):
+            noise_draws.append(stream.key)
+        return normal(stream, *args, **kwargs)
+
+    monkeypatch.setattr(RngStream, "normal", counted)
+    rows = run(_cfg(kind="sweep_snr", grid=(0.0, 10.0, 20.0), seeds=3, n_r=32))
+    assert len(rows) == 4 * 3           # the grid plus the noiseless point
+    assert len(drawn) == 3
+    assert sorted(noise_draws) == sorted(
+        (seed, sub) for seed in range(3)
+        for sub in (SUB_TRAIN_NOISE, SUB_TEST_NOISE))
+
+
+@pytest.mark.parametrize("kind, grid, extra", [
+    ("sweep_snr", (0.0, 30.0), {}),
+    # n_r = 32 comes back after 64, so its noise blocks are held across it
+    ("sweep_nr", (32, 64, 32), {"snr_db": 10.0, "baseline": True}),
+    ("sweep_kappa", (0.0, 10.0), {"snr_db": 10.0}),
+])
+def test_sweep_rows_equal_single_runs(kind, grid, extra):
+    """Reusing a seed's dataset, channel and noise draws across the grid
+    gives every point the rows a run of that point alone gives."""
+    cfg = _cfg(kind=kind, grid=grid, seeds=3, n_r=32, **extra)
+    rows = run(cfg)
+    points = [(r.n_r, r.kappa, r.snr_db) for r in rows if r.model == "mimo"]
+    expected = []
+    for n_r, kappa, snr_db in dict.fromkeys(points):
+        expected += run(dataclasses.replace(
+            cfg, kind="single", n_r=n_r, kappa=kappa, snr_db=snr_db,
+            grid=None))
+    # a repeated sweep_nr grid value repeats its rows
+    if kind == "sweep_nr":
+        expected += expected[:len(expected) // 2]
+    fields = ("seed", "model", "n_r", "snr_db", "kappa", "accuracy",
+              "train_residual", "receive_power")
+    assert [[getattr(r, f) for f in fields] for r in rows] == \
+           [[getattr(r, f) for f in fields] for r in expected]
+
+
+def test_noise_replay_equals_stream_draws():
+    replay = experiments._NoiseReplay(RngStream(4).split(0, 2))
+    for std, last in ((0.3, False), (2.5, False), (0.7, True)):
+        replay.last = last
+        expected = RngStream(4).split(0, 2).normal(0.0, std, (5, 3))
+        got = replay.normal(0.0, std, (5, 3))
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 def test_kappa_zero_cell_matches_nr_sweep():
