@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, fields, replace
 
 from .activation import RappParams
 from .channel import ArConfig
+from .data import train_count
 from .errors import ConfigError, OutputError
 
 KINDS = ("sweep_nr", "sweep_snr", "sweep_kappa", "online", "single")
@@ -184,6 +185,8 @@ class ExperimentConfig:
             raise ConfigError("dataset name 'mnist' needs images and labels paths")
         if ds.name == "secom" and (ds.path is None or ds.labels is None):
             raise ConfigError("dataset name 'secom' needs path and labels")
+        if ds.name == "synthetic":
+            cfg.check_batch_size(ds.synth_size)
         if cfg.out is not None:
             parent = os.path.dirname(os.path.abspath(cfg.out))
             if not os.path.isdir(parent):
@@ -191,6 +194,20 @@ class ExperimentConfig:
             if os.path.isdir(cfg.out):
                 raise OutputError(f"output path is a directory: {cfg.out}")
         return cfg
+
+    def check_batch_size(self, n_rows: int) -> None:
+        """Reject an online batch_size above the training block that an
+        n_rows table leaves after `subsample` and the train/test split."""
+        ds = self.dataset
+        if ds.subsample is not None:
+            n_rows = min(n_rows, ds.subsample)
+        if self.kind != "online" or n_rows < 2:
+            return          # too few rows is a data error, found on loading
+        d_train = train_count(n_rows, ds.train_ratio)
+        if self.batch_size > d_train:
+            raise ConfigError(
+                f"batch_size must be at most the {d_train} training rows, "
+                f"got {self.batch_size}")
 
 
 def parse_config(path: str, kind: str = None) -> ExperimentConfig:

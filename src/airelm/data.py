@@ -348,6 +348,13 @@ def secom_prepare(table: RawTable, n_features: int = 20,
                     else tuple(table.feature_names[c] for c in cols))
 
 
+def train_count(d_total: int, train_ratio: float) -> int:
+    """Rows `split_standardize` puts in the training block of a d_total-row
+    table: round(d_total * train_ratio), leaving each block at least one."""
+    n_tr = int(round(d_total * train_ratio))
+    return min(max(n_tr, 1), d_total - 1)
+
+
 def split_standardize(table: RawTable, train_ratio: float = 0.8,
                       rng: RngStream = None,
                       allow_single_class: bool = False) -> Dataset:
@@ -369,8 +376,7 @@ def split_standardize(table: RawTable, train_ratio: float = 0.8,
         raise DataError("single-class table (pass allow_single_class to override)")
 
     perm = rng.permutation(d_total)
-    n_tr = int(round(d_total * train_ratio))
-    n_tr = min(max(n_tr, 1), d_total - 1)
+    n_tr = train_count(d_total, train_ratio)
     tr, te = perm[:n_tr], perm[n_tr:]
 
     x_tr_raw = table.features[tr]

@@ -129,17 +129,24 @@ def _draw_channel(cfg, dataset, trial, n_r: int, kappa: float):
         trial.split(SUB_CHANNEL))
 
 
-def _channel_layer(cfg, dataset, h_real, snr_db: float) -> HiddenLayer:
+def _signal_power(dataset, h_real) -> float:
+    """P_sig of the training set under h_real, the calibration every SNR
+    point of the channel shares: `sigma2_for_snr` at 0 dB returns it."""
+    x_tilde = np.hstack([dataset.x_train,
+                         np.ones((dataset.x_train.shape[0], 1))])
+    return sigma2_for_snr(h_real, x_tilde, 0.0)
+
+
+def _channel_layer(cfg, h_real, p_sig: float, snr_db: float) -> HiddenLayer:
     """The hidden layer a channel realizes at snr_db.
 
-    The noise power puts the training set at snr_db at the receiver;
-    snr_db = +inf is noiseless.
+    The noise power p_sig / 10^(snr_db/10) puts the training set, whose
+    signal power under h_real is p_sig, at snr_db at the receiver;
+    snr_db = +inf is noiseless and leaves p_sig unused.
     """
     noise = NOISELESS
     if snr_db != math.inf:
-        x_tilde = np.hstack([dataset.x_train,
-                             np.ones((dataset.x_train.shape[0], 1))])
-        noise = NoiseModel(sigma2_for_snr(h_real, x_tilde, snr_db))
+        noise = NoiseModel(p_sig / 10.0 ** (snr_db / 10.0))
     return HiddenLayer(h_real=h_real, noise=noise,
                        rapp=RappParams(y_sat=cfg.y_sat, alpha=cfg.alpha))
 
@@ -212,7 +219,8 @@ def _run_grid(cfg: ExperimentConfig, experiment: str, points):
     its channel at each (n_r, kappa) and its standard-normal noise blocks at
     each n_r are the same at every point; only the noise level changes.  One
     task per seed therefore builds the dataset once, draws a channel when
-    (n_r, kappa) changes from the previous point, and keeps each noise
+    (n_r, kappa) changes from the previous point, measures that channel's
+    signal power once for all its finite-SNR points, and keeps each noise
     block only while a later finite-SNR point needs it.  Results are
     ordered by (point, seed, model) regardless of thread count.
     """
@@ -234,9 +242,11 @@ def _run_grid(cfg: ExperimentConfig, experiment: str, points):
             rows = []
             t0 = time.perf_counter()
             if (n_r, kappa) != chan_key:
-                chan_key = (n_r, kappa)
+                chan_key, p_sig = (n_r, kappa), None
                 chan = _draw_channel(cfg, dataset, trial, n_r, kappa)
-            layer = _channel_layer(cfg, dataset, chan.h_real, snr_db)
+            if finite[i] and p_sig is None:
+                p_sig = _signal_power(dataset, chan.h_real)
+            layer = _channel_layer(cfg, chan.h_real, p_sig, snr_db)
             train_noise = test_noise = None
             if finite[i]:
                 train_noise, test_noise = held.pop(n_r, None) or (
@@ -310,6 +320,8 @@ def run_online(cfg: ExperimentConfig):
     """
     cfg = cfg.resolved()
     base_table = _load_base_table(cfg)
+    if base_table is not None:
+        cfg.check_batch_size(base_table.n_rows)
     ds_name = cfg.dataset.name
     ar = ArConfig(eta=cfg.eta)
 
@@ -317,7 +329,9 @@ def run_online(cfg: ExperimentConfig):
         trial = RngStream(cfg.master_seed).split(seed)
         dataset = _trial_dataset(cfg, base_table, trial)
         chan = _draw_channel(cfg, dataset, trial, cfg.n_r, cfg.kappa)
-        layer = _channel_layer(cfg, dataset, chan.h_real, cfg.snr_db)
+        p_sig = (_signal_power(dataset, chan.h_real)
+                 if cfg.snr_db != math.inf else None)
+        layer = _channel_layer(cfg, chan.h_real, p_sig, cfg.snr_db)
         train_noise = trial.split(SUB_TRAIN_NOISE)
         test_noise = trial.split(SUB_TEST_NOISE)
         ar_rng = trial.split(SUB_AR)

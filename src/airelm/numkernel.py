@@ -126,6 +126,26 @@ def pseudoinverse(a: np.ndarray, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray
     return v @ (inv_s[:, None] * u.T)
 
 
+def _gram_well_conditioned(a: np.ndarray, r: float) -> bool:
+    """Whether the Gram matrix A passes the gate of `min_norm_lstsq`, by
+    the shifted-Cholesky certificate or, when that fails, by `eigvalsh`."""
+    n = a.shape[0]
+    floor = max(GRAM_MAX_COND ** -2, r * r)
+    shifted = a.copy()
+    shifted.flat[::n + 1] -= (2.0 * np.linalg.norm(a) * floor
+                              + (n + 1) * np.finfo(float).eps * np.trace(a))
+    try:
+        np.linalg.cholesky(shifted)
+        return True
+    except np.linalg.LinAlgError:
+        del shifted         # inconclusive; free it before eigvalsh's buffers
+    lam = np.linalg.eigvalsh(a)
+    lam_min, lam_max = lam[0], lam[-1]          # eigvalsh sorts ascending
+    tau = r * np.sqrt(max(lam_max, 0.0))
+    return bool(lam_min > 0.0 and lam_max <= GRAM_MAX_COND ** 2 * lam_min
+                and lam_min > tau ** 2)
+
+
 def min_norm_lstsq(g: np.ndarray, t: np.ndarray,
                    rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray:
     """Minimum-norm least-squares solution w of G w ~= t, i.e. w = G^+ t.
@@ -133,13 +153,31 @@ def min_norm_lstsq(g: np.ndarray, t: np.ndarray,
     Among all minimizers of ||G w - t|| the returned w has the smallest
     Euclidean norm and lies in the row space of G.  Two paths compute it:
 
-    - Gram solve.  A = G G^T when G has no more rows than columns, else
-      G^T G.  `eigvalsh` gives its eigenvalues lam for the gate, and an LU
-      solve (`np.linalg.solve`) gives w = G^T A^-1 t (wide G) or
-      w = A^-1 G^T t (tall G).  It runs when lam_min > 0 and the condition
-      number kappa(G) = sqrt(lam_max / lam_min) is at most GRAM_MAX_COND.
+    - Gram solve.  A = G G^T (n x n) when G has no more rows than columns,
+      else G^T G.  An LU solve (`np.linalg.solve`) gives w = G^T A^-1 t
+      (wide G) or w = A^-1 G^T t (tall G).  It runs when A's eigenvalues
+      lam pass the gate: lam_min > 0, the condition number
+      kappa(G) = sqrt(lam_max / lam_min) is at most GRAM_MAX_COND, and
+      lam_min > tau^2 for the cutoff tau below.
     - Thin SVD of G, keeping singular values above
-      tau = rel_tol * max(rows, cols) * s_max, for every other G.
+      tau = r * s_max, r = rel_tol * max(rows, cols), for every other G.
+
+    The gate is decided without the eigenvalues when a Cholesky
+    factorization of A - s I completes, for the shift
+
+        s = 2 ||A||_F * max(GRAM_MAX_COND^-2, r^2) + (n + 1) * eps * tr(A).
+
+    Why that gives the same decision: ||A||_F >= lam_max, and a computed
+    Cholesky factor R of a symmetric M has R^T R = M + dM with
+    ||dM||_2 <= gamma_(n+1) tr(M) (Higham, Accuracy and Stability of
+    Numerical Algorithms, Thm 10.3), which the trace term covers along
+    with the rounding of the shift (eps is twice the unit roundoff).  So a
+    factor that completes proves lam_min >= 2 * 1e-8 * lam_max and
+    lam_min > 2 tau^2: twice what the gate needs.  That margin dwarfs the
+    n * eps * lam_max error of the `eigvalsh` values, which therefore pass
+    the gate too, and the path and every output bit are unchanged.  When
+    the factorization fails the test is inconclusive (||A||_F can exceed
+    lam_max by up to sqrt(n)) and `eigvalsh` decides.
 
     Why the bound 1e4: forming A squares the conditioning, so the Gram
     solve's relative error grows like kappa^2 * eps, about 1e-8 at 1e4.
@@ -160,20 +198,17 @@ def min_norm_lstsq(g: np.ndarray, t: np.ndarray,
     if t.ndim != 1 or g.ndim != 2 or g.shape[0] != t.shape[0]:
         raise ValueError(
             f"min_norm_lstsq: shape mismatch, G is {g.shape}, t has {t.shape}")
+    r = _cutoff(rel_tol, g.shape, 1.0)      # rejects a bad rel_tol up front
     wide = g.shape[0] <= g.shape[1]
     if g.size:
         a = g @ g.T if wide else g.T @ g
-        lam = np.linalg.eigvalsh(a)
-        lam_min, lam_max = lam[0], lam[-1]      # eigvalsh sorts ascending
-        tau = _cutoff(rel_tol, g.shape, np.sqrt(max(lam_max, 0.0)))
-        if (lam_min > 0.0 and lam_max <= GRAM_MAX_COND ** 2 * lam_min
-                and lam_min > tau ** 2):
+        if _gram_well_conditioned(a, r):
             if wide:
                 return g.T @ np.linalg.solve(a, t)
             return np.linalg.solve(a, g.T @ t)
-        del a, lam          # free the Gram matrix before the SVD's buffers
+        del a               # free the Gram matrix before the SVD's buffers
     u, s, v = svd(g)
-    keep = s > _cutoff(rel_tol, g.shape, s[0] if s.size else 0.0)
+    keep = s > r * (s[0] if s.size else 0.0)
     coeff = np.zeros_like(s)
     coeff[keep] = (u.T @ t)[keep] / s[keep]
     return v @ coeff

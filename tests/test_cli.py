@@ -232,6 +232,33 @@ def test_bad_sweep_values_exit_1_before_compute(tmp_path, capsys, monkeypatch,
     assert err.startswith("config error:") and message in err
 
 
+@pytest.mark.parametrize("dataset, d_train", [
+    ("name = synthetic\nsynth_size = 40\n", 32),
+    # 60 rows, 40 of them kept by subsample: 32 train the model
+    ("name = csv\npath = {data}\nlabel_column = label\nsubsample = 40\n", 32),
+], ids=["synthetic", "csv_subsample"])
+def test_online_batch_above_train_block_exits_1_before_fit(
+        tmp_path, capsys, monkeypatch, dataset, d_train):
+    import airelm.experiments
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("the model was fitted before batch_size was checked")
+
+    monkeypatch.setattr(airelm.experiments, "fit", no_fit)
+    data = tmp_path / "d.csv"
+    data.write_text("a,b,label\n" + "".join(
+        f"{i},{i % 7},{1 if i % 2 else -1}\n" for i in range(60)))
+    cfg = _ini(tmp_path, "[experiment]\nseeds = 1\n[dataset]\n"
+               + dataset.format(data=data)
+               + "[model]\nn_r = 16\n[online]\nbatch_size = 40\n")
+    rc = main(["online", "--config", cfg])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("config error:")
+    assert f"at most the {d_train} training rows, got 40" in err
+
+
 def test_manifest_records_cli_config(tmp_path):
     out = tmp_path / "r.csv"
     main(["single", "--seeds", "3", "--seed", "9", "--out", str(out)])

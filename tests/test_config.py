@@ -1,6 +1,11 @@
 from dataclasses import replace
 
+import pytest
+
 from airelm.config import DatasetConfig, ExperimentConfig, parse_config
+from airelm.data import split_standardize, synth_two_gaussians
+from airelm.errors import ConfigError
+from airelm.rng import RngStream
 
 
 def _all_keys_ini(tmp_path):
@@ -95,3 +100,20 @@ def test_parse_config_empty_key_keeps_default(tmp_path):
             ("snr_db = 15", replace(full, snr_db=float("inf")))):
         path.write_text(text.replace(line, line.split("=")[0] + "="))
         assert repr(parse_config(str(path))) == repr(expected), line
+
+
+@pytest.mark.parametrize("synth_size, train_ratio, subsample", [
+    (40, 0.8, None), (41, 0.5, None), (3, 0.9, None), (400, 0.8, 25),
+    (30, 0.7, 90)])
+def test_online_batch_size_limit_is_the_split_train_block(
+        synth_size, train_ratio, subsample):
+    rows = min(synth_size, subsample or synth_size)
+    table = synth_two_gaussians(RngStream(0), rows, 2, 1.0)
+    d_train = split_standardize(table, train_ratio, RngStream(1)).x_train.shape[0]
+    cfg = ExperimentConfig(kind="online", dataset=DatasetConfig(
+        synth_size=synth_size, train_ratio=train_ratio, subsample=subsample))
+    assert replace(cfg, batch_size=d_train).resolved().batch_size == d_train
+    with pytest.raises(ConfigError, match=f"at most the {d_train} training"):
+        replace(cfg, batch_size=d_train + 1).resolved()
+    # only online runs draw mini-batches
+    replace(cfg, kind="single", batch_size=d_train + 1).resolved()

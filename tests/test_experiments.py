@@ -136,6 +136,7 @@ def test_each_seed_builds_its_dataset_once(monkeypatch, kind, grid):
 
 def test_snr_sweep_draws_each_seeds_channel_and_noise_once(monkeypatch):
     drawn = _count_calls(monkeypatch, "sample_ricean")
+    calibrated = _count_calls(monkeypatch, "sigma2_for_snr")
     noise_draws = []
     normal = RngStream.normal
 
@@ -147,7 +148,7 @@ def test_snr_sweep_draws_each_seeds_channel_and_noise_once(monkeypatch):
     monkeypatch.setattr(RngStream, "normal", counted)
     rows = run(_cfg(kind="sweep_snr", grid=(0.0, 10.0, 20.0), seeds=3, n_r=32))
     assert len(rows) == 4 * 3           # the grid plus the noiseless point
-    assert len(drawn) == 3
+    assert len(drawn) == len(calibrated) == 3
     assert sorted(noise_draws) == sorted(
         (seed, sub) for seed in range(3)
         for sub in (SUB_TRAIN_NOISE, SUB_TEST_NOISE))

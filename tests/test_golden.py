@@ -10,6 +10,8 @@ import hashlib
 import numpy as np
 import pytest
 
+import airelm.elm
+import airelm.numkernel
 from airelm.cli import main
 
 NUMPY_VERSION = "2.4.6"
@@ -43,15 +45,44 @@ def _build():
     return np.__version__, (blas.get("name"), blas.get("version"))
 
 
-@pytest.mark.parametrize("command", sorted(CASES))
-def test_results_csv_matches_golden_hash(tmp_path, command):
+def _check_hash(tmp_path, command, extra, digest):
     numpy_version, blas = _build()
     if (numpy_version, blas) != (NUMPY_VERSION, BLAS):
         pytest.skip(f"hashes taken under numpy {NUMPY_VERSION} with {BLAS}, "
                     f"this is numpy {numpy_version} with {blas}")
-    extra, digest = CASES[command]
     ini = tmp_path / "exp.ini"
     ini.write_text(COMMON + extra)
     out = tmp_path / "r.csv"
     assert main([command, "--config", str(ini), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command", sorted(CASES))
+def test_results_csv_matches_golden_hash(tmp_path, command):
+    _check_hash(tmp_path, command, *CASES[command])
+
+
+def test_threshold_sweep_matches_golden_hash_on_every_solver_path(
+        tmp_path, monkeypatch):
+    """A grid straddling N_r = D_train = 96: of its 16 fits, 5 have a Gram
+    matrix the shifted Cholesky certifies, 2 (N_r = 94) one that only
+    `eigvalsh` admits, and 9 take the SVD (N_r = 95 on seed 0 and every
+    sigmoid baseline)."""
+    calls = {"lstsq": 0, "eigvalsh": 0, "svd": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(airelm.elm, "min_norm_lstsq",
+                        counted("lstsq", airelm.elm.min_norm_lstsq))
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        counted("eigvalsh", np.linalg.eigvalsh))
+    monkeypatch.setattr(airelm.numkernel, "svd",
+                        counted("svd", airelm.numkernel.svd))
+    _check_hash(tmp_path, "sweep-nr", "[sweep]\ngrid = 64, 94, 95, 128\n",
+                "a68fe7803c15f7d7d7e61cb84a314485172c8515af970b5f9c25d5d8ff3b258f")
+    assert (calls["lstsq"] - calls["eigvalsh"],
+            calls["eigvalsh"] - calls["svd"], calls["svd"]) == (5, 2, 9)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from airelm.rng import (
     RngStream,
@@ -16,6 +17,7 @@ from airelm.rng import (
 from airelm import numkernel
 from airelm.numkernel import (
     DEFAULT_REL_TOL,
+    GRAM_MAX_COND,
     min_norm_lstsq,
     pseudoinverse,
     sample_cgaussian,
@@ -135,33 +137,59 @@ def test_min_norm_accepts_column_targets():
     assert np.allclose(w, [1.0, 2.0])
 
 
-def _conditioned(rng, rows, cols, cond):
-    """rows x cols matrix whose singular values fall from 1 to 1/cond."""
+def _with_spectrum(rng, rows, cols, s):
+    """rows x cols matrix with singular values s, in random directions."""
     k = min(rows, cols)
     u, _ = np.linalg.qr(rng.normal(size=(rows, k)))
     v, _ = np.linalg.qr(rng.normal(size=(cols, k)))
-    return u @ np.diag(np.geomspace(1.0, 1.0 / cond, k)) @ v.T
+    return u @ np.diag(s) @ v.T
+
+
+def _conditioned(rng, rows, cols, cond):
+    """rows x cols matrix whose singular values fall from 1 to 1/cond."""
+    return _with_spectrum(rng, rows, cols,
+                          np.geomspace(1.0, 1.0 / cond, min(rows, cols)))
+
+
+def _spread(rng, rows, cols, cond):
+    """rows x cols matrix with singular values 1 but the last, 1/cond.
+
+    ||A||_F of its Gram matrix A is about sqrt(min(rows, cols)) times
+    lam_max, so the shifted-Cholesky certificate of `min_norm_lstsq` fails
+    well below kappa = GRAM_MAX_COND and `eigvalsh` decides.
+    """
+    s = np.ones(min(rows, cols))
+    s[-1] = 1.0 / cond
+    return _with_spectrum(rng, rows, cols, s)
 
 
 def _solver_cases():
-    """(G, t, whether min_norm_lstsq must take the SVD fallback).
+    """(G, t, the path min_norm_lstsq must take).
 
-    Inputs on both sides of GRAM_MAX_COND = 1e4: random wide, tall and
-    square G, conditioned ones at 1e3, 5e3, 2e4 and 1e7, and a rank-3 8x8.
+    The path is "certified" (Gram solve, proven well-conditioned by the
+    shifted Cholesky), "gated" (Gram solve, admitted by `eigvalsh`) or
+    "svd".  Inputs on both sides of GRAM_MAX_COND = 1e4: random wide, tall
+    and square G, geometric spectra at 1e3, 5e3, 2e4 and 1e7, spread ones
+    (all singular values 1 but the last) between the certified limit,
+    about 3.6e3 at 16x16, and 1e4 and just above 1e4, and a rank-3 8x8.
     """
     rng = np.random.default_rng(3)
     cases = []
     for rows, cols in [(20, 8), (8, 20), (16, 16)]:
         cases.append((rng.normal(size=(rows, cols)), rng.normal(size=rows),
-                      False))
-    for g, fallback in [(_conditioned(rng, 12, 30, 1e3), False),
-                        (_conditioned(rng, 30, 12, 1e3), False),
-                        (_conditioned(rng, 16, 16, 5e3), False),
-                        (_conditioned(rng, 16, 16, 2e4), True),
-                        (_conditioned(rng, 12, 12, 1e7), True),
-                        (rng.normal(size=(8, 3)) @ rng.normal(size=(3, 8)),
-                         True)]:
-        cases.append((g, rng.normal(size=g.shape[0]), fallback))
+                      "certified"))
+    for g, path in [(_conditioned(rng, 12, 30, 1e3), "certified"),
+                    (_conditioned(rng, 30, 12, 1e3), "certified"),
+                    (_conditioned(rng, 16, 16, 5e3), "certified"),
+                    (_conditioned(rng, 16, 16, 2e4), "svd"),
+                    (_conditioned(rng, 12, 12, 1e7), "svd"),
+                    (_spread(rng, 16, 16, 5e3), "gated"),
+                    (_spread(rng, 12, 30, 9e3), "gated"),
+                    (_spread(rng, 30, 12, 9.9e3), "gated"),
+                    (_spread(rng, 16, 16, 1.02e4), "svd"),
+                    (rng.normal(size=(8, 3)) @ rng.normal(size=(3, 8)),
+                     "svd")]:
+        cases.append((g, rng.normal(size=g.shape[0]), path))
     return cases
 
 
@@ -172,20 +200,21 @@ def test_min_norm_matches_numpy_lstsq():
         assert np.allclose(w, ref, atol=1e-10)
 
 
+def _counting(calls, fn):
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return fn(*args, **kwargs)
+    return counted
+
+
 def test_min_norm_svd_fallback_only_when_ill_conditioned(monkeypatch):
     """The Gram solve and the SVD stay two branches, chosen by kappa(G)."""
     calls = []
-    real_svd = numkernel.svd
-
-    def counting_svd(a):
-        calls.append(a.shape)
-        return real_svd(a)
-
-    monkeypatch.setattr(numkernel, "svd", counting_svd)
-    for g, t, fallback in _solver_cases():
+    monkeypatch.setattr(numkernel, "svd", _counting(calls, numkernel.svd))
+    for g, t, path in _solver_cases():
         calls.clear()
         min_norm_lstsq(g, t)
-        assert len(calls) == int(fallback), (g.shape, np.linalg.cond(g))
+        assert len(calls) == int(path == "svd"), (g.shape, np.linalg.cond(g))
     # a rel_tol whose cutoff lies above s_min sends even kappa = 1e3 to the
     # SVD, which then drops the directions below the cutoff
     rng = np.random.default_rng(4)
@@ -195,6 +224,58 @@ def test_min_norm_svd_fallback_only_when_ill_conditioned(monkeypatch):
     assert len(calls) == 1
     ref = np.linalg.lstsq(g, t, rcond=1e-3 * 12)[0]
     assert np.allclose(w, ref, atol=1e-10)
+
+
+def test_min_norm_calls_eigvalsh_only_when_certificate_fails(monkeypatch):
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        _counting(calls, np.linalg.eigvalsh))
+    for g, t, path in _solver_cases():
+        calls.clear()
+        min_norm_lstsq(g, t)
+        assert len(calls) == int(path != "certified"), (path, g.shape)
+
+
+def _eigvalsh_rule(g, rel_tol):
+    """Whether G's Gram matrix passes the kappa gate, from its eigenvalues."""
+    a = g @ g.T if g.shape[0] <= g.shape[1] else g.T @ g
+    lam = np.linalg.eigvalsh(a)
+    tau = rel_tol * max(g.shape) * np.sqrt(max(lam[-1], 0.0))
+    return bool(lam[0] > 0.0 and lam[-1] <= GRAM_MAX_COND ** 2 * lam[0]
+                and lam[0] > tau ** 2)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(shape=st.sampled_from([(6, 6), (24, 24), (5, 14), (10, 40), (14, 5),
+                              (40, 10), (1, 9), (9, 1)]),
+       # half the draws near the certified limit and GRAM_MAX_COND
+       log_cond=st.one_of(st.floats(0.0, 7.0), st.floats(3.3, 4.2)),
+       spread=st.booleans(),
+       rel_tol=st.sampled_from([DEFAULT_REL_TOL, 1e-7, 1e-5, 1e-3]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_min_norm_path_follows_eigvalsh_rule(shape, log_cond, spread, rel_tol,
+                                             seed):
+    """The certificate only ever skips `eigvalsh`; it never changes the
+    path the eigenvalues pick, over kappa in [1, 1e7]."""
+    rng = np.random.default_rng(seed)
+    g = (_spread if spread else _conditioned)(rng, *shape, 10.0 ** log_cond)
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numkernel, "svd", _counting(calls, numkernel.svd))
+        min_norm_lstsq(g, rng.normal(size=shape[0]), rel_tol)
+    assert len(calls) == int(not _eigvalsh_rule(g, rel_tol))
+
+
+def test_min_norm_rejects_bad_rel_tol_before_any_factorization(monkeypatch):
+    def no_factorization(*args, **kwargs):
+        raise AssertionError("factorized before rel_tol was checked")
+
+    for name in ("cholesky", "eigvalsh", "solve"):
+        monkeypatch.setattr(np.linalg, name, no_factorization)
+    monkeypatch.setattr(numkernel, "svd", no_factorization)
+    for rel_tol in (0.0, 1.0, -1e-3, float("nan")):
+        with pytest.raises(ValueError, match="rel_tol"):
+            min_norm_lstsq(np.eye(3), np.ones(3), rel_tol)
 
 
 def test_min_norm_has_smallest_norm_in_solution_set():
