@@ -12,7 +12,8 @@ part H^r of the complex channel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,10 +34,15 @@ class RiceanConfig:
     def __post_init__(self):
         if self.n_r < 1 or self.n_t < 1:
             raise ConfigError(f"antenna counts must be >= 1, got {self.n_r}x{self.n_t}")
-        if self.kappa < 0:
-            raise ConfigError(f"kappa must be >= 0, got {self.kappa}")
-        if not self.pathloss > 0:
-            raise ConfigError(f"pathloss must be > 0, got {self.pathloss}")
+        if not 0.0 <= self.kappa < math.inf:
+            raise ConfigError(
+                f"kappa must be finite and >= 0, got {self.kappa}")
+        if not 0.0 < self.pathloss < math.inf:
+            raise ConfigError(
+                f"pathloss must be finite and > 0, got {self.pathloss}")
+        for angle in (self.los_angle_rx, self.los_angle_tx):
+            if not math.isfinite(angle):
+                raise ConfigError(f"LoS angles must be finite, got {angle}")
 
 
 @dataclass(frozen=True)
@@ -69,21 +75,6 @@ class NoiseModel:
 NOISELESS = NoiseModel(0.0)
 
 
-@dataclass(frozen=True)
-class ChannelMatrix:
-    """A fading realization H plus the real-part view used by the learner."""
-
-    h_complex: np.ndarray = field(repr=False)
-
-    @property
-    def h_real(self) -> np.ndarray:
-        return self.h_complex.real
-
-    @property
-    def shape(self):
-        return self.h_complex.shape
-
-
 def steering_vector(n: int, theta: float) -> np.ndarray:
     """ULA steering vector, half-wavelength spacing: element m has phase
     exp(i pi m sin(theta)), m = 0..n-1; every entry has unit modulus."""
@@ -103,16 +94,16 @@ def ricean_mix(kappa: float):
     return np.sqrt(kappa / (1.0 + kappa)), np.sqrt(1.0 / (1.0 + kappa))
 
 
-def sample_ricean(cfg: RiceanConfig, rng: RngStream) -> ChannelMatrix:
-    """Draw one Ricean fading realization at the configured kappa / pathloss."""
+def sample_ricean(cfg: RiceanConfig, rng: RngStream) -> np.ndarray:
+    """Draw one complex Ricean fading realization H at the configured kappa
+    and pathloss; the learner uses its real part H.real."""
     c_los, c_nlos = ricean_mix(cfg.kappa)
     h_nlos = sample_cgaussian(rng, cfg.n_r, cfg.n_t)
     root_pl = np.sqrt(cfg.pathloss)
-    h = c_los * root_pl * los_matrix(cfg) + c_nlos * root_pl * h_nlos
-    return ChannelMatrix(h)
+    return c_los * root_pl * los_matrix(cfg) + c_nlos * root_pl * h_nlos
 
 
-def evolve_ar(h_prev: ChannelMatrix, cfg: ArConfig, rng: RngStream) -> ChannelMatrix:
+def evolve_ar(h_prev: np.ndarray, cfg: ArConfig, rng: RngStream) -> np.ndarray:
     """One AR(1) step H(k) = eta H(k-1) + (1 - eta) Theta(k), Theta ~ CN(0, I).
 
     Applied to the full complex matrix exactly as written (the LoS mean decays
@@ -121,11 +112,10 @@ def evolve_ar(h_prev: ChannelMatrix, cfg: ArConfig, rng: RngStream) -> ChannelMa
     recursion literally).  eta = 1 is a bit-exact identity.  The innovation is
     drawn from `rng` regardless of eta, so stream consumption is uniform.
     """
-    n_r, n_t = h_prev.shape
-    theta = sample_cgaussian(rng, n_r, n_t)
+    theta = sample_cgaussian(rng, *h_prev.shape)
     if cfg.eta == 1.0:
-        return ChannelMatrix(h_prev.h_complex)
-    return ChannelMatrix(cfg.eta * h_prev.h_complex + (1.0 - cfg.eta) * theta)
+        return h_prev
+    return cfg.eta * h_prev + (1.0 - cfg.eta) * theta
 
 
 def apply_channel(h_real: np.ndarray, x_tilde: np.ndarray, noise: NoiseModel,

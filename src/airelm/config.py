@@ -13,7 +13,7 @@ import os
 from dataclasses import dataclass, field, fields, replace
 
 from .activation import RappParams
-from .channel import ArConfig
+from .channel import ArConfig, RiceanConfig
 from .data import train_count
 from .errors import ConfigError, OutputError
 
@@ -156,6 +156,11 @@ class ExperimentConfig:
             raise ConfigError(f"seeds must be >= 1, got {cfg.seeds}")
         if cfg.n_r < 1:
             raise ConfigError(f"n_r must be >= 1, got {cfg.n_r}")
+        kappas = cfg.grid if cfg.kind == "sweep_kappa" else ()
+        for kappa in (cfg.kappa, *kappas):                # validates each
+            RiceanConfig(n_r=cfg.n_r, n_t=1, kappa=kappa,
+                         pathloss=cfg.pathloss, los_angle_rx=cfg.los_angle_rx,
+                         los_angle_tx=cfg.los_angle_tx)
         RappParams(y_sat=cfg.y_sat, alpha=cfg.alpha)    # validates both
         ArConfig(eta=cfg.eta)                           # eta in (0, 1]
         if not (0.0 < cfg.gamma < 1.0):
@@ -164,6 +169,9 @@ class ExperimentConfig:
             raise ConfigError(f"batch_size must be >= 1, got {cfg.batch_size}")
         if cfg.steps < 1:
             raise ConfigError(f"steps must be >= 1, got {cfg.steps}")
+        if cfg.iters_per_step < 0:
+            raise ConfigError(
+                f"iters_per_step must be >= 0, got {cfg.iters_per_step}")
         if not cfg.digital_low < cfg.digital_high:
             raise ConfigError(f"need digital_low < digital_high, got "
                               f"[{cfg.digital_low}, {cfg.digital_high}]")
@@ -173,6 +181,8 @@ class ExperimentConfig:
             raise ConfigError(
                 f"train_ratio must lie in (0, 1), got {cfg.dataset.train_ratio}")
         ds = cfg.dataset
+        if ds.subsample is not None and ds.subsample < 2:
+            raise ConfigError(f"subsample must be >= 2, got {ds.subsample}")
         if ds.name not in ("synthetic", "wbcd", "csv", "mnist", "secom"):
             raise ConfigError(f"unknown dataset name {ds.name!r}")
         for label, p in (("dataset path", ds.path), ("images", ds.images),
@@ -249,18 +259,3 @@ def parse_config(path: str, kind: str = None) -> ExperimentConfig:
     return ExperimentConfig(dataset=DatasetConfig(**values[DatasetConfig]),
                             **values[ExperimentConfig]).resolved()
 
-
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    """Flatten a config into plain JSON-serializable types (for the manifest)."""
-    out = {}
-    for key, val in vars(cfg).items():
-        if key == "dataset":
-            out["dataset"] = {k: (list(v) if isinstance(v, tuple) else v)
-                              for k, v in vars(val).items()}
-        elif isinstance(val, tuple):
-            out[key] = list(val)
-        elif isinstance(val, float) and val == float("inf"):
-            out[key] = "inf"
-        else:
-            out[key] = val
-    return out

@@ -10,6 +10,7 @@ two-Gaussians generator so the test suite never needs a download.
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -92,9 +93,21 @@ def _to_pm1(labels: np.ndarray) -> np.ndarray:
     raise DataError(f"cannot map label values {sorted(vals)} to -1/+1")
 
 
-def _finite_cell(cell: str, path, lineno: int, column: int) -> float:
-    """A present feature cell as a float; non-numeric, NaN and infinite
-    values are errors naming file, line and column."""
+def _open(path, mode: str = "r", **kwargs):
+    """open(path), or a DataError naming the file."""
+    try:
+        return open(path, mode, **kwargs)
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
+
+
+def _finite_cell(cell: str, missing: str, path, lineno: int,
+                 column: int) -> float:
+    """A feature cell as a float, NaN for the missing token; any other
+    non-numeric, NaN or infinite value is an error naming file, line and
+    column."""
+    if cell == missing:
+        return math.nan
     try:
         value = float(cell)
     except ValueError:
@@ -116,11 +129,7 @@ def load_csv(path, label_column, delimiter: str = ",", missing_token: str = None
     error, as is a row whose label fails to parse (through label_map if
     given).
     """
-    try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from None
-    with fh:
+    with _open(path, newline="") as fh:
         rows = [r for r in csv.reader(fh, delimiter=delimiter) if r]
     if not rows:
         raise DataError(f"{path}: empty file")
@@ -143,7 +152,7 @@ def load_csv(path, label_column, delimiter: str = ",", missing_token: str = None
             raise DataError(f"{path}: label_column {label_idx} is outside the "
                             f"{width} columns")
 
-    feats, labels, mask = [], [], []
+    feats, labels = [], []
     for i, row in enumerate(body):
         lineno = i + (2 if has_header else 1)
         if len(row) != width:
@@ -161,27 +170,16 @@ def load_csv(path, label_column, delimiter: str = ",", missing_token: str = None
             except (ValueError, OverflowError):
                 raise DataError(
                     f"{path}:{lineno}: unparseable label {raw_label!r}") from None
-        frow, mrow = [], []
-        for j, cell in enumerate(row):
-            if j == label_idx:
-                continue
-            cell = cell.strip()
-            if missing_token is not None and cell == missing_token:
-                frow.append(np.nan)
-                mrow.append(False)
-                continue
-            frow.append(_finite_cell(cell, path, lineno, j))
-            mrow.append(True)
-        feats.append(frow)
-        mask.append(mrow)
+        feats.append([_finite_cell(cell.strip(), missing_token, path,
+                                   lineno, j)
+                      for j, cell in enumerate(row) if j != label_idx])
 
     names = None
     if header is not None:
         names = tuple(h for j, h in enumerate(header) if j != label_idx)
-    return RawTable(features=np.array(feats, dtype=float),
-                    labels=np.array(labels, dtype=int),
-                    present=np.array(mask, dtype=bool),
-                    feature_names=names)
+    feats = np.array(feats, dtype=float)
+    return RawTable(features=feats, labels=np.array(labels, dtype=int),
+                    present=~np.isnan(feats), feature_names=names)
 
 
 def load_wbcd(path) -> RawTable:
@@ -200,11 +198,7 @@ def load_wbcd(path) -> RawTable:
 
 def _text_rows(path) -> list:
     """(line number, whitespace-split cells) for every nonblank line."""
-    try:
-        fh = open(path)
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from None
-    with fh:
+    with _open(path) as fh:
         return [(n, line.split()) for n, line in enumerate(fh, 1)
                 if line.strip()]
 
@@ -222,18 +216,13 @@ def load_secom(features_path, labels_path) -> RawTable:
         raise DataError(f"{features_path}: empty file")
     width = len(feat_rows[0][1])
     feats = np.empty((len(feat_rows), width))
-    mask = np.ones_like(feats, dtype=bool)
     for i, (lineno, row) in enumerate(feat_rows):
         if len(row) != width:
             raise DataError(
                 f"{features_path}:{lineno}: ragged row, expected {width} "
                 f"cells got {len(row)}")
-        for j, cell in enumerate(row):
-            if cell == "NaN":
-                feats[i, j] = np.nan
-                mask[i, j] = False
-                continue
-            feats[i, j] = _finite_cell(cell, features_path, lineno, j)
+        feats[i] = [_finite_cell(cell, "NaN", features_path, lineno, j)
+                    for j, cell in enumerate(row)]
     label_rows = _text_rows(labels_path)
     if len(label_rows) != len(feat_rows):
         raise DataError(
@@ -245,7 +234,7 @@ def load_secom(features_path, labels_path) -> RawTable:
         except (ValueError, OverflowError):
             raise DataError(
                 f"{labels_path}:{lineno}: unparseable label {row[0]!r}") from None
-    return RawTable(features=feats, labels=labels, present=mask)
+    return RawTable(features=feats, labels=labels, present=~np.isnan(feats))
 
 
 _IDX_IMAGE_MAGIC = 0x00000803
@@ -259,6 +248,19 @@ def _read_exact(fh, n: int, path, what: str) -> bytes:
     return buf
 
 
+def _read_idx(path, magic: int, n_dims: int, what: str) -> np.ndarray:
+    """An IDX file's unsigned-byte payload in the shape its header gives."""
+    with _open(path, "rb") as fh:
+        header = struct.unpack(f">{n_dims + 1}I", _read_exact(
+            fh, 4 * (n_dims + 1), path, "header"))
+        if header[0] != magic:
+            raise DataError(f"{path}: bad {what} magic 0x{header[0]:08x}, "
+                            f"expected 0x{magic:08x}")
+        dims = header[1:]
+        payload = _read_exact(fh, math.prod(dims), path, f"{what} payload")
+    return np.frombuffer(payload, dtype=np.uint8).reshape(dims)
+
+
 def load_idx(images_path, labels_path) -> RawTable:
     """Parse an MNIST-style IDX image/label file pair.
 
@@ -266,38 +268,13 @@ def load_idx(images_path, labels_path) -> RawTable:
     unsigned-byte payloads; pixels are flattened row-major and rescaled to
     [0, 1].
     """
-    try:
-        fh = open(images_path, "rb")
-    except OSError as exc:
-        raise DataError(f"cannot read {images_path}: {exc}") from None
-    with fh:
-        magic, count, h, w = struct.unpack(">IIII",
-                                           _read_exact(fh, 16, images_path, "header"))
-        if magic != _IDX_IMAGE_MAGIC:
-            raise DataError(
-                f"{images_path}: bad image magic 0x{magic:08x}, "
-                f"expected 0x{_IDX_IMAGE_MAGIC:08x}")
-        payload = _read_exact(fh, count * h * w, images_path, "pixel payload")
-    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(count, h * w)
-
-    try:
-        fh = open(labels_path, "rb")
-    except OSError as exc:
-        raise DataError(f"cannot read {labels_path}: {exc}") from None
-    with fh:
-        magic, lcount = struct.unpack(">II",
-                                      _read_exact(fh, 8, labels_path, "header"))
-        if magic != _IDX_LABEL_MAGIC:
-            raise DataError(
-                f"{labels_path}: bad label magic 0x{magic:08x}, "
-                f"expected 0x{_IDX_LABEL_MAGIC:08x}")
-        lpayload = _read_exact(fh, lcount, labels_path, "label payload")
-    labels = np.frombuffer(lpayload, dtype=np.uint8).astype(int)
-    if lcount != count:
-        raise DataError(
-            f"image/label count mismatch: {count} images vs {lcount} labels")
-
-    feats = pixels.astype(float) / 255.0
+    pixels = _read_idx(images_path, _IDX_IMAGE_MAGIC, 3, "image")
+    labels = _read_idx(labels_path, _IDX_LABEL_MAGIC, 1, "label").astype(int)
+    count, h, w = pixels.shape
+    if len(labels) != count:
+        raise DataError(f"image/label count mismatch: {count} images vs "
+                        f"{len(labels)} labels")
+    feats = pixels.reshape(count, h * w).astype(float) / 255.0
     return RawTable(features=feats, labels=labels,
                     present=np.ones_like(feats, dtype=bool))
 

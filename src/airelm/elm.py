@@ -33,14 +33,6 @@ class HiddenLayer:
     rapp: RappParams = DEFAULT_RAPP
     noise: NoiseModel = NOISELESS
 
-    @property
-    def n_r(self) -> int:
-        return self.h_real.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.h_real.shape[1] - 1
-
 
 @dataclass(frozen=True)
 class DigitalLayer:
@@ -52,14 +44,6 @@ class DigitalLayer:
 
     weights: np.ndarray = field(repr=False)
 
-    @property
-    def n_r(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.weights.shape[1] - 1
-
 
 @dataclass(frozen=True)
 class ElmModel:
@@ -69,12 +53,6 @@ class ElmModel:
     hidden: object = None
     train_residual: float = float("nan")
     receive_power: float = float("nan")
-
-
-def augment(x: np.ndarray) -> np.ndarray:
-    """x -> x~ = (x_1, ..., x_d, 1)."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    return np.concatenate([x, [1.0]])
 
 
 def _augment_rows(x: np.ndarray) -> np.ndarray:
@@ -97,7 +75,7 @@ def hidden_matrix(layer, x: np.ndarray, rng: RngStream = None) -> np.ndarray:
         if a.shape[1] != layer.weights.shape[1]:
             raise ValueError(
                 f"feature dimension {a.shape[1] - 1} does not match layer "
-                f"d={layer.d}")
+                f"d={layer.weights.shape[1] - 1}")
         return sigmoid(a @ layer.weights.T)
     y = apply_channel(layer.h_real, a, layer.noise, rng)
     return rapp_vec(y, layer.rapp)
@@ -151,8 +129,7 @@ def digital_elm_hidden(rng: RngStream, n_hidden: int, d: int,
 
 def online_update(model: ElmModel, h_real_k: np.ndarray, data, gamma: float,
                   batch_size: int, n_iters: int, rng: RngStream,
-                  noise_rng: RngStream = None, early_stop_tol: float = None,
-                  callback=None) -> ElmModel:
+                  noise_rng: RngStream = None, callback=None) -> ElmModel:
     """Mini-batch re-training under an aged channel.
 
     Starting from the previous frame's combiner, repeat n_iters times: draw
@@ -163,7 +140,7 @@ def online_update(model: ElmModel, h_real_k: np.ndarray, data, gamma: float,
     makes one iteration exactly w + gamma * w*.
 
     callback(i, model), when given, sees the model after iteration i
-    (0-based); early_stop_tol stops once ||delta w|| / ||w|| drops below it.
+    (0-based).
     """
     if model.hidden is None or isinstance(model.hidden, DigitalLayer):
         raise ConfigError("online_update needs a channel-backed fitted model")
@@ -178,16 +155,8 @@ def online_update(model: ElmModel, h_real_k: np.ndarray, data, gamma: float,
     for i in range(n_iters):
         idx = np.sort(rng.choice(d_tr, batch_size, replace=False))
         g_s = hidden_matrix(layer_k, data.x_train[idx], noise_rng)
-        w_s = min_norm_lstsq(g_s, data.t_train[idx])
-        delta = gamma * w_s
-        w = w + delta
-        model = ElmModel(w=w, hidden=layer_k,
-                         train_residual=float("nan"),
-                         receive_power=float(w @ w))
+        w = w + gamma * min_norm_lstsq(g_s, data.t_train[idx])
+        model = ElmModel(w=w, hidden=layer_k, receive_power=float(w @ w))
         if callback is not None:
             callback(i, model)
-        if early_stop_tol is not None:
-            wn = float(np.linalg.norm(w))
-            if wn > 0 and float(np.linalg.norm(delta)) / wn < early_stop_tol:
-                break
     return model

@@ -19,7 +19,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -27,23 +27,17 @@ from . import __version__
 from .activation import RappParams
 from .channel import (ArConfig, NoiseModel, NOISELESS, RiceanConfig,
                       sample_ricean, evolve_ar, sigma2_for_snr)
-from .config import ExperimentConfig, config_to_dict
+from .config import ExperimentConfig
 from .data import (Dataset, RawTable, load_csv, load_idx, load_secom,
                    load_wbcd, mnist_binarize, secom_prepare,
                    split_standardize, synth_two_gaussians)
-from .elm import (ElmModel, HiddenLayer, classify, digital_elm_hidden, fit,
+from .elm import (HiddenLayer, classify, digital_elm_hidden, fit,
                   online_update, predict)
-from .errors import ConfigError, OutputError
+from .errors import OutputError
 from .numkernel import blas_thread_control, one_blas_thread
 from .rng import (RngStream, SUB_SPLIT, SUB_CHANNEL, SUB_TRAIN_NOISE,
                   SUB_TEST_NOISE, SUB_DIGITAL, SUB_MINIBATCH, SUB_AR,
                   SUB_SYNTH, SUB_FEATSEL)
-
-# Fixed CSV schema, shared by all experiment kinds (union schema; cells that
-# do not apply stay empty).  Wall-times are excluded on purpose.
-TRIAL_COLUMNS = ("experiment", "dataset", "seed", "model", "n_r", "snr_db",
-                 "kappa", "eta", "step", "iteration", "accuracy",
-                 "normalized_accuracy", "train_residual", "receive_power")
 
 SUMMARY_COLUMNS = ("model", "n_r", "snr_db", "kappa", "eta", "step",
                    "iteration", "n_trials", "mean_accuracy", "std_accuracy",
@@ -72,6 +66,12 @@ class TrialResult:
     wall_ms: float = None           # manifest/summary only, never in CSV
 
 
+# Fixed CSV schema, shared by all experiment kinds (union schema; cells that
+# do not apply stay empty).  Wall-times are excluded on purpose.
+TRIAL_COLUMNS = tuple(f.name for f in fields(TrialResult)
+                      if f.name != "wall_ms")
+
+
 # ---------------------------------------------------------------------------
 # dataset plumbing
 
@@ -88,9 +88,7 @@ def _load_base_table(cfg: ExperimentConfig):
                         has_header=ds.has_header, label_map=ds.label_map)
     if ds.name == "mnist":
         return load_idx(ds.images, ds.labels)
-    if ds.name == "secom":
-        return load_secom(ds.path, ds.labels)
-    raise ConfigError(f"unknown dataset name {ds.name!r}")
+    return load_secom(ds.path, ds.labels)     # `resolved` admits no other name
 
 
 def _trial_dataset(cfg: ExperimentConfig, base_table, trial: RngStream) -> Dataset:
@@ -206,6 +204,9 @@ def _map_trials(cfg: ExperimentConfig, fn, tasks):
             with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
                 nested = list(pool.map(fn, tasks))
         else:
+            # not a one-worker pool: its thread's own malloc arena raised peak
+            # RSS 57.9 -> 61.2 MB (sweep_nr_wbcd), 39.6 -> 40.7 MB
+            # (snr_sweep_narrow) on a 2-vCPU VM
             nested = [fn(task) for task in tasks]
     return [row for rows in nested for row in rows]
 
@@ -235,7 +236,7 @@ def _run_grid(cfg: ExperimentConfig, experiment: str, points):
     def one(seed):
         trial = RngStream(cfg.master_seed).split(seed)
         dataset = _trial_dataset(cfg, base_table, trial)
-        chan_key = chan = None
+        chan_key = h = None
         held = {}           # n_r -> (train, test) noise replays
         by_point = []
         for i, (n_r, kappa, snr_db, with_baseline) in enumerate(points):
@@ -243,10 +244,10 @@ def _run_grid(cfg: ExperimentConfig, experiment: str, points):
             t0 = time.perf_counter()
             if (n_r, kappa) != chan_key:
                 chan_key, p_sig = (n_r, kappa), None
-                chan = _draw_channel(cfg, dataset, trial, n_r, kappa)
+                h = _draw_channel(cfg, dataset, trial, n_r, kappa)
             if finite[i] and p_sig is None:
-                p_sig = _signal_power(dataset, chan.h_real)
-            layer = _channel_layer(cfg, chan.h_real, p_sig, snr_db)
+                p_sig = _signal_power(dataset, h.real)
+            layer = _channel_layer(cfg, h.real, p_sig, snr_db)
             train_noise = test_noise = None
             if finite[i]:
                 train_noise, test_noise = held.pop(n_r, None) or (
@@ -328,10 +329,10 @@ def run_online(cfg: ExperimentConfig):
     def one(seed):
         trial = RngStream(cfg.master_seed).split(seed)
         dataset = _trial_dataset(cfg, base_table, trial)
-        chan = _draw_channel(cfg, dataset, trial, cfg.n_r, cfg.kappa)
-        p_sig = (_signal_power(dataset, chan.h_real)
+        h = _draw_channel(cfg, dataset, trial, cfg.n_r, cfg.kappa)
+        p_sig = (_signal_power(dataset, h.real)
                  if cfg.snr_db != math.inf else None)
-        layer = _channel_layer(cfg, chan.h_real, p_sig, cfg.snr_db)
+        layer = _channel_layer(cfg, h.real, p_sig, cfg.snr_db)
         train_noise = trial.split(SUB_TRAIN_NOISE)
         test_noise = trial.split(SUB_TEST_NOISE)
         ar_rng = trial.split(SUB_AR)
@@ -341,45 +342,27 @@ def run_online(cfg: ExperimentConfig):
         rows = []
         for step in range(1, cfg.steps + 1):
             t0 = time.perf_counter()
-            chan = evolve_ar(chan, ar, ar_rng)
-            layer_k = HiddenLayer(h_real=chan.h_real, rapp=layer.rapp,
-                                  noise=layer.noise)
+            h = evolve_ar(h, ar, ar_rng)
+            layer_k = replace(layer, h_real=h.real)
             # normalizer: closed-form refit on the full data under H(k)
             full = fit(layer_k, dataset.x_train, dataset.t_train, train_noise)
             acc_full = _accuracy(full, dataset, test_noise)
-
-            def norm_acc(m):
-                acc = _accuracy(m, dataset, test_noise)
-                return acc, (acc / acc_full if acc_full > 0 else float("nan"))
-
-            stale = ElmModel(w=model.w, hidden=layer_k)
-            acc, nacc = norm_acc(stale)
-            step_row = TrialResult(
-                experiment="online", dataset=ds_name, seed=seed, model="mimo",
-                n_r=cfg.n_r, snr_db=cfg.snr_db, kappa=cfg.kappa, eta=cfg.eta,
-                step=step, iteration=0, accuracy=acc,
-                normalized_accuracy=nacc,
-                receive_power=float(model.w @ model.w))
-            rows.append(step_row)
-
-            trace = []
-
-            def record(i, m):
-                trace.append((i, m))
-
-            model = online_update(model, chan.h_real, dataset, cfg.gamma,
+            # iteration 0 is the stale combiner under H(k)
+            trace = [replace(model, hidden=layer_k)]
+            model = online_update(model, h.real, dataset, cfg.gamma,
                                   cfg.batch_size, cfg.iters_per_step,
                                   batch_rng, noise_rng=train_noise,
-                                  callback=record)
-            for i, m in trace:
-                acc, nacc = norm_acc(m)
+                                  callback=lambda i, m: trace.append(m))
+            for i, m in enumerate(trace):
+                acc = _accuracy(m, dataset, test_noise)
                 rows.append(TrialResult(
                     experiment="online", dataset=ds_name, seed=seed,
                     model="mimo", n_r=cfg.n_r, snr_db=cfg.snr_db,
-                    kappa=cfg.kappa, eta=cfg.eta, step=step, iteration=i + 1,
-                    accuracy=acc, normalized_accuracy=nacc,
-                    receive_power=float(m.receive_power)))
-            step_row.wall_ms = (time.perf_counter() - t0) * 1e3
+                    kappa=cfg.kappa, eta=cfg.eta, step=step, iteration=i,
+                    accuracy=acc, receive_power=m.receive_power,
+                    normalized_accuracy=(acc / acc_full if acc_full > 0
+                                         else float("nan"))))
+            rows[-len(trace)].wall_ms = (time.perf_counter() - t0) * 1e3
         return rows
 
     return _map_trials(cfg, one, range(cfg.seeds))
@@ -438,14 +421,12 @@ def _fmt(value) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
-        if value == math.inf:
-            return "inf"
         return str(float(value))
     return str(value)
 
 
-def emit_csv(table, path, columns=TRIAL_COLUMNS) -> None:
-    """Write results (TrialResult list or dict list) as RFC-4180-style CSV."""
+def emit_csv(table, path) -> None:
+    """Write a TrialResult list as RFC-4180-style CSV."""
     import csv as _csv
     try:
         fh = open(path, "w", newline="")
@@ -453,19 +434,9 @@ def emit_csv(table, path, columns=TRIAL_COLUMNS) -> None:
         raise OutputError(f"cannot write CSV to {path}: {exc}") from None
     with fh:
         writer = _csv.writer(fh)
-        writer.writerow(columns)
+        writer.writerow(TRIAL_COLUMNS)
         for row in table:
-            if isinstance(row, dict):
-                writer.writerow([_fmt(row.get(c)) for c in columns])
-            else:
-                writer.writerow([_fmt(getattr(row, c)) for c in columns])
-
-
-def load_results_csv(path):
-    """Re-parse an emitted CSV into a list of dicts (strings kept as-is)."""
-    import csv as _csv
-    with open(path, newline="") as fh:
-        return [dict(row) for row in _csv.DictReader(fh)]
+            writer.writerow([_fmt(getattr(row, c)) for c in TRIAL_COLUMNS])
 
 
 def sha256_file(path) -> str:
@@ -512,7 +483,9 @@ def write_manifest(cfg: ExperimentConfig, results, csv_path,
             f"size={ds.synth_size},d={ds.synth_d},sep={ds.synth_separation}")
     walls = [r.wall_ms for r in results if r.wall_ms is not None]
     manifest = {
-        "config": config_to_dict(cfg),
+        # JSON has no inf; the grid tuples are written as lists
+        "config": {key: "inf" if value == math.inf else value
+                   for key, value in asdict(cfg).items()},
         "master_seed": cfg.master_seed,
         "library_version": __version__,
         "dataset_checksums": checksums,

@@ -70,17 +70,15 @@ def one_blas_thread():
         put(before)
 
 
-def sample_cgaussian(rng: RngStream, rows: int, cols: int, std: float = 1.0) -> np.ndarray:
-    """Complex matrix with i.i.d. CN(0, std^2) entries.
+def sample_cgaussian(rng: RngStream, rows: int, cols: int) -> np.ndarray:
+    """Complex matrix with i.i.d. CN(0, 1) entries.
 
-    Real and imaginary parts are independent N(0, std^2/2), so the complex
-    per-entry variance E|h|^2 equals std^2.
+    Real and imaginary parts are independent N(0, 1/2), so the complex
+    per-entry variance E|h|^2 is 1.
     """
     if rows < 1 or cols < 1:
         raise ValueError(f"matrix dimensions must be positive, got {rows}x{cols}")
-    if std < 0:
-        raise ValueError("std must be non-negative")
-    parts = rng.normal(0.0, std * np.sqrt(0.5), (2, rows, cols))
+    parts = rng.normal(0.0, np.sqrt(0.5), (2, rows, cols))
     return parts[0] + 1j * parts[1]
 
 

@@ -87,9 +87,6 @@ class RngStream:
     def uniform(self, low=0.0, high=1.0, size=None):
         return self._gen.uniform(low, high, size)
 
-    def integers(self, low, high=None, size=None):
-        return self._gen.integers(low, high, size)
-
     def permutation(self, n):
         return self._gen.permutation(n)
 

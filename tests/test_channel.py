@@ -3,7 +3,6 @@ import pytest
 
 from airelm.channel import (
     ArConfig,
-    ChannelMatrix,
     NOISELESS,
     NoiseModel,
     RiceanConfig,
@@ -79,35 +78,35 @@ def test_ricean_mix_preserves_power():
 def test_rayleigh_entry_variance():
     cfg = RiceanConfig(n_r=300, n_t=334, kappa=0.0)
     h = sample_ricean(cfg, RngStream(10).split(1))
-    power = (np.abs(h.h_complex) ** 2).mean()
+    power = (np.abs(h) ** 2).mean()
     assert abs(power - 1.0) < 0.03
 
 
 def test_strong_los_approaches_deterministic():
     cfg = RiceanConfig(n_r=8, n_t=8, kappa=1e12)
     h = sample_ricean(cfg, RngStream(11).split(1))
-    assert np.allclose(h.h_complex, np.ones((8, 8)), atol=1e-4)
+    assert np.allclose(h, np.ones((8, 8)), atol=1e-4)
 
 
 def test_pathloss_scales_power():
     cfg = RiceanConfig(n_r=300, n_t=334, kappa=0.0, pathloss=4.0)
     h = sample_ricean(cfg, RngStream(12).split(1))
-    power = (np.abs(h.h_complex) ** 2).mean()
+    power = (np.abs(h) ** 2).mean()
     assert abs(power - 4.0) < 0.12
 
 
 def test_h_real_is_real_part():
     cfg = RiceanConfig(n_r=4, n_t=3, kappa=2.0)
     h = sample_ricean(cfg, RngStream(13).split(1))
-    assert np.array_equal(h.h_real, h.h_complex.real)
-    assert h.h_real.dtype.kind == "f"
+    assert h.dtype.kind == "c"
+    assert h.real.dtype.kind == "f"
 
 
 def test_sample_ricean_deterministic():
     cfg = RiceanConfig(n_r=5, n_t=5, kappa=1.0)
     a = sample_ricean(cfg, RngStream(14).split(1))
     b = sample_ricean(cfg, RngStream(14).split(1))
-    assert np.array_equal(a.h_complex, b.h_complex)
+    assert np.array_equal(a, b)
 
 
 def test_ricean_config_validation():
@@ -122,14 +121,14 @@ def test_ricean_config_validation():
 # ---------------------------------------------------------- AR drift
 
 def _zeros_channel(n=16):
-    return ChannelMatrix(np.zeros((n, n), dtype=complex))
+    return np.zeros((n, n), dtype=complex)
 
 
 def test_ar_eta_one_is_bit_exact_identity():
     cfg = RiceanConfig(n_r=6, n_t=6, kappa=0.0)
     h0 = sample_ricean(cfg, RngStream(20).split(1))
     h1 = evolve_ar(h0, ArConfig(eta=1.0), RngStream(20).split(6))
-    assert np.array_equal(h1.h_complex, h0.h_complex)
+    assert np.array_equal(h1, h0)
 
 
 def test_ar_eta_one_still_consumes_innovation():
@@ -145,7 +144,7 @@ def test_ar_eta_one_still_consumes_innovation():
 def test_ar_innovation_variance_from_rest():
     # one step from H = 0: entries are (1 - eta) * theta
     h1 = evolve_ar(_zeros_channel(100), ArConfig(eta=0.9), RngStream(22).split(6))
-    power = (np.abs(h1.h_complex) ** 2).mean()
+    power = (np.abs(h1) ** 2).mean()
     assert abs(power - 0.01) < 0.0005
 
 
@@ -155,8 +154,8 @@ def test_ar_correlation_monotone_in_eta():
     for eta in [0.5, 0.9, 0.99]:
         h0 = sample_ricean(cfg, RngStream(23).split(1))
         h1 = evolve_ar(h0, ArConfig(eta=eta), RngStream(23).split(6))
-        a = h0.h_real.ravel()
-        b = h1.h_real.ravel()
+        a = h0.real.ravel()
+        b = h1.real.ravel()
         corrs.append(np.corrcoef(a, b)[0, 1])
     assert corrs[0] < corrs[1] < corrs[2]
 

@@ -200,24 +200,39 @@ def test_blas_thread_env_preserves_bytes(tmp_path):
     assert outs[0] == outs[1]
 
 
-@pytest.mark.parametrize("body, message", [
-    ("[sweep]\ngrid = 16.7, 32\n", "16.7"),
-    ("[sweep]\ngrid = 16, nan\n", "nan"),
-    ("[channel]\nsnr_db = -inf\n", "-inf"),
-    ("[model]\nn_r = 0\n", "n_r must be >= 1"),
-    ("[online]\ngamma = 2\n", "gamma must lie in (0, 1)"),
-    ("[online]\neta = 0\n", "eta must lie in (0, 1]"),
-    ("[online]\nbatch_size = 0\n", "batch_size must be >= 1"),
-    ("[activation]\nalpha = 3\n", "alpha must be an even integer"),
-    ("[activation]\ny_sat = 0\n", "y_sat must be positive"),
+@pytest.mark.parametrize("command, body, message", [
+    ("sweep-nr", "[sweep]\ngrid = 16.7, 32\n", "16.7"),
+    ("sweep-nr", "[sweep]\ngrid = 16, nan\n", "nan"),
+    ("sweep-nr", "[channel]\nsnr_db = -inf\n", "-inf"),
+    ("sweep-nr", "[model]\nn_r = 0\n", "n_r must be >= 1"),
+    ("sweep-nr", "[online]\ngamma = 2\n", "gamma must lie in (0, 1)"),
+    ("sweep-nr", "[online]\neta = 0\n", "eta must lie in (0, 1]"),
+    ("sweep-nr", "[online]\nbatch_size = 0\n", "batch_size must be >= 1"),
+    ("sweep-nr", "[activation]\nalpha = 3\n", "alpha must be an even integer"),
+    ("sweep-nr", "[activation]\ny_sat = 0\n", "y_sat must be positive"),
     # steps = 0 used to end in a summarize traceback after the run
-    ("[online]\nsteps = 0\n", "steps must be >= 1"),
-    ("[model]\ndigital_low = 1\ndigital_high = 0\n", "digital_low < digital_high"),
+    ("sweep-nr", "[online]\nsteps = 0\n", "steps must be >= 1"),
+    ("sweep-nr", "[model]\ndigital_low = 1\ndigital_high = 0\n",
+     "digital_low < digital_high"),
+    ("sweep-nr", "[dataset]\nsubsample = -1\n", "subsample must be >= 2"),
+    ("sweep-nr", "[dataset]\nsubsample = 1\n", "subsample must be >= 2"),
+    ("sweep-nr", "[channel]\nkappa = nan\n", "kappa must be finite and >= 0"),
+    ("sweep-nr", "[channel]\nkappa = inf\n", "kappa must be finite and >= 0"),
+    ("sweep-nr", "[channel]\nkappa = -1\n", "kappa must be finite and >= 0"),
+    ("sweep-kappa", "[sweep]\ngrid = 0, -2\n",
+     "kappa must be finite and >= 0, got -2.0"),
+    ("sweep-nr", "[channel]\npathloss = inf\n", "pathloss must be finite"),
+    ("sweep-nr", "[channel]\npathloss = 0\n", "pathloss must be finite and > 0"),
+    ("sweep-nr", "[channel]\nlos_angle_rx = nan\n", "LoS angles must be"),
+    ("sweep-nr", "[online]\niters_per_step = -1\n", "iters_per_step must be"),
 ], ids=["fractional_n_r", "nan_grid", "minus_inf_snr", "zero_n_r",
         "gamma_above_1", "zero_eta", "zero_batch_size", "odd_alpha",
-        "zero_y_sat", "zero_steps", "inverted_digital_range"])
+        "zero_y_sat", "zero_steps", "inverted_digital_range",
+        "negative_subsample", "subsample_1", "nan_kappa", "inf_kappa",
+        "negative_kappa", "negative_kappa_grid", "inf_pathloss",
+        "zero_pathloss", "nan_los_angle", "negative_iters_per_step"])
 def test_bad_sweep_values_exit_1_before_compute(tmp_path, capsys, monkeypatch,
-                                                body, message):
+                                                command, body, message):
     import airelm.cli
 
     def no_compute(cfg):
@@ -225,7 +240,7 @@ def test_bad_sweep_values_exit_1_before_compute(tmp_path, capsys, monkeypatch,
 
     monkeypatch.setattr(airelm.cli, "run", no_compute)
     cfg = _ini(tmp_path, "[experiment]\nkind = sweep_nr\nseeds = 1\n" + body)
-    rc = main(["sweep-nr", "--config", cfg])
+    rc = main([command, "--config", cfg])
     assert rc == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1

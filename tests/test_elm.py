@@ -11,7 +11,6 @@ from airelm.elm import (
     DigitalLayer,
     ElmModel,
     HiddenLayer,
-    augment,
     classify,
     digital_elm_hidden,
     fit,
@@ -33,16 +32,6 @@ def _synth_dataset(seed, d_total=80, d=8, sep=4.0):
 def _random_layer(seed, n_r, d):
     h = RngStream(seed).split(SUB_CHANNEL).normal(size=(n_r, d + 1))
     return HiddenLayer(h_real=h)
-
-
-# ---------------------------------------------------------- augment
-
-def test_augment_appends_one():
-    assert np.array_equal(augment([1.0, 2.0]), [1.0, 2.0, 1.0])
-
-
-def test_augment_empty_input():
-    assert np.array_equal(augment([]), [1.0])
 
 
 # ----------------------------------------------------- hidden matrix
@@ -84,12 +73,6 @@ def test_hidden_matrix_noise_requires_rng():
     layer = HiddenLayer(h_real=np.eye(3), noise=NoiseModel(sigma2=0.1))
     with pytest.raises(ValueError):
         hidden_matrix(layer, np.zeros((1, 2)))
-
-
-def test_hidden_layer_properties():
-    layer = _random_layer(0, n_r=9, d=5)
-    assert layer.n_r == 9
-    assert layer.d == 5
 
 
 # ------------------------------------------------------------ train
@@ -357,21 +340,6 @@ def test_online_rejects_digital_model():
     with pytest.raises(ConfigError):
         online_update(dmodel, layer.h_real, data, 0.5, 16, 1,
                       RngStream(6).split(SUB_MINIBATCH))
-
-
-def test_online_early_stop():
-    # full-batch relative step size is gamma/(1 + k*gamma) after k
-    # iterations.  At gamma = 0.5 it is 0.5/10 = 0.05 at k = 18 and
-    # 0.5/10.5 = 0.0476 at k = 19, so a 0.049 threshold trips at k = 19.
-    # A threshold of exactly 0.05 would sit on the k = 18 tie, where
-    # round-off in the solve decides between 18 and 19 iterations.
-    data, layer, model = _online_setup(7)
-    seen = []
-    online_update(model, layer.h_real, data, 0.5, len(data.t_train), 50,
-                  RngStream(7).split(SUB_MINIBATCH),
-                  early_stop_tol=0.049,
-                  callback=lambda i, m: seen.append(i))
-    assert len(seen) == 19
 
 
 # ----------------------------------------------------------- timing

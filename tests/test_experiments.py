@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import math
@@ -15,7 +16,6 @@ from airelm.experiments import (
     TRIAL_COLUMNS,
     TrialResult,
     emit_csv,
-    load_results_csv,
     run,
     run_online,
     run_single,
@@ -268,7 +268,8 @@ def test_emit_csv_roundtrip(tmp_path):
                     normalized_accuracy=1.0127)]
     path = tmp_path / "r.csv"
     emit_csv(rows, str(path))
-    back = load_results_csv(str(path))
+    with open(path, newline="") as fh:
+        back = list(csv.DictReader(fh))
     assert len(back) == 2
     assert back[0]["accuracy"] == "0.9561403508771931"
     assert back[0]["snr_db"] == "inf"

@@ -315,7 +315,7 @@ def test_min_norm_rejects_bad_shapes():
 def test_sample_cgaussian_split_variance():
     # unit-variance complex entries: each part carries variance 1/2
     rng = RngStream(124)
-    z = sample_cgaussian(rng, 300, 300, std=1.0)
+    z = sample_cgaussian(rng, 300, 300)
     assert z.dtype.kind == "c"
     assert abs(z.real.var() - 0.5) < 0.01
     assert abs(z.imag.var() - 0.5) < 0.01
