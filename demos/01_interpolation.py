@@ -1,6 +1,6 @@
 """When the hidden width matches the training size, the closed form interpolates.
 
-The combiner solves min ||G w - t|| by SVD pseudoinverse.  With a square,
+The combiner solves min ||G w - t|| with `min_norm_lstsq`.  With a square,
 generically full-rank G (width == number of training samples) the solution
 drives the residual to numerical zero -- the random channel plus soft
 limiter is expressive enough to hit every target exactly.  Narrower layers

@@ -19,6 +19,10 @@ from .errors import ConfigError, OutputError
 
 KINDS = ("sweep_nr", "sweep_snr", "sweep_kappa", "online", "single")
 
+# the [dataset] keys naming the files each dataset reads
+DATASET_FILES = {"synthetic": (), "wbcd": ("path",), "csv": ("path",),
+                 "mnist": ("images", "labels"), "secom": ("path", "labels")}
+
 DEFAULT_GRIDS = {
     "sweep_nr": (64.0, 128.0),
     "sweep_snr": (0.0, 10.0, 20.0, 30.0),
@@ -154,6 +158,9 @@ class ExperimentConfig:
                     f"snr_db must be a finite number or inf, got {snr}")
         if cfg.seeds < 1:
             raise ConfigError(f"seeds must be >= 1, got {cfg.seeds}")
+        if cfg.master_seed < 0:
+            raise ConfigError(
+                f"master_seed must be >= 0, got {cfg.master_seed}")
         if cfg.n_r < 1:
             raise ConfigError(f"n_r must be >= 1, got {cfg.n_r}")
         kappas = cfg.grid if cfg.kind == "sweep_kappa" else ()
@@ -172,8 +179,8 @@ class ExperimentConfig:
         if cfg.iters_per_step < 0:
             raise ConfigError(
                 f"iters_per_step must be >= 0, got {cfg.iters_per_step}")
-        if not cfg.digital_low < cfg.digital_high:
-            raise ConfigError(f"need digital_low < digital_high, got "
+        if not -math.inf < cfg.digital_low < cfg.digital_high < math.inf:
+            raise ConfigError(f"need finite digital_low < digital_high, got "
                               f"[{cfg.digital_low}, {cfg.digital_high}]")
         if cfg.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {cfg.threads}")
@@ -183,19 +190,19 @@ class ExperimentConfig:
         ds = cfg.dataset
         if ds.subsample is not None and ds.subsample < 2:
             raise ConfigError(f"subsample must be >= 2, got {ds.subsample}")
-        if ds.name not in ("synthetic", "wbcd", "csv", "mnist", "secom"):
+        if ds.name not in DATASET_FILES:
             raise ConfigError(f"unknown dataset name {ds.name!r}")
         for label, p in (("dataset path", ds.path), ("images", ds.images),
                          ("labels", ds.labels)):
             if p is not None and not os.path.exists(p):
                 raise ConfigError(f"{label} file does not exist: {p}")
-        if ds.name == "csv" and ds.path is None:
-            raise ConfigError("dataset name 'csv' needs a path")
-        if ds.name == "mnist" and (ds.images is None or ds.labels is None):
-            raise ConfigError("dataset name 'mnist' needs images and labels paths")
-        if ds.name == "secom" and (ds.path is None or ds.labels is None):
-            raise ConfigError("dataset name 'secom' needs path and labels")
+        for key in DATASET_FILES[ds.name]:
+            if getattr(ds, key) is None:
+                raise ConfigError(f"dataset {ds.name!r} needs [dataset] {key}")
         if ds.name == "synthetic":
+            if not math.isfinite(ds.synth_separation):
+                raise ConfigError(f"synth_separation must be finite, got "
+                                  f"{ds.synth_separation}")
             cfg.check_batch_size(ds.synth_size)
         if cfg.out is not None:
             parent = os.path.dirname(os.path.abspath(cfg.out))

@@ -22,24 +22,25 @@ from .rng import RngStream
 
 @dataclass(frozen=True)
 class RawTable:
-    """Numeric feature table with labels and an explicit presence mask.
+    """Numeric feature table with labels.
 
-    Missing cells hold NaN in `features` and False in `present`; they are
-    never silently zeroed.
+    A missing cell holds NaN in `features`; it is never silently zeroed.
     """
 
     features: np.ndarray = field(repr=False)
     labels: np.ndarray = field(repr=False)
-    present: np.ndarray = field(repr=False)
-    feature_names: tuple = None
+    feature_names: tuple = field(default=None, kw_only=True)
 
     def __post_init__(self):
         if self.labels.shape[0] != self.features.shape[0]:
             raise DataError(
                 f"label count {self.labels.shape[0]} != row count "
                 f"{self.features.shape[0]}")
-        if self.present.shape != self.features.shape:
-            raise DataError("presence mask shape must match features")
+
+    @property
+    def present(self) -> np.ndarray:
+        """False exactly at the missing cells."""
+        return ~np.isnan(self.features)
 
     @property
     def n_rows(self) -> int:
@@ -124,7 +125,7 @@ def load_csv(path, label_column, delimiter: str = ",", missing_token: str = None
     """Parse a delimiter-separated table into a RawTable.
 
     label_column is a header name (with has_header) or a 0-based column
-    index in [0, width).  Cells equal to missing_token become masked NaNs;
+    index in [0, width).  Cells equal to missing_token become NaN;
     any other non-numeric, NaN or infinite feature cell is a row-indexed
     error, as is a row whose label fails to parse (through label_map if
     given).
@@ -177,9 +178,8 @@ def load_csv(path, label_column, delimiter: str = ",", missing_token: str = None
     names = None
     if header is not None:
         names = tuple(h for j, h in enumerate(header) if j != label_idx)
-    feats = np.array(feats, dtype=float)
-    return RawTable(features=feats, labels=np.array(labels, dtype=int),
-                    present=~np.isnan(feats), feature_names=names)
+    return RawTable(features=np.array(feats, dtype=float),
+                    labels=np.array(labels, dtype=int), feature_names=names)
 
 
 def load_wbcd(path) -> RawTable:
@@ -191,9 +191,7 @@ def load_wbcd(path) -> RawTable:
     if table.n_features != 31:
         raise DataError(
             f"{path}: expected id + 30 features, got {table.n_features} columns")
-    return RawTable(features=table.features[:, 1:],
-                    labels=table.labels,
-                    present=table.present[:, 1:])
+    return RawTable(features=table.features[:, 1:], labels=table.labels)
 
 
 def _text_rows(path) -> list:
@@ -234,7 +232,7 @@ def load_secom(features_path, labels_path) -> RawTable:
         except (ValueError, OverflowError):
             raise DataError(
                 f"{labels_path}:{lineno}: unparseable label {row[0]!r}") from None
-    return RawTable(features=feats, labels=labels, present=~np.isnan(feats))
+    return RawTable(features=feats, labels=labels)
 
 
 _IDX_IMAGE_MAGIC = 0x00000803
@@ -275,8 +273,7 @@ def load_idx(images_path, labels_path) -> RawTable:
         raise DataError(f"image/label count mismatch: {count} images vs "
                         f"{len(labels)} labels")
     feats = pixels.reshape(count, h * w).astype(float) / 255.0
-    return RawTable(features=feats, labels=labels,
-                    present=np.ones_like(feats, dtype=bool))
+    return RawTable(features=feats, labels=labels)
 
 
 def mnist_binarize(table: RawTable, n_pixels: int = 100,
@@ -296,7 +293,6 @@ def mnist_binarize(table: RawTable, n_pixels: int = 100,
     labels = np.where(table.labels % 2 == 0, 1, -1)
     return RawTable(features=table.features[:, idx],
                     labels=labels,
-                    present=table.present[:, idx],
                     feature_names=None if table.feature_names is None
                     else tuple(table.feature_names[i] for i in idx))
 
@@ -305,22 +301,19 @@ def secom_prepare(table: RawTable, n_features: int = 20,
                   rng: RngStream = None) -> RawTable:
     """SECOM-style preparation: drop all-missing columns, pick n_features at
     random, mean-impute what is still missing, normalize labels to +-1."""
-    usable = np.where(table.present.any(axis=0))[0]
+    usable = np.flatnonzero(~np.isnan(table.features).all(axis=0))
     if len(usable) < n_features:
         raise DataError(
             f"only {len(usable)} usable columns, need {n_features}")
     idx = np.sort(rng.choice(len(usable), n_features, replace=False))
     cols = usable[idx]
     feats = table.features[:, cols].copy()
-    mask = table.present[:, cols]
-    for j in range(n_features):
-        col = feats[:, j]
-        missing = ~mask[:, j]
+    for col in feats.T:                 # views: imputing writes into feats
+        missing = np.isnan(col)
         if missing.any():
-            col[missing] = col[mask[:, j]].mean()
+            col[missing] = col[~missing].mean()
     labels = _to_pm1(table.labels).astype(int)
     return RawTable(features=feats, labels=labels,
-                    present=np.ones_like(feats, dtype=bool),
                     feature_names=None if table.feature_names is None
                     else tuple(table.feature_names[c] for c in cols))
 
@@ -346,7 +339,7 @@ def split_standardize(table: RawTable, train_ratio: float = 0.8,
     d_total = table.n_rows
     if d_total < 2:
         raise DataError("need at least 2 rows to split")
-    if not table.present.all():
+    if np.isnan(table.features).any():
         raise DataError("table still has missing cells; impute before splitting")
     labels = _to_pm1(table.labels)
     if len(np.unique(labels)) < 2 and not allow_single_class:
@@ -389,5 +382,4 @@ def synth_two_gaussians(rng: RngStream, d_total: int, d: int,
                    rng.normal(0.0, 1.0, (n_neg, d)) - mu])
     labels = np.concatenate([np.ones(n_pos, dtype=int),
                              -np.ones(n_neg, dtype=int)])
-    return RawTable(features=x, labels=labels,
-                    present=np.ones_like(x, dtype=bool))
+    return RawTable(features=x, labels=labels)

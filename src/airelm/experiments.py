@@ -20,6 +20,7 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -28,9 +29,9 @@ from .activation import RappParams
 from .channel import (ArConfig, NoiseModel, NOISELESS, RiceanConfig,
                       sample_ricean, evolve_ar, sigma2_for_snr)
 from .config import ExperimentConfig
-from .data import (Dataset, RawTable, load_csv, load_idx, load_secom,
-                   load_wbcd, mnist_binarize, secom_prepare,
-                   split_standardize, synth_two_gaussians)
+from .data import (Dataset, load_csv, load_idx, load_secom, load_wbcd,
+                   mnist_binarize, secom_prepare, split_standardize,
+                   synth_two_gaussians)
 from .elm import (HiddenLayer, classify, digital_elm_hidden, fit,
                   online_update, predict)
 from .errors import OutputError
@@ -108,10 +109,8 @@ def _trial_dataset(cfg: ExperimentConfig, base_table, trial: RngStream) -> Datas
     if ds.subsample is not None and ds.subsample < table.n_rows:
         keep = np.sort(trial.split(SUB_FEATSEL, 1).choice(
             table.n_rows, ds.subsample, replace=False))
-        table = RawTable(features=table.features[keep],
-                         labels=table.labels[keep],
-                         present=table.present[keep],
-                         feature_names=table.feature_names)
+        table = replace(table, features=table.features[keep],
+                        labels=table.labels[keep])
     return split_standardize(table, ds.train_ratio, trial.split(SUB_SPLIT))
 
 
@@ -191,24 +190,32 @@ def _digital_trial(cfg, dataset, trial, n_hidden: int):
 # ---------------------------------------------------------------------------
 # experiment runners
 
-def _map_trials(cfg: ExperimentConfig, fn, tasks):
-    """Run fn on every task, on cfg.threads workers, and flatten the row lists.
+def _per_seed(cfg: ExperimentConfig, body):
+    """body(seed, trial, dataset) for every seed, on cfg.threads workers.
 
-    cfg.threads is the only parallelism: BLAS is held at one thread per
-    worker for the whole map, so workers do not oversubscribe the cores and
-    LAPACK results, hence the CSV bytes, do not depend on the core count.
-    Rows come back in task order whatever the thread count.
+    The base table is loaded once; each seed's trial stream is
+    RngStream(master_seed).split(seed) and its dataset is built from that
+    stream.  cfg.threads is the only parallelism: BLAS is held at one thread
+    per worker for the whole map, so workers do not oversubscribe the cores
+    and LAPACK results, hence the CSV bytes, do not depend on the core
+    count.  Results come back in seed order whatever the thread count.
     """
+    base_table = _load_base_table(cfg)
+    if base_table is not None:
+        cfg.check_batch_size(base_table.n_rows)
+
+    def one(seed):
+        trial = RngStream(cfg.master_seed).split(seed)
+        return body(seed, trial, _trial_dataset(cfg, base_table, trial))
+
     with one_blas_thread():
         if cfg.threads > 1:
             with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                nested = list(pool.map(fn, tasks))
-        else:
-            # not a one-worker pool: its thread's own malloc arena raised peak
-            # RSS 57.9 -> 61.2 MB (sweep_nr_wbcd), 39.6 -> 40.7 MB
-            # (snr_sweep_narrow) on a 2-vCPU VM
-            nested = [fn(task) for task in tasks]
-    return [row for rows in nested for row in rows]
+                return list(pool.map(one, range(cfg.seeds)))
+        # not a one-worker pool: its thread's own malloc arena raised peak
+        # RSS 57.9 -> 61.2 MB (sweep_nr_wbcd), 39.6 -> 40.7 MB
+        # (snr_sweep_narrow) on a 2-vCPU VM
+        return [one(seed) for seed in range(cfg.seeds)]
 
 
 def _run_grid(cfg: ExperimentConfig, experiment: str, points):
@@ -225,22 +232,19 @@ def _run_grid(cfg: ExperimentConfig, experiment: str, points):
     block only while a later finite-SNR point needs it.  Results are
     ordered by (point, seed, model) regardless of thread count.
     """
-    base_table = _load_base_table(cfg)
-    ds_name = cfg.dataset.name
     finite = [snr_db != math.inf for _, _, snr_db, _ in points]
     # whether a later finite-SNR point needs point i's noise blocks again
     reused = [any(f and q[0] == p[0]
                   for q, f in zip(points[i + 1:], finite[i + 1:]))
               for i, p in enumerate(points)]
 
-    def one(seed):
-        trial = RngStream(cfg.master_seed).split(seed)
-        dataset = _trial_dataset(cfg, base_table, trial)
+    def one(seed, trial, dataset):
+        row = partial(TrialResult, experiment=experiment,
+                      dataset=cfg.dataset.name, seed=seed)
         chan_key = h = None
         held = {}           # n_r -> (train, test) noise replays
         by_point = []
         for i, (n_r, kappa, snr_db, with_baseline) in enumerate(points):
-            rows = []
             t0 = time.perf_counter()
             if (n_r, kappa) != chan_key:
                 chan_key, p_sig = (n_r, kappa), None
@@ -258,26 +262,22 @@ def _run_grid(cfg: ExperimentConfig, experiment: str, points):
                 train_noise.last = test_noise.last = not reused[i]
             model = fit(layer, dataset.x_train, dataset.t_train, train_noise)
             acc = _accuracy(model, dataset, test_noise)
-            rows.append(TrialResult(
-                experiment=experiment, dataset=ds_name, seed=seed,
-                model="mimo", n_r=n_r, snr_db=snr_db, kappa=kappa,
-                accuracy=acc, train_residual=model.train_residual,
-                receive_power=model.receive_power,
-                wall_ms=(time.perf_counter() - t0) * 1e3))
+            rows = [row(model="mimo", n_r=n_r, snr_db=snr_db, kappa=kappa,
+                        accuracy=acc, train_residual=model.train_residual,
+                        receive_power=model.receive_power,
+                        wall_ms=(time.perf_counter() - t0) * 1e3)]
             if with_baseline:
                 t0 = time.perf_counter()
                 acc, resid, power = _digital_trial(cfg, dataset, trial, n_r)
-                rows.append(TrialResult(
-                    experiment=experiment, dataset=ds_name, seed=seed,
-                    model="digital", n_r=n_r, snr_db=float("inf"),
-                    kappa=kappa, accuracy=acc, train_residual=resid,
-                    receive_power=power,
-                    wall_ms=(time.perf_counter() - t0) * 1e3))
+                rows.append(row(model="digital", n_r=n_r, snr_db=math.inf,
+                                kappa=kappa, accuracy=acc,
+                                train_residual=resid, receive_power=power,
+                                wall_ms=(time.perf_counter() - t0) * 1e3))
             by_point.append(rows)
-        return [by_point]       # one item per seed once flattened
+        return by_point
 
-    per_seed = _map_trials(cfg, one, range(cfg.seeds))
-    return [row for point in zip(*per_seed) for rows in point for row in rows]
+    per_seed = _per_seed(cfg, one)
+    return [r for point in zip(*per_seed) for rows in point for r in rows]
 
 
 def run_sweep_nr(cfg: ExperimentConfig):
@@ -320,15 +320,13 @@ def run_online(cfg: ExperimentConfig):
     the other rows carry none, and the H(0) fit belongs to no step.
     """
     cfg = cfg.resolved()
-    base_table = _load_base_table(cfg)
-    if base_table is not None:
-        cfg.check_batch_size(base_table.n_rows)
-    ds_name = cfg.dataset.name
     ar = ArConfig(eta=cfg.eta)
 
-    def one(seed):
-        trial = RngStream(cfg.master_seed).split(seed)
-        dataset = _trial_dataset(cfg, base_table, trial)
+    def one(seed, trial, dataset):
+        row = partial(TrialResult, experiment="online",
+                      dataset=cfg.dataset.name, seed=seed, model="mimo",
+                      n_r=cfg.n_r, snr_db=cfg.snr_db, kappa=cfg.kappa,
+                      eta=cfg.eta)
         h = _draw_channel(cfg, dataset, trial, cfg.n_r, cfg.kappa)
         p_sig = (_signal_power(dataset, h.real)
                  if cfg.snr_db != math.inf else None)
@@ -355,17 +353,15 @@ def run_online(cfg: ExperimentConfig):
                                   callback=lambda i, m: trace.append(m))
             for i, m in enumerate(trace):
                 acc = _accuracy(m, dataset, test_noise)
-                rows.append(TrialResult(
-                    experiment="online", dataset=ds_name, seed=seed,
-                    model="mimo", n_r=cfg.n_r, snr_db=cfg.snr_db,
-                    kappa=cfg.kappa, eta=cfg.eta, step=step, iteration=i,
-                    accuracy=acc, receive_power=m.receive_power,
-                    normalized_accuracy=(acc / acc_full if acc_full > 0
-                                         else float("nan"))))
+                rows.append(row(step=step, iteration=i, accuracy=acc,
+                                receive_power=m.receive_power,
+                                normalized_accuracy=(acc / acc_full
+                                                     if acc_full > 0
+                                                     else math.nan)))
             rows[-len(trace)].wall_ms = (time.perf_counter() - t0) * 1e3
         return rows
 
-    return _map_trials(cfg, one, range(cfg.seeds))
+    return [r for rows in _per_seed(cfg, one) for r in rows]
 
 
 RUNNERS = {

@@ -225,12 +225,38 @@ def test_blas_thread_env_preserves_bytes(tmp_path):
     ("sweep-nr", "[channel]\npathloss = 0\n", "pathloss must be finite and > 0"),
     ("sweep-nr", "[channel]\nlos_angle_rx = nan\n", "LoS angles must be"),
     ("sweep-nr", "[online]\niters_per_step = -1\n", "iters_per_step must be"),
+    # each used to end in a traceback: a TypeError on loading (no path), a
+    # NaN/Inf error in the solve, an OverflowError drawing digital weights
+    # and a ValueError from RngStream inside a trial
+    ("sweep-nr", "[dataset]\nname = wbcd\n",
+     "dataset 'wbcd' needs [dataset] path"),
+    ("sweep-nr", "[dataset]\nsynth_separation = inf\n",
+     "synth_separation must be finite"),
+    ("sweep-nr", "[dataset]\nsynth_separation = nan\n",
+     "synth_separation must be finite"),
+    ("sweep-nr", "baseline = true\n[model]\ndigital_low = -inf\n",
+     "digital_low < digital_high"),
+    ("sweep-nr", "master_seed = -1\n", "master_seed must be >= 0"),
+    ("sweep-nr", "[dataset]\nname = csv\n",
+     "dataset 'csv' needs [dataset] path"),
+    ("sweep-nr", "[dataset]\nname = mnist\nlabels = {file}\n",
+     "dataset 'mnist' needs [dataset] images"),
+    ("sweep-nr", "[dataset]\nname = mnist\nimages = {file}\n",
+     "dataset 'mnist' needs [dataset] labels"),
+    ("sweep-nr", "[dataset]\nname = secom\nlabels = {file}\n",
+     "dataset 'secom' needs [dataset] path"),
+    ("sweep-nr", "[dataset]\nname = secom\npath = {file}\n",
+     "dataset 'secom' needs [dataset] labels"),
 ], ids=["fractional_n_r", "nan_grid", "minus_inf_snr", "zero_n_r",
         "gamma_above_1", "zero_eta", "zero_batch_size", "odd_alpha",
         "zero_y_sat", "zero_steps", "inverted_digital_range",
         "negative_subsample", "subsample_1", "nan_kappa", "inf_kappa",
         "negative_kappa", "negative_kappa_grid", "inf_pathloss",
-        "zero_pathloss", "nan_los_angle", "negative_iters_per_step"])
+        "zero_pathloss", "nan_los_angle", "negative_iters_per_step",
+        "wbcd_without_path", "inf_separation", "nan_separation",
+        "minus_inf_digital_low", "negative_master_seed", "csv_without_path",
+        "mnist_without_images", "mnist_without_labels", "secom_without_path",
+        "secom_without_labels"])
 def test_bad_sweep_values_exit_1_before_compute(tmp_path, capsys, monkeypatch,
                                                 command, body, message):
     import airelm.cli
@@ -239,7 +265,10 @@ def test_bad_sweep_values_exit_1_before_compute(tmp_path, capsys, monkeypatch,
         raise AssertionError("the experiment ran before the config was checked")
 
     monkeypatch.setattr(airelm.cli, "run", no_compute)
-    cfg = _ini(tmp_path, "[experiment]\nkind = sweep_nr\nseeds = 1\n" + body)
+    data = tmp_path / "data"    # an existing file for the keys that are set
+    data.write_text("")
+    cfg = _ini(tmp_path, "[experiment]\nkind = sweep_nr\nseeds = 1\n"
+               + body.format(file=data))
     rc = main([command, "--config", cfg])
     assert rc == 1
     err = capsys.readouterr().err

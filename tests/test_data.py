@@ -200,7 +200,7 @@ def test_load_idx_header_fuzz(tmp_path):
 def _digit_table():
     feats = np.arange(16, dtype=float).reshape(4, 4) / 16.0
     labels = np.array([0, 1, 2, 7])
-    return RawTable(feats, labels, np.ones((4, 4), dtype=bool))
+    return RawTable(feats, labels)
 
 
 def test_mnist_binarize_parity_labels():
@@ -235,9 +235,8 @@ def _secom_table():
         [3.0, 7.0, np.nan],
         [1.0, 8.0, np.nan],
     ])
-    present = ~np.isnan(feats)
     labels = np.array([-1, -1, 1, -1])
-    return RawTable(feats, labels, present)
+    return RawTable(feats, labels)
 
 
 def _secom_files(tmp_path, features, labels="-1 a\n1 b\n"):
@@ -303,7 +302,7 @@ def _clean_table(rows=10, cols=3, seed=0):
     rng = np.random.default_rng(seed)
     feats = rng.normal(loc=5.0, scale=3.0, size=(rows, cols))
     labels = np.resize([1, -1], rows)
-    return RawTable(feats, labels, np.ones((rows, cols), dtype=bool))
+    return RawTable(feats, labels)
 
 
 def test_split_sizes():
@@ -333,7 +332,7 @@ def test_split_constant_column_flagged():
     table = _clean_table(12)
     feats = table.features.copy()
     feats[:, 1] = 4.2
-    table = RawTable(feats, table.labels, table.present)
+    table = RawTable(feats, table.labels)
     data = split_standardize(table, 0.8, RngStream(3).split(0))
     assert data.stats.constant[1]
     assert not data.stats.constant[0]
@@ -377,7 +376,7 @@ def test_split_rejects_missing_cells():
 
 def test_split_single_class_guard():
     table = _clean_table(10)
-    ones = RawTable(table.features, np.ones(10), table.present)
+    ones = RawTable(table.features, np.ones(10))
     with pytest.raises(DataError):
         split_standardize(ones, 0.8, RngStream(0).split(0))
     split_standardize(ones, 0.8, RngStream(0).split(0), allow_single_class=True)

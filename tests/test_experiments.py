@@ -21,7 +21,6 @@ from airelm.experiments import (
     run_single,
     run_sweep_kappa,
     run_sweep_nr,
-    sha256_file,
     summarize,
     write_manifest,
 )
