@@ -192,14 +192,19 @@ class ExperimentConfig:
             raise ConfigError(f"subsample must be >= 2, got {ds.subsample}")
         if ds.name not in DATASET_FILES:
             raise ConfigError(f"unknown dataset name {ds.name!r}")
-        for label, p in (("dataset path", ds.path), ("images", ds.images),
-                         ("labels", ds.labels)):
-            if p is not None and not os.path.exists(p):
-                raise ConfigError(f"{label} file does not exist: {p}")
+        # a file key the dataset does not read is ignored, set or not
         for key in DATASET_FILES[ds.name]:
-            if getattr(ds, key) is None:
+            p = getattr(ds, key)
+            if p is None:
                 raise ConfigError(f"dataset {ds.name!r} needs [dataset] {key}")
+            if not os.path.exists(p):
+                raise ConfigError(f"[dataset] {key} file does not exist: {p}")
         if ds.name == "synthetic":
+            if ds.synth_size < 2:
+                raise ConfigError(
+                    f"synth_size must be >= 2, got {ds.synth_size}")
+            if ds.synth_d < 1:
+                raise ConfigError(f"synth_d must be >= 1, got {ds.synth_d}")
             if not math.isfinite(ds.synth_separation):
                 raise ConfigError(f"synth_separation must be finite, got "
                                   f"{ds.synth_separation}")

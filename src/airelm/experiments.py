@@ -28,7 +28,7 @@ from . import __version__
 from .activation import RappParams
 from .channel import (ArConfig, NoiseModel, NOISELESS, RiceanConfig,
                       sample_ricean, evolve_ar, sigma2_for_snr)
-from .config import ExperimentConfig
+from .config import DATASET_FILES, ExperimentConfig
 from .data import (Dataset, load_csv, load_idx, load_secom, load_wbcd,
                    mnist_binarize, secom_prepare, split_standardize,
                    synth_two_gaussians)
@@ -471,9 +471,9 @@ def write_manifest(cfg: ExperimentConfig, results, csv_path,
     """
     checksums = {}
     ds = cfg.dataset
-    for p in (ds.path, ds.images, ds.labels):
-        if p is not None:
-            checksums[p] = sha256_file(p)
+    for key in DATASET_FILES[ds.name]:
+        p = getattr(ds, key)
+        checksums[p] = sha256_file(p)
     if ds.name == "synthetic":
         checksums["synthetic"] = (
             f"size={ds.synth_size},d={ds.synth_d},sep={ds.synth_separation}")

@@ -18,9 +18,10 @@ from .rng import RngStream
 
 DEFAULT_REL_TOL = 1e-12
 
-# Largest condition number of G that `min_norm_lstsq` solves through the Gram
-# matrix; see its docstring for the error bound behind the value.
+# Largest condition numbers of G that `min_norm_lstsq` solves through the Gram
+# matrix and through a QR of G; see its docstring for the bounds behind them.
 GRAM_MAX_COND = 1e4
+QR_MAX_COND = 1e6
 
 
 @functools.cache
@@ -124,9 +125,10 @@ def pseudoinverse(a: np.ndarray, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray
     return v @ (inv_s[:, None] * u.T)
 
 
-def _gram_well_conditioned(a: np.ndarray, r: float) -> bool:
-    """Whether the Gram matrix A passes the gate of `min_norm_lstsq`, by
-    the shifted-Cholesky certificate or, when that fails, by `eigvalsh`."""
+def _solver_path(a: np.ndarray, r: float) -> str:
+    """"gram", "qr" or "svd": the path of `min_norm_lstsq` for the Gram
+    matrix A, by the shifted-Cholesky certificate or, when that fails, by
+    `eigvalsh`."""
     n = a.shape[0]
     floor = max(GRAM_MAX_COND ** -2, r * r)
     shifted = a.copy()
@@ -134,14 +136,22 @@ def _gram_well_conditioned(a: np.ndarray, r: float) -> bool:
                               + (n + 1) * np.finfo(float).eps * np.trace(a))
     try:
         np.linalg.cholesky(shifted)
-        return True
+        return "gram"
     except np.linalg.LinAlgError:
         del shifted         # inconclusive; free it before eigvalsh's buffers
     lam = np.linalg.eigvalsh(a)
     lam_min, lam_max = lam[0], lam[-1]          # eigvalsh sorts ascending
     tau = r * np.sqrt(max(lam_max, 0.0))
-    return bool(lam_min > 0.0 and lam_max <= GRAM_MAX_COND ** 2 * lam_min
-                and lam_min > tau ** 2)
+    if not (lam_min > 0.0 and lam_min > tau ** 2):
+        return "svd"
+    if lam_max <= GRAM_MAX_COND ** 2 * lam_min:
+        return "gram"
+    # the band's edge must also stand clear of eigvalsh's n * eps * lam_max
+    # error; kappa <= QR_MAX_COND implies that up to n = 450
+    if (lam_max <= QR_MAX_COND ** 2 * lam_min
+            and 10 * n * np.finfo(float).eps * lam_max <= lam_min):
+        return "qr"
+    return "svd"
 
 
 def min_norm_lstsq(g: np.ndarray, t: np.ndarray,
@@ -149,43 +159,67 @@ def min_norm_lstsq(g: np.ndarray, t: np.ndarray,
     """Minimum-norm least-squares solution w of G w ~= t, i.e. w = G^+ t.
 
     Among all minimizers of ||G w - t|| the returned w has the smallest
-    Euclidean norm and lies in the row space of G.  Two paths compute it:
+    Euclidean norm and lies in the row space of G.  Three paths compute it,
+    chosen from the eigenvalues lam of the Gram matrix A = G G^T (n x n)
+    when G has no more rows than columns, else G^T G, with
+    kappa(G) = sqrt(lam_max / lam_min) and the cutoff tau below:
 
-    - Gram solve.  A = G G^T (n x n) when G has no more rows than columns,
-      else G^T G.  An LU solve (`np.linalg.solve`) gives w = G^T A^-1 t
-      (wide G) or w = A^-1 G^T t (tall G).  It runs when A's eigenvalues
-      lam pass the gate: lam_min > 0, the condition number
-      kappa(G) = sqrt(lam_max / lam_min) is at most GRAM_MAX_COND, and
-      lam_min > tau^2 for the cutoff tau below.
+    - Gram solve, when lam_min > tau^2 and kappa(G) <= GRAM_MAX_COND.  An
+      LU solve (`np.linalg.solve`) gives w = G^T A^-1 t (wide G) or
+      w = A^-1 G^T t (tall G).
+    - Householder QR, when lam_min > tau^2,
+      GRAM_MAX_COND < kappa(G) <= QR_MAX_COND and
+      lam_min >= 10 * n * eps * lam_max.  For a wide G, G^T = Q R and
+      w = Q R^-T t; for a tall G, G = Q R and w = R^-1 Q^T t.
     - Thin SVD of G, keeping singular values above
       tau = r * s_max, r = rel_tol * max(rows, cols), for every other G.
 
-    The gate is decided without the eigenvalues when a Cholesky
-    factorization of A - s I completes, for the shift
+    The choice takes up to four steps:
 
-        s = 2 ||A||_F * max(GRAM_MAX_COND^-2, r^2) + (n + 1) * eps * tr(A).
+    1. Certificate.  The Gram path runs without the eigenvalues when a
+       Cholesky factorization of A - s I completes, for the shift
 
-    Why that gives the same decision: ||A||_F >= lam_max, and a computed
-    Cholesky factor R of a symmetric M has R^T R = M + dM with
-    ||dM||_2 <= gamma_(n+1) tr(M) (Higham, Accuracy and Stability of
-    Numerical Algorithms, Thm 10.3), which the trace term covers along
-    with the rounding of the shift (eps is twice the unit roundoff).  So a
-    factor that completes proves lam_min >= 2 * 1e-8 * lam_max and
-    lam_min > 2 tau^2: twice what the gate needs.  That margin dwarfs the
-    n * eps * lam_max error of the `eigvalsh` values, which therefore pass
-    the gate too, and the path and every output bit are unchanged.  When
-    the factorization fails the test is inconclusive (||A||_F can exceed
-    lam_max by up to sqrt(n)) and `eigvalsh` decides.
+           s = 2 ||A||_F * max(GRAM_MAX_COND^-2, r^2) + (n + 1) * eps * tr(A).
+
+       Why that gives the same decision: ||A||_F >= lam_max, and a computed
+       Cholesky factor R of a symmetric M has R^T R = M + dM with
+       ||dM||_2 <= gamma_(n+1) tr(M) (Higham, Accuracy and Stability of
+       Numerical Algorithms, Thm 10.3), which the trace term covers along
+       with the rounding of the shift (eps is twice the unit roundoff).  So
+       a factor that completes proves lam_min >= 2 * 1e-8 * lam_max and
+       lam_min > 2 tau^2: twice what the gate needs.  That margin dwarfs
+       the n * eps * lam_max error of the `eigvalsh` values, which
+       therefore pass the gate too, and the path and every output bit are
+       unchanged.
+    2. Exact gate.  When the factorization fails the test is inconclusive
+       (||A||_F can exceed lam_max by up to sqrt(n)) and the `eigvalsh`
+       values decide between the Gram solve and the two steps below.
+    3. QR band, read off the same eigenvalues.
+    4. SVD, for kappa(G) > QR_MAX_COND or lam_min <= tau^2: the path for a
+       numerically rank-deficient G.
 
     Why the bound 1e4: forming A squares the conditioning, so the Gram
     solve's relative error grows like kappa^2 * eps, about 1e-8 at 1e4.
-    Past it the SVD is the accurate path.  The LU solve of A adds an error
-    of the same order, kappa(A) * eps = kappa^2 * eps.  Both paths solve
-    the same problem: a G on the Gram path has s_min / s_max >= 1e-4,
-    while the SVD path drops only s <= tau, and at the default rel_tol
-    tau / s_max is 1e-12 * max(rows, cols), far below 1e-4.  For a larger
-    rel_tol the Gram path also requires s_min > tau, so no singular value
-    the SVD path would drop ever reaches the Gram path.
+    The LU solve of A adds an error of the same order,
+    kappa(A) * eps = kappa^2 * eps.  Past 1e4 the QR and the SVD, both
+    backward stable on G itself (Golub and Van Loan, Matrix Computations,
+    sections 5.3 and 5.6), are the accurate paths, with errors of order
+    kappa * eps.
+
+    Why the bound 1e6: `eigvalsh`'s absolute error is about
+    n * eps * lam_max <= 1e-13 * lam_max for n <= 450, a tenth of the
+    smallest lam_min the band admits (1e-12 * lam_max), so the band's
+    decision is resolved; for a larger n the last condition keeps that
+    margin.  A G in the band has s_min >= 1e-6 * s_max, at
+    least 1000 times the default tau = 1e-12 * max(rows, cols) * s_max, so
+    the SVD would cut nothing and both paths return G^+ t.  On one BLAS
+    thread (2-vCPU Xeon VM, numpy 2.4.6, OpenBLAS 0.3.31) a 455 x 455 G
+    costs about 55 ms in the SVD against 12.3 ms for the QR and 3.5 ms for
+    the R^T solve.
+
+    All paths solve the same problem: a G on the Gram or QR path has
+    s_min > tau, so no singular value the SVD path would drop ever reaches
+    them, whatever rel_tol is.
     """
     g = np.asarray(g, dtype=float)
     t = np.asarray(t, dtype=float)
@@ -200,11 +234,18 @@ def min_norm_lstsq(g: np.ndarray, t: np.ndarray,
     wide = g.shape[0] <= g.shape[1]
     if g.size:
         a = g @ g.T if wide else g.T @ g
-        if _gram_well_conditioned(a, r):
+        path = _solver_path(a, r)
+        if path == "gram":
             if wide:
                 return g.T @ np.linalg.solve(a, t)
             return np.linalg.solve(a, g.T @ t)
-        del a               # free the Gram matrix before the SVD's buffers
+        del a               # free the Gram matrix before the next buffers
+        if path == "qr":
+            if wide:
+                q, tri = np.linalg.qr(g.T)
+                return q @ np.linalg.solve(tri.T, t)
+            q, tri = np.linalg.qr(g)
+            return np.linalg.solve(tri, q.T @ t)
     u, s, v = svd(g)
     keep = s > r * (s[0] if s.size else 0.0)
     coeff = np.zeros_like(s)

@@ -247,6 +247,12 @@ def test_blas_thread_env_preserves_bytes(tmp_path):
      "dataset 'secom' needs [dataset] path"),
     ("sweep-nr", "[dataset]\nname = secom\npath = {file}\n",
      "dataset 'secom' needs [dataset] labels"),
+    # each used to end as a data error (exit 2) from the first trial
+    ("sweep-nr", "[dataset]\nsynth_d = 0\n", "synth_d must be >= 1, got 0"),
+    ("sweep-nr", "[dataset]\nsynth_size = 1\n",
+     "synth_size must be >= 2, got 1"),
+    ("sweep-nr", "[dataset]\nsynth_size = -5\n",
+     "synth_size must be >= 2, got -5"),
 ], ids=["fractional_n_r", "nan_grid", "minus_inf_snr", "zero_n_r",
         "gamma_above_1", "zero_eta", "zero_batch_size", "odd_alpha",
         "zero_y_sat", "zero_steps", "inverted_digital_range",
@@ -256,7 +262,8 @@ def test_blas_thread_env_preserves_bytes(tmp_path):
         "wbcd_without_path", "inf_separation", "nan_separation",
         "minus_inf_digital_low", "negative_master_seed", "csv_without_path",
         "mnist_without_images", "mnist_without_labels", "secom_without_path",
-        "secom_without_labels"])
+        "secom_without_labels", "zero_synth_d", "synth_size_1",
+        "negative_synth_size"])
 def test_bad_sweep_values_exit_1_before_compute(tmp_path, capsys, monkeypatch,
                                                 command, body, message):
     import airelm.cli
@@ -274,6 +281,35 @@ def test_bad_sweep_values_exit_1_before_compute(tmp_path, capsys, monkeypatch,
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith("config error:") and message in err
+
+
+def test_file_key_the_dataset_does_not_read_is_not_checked(tmp_path):
+    out = tmp_path / "r.csv"
+    cfg = _ini(tmp_path, "[experiment]\nseeds = 1\n"
+               "[dataset]\nname = synthetic\nsynth_size = 40\n"
+               "path = nosuch.csv\n[model]\nn_r = 16\n")
+    assert main(["single", "--config", cfg, "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 2
+
+
+def test_file_key_the_dataset_does_not_read_is_not_checksummed(
+        tmp_path, monkeypatch):
+    import airelm.experiments
+
+    def no_read(path):
+        raise AssertionError(f"read {path}, which the dataset does not use")
+
+    monkeypatch.setattr(airelm.experiments, "sha256_file", no_read)
+    leftover = tmp_path / "leftover.csv"
+    leftover.write_text("a,label\n1,1\n")
+    out = tmp_path / "r.csv"
+    cfg = _ini(tmp_path, "[experiment]\nseeds = 1\n"
+               "[dataset]\nname = synthetic\nsynth_size = 40\n"
+               f"path = {leftover}\nimages = {leftover}\n"
+               "[model]\nn_r = 16\n")
+    assert main(["single", "--config", cfg, "--out", str(out)]) == 0
+    doc = json.loads(pathlib.Path(str(out) + ".manifest.json").read_text())
+    assert doc["dataset_checksums"] == {"synthetic": "size=40,d=8,sep=4.0"}
 
 
 @pytest.mark.parametrize("dataset, d_train", [

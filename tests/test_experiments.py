@@ -469,3 +469,40 @@ def test_config_rejects_unknown_kind():
     with pytest.raises(ConfigError):
         ExperimentConfig(kind="sweep_everything",
                          dataset=DatasetConfig(name="synthetic")).resolved()
+
+
+# ------------------------------------------------------- solver paths
+
+WORKLOADS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+def test_wbcd_threshold_fits_take_qr_not_svd(tmp_path, monkeypatch):
+    """At N_r = D_train = 455 on the benchmark's WBCD stand-in, every fit
+    is full rank with kappa(G) in the QR band (1e4, 1e6]: none needs the
+    SVD.  The workloads file is run from source, so nothing is written
+    next to it."""
+    import runpy
+    from airelm import numkernel
+    from airelm.cli import main
+
+    write_wdbc = runpy.run_path(str(WORKLOADS))["write_wdbc"]
+    data = tmp_path / "wdbc.data"
+    write_wdbc(data, 7919)
+    ini = tmp_path / "exp.ini"
+    ini.write_text("[experiment]\nseeds = 3\nmaster_seed = 7919\n"
+                   "baseline = true\n"
+                   f"[dataset]\nname = wbcd\npath = {data}\n"
+                   "[channel]\nsnr_db = 20\n[sweep]\ngrid = 455\n")
+    calls = {"qr": 0, "svd": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "qr", counted("qr", np.linalg.qr))
+    monkeypatch.setattr(numkernel, "svd", counted("svd", numkernel.svd))
+    assert main(["sweep-nr", "--config", str(ini)]) == 0
+    assert calls["svd"] == 0
+    assert calls["qr"] > 0

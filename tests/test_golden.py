@@ -25,7 +25,7 @@ COMMON = ("[experiment]\nseeds = 2\nmaster_seed = 5\nbaseline = true\n"
 
 CASES = {
     "sweep-nr": ("[sweep]\ngrid = 16, 64\n",
-                 "503158573a9a6b7b5d1a451c97d074b6cf9fdffed52f935629aca93d52eb493b"),
+                 "c62ff1e35e74ecb36f1a031b3a7c647acba4c3f3ec0c41c1a759b7242cd9d26b"),
     "sweep-snr": ("[sweep]\ngrid = 0, 30\n",
                   "86527f5cc49937a8cc2d59b0bb66af9ae9da57655e3a5343acb602d5592b8c8f"),
     "sweep-kappa": ("[sweep]\ngrid = 0, 10\n",
@@ -33,7 +33,7 @@ CASES = {
     "online": ("[online]\nsteps = 2\niters_per_step = 2\nbatch_size = 16\n",
                "e011f3babe762fba6d6b9d6cffc33631d734356c0be0476337000c46fbf24309"),
     "single": ("",
-               "bed39411ab99061deee2d632eeb2dc6d8babd61cf584ff2d4ca2725610c66537"),
+               "6830810596d2542a66929d6b752beaacedd3f8774f5432b9a12fd0c5c186a6bf"),
 }
 
 
@@ -66,9 +66,10 @@ def test_threshold_sweep_matches_golden_hash_on_every_solver_path(
         tmp_path, monkeypatch):
     """A grid straddling N_r = D_train = 96: of its 16 fits, 5 have a Gram
     matrix the shifted Cholesky certifies, 2 (N_r = 94) one that only
-    `eigvalsh` admits, and 9 take the SVD (N_r = 95 on seed 0 and every
-    sigmoid baseline)."""
-    calls = {"lstsq": 0, "eigvalsh": 0, "svd": 0}
+    `eigvalsh` admits, 7 take the QR (1e4 < kappa <= 1e6: N_r = 95 on
+    seed 0 and the sigmoid baselines at N_r = 64, 94 and 128) and 2 the SVD
+    (the sigmoid baselines at N_r = 95, kappa 2.1e6 and 1.4e6)."""
+    calls = {"lstsq": 0, "eigvalsh": 0, "qr": 0, "svd": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -78,11 +79,12 @@ def test_threshold_sweep_matches_golden_hash_on_every_solver_path(
 
     monkeypatch.setattr(airelm.elm, "min_norm_lstsq",
                         counted("lstsq", airelm.elm.min_norm_lstsq))
-    monkeypatch.setattr(np.linalg, "eigvalsh",
-                        counted("eigvalsh", np.linalg.eigvalsh))
+    for key in ("eigvalsh", "qr"):
+        monkeypatch.setattr(np.linalg, key, counted(key, getattr(np.linalg, key)))
     monkeypatch.setattr(airelm.numkernel, "svd",
                         counted("svd", airelm.numkernel.svd))
     _check_hash(tmp_path, "sweep-nr", "[sweep]\ngrid = 64, 94, 95, 128\n",
-                "a68fe7803c15f7d7d7e61cb84a314485172c8515af970b5f9c25d5d8ff3b258f")
+                "19f088526a8fdda8a208c92ec04d06a87ab527789f0ed1cc87bbe37af3e81c55")
     assert (calls["lstsq"] - calls["eigvalsh"],
-            calls["eigvalsh"] - calls["svd"], calls["svd"]) == (5, 2, 9)
+            calls["eigvalsh"] - calls["qr"] - calls["svd"], calls["qr"],
+            calls["svd"]) == (5, 2, 7, 2)

@@ -18,6 +18,7 @@ from airelm import numkernel
 from airelm.numkernel import (
     DEFAULT_REL_TOL,
     GRAM_MAX_COND,
+    QR_MAX_COND,
     min_norm_lstsq,
     pseudoinverse,
     sample_cgaussian,
@@ -167,11 +168,13 @@ def _solver_cases():
     """(G, t, the path min_norm_lstsq must take).
 
     The path is "certified" (Gram solve, proven well-conditioned by the
-    shifted Cholesky), "gated" (Gram solve, admitted by `eigvalsh`) or
-    "svd".  Inputs on both sides of GRAM_MAX_COND = 1e4: random wide, tall
-    and square G, geometric spectra at 1e3, 5e3, 2e4 and 1e7, spread ones
-    (all singular values 1 but the last) between the certified limit,
-    about 3.6e3 at 16x16, and 1e4 and just above 1e4, and a rank-3 8x8.
+    shifted Cholesky), "gated" (Gram solve, admitted by `eigvalsh`), "qr"
+    (GRAM_MAX_COND < kappa <= QR_MAX_COND, read off `eigvalsh`) or "svd".
+    Inputs on both sides of GRAM_MAX_COND = 1e4 and QR_MAX_COND = 1e6:
+    random wide, tall and square G, geometric spectra at 1e3, 5e3, 2e4,
+    1e5, 9e5, 2e6 and 1e7, spread ones (all singular values 1 but the last)
+    between the certified limit, about 3.6e3 at 16x16, and 1e4 and just
+    above 1e4, and a rank-3 8x8.
     """
     rng = np.random.default_rng(3)
     cases = []
@@ -181,15 +184,20 @@ def _solver_cases():
     for g, path in [(_conditioned(rng, 12, 30, 1e3), "certified"),
                     (_conditioned(rng, 30, 12, 1e3), "certified"),
                     (_conditioned(rng, 16, 16, 5e3), "certified"),
-                    (_conditioned(rng, 16, 16, 2e4), "svd"),
+                    (_conditioned(rng, 16, 16, 2e4), "qr"),
                     (_conditioned(rng, 12, 12, 1e7), "svd"),
                     (_spread(rng, 16, 16, 5e3), "gated"),
                     (_spread(rng, 12, 30, 9e3), "gated"),
                     (_spread(rng, 30, 12, 9.9e3), "gated"),
-                    (_spread(rng, 16, 16, 1.02e4), "svd"),
+                    (_spread(rng, 16, 16, 1.02e4), "qr"),
                     (rng.normal(size=(8, 3)) @ rng.normal(size=(3, 8)),
                      "svd")]:
         cases.append((g, rng.normal(size=g.shape[0]), path))
+    for cond in (2e4, 1e5, 9e5, 2e6):
+        for rows, cols in [(12, 30), (30, 12), (16, 16)]:
+            g = _conditioned(rng, rows, cols, cond)
+            cases.append((g, rng.normal(size=rows),
+                          "qr" if cond <= QR_MAX_COND else "svd"))
     return cases
 
 
@@ -200,6 +208,15 @@ def test_min_norm_matches_numpy_lstsq():
         assert np.allclose(w, ref, atol=1e-10)
 
 
+def test_min_norm_qr_band_matches_numpy_lstsq_to_1e_9():
+    cases = [(g, t) for g, t, path in _solver_cases() if path == "qr"]
+    assert len(cases) == 11
+    for g, t in cases:
+        w = min_norm_lstsq(g, t)
+        ref = np.linalg.lstsq(g, t, rcond=DEFAULT_REL_TOL * max(g.shape))[0]
+        assert np.linalg.norm(w - ref) <= 1e-9 * np.linalg.norm(ref)
+
+
 def _counting(calls, fn):
     def counted(*args, **kwargs):
         calls.append(args[0].shape)
@@ -207,23 +224,72 @@ def _counting(calls, fn):
     return counted
 
 
+def _path_taken(monkeypatch, g, t, rel_tol=DEFAULT_REL_TOL):
+    """The path one `min_norm_lstsq` call takes, from the factorizations it
+    calls, and its result."""
+    calls = {name: [] for name in ("eigvalsh", "qr", "svd")}
+    with monkeypatch.context() as mp:
+        for name in ("eigvalsh", "qr"):
+            mp.setattr(np.linalg, name,
+                       _counting(calls[name], getattr(np.linalg, name)))
+        mp.setattr(numkernel, "svd", _counting(calls["svd"], numkernel.svd))
+        w = min_norm_lstsq(g, t, rel_tol)
+    counts = tuple(len(calls[name]) for name in ("eigvalsh", "qr", "svd"))
+    paths = {(0, 0, 0): "certified", (1, 0, 0): "gated", (1, 1, 0): "qr",
+             (1, 0, 1): "svd"}
+    assert counts in paths, counts
+    return paths[counts], w
+
+
+def _eigvalsh_rule(g, rel_tol):
+    """The path G's Gram matrix takes by its eigenvalues: "gram", "qr" or
+    "svd"."""
+    a = g @ g.T if g.shape[0] <= g.shape[1] else g.T @ g
+    lam = np.linalg.eigvalsh(a)
+    tau = rel_tol * max(g.shape) * np.sqrt(max(lam[-1], 0.0))
+    if not (lam[0] > 0.0 and lam[0] > tau ** 2):
+        return "svd"
+    if lam[-1] <= GRAM_MAX_COND ** 2 * lam[0]:
+        return "gram"
+    resolved = 10 * len(lam) * np.finfo(float).eps * lam[-1] <= lam[0]
+    return "qr" if lam[-1] <= QR_MAX_COND ** 2 * lam[0] and resolved else "svd"
+
+
+def _rule_allows(rule, path):
+    return path in {"gram": ("certified", "gated")}.get(rule, (rule,))
+
+
 def test_min_norm_svd_fallback_only_when_ill_conditioned(monkeypatch):
-    """The Gram solve and the SVD stay two branches, chosen by kappa(G)."""
-    calls = []
-    monkeypatch.setattr(numkernel, "svd", _counting(calls, numkernel.svd))
+    """The Gram solve, the QR and the SVD stay separate branches, chosen by
+    kappa(G) as `eigvalsh` reads it; the certificate only skips
+    `eigvalsh`."""
     for g, t, path in _solver_cases():
-        calls.clear()
-        min_norm_lstsq(g, t)
-        assert len(calls) == int(path == "svd"), (g.shape, np.linalg.cond(g))
+        taken, _ = _path_taken(monkeypatch, g, t)
+        assert taken == path, (path, g.shape, np.linalg.cond(g))
+        assert _rule_allows(_eigvalsh_rule(g, DEFAULT_REL_TOL), path)
     # a rel_tol whose cutoff lies above s_min sends even kappa = 1e3 to the
-    # SVD, which then drops the directions below the cutoff
+    # SVD, which then drops the directions below the cutoff; at kappa = 1e5
+    # it does so although kappa lies inside the QR band
     rng = np.random.default_rng(4)
-    g, t = _conditioned(rng, 12, 12, 1e3), rng.normal(size=12)
-    calls.clear()
-    w = min_norm_lstsq(g, t, rel_tol=1e-3)
-    assert len(calls) == 1
-    ref = np.linalg.lstsq(g, t, rcond=1e-3 * 12)[0]
-    assert np.allclose(w, ref, atol=1e-10)
+    for cond in (1e3, 1e5):
+        g, t = _conditioned(rng, 12, 12, cond), rng.normal(size=12)
+        assert np.linalg.svd(g, compute_uv=False)[-1] <= 1e-3 * 12
+        taken, w = _path_taken(monkeypatch, g, t, rel_tol=1e-3)
+        assert taken == "svd"
+        ref = np.linalg.lstsq(g, t, rcond=1e-3 * 12)[0]
+        assert np.allclose(w, ref, atol=1e-10)
+
+
+def test_min_norm_qr_band_needs_eigenvalues_resolved(monkeypatch):
+    """At n = 520 a kappa of 9.5e5 lies inside QR_MAX_COND, but lam_min is
+    below 10 n eps lam_max, so `eigvalsh` cannot place it: the SVD runs."""
+    rng = np.random.default_rng(6)
+    g = _conditioned(rng, 520, 520, 9.5e5)
+    lam = np.linalg.eigvalsh(g @ g.T)
+    assert lam[-1] <= QR_MAX_COND ** 2 * lam[0]
+    assert _eigvalsh_rule(g, DEFAULT_REL_TOL) == "svd"
+    taken, _ = _path_taken(monkeypatch, g, rng.normal(size=520))
+    assert taken == "svd"
 
 
 def test_min_norm_calls_eigvalsh_only_when_certificate_fails(monkeypatch):
@@ -234,15 +300,6 @@ def test_min_norm_calls_eigvalsh_only_when_certificate_fails(monkeypatch):
         calls.clear()
         min_norm_lstsq(g, t)
         assert len(calls) == int(path != "certified"), (path, g.shape)
-
-
-def _eigvalsh_rule(g, rel_tol):
-    """Whether G's Gram matrix passes the kappa gate, from its eigenvalues."""
-    a = g @ g.T if g.shape[0] <= g.shape[1] else g.T @ g
-    lam = np.linalg.eigvalsh(a)
-    tau = rel_tol * max(g.shape) * np.sqrt(max(lam[-1], 0.0))
-    return bool(lam[0] > 0.0 and lam[-1] <= GRAM_MAX_COND ** 2 * lam[0]
-                and lam[0] > tau ** 2)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -259,18 +316,16 @@ def test_min_norm_path_follows_eigvalsh_rule(shape, log_cond, spread, rel_tol,
     path the eigenvalues pick, over kappa in [1, 1e7]."""
     rng = np.random.default_rng(seed)
     g = (_spread if spread else _conditioned)(rng, *shape, 10.0 ** log_cond)
-    calls = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(numkernel, "svd", _counting(calls, numkernel.svd))
-        min_norm_lstsq(g, rng.normal(size=shape[0]), rel_tol)
-    assert len(calls) == int(not _eigvalsh_rule(g, rel_tol))
+        taken, _ = _path_taken(mp, g, rng.normal(size=shape[0]), rel_tol)
+    assert _rule_allows(_eigvalsh_rule(g, rel_tol), taken)
 
 
 def test_min_norm_rejects_bad_rel_tol_before_any_factorization(monkeypatch):
     def no_factorization(*args, **kwargs):
         raise AssertionError("factorized before rel_tol was checked")
 
-    for name in ("cholesky", "eigvalsh", "solve"):
+    for name in ("cholesky", "eigvalsh", "qr", "solve"):
         monkeypatch.setattr(np.linalg, name, no_factorization)
     monkeypatch.setattr(numkernel, "svd", no_factorization)
     for rel_tol in (0.0, 1.0, -1e-3, float("nan")):
