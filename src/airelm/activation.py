@@ -88,13 +88,15 @@ def sigmoid(x):
     """Logistic function 1 / (1 + exp(-x)), overflow-safe for any finite x.
 
     With e = exp(-|x|), which never overflows, it is 1 / (1 + e) for
-    x >= 0 and e / (1 + e) below; both halves are computed in place.
+    x >= 0 and e / (1 + e) below.  The numerator exp(min(x, 0)) is exactly
+    1 for x >= 0 and exactly e below, without a per-element select.
     """
     x = np.asarray(x, dtype=float)
     e = np.abs(x, out=np.empty_like(x))
     np.negative(e, out=e)
     np.exp(e, out=e)
-    out = np.where(x >= 0, 1.0, e)
+    out = np.minimum(x, 0.0, out=np.empty_like(x))
+    np.exp(out, out=out)
     e += 1.0
     out /= e
     if out.ndim == 0:

@@ -114,7 +114,7 @@ def _finite_cell(cell: str, missing: str, path, lineno: int,
     except ValueError:
         raise DataError(f"{path}:{lineno}: non-numeric cell {cell!r} in "
                         f"column {column}") from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise DataError(f"{path}:{lineno}: non-finite cell {cell!r} in "
                         f"column {column}")
     return value

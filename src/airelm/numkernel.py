@@ -125,20 +125,31 @@ def pseudoinverse(a: np.ndarray, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray
     return v @ (inv_s[:, None] * u.T)
 
 
-def _solver_path(a: np.ndarray, r: float) -> str:
-    """"gram", "qr" or "svd": the path of `min_norm_lstsq` for the Gram
-    matrix A, by the shifted-Cholesky certificate or, when that fails, by
-    `eigvalsh`."""
+def _certified(a: np.ndarray, floor: float) -> bool:
+    """True when a Cholesky factorization of A - s I completes for the shift
+    s = 2 ||A||_F * floor + (n + 1) * eps * tr(A), which proves
+    lam_min(A) >= 2 * floor * lam_max(A); see `min_norm_lstsq`."""
     n = a.shape[0]
-    floor = max(GRAM_MAX_COND ** -2, r * r)
     shifted = a.copy()
     shifted.flat[::n + 1] -= (2.0 * np.linalg.norm(a) * floor
                               + (n + 1) * np.finfo(float).eps * np.trace(a))
     try:
         np.linalg.cholesky(shifted)
-        return "gram"
+        return True
     except np.linalg.LinAlgError:
-        del shifted         # inconclusive; free it before eigvalsh's buffers
+        return False
+
+
+def _solver_path(a: np.ndarray, r: float) -> str:
+    """"gram", "qr" or "svd": the path of `min_norm_lstsq` for the Gram
+    matrix A, by two shifted-Cholesky certificates or, when both fail, by
+    `eigvalsh`."""
+    n = a.shape[0]
+    eps = np.finfo(float).eps
+    if _certified(a, max(GRAM_MAX_COND ** -2, r * r)):
+        return "gram"
+    if _certified(a, max(QR_MAX_COND ** -2, r * r, 5 * n * eps)):
+        return "qr"
     lam = np.linalg.eigvalsh(a)
     lam_min, lam_max = lam[0], lam[-1]          # eigvalsh sorts ascending
     tau = r * np.sqrt(max(lam_max, 0.0))
@@ -149,7 +160,7 @@ def _solver_path(a: np.ndarray, r: float) -> str:
     # the band's edge must also stand clear of eigvalsh's n * eps * lam_max
     # error; kappa <= QR_MAX_COND implies that up to n = 450
     if (lam_max <= QR_MAX_COND ** 2 * lam_min
-            and 10 * n * np.finfo(float).eps * lam_max <= lam_min):
+            and 10 * n * eps * lam_max <= lam_min):
         return "qr"
     return "svd"
 
@@ -159,67 +170,68 @@ def min_norm_lstsq(g: np.ndarray, t: np.ndarray,
     """Minimum-norm least-squares solution w of G w ~= t, i.e. w = G^+ t.
 
     Among all minimizers of ||G w - t|| the returned w has the smallest
-    Euclidean norm and lies in the row space of G.  Three paths compute it,
-    chosen from the eigenvalues lam of the Gram matrix A = G G^T (n x n)
-    when G has no more rows than columns, else G^T G, with
-    kappa(G) = sqrt(lam_max / lam_min) and the cutoff tau below:
+    Euclidean norm and lies in the row space of G.  With the Gram matrix
+    A = G G^T (n x n) when G has no more rows than columns, else G^T G, its
+    eigenvalues lam, kappa(G) = sqrt(lam_max / lam_min) and the cutoff
+    tau = r * s_max, r = rel_tol * max(rows, cols), three paths compute it:
 
-    - Gram solve, when lam_min > tau^2 and kappa(G) <= GRAM_MAX_COND.  An
-      LU solve (`np.linalg.solve`) gives w = G^T A^-1 t (wide G) or
-      w = A^-1 G^T t (tall G).
-    - Householder QR, when lam_min > tau^2,
-      GRAM_MAX_COND < kappa(G) <= QR_MAX_COND and
-      lam_min >= 10 * n * eps * lam_max.  For a wide G, G^T = Q R and
-      w = Q R^-T t; for a tall G, G = Q R and w = R^-1 Q^T t.
-    - Thin SVD of G, keeping singular values above
-      tau = r * s_max, r = rel_tol * max(rows, cols), for every other G.
+    - Gram solve: an LU solve (`np.linalg.solve`) of A gives
+      w = G^T A^-1 t (wide G) or w = A^-1 G^T t (tall G).
+    - QR band, for a G proven full rank with kappa(G) <= QR_MAX_COND.  A
+      square G then has G^+ = G^-1, and one LU solve gives w = G^-1 t; for
+      a wide G, G^T = Q R and w = Q R^-T t; for a tall G, G = Q R and
+      w = R^-1 Q^T t (Householder QR, `np.linalg.qr`).
+    - Thin SVD of G, keeping singular values above tau.
 
-    The choice takes up to four steps:
+    The path is picked in up to four steps:
 
-    1. Certificate.  The Gram path runs without the eigenvalues when a
-       Cholesky factorization of A - s I completes, for the shift
+    1. Gram certificate.  The Gram solve runs when a Cholesky factorization
+       of A - s I completes for the shift
 
-           s = 2 ||A||_F * max(GRAM_MAX_COND^-2, r^2) + (n + 1) * eps * tr(A).
+           s = 2 ||A||_F * f + (n + 1) * eps * tr(A),
+           f = max(GRAM_MAX_COND^-2, r^2).
 
-       Why that gives the same decision: ||A||_F >= lam_max, and a computed
-       Cholesky factor R of a symmetric M has R^T R = M + dM with
-       ||dM||_2 <= gamma_(n+1) tr(M) (Higham, Accuracy and Stability of
-       Numerical Algorithms, Thm 10.3), which the trace term covers along
-       with the rounding of the shift (eps is twice the unit roundoff).  So
-       a factor that completes proves lam_min >= 2 * 1e-8 * lam_max and
-       lam_min > 2 tau^2: twice what the gate needs.  That margin dwarfs
-       the n * eps * lam_max error of the `eigvalsh` values, which
-       therefore pass the gate too, and the path and every output bit are
-       unchanged.
-    2. Exact gate.  When the factorization fails the test is inconclusive
-       (||A||_F can exceed lam_max by up to sqrt(n)) and the `eigvalsh`
-       values decide between the Gram solve and the two steps below.
-    3. QR band, read off the same eigenvalues.
-    4. SVD, for kappa(G) > QR_MAX_COND or lam_min <= tau^2: the path for a
-       numerically rank-deficient G.
+       ||A||_F >= lam_max, and a computed Cholesky factor R of a symmetric M
+       has R^T R = M + dM with ||dM||_2 <= gamma_(n+1) tr(M) (Higham,
+       Accuracy and Stability of Numerical Algorithms, Thm 10.3), which the
+       trace term covers along with the rounding of the shift (eps is twice
+       the unit roundoff).  So a factor that completes proves
+       lam_min >= 2 f lam_max: kappa(G) <= 7.1e3 and lam_min > 2 tau^2,
+       with a margin that dwarfs the n * eps * lam_max error of `eigvalsh`,
+       whose values would pick the Gram solve too.
+    2. QR certificate.  The same test at f = max(QR_MAX_COND^-2, r^2,
+       5 n eps) proves kappa(G) <= 7.1e5, lam_min > 2 tau^2 and
+       lam_min >= 10 n eps lam_max, every condition of the band in step 3,
+       and sends G to the QR band.  It also takes fits with
+       kappa(G) <= GRAM_MAX_COND that step 1 missed (||A||_F can exceed
+       lam_max by up to sqrt(n)); the band solves them more accurately.
+    3. Exact gate, when both certificates fail.  By the `eigvalsh` values,
+       with lam_min > tau^2, the Gram solve takes kappa(G) <= GRAM_MAX_COND
+       and the QR band kappa(G) <= QR_MAX_COND if also
+       lam_min >= 10 n eps lam_max.
+    4. SVD, for every other G: the path for a numerically rank-deficient G.
 
     Why the bound 1e4: forming A squares the conditioning, so the Gram
-    solve's relative error grows like kappa^2 * eps, about 1e-8 at 1e4.
-    The LU solve of A adds an error of the same order,
-    kappa(A) * eps = kappa^2 * eps.  Past 1e4 the QR and the SVD, both
-    backward stable on G itself (Golub and Van Loan, Matrix Computations,
-    sections 5.3 and 5.6), are the accurate paths, with errors of order
-    kappa * eps.
+    solve's relative error grows like kappa^2 * eps, about 1e-8 at 1e4, and
+    the LU solve of A adds as much.  The QR and the SVD, backward stable on
+    G itself (Golub and Van Loan, Matrix Computations, sections 5.3 and
+    5.6), and the LU of a square G with partial pivoting (Higham, ch. 9)
+    have errors of order kappa * eps; the LU takes about 2n^3/3 flops
+    against 8n^3/3 for the QR with its Q.
 
     Why the bound 1e6: `eigvalsh`'s absolute error is about
     n * eps * lam_max <= 1e-13 * lam_max for n <= 450, a tenth of the
-    smallest lam_min the band admits (1e-12 * lam_max), so the band's
-    decision is resolved; for a larger n the last condition keeps that
-    margin.  A G in the band has s_min >= 1e-6 * s_max, at
-    least 1000 times the default tau = 1e-12 * max(rows, cols) * s_max, so
-    the SVD would cut nothing and both paths return G^+ t.  On one BLAS
-    thread (2-vCPU Xeon VM, numpy 2.4.6, OpenBLAS 0.3.31) a 455 x 455 G
-    costs about 55 ms in the SVD against 12.3 ms for the QR and 3.5 ms for
-    the R^T solve.
+    smallest lam_min the band admits, so step 3 is resolved; for a larger
+    n its last condition keeps that margin.  A G in the band has
+    s_min >= 1e-6 * s_max, at least 1000 times the default tau, so the SVD
+    would cut nothing and every path returns G^+ t.  No path but the SVD
+    ever sees a G with s_min <= tau, whatever rel_tol is.
 
-    All paths solve the same problem: a G on the Gram or QR path has
-    s_min > tau, so no singular value the SVD path would drop ever reaches
-    them, whatever rel_tol is.
+    Cost of a 455 x 455 band fit on one BLAS thread (2-vCPU Xeon VM,
+    numpy 2.4.6, OpenBLAS 0.3.31): A 1.9 ms, the two certificates 2.1 and
+    2.9 ms, the LU of G 4.4 ms; 11 ms in all, against 34 ms by `eigvalsh`
+    (11.6 ms), the QR (17.2 ms) and its R^T solve (4.0 ms), or 59 ms in
+    the SVD.
     """
     g = np.asarray(g, dtype=float)
     t = np.asarray(t, dtype=float)
@@ -241,6 +253,8 @@ def min_norm_lstsq(g: np.ndarray, t: np.ndarray,
             return np.linalg.solve(a, g.T @ t)
         del a               # free the Gram matrix before the next buffers
         if path == "qr":
+            if g.shape[0] == g.shape[1]:
+                return np.linalg.solve(g, t)
             if wide:
                 q, tri = np.linalg.qr(g.T)
                 return q @ np.linalg.solve(tri.T, t)

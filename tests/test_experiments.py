@@ -478,9 +478,10 @@ WORKLOADS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "work
 
 def test_wbcd_threshold_fits_take_qr_not_svd(tmp_path, monkeypatch):
     """At N_r = D_train = 455 on the benchmark's WBCD stand-in, every fit
-    is full rank with kappa(G) in the QR band (1e4, 1e6]: none needs the
-    SVD.  The workloads file is run from source, so nothing is written
-    next to it."""
+    is full rank; those with kappa(G) in the QR band (1e4, 1e6] are proven
+    there by the QR certificate, so neither the SVD nor `eigvalsh` runs.
+    The workloads file is run from source, so nothing is written next to
+    it."""
     import runpy
     from airelm import numkernel
     from airelm.cli import main
@@ -493,7 +494,9 @@ def test_wbcd_threshold_fits_take_qr_not_svd(tmp_path, monkeypatch):
                    "baseline = true\n"
                    f"[dataset]\nname = wbcd\npath = {data}\n"
                    "[channel]\nsnr_db = 20\n[sweep]\ngrid = 455\n")
-    calls = {"qr": 0, "svd": 0}
+    calls = {"eigvalsh": 0, "svd": 0}
+    paths = []
+    eigvalsh, solver_path = np.linalg.eigvalsh, numkernel._solver_path
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -501,8 +504,16 @@ def test_wbcd_threshold_fits_take_qr_not_svd(tmp_path, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(np.linalg, "qr", counted("qr", np.linalg.qr))
+    def recorded(a, r):
+        lam = eigvalsh(a)
+        paths.append((np.sqrt(lam[-1] / lam[0]), solver_path(a, r)))
+        return paths[-1][1]
+
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        counted("eigvalsh", np.linalg.eigvalsh))
     monkeypatch.setattr(numkernel, "svd", counted("svd", numkernel.svd))
+    monkeypatch.setattr(numkernel, "_solver_path", recorded)
     assert main(["sweep-nr", "--config", str(ini)]) == 0
-    assert calls["svd"] == 0
-    assert calls["qr"] > 0
+    assert calls == {"eigvalsh": 0, "svd": 0}
+    ill = [path for kappa, path in paths if kappa > numkernel.GRAM_MAX_COND]
+    assert ill and set(ill) == {"qr"}, paths

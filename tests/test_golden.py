@@ -33,7 +33,7 @@ CASES = {
     "online": ("[online]\nsteps = 2\niters_per_step = 2\nbatch_size = 16\n",
                "e011f3babe762fba6d6b9d6cffc33631d734356c0be0476337000c46fbf24309"),
     "single": ("",
-               "6830810596d2542a66929d6b752beaacedd3f8774f5432b9a12fd0c5c186a6bf"),
+               "4d078569d7a1c05bb9864d1624a06338023c2d4c61cfb5d343b0ae30dd0a22aa"),
 }
 
 
@@ -65,11 +65,14 @@ def test_results_csv_matches_golden_hash(tmp_path, command):
 def test_threshold_sweep_matches_golden_hash_on_every_solver_path(
         tmp_path, monkeypatch):
     """A grid straddling N_r = D_train = 96: of its 16 fits, 5 have a Gram
-    matrix the shifted Cholesky certifies, 2 (N_r = 94) one that only
-    `eigvalsh` admits, 7 take the QR (1e4 < kappa <= 1e6: N_r = 95 on
-    seed 0 and the sigmoid baselines at N_r = 64, 94 and 128) and 2 the SVD
-    (the sigmoid baselines at N_r = 95, kappa 2.1e6 and 1.4e6)."""
-    calls = {"lstsq": 0, "eigvalsh": 0, "qr": 0, "svd": 0}
+    matrix the first shifted Cholesky certifies, 8 one the second certifies
+    for the QR (kappa <= 7.1e5: N_r = 95 on seed 0, the sigmoid baselines
+    at N_r = 64 and 128 and on seed 1 at 94, and the two N_r = 94 fits,
+    kappa 8.8e3 and 9.7e3, that fail the first), 1 takes the QR by
+    `eigvalsh` (the sigmoid baseline at N_r = 94 on seed 0, kappa 9.5e5)
+    and 2 the SVD (the sigmoid baselines at N_r = 95, kappa 2.1e6 and
+    1.4e6).  No G is square, so every QR-band fit calls `np.linalg.qr`."""
+    calls = {"lstsq": 0, "cholesky": 0, "eigvalsh": 0, "qr": 0, "svd": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -79,12 +82,15 @@ def test_threshold_sweep_matches_golden_hash_on_every_solver_path(
 
     monkeypatch.setattr(airelm.elm, "min_norm_lstsq",
                         counted("lstsq", airelm.elm.min_norm_lstsq))
-    for key in ("eigvalsh", "qr"):
+    for key in ("cholesky", "eigvalsh", "qr"):
         monkeypatch.setattr(np.linalg, key, counted(key, getattr(np.linalg, key)))
     monkeypatch.setattr(airelm.numkernel, "svd",
                         counted("svd", airelm.numkernel.svd))
     _check_hash(tmp_path, "sweep-nr", "[sweep]\ngrid = 64, 94, 95, 128\n",
-                "19f088526a8fdda8a208c92ec04d06a87ab527789f0ed1cc87bbe37af3e81c55")
-    assert (calls["lstsq"] - calls["eigvalsh"],
-            calls["eigvalsh"] - calls["qr"] - calls["svd"], calls["qr"],
-            calls["svd"]) == (5, 2, 7, 2)
+                "2c894be1c8432ff9a9452f5a6d8e4191427b1519e251a74d5c4904be3f7596ed")
+    # one Cholesky per Gram-certified fit, two per other fit
+    qr_certified = calls["cholesky"] - calls["lstsq"] - calls["eigvalsh"]
+    eig_qr = calls["qr"] - qr_certified
+    assert (2 * calls["lstsq"] - calls["cholesky"], qr_certified,
+            calls["eigvalsh"] - eig_qr - calls["svd"], eig_qr,
+            calls["svd"]) == (5, 8, 0, 1, 2)

@@ -156,8 +156,8 @@ def _spread(rng, rows, cols, cond):
     """rows x cols matrix with singular values 1 but the last, 1/cond.
 
     ||A||_F of its Gram matrix A is about sqrt(min(rows, cols)) times
-    lam_max, so the shifted-Cholesky certificate of `min_norm_lstsq` fails
-    well below kappa = GRAM_MAX_COND and `eigvalsh` decides.
+    lam_max, so the Gram certificate of `min_norm_lstsq` fails well below
+    kappa = GRAM_MAX_COND and the QR certificate decides.
     """
     s = np.ones(min(rows, cols))
     s[-1] = 1.0 / cond
@@ -168,13 +168,17 @@ def _solver_cases():
     """(G, t, the path min_norm_lstsq must take).
 
     The path is "certified" (Gram solve, proven well-conditioned by the
-    shifted Cholesky), "gated" (Gram solve, admitted by `eigvalsh`), "qr"
-    (GRAM_MAX_COND < kappa <= QR_MAX_COND, read off `eigvalsh`) or "svd".
+    first shifted Cholesky), "qr-certified" (QR band, proven by the second
+    one), "gated" (Gram solve, admitted by `eigvalsh`), "qr" (QR band,
+    GRAM_MAX_COND < kappa <= QR_MAX_COND read off `eigvalsh`) or "svd".  A
+    square G in the QR band is solved by one LU instead of the QR.
     Inputs on both sides of GRAM_MAX_COND = 1e4 and QR_MAX_COND = 1e6:
     random wide, tall and square G, geometric spectra at 1e3, 5e3, 2e4,
     1e5, 9e5, 2e6 and 1e7, spread ones (all singular values 1 but the last)
-    between the certified limit, about 3.6e3 at 16x16, and 1e4 and just
-    above 1e4, and a rank-3 8x8.
+    between the Gram-certified limit, about 3.6e3 at 16x16, and 1e4, which
+    the QR certificate sends to the QR band, and just above 1e4, and a
+    rank-3 8x8.  Past kappa = 5**-0.5 * 1e6, about 7.1e5, the QR certificate
+    fails and `eigvalsh` places the 9e5 spectra.
     """
     rng = np.random.default_rng(3)
     cases = []
@@ -184,12 +188,12 @@ def _solver_cases():
     for g, path in [(_conditioned(rng, 12, 30, 1e3), "certified"),
                     (_conditioned(rng, 30, 12, 1e3), "certified"),
                     (_conditioned(rng, 16, 16, 5e3), "certified"),
-                    (_conditioned(rng, 16, 16, 2e4), "qr"),
+                    (_conditioned(rng, 16, 16, 2e4), "qr-certified"),
                     (_conditioned(rng, 12, 12, 1e7), "svd"),
-                    (_spread(rng, 16, 16, 5e3), "gated"),
-                    (_spread(rng, 12, 30, 9e3), "gated"),
-                    (_spread(rng, 30, 12, 9.9e3), "gated"),
-                    (_spread(rng, 16, 16, 1.02e4), "qr"),
+                    (_spread(rng, 16, 16, 5e3), "qr-certified"),
+                    (_spread(rng, 12, 30, 9e3), "qr-certified"),
+                    (_spread(rng, 30, 12, 9.9e3), "qr-certified"),
+                    (_spread(rng, 16, 16, 1.02e4), "qr-certified"),
                     (rng.normal(size=(8, 3)) @ rng.normal(size=(3, 8)),
                      "svd")]:
         cases.append((g, rng.normal(size=g.shape[0]), path))
@@ -197,7 +201,8 @@ def _solver_cases():
         for rows, cols in [(12, 30), (30, 12), (16, 16)]:
             g = _conditioned(rng, rows, cols, cond)
             cases.append((g, rng.normal(size=rows),
-                          "qr" if cond <= QR_MAX_COND else "svd"))
+                          "qr-certified" if cond <= 5 ** -0.5 * QR_MAX_COND
+                          else "qr" if cond <= QR_MAX_COND else "svd"))
     return cases
 
 
@@ -209,8 +214,12 @@ def test_min_norm_matches_numpy_lstsq():
 
 
 def test_min_norm_qr_band_matches_numpy_lstsq_to_1e_9():
-    cases = [(g, t) for g, t, path in _solver_cases() if path == "qr"]
-    assert len(cases) == 11
+    """Both QR-band solves: the Householder QR of a wide or tall G and the
+    LU of a square one."""
+    cases = [(g, t) for g, t, path in _solver_cases()
+             if path in ("qr-certified", "qr")]
+    assert len(cases) == 14
+    assert sum(g.shape[0] == g.shape[1] for g, _ in cases) == 6
     for g, t in cases:
         w = min_norm_lstsq(g, t)
         ref = np.linalg.lstsq(g, t, rcond=DEFAULT_REL_TOL * max(g.shape))[0]
@@ -226,17 +235,31 @@ def _counting(calls, fn):
 
 def _path_taken(monkeypatch, g, t, rel_tol=DEFAULT_REL_TOL):
     """The path one `min_norm_lstsq` call takes, from the factorizations it
-    calls, and its result."""
-    calls = {name: [] for name in ("eigvalsh", "qr", "svd")}
+    calls, and its result.  One Cholesky is the Gram certificate, a second
+    the QR certificate; the QR band is `np.linalg.qr` for a wide or tall G
+    and an LU solve of G itself for a square one."""
+    calls = {name: [] for name in ("cholesky", "eigvalsh", "qr", "svd")}
+    lu = []
+    solve = np.linalg.solve
+
+    def solve_counting_g(m, b):
+        if np.array_equal(m, g):
+            lu.append(m.shape)
+        return solve(m, b)
+
     with monkeypatch.context() as mp:
-        for name in ("eigvalsh", "qr"):
+        for name in ("cholesky", "eigvalsh", "qr"):
             mp.setattr(np.linalg, name,
                        _counting(calls[name], getattr(np.linalg, name)))
+        mp.setattr(np.linalg, "solve", solve_counting_g)
         mp.setattr(numkernel, "svd", _counting(calls["svd"], numkernel.svd))
         w = min_norm_lstsq(g, t, rel_tol)
-    counts = tuple(len(calls[name]) for name in ("eigvalsh", "qr", "svd"))
-    paths = {(0, 0, 0): "certified", (1, 0, 0): "gated", (1, 1, 0): "qr",
-             (1, 0, 1): "svd"}
+    square = g.shape[0] == g.shape[1]
+    assert len(calls["qr"] if square else lu) == 0, (g.shape, calls, lu)
+    counts = (len(calls["cholesky"]), len(calls["eigvalsh"]),
+              len(calls["qr"]) + len(lu), len(calls["svd"]))
+    paths = {(1, 0, 0, 0): "certified", (2, 0, 1, 0): "qr-certified",
+             (2, 1, 0, 0): "gated", (2, 1, 1, 0): "qr", (2, 1, 0, 1): "svd"}
     assert counts in paths, counts
     return paths[counts], w
 
@@ -256,13 +279,20 @@ def _eigvalsh_rule(g, rel_tol):
 
 
 def _rule_allows(rule, path):
-    return path in {"gram": ("certified", "gated")}.get(rule, (rule,))
+    """Whether a path is consistent with the `eigvalsh` rule: the Gram
+    certificate admits only rule "gram"; the QR certificate, which proves
+    kappa(G) <= 5**-0.5 * QR_MAX_COND, admits rule "gram" or "qr", never
+    "svd"; a path `eigvalsh` decided is exactly the rule."""
+    allowed = {"gram": ("certified", "qr-certified", "gated"),
+               "qr": ("qr-certified", "qr")}
+    return path in allowed.get(rule, (rule,))
 
 
 def test_min_norm_svd_fallback_only_when_ill_conditioned(monkeypatch):
-    """The Gram solve, the QR and the SVD stay separate branches, chosen by
-    kappa(G) as `eigvalsh` reads it; the certificate only skips
-    `eigvalsh`."""
+    """The Gram solve, the QR band and the SVD stay separate branches,
+    chosen by kappa(G); the certificates only skip `eigvalsh`, and the QR
+    certificate also takes fits below GRAM_MAX_COND that fail the Gram
+    one."""
     for g, t, path in _solver_cases():
         taken, _ = _path_taken(monkeypatch, g, t)
         assert taken == path, (path, g.shape, np.linalg.cond(g))
@@ -278,6 +308,27 @@ def test_min_norm_svd_fallback_only_when_ill_conditioned(monkeypatch):
         assert taken == "svd"
         ref = np.linalg.lstsq(g, t, rcond=1e-3 * 12)[0]
         assert np.allclose(w, ref, atol=1e-10)
+    # when r^2 sets both floors the certificates test the same shift, so a
+    # fit that fails the first fails the second and `eigvalsh` admits it to
+    # the Gram solve
+    g, t = _spread(rng, 16, 16, 5e3), rng.normal(size=16)
+    taken, w = _path_taken(monkeypatch, g, t, rel_tol=1e-5)
+    assert taken == "gated"
+    ref = np.linalg.lstsq(g, t, rcond=1e-5 * 16)[0]
+    # the Gram solve's kappa^2 * eps error, about 5.5e-9 here
+    assert np.linalg.norm(w - ref) <= 1e-8 * np.linalg.norm(ref)
+
+
+def test_min_norm_square_band_fit_is_one_lu(monkeypatch):
+    """A square G at the benchmark's N_r = D_train = 455 with kappa 1e5 is
+    proven in the QR band by the second certificate and solved by one LU of
+    G: neither `eigvalsh` nor `np.linalg.qr` runs."""
+    rng = np.random.default_rng(8)
+    g, t = _conditioned(rng, 455, 455, 1e5), rng.normal(size=455)
+    taken, w = _path_taken(monkeypatch, g, t)
+    assert taken == "qr-certified"
+    ref = np.linalg.lstsq(g, t, rcond=DEFAULT_REL_TOL * 455)[0]
+    assert np.linalg.norm(w - ref) <= 1e-9 * np.linalg.norm(ref)
 
 
 def test_min_norm_qr_band_needs_eigenvalues_resolved(monkeypatch):
@@ -292,14 +343,34 @@ def test_min_norm_qr_band_needs_eigenvalues_resolved(monkeypatch):
     assert taken == "svd"
 
 
+def test_qr_certificate_keeps_the_eigvalsh_margin_for_large_n(monkeypatch):
+    """Past n = 900, 5 n eps sets the QR certificate's floor.  A diagonal
+    Gram matrix at n = 2000 with lam_max = 1 and the rest 3e-12 has
+    kappa(G) = 5.8e5, inside QR_MAX_COND, but lam_min < 10 n eps lam_max:
+    the certificate must fail and leave the fit to `eigvalsh`, which sends
+    it to the SVD.  The eigenvalues of a diagonal matrix are its diagonal,
+    which stands in for `eigvalsh` here to keep the test fast."""
+    n = 2000
+    lam = np.full(n, 3e-12)
+    lam[0] = 1.0
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        _counting(calls, lambda a: np.sort(np.diagonal(a))))
+    assert numkernel._solver_path(np.diag(lam), DEFAULT_REL_TOL * n) == "svd"
+    assert calls == [(n, n)]
+
+
 def test_min_norm_calls_eigvalsh_only_when_certificate_fails(monkeypatch):
+    """`eigvalsh` runs only when both the Gram and the QR certificate
+    fail."""
     calls = []
     monkeypatch.setattr(np.linalg, "eigvalsh",
                         _counting(calls, np.linalg.eigvalsh))
     for g, t, path in _solver_cases():
         calls.clear()
         min_norm_lstsq(g, t)
-        assert len(calls) == int(path != "certified"), (path, g.shape)
+        assert len(calls) == int(path not in ("certified", "qr-certified")), (
+            path, g.shape)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -312,8 +383,9 @@ def test_min_norm_calls_eigvalsh_only_when_certificate_fails(monkeypatch):
        seed=st.integers(0, 2 ** 32 - 1))
 def test_min_norm_path_follows_eigvalsh_rule(shape, log_cond, spread, rel_tol,
                                              seed):
-    """The certificate only ever skips `eigvalsh`; it never changes the
-    path the eigenvalues pick, over kappa in [1, 1e7]."""
+    """Over kappa in [1, 1e7], a Gram-certified fit has rule "gram", a
+    QR-certified one rule "gram" or "qr" (never "svd"), and a fit
+    `eigvalsh` decides takes exactly the rule."""
     rng = np.random.default_rng(seed)
     g = (_spread if spread else _conditioned)(rng, *shape, 10.0 ** log_cond)
     with pytest.MonkeyPatch.context() as mp:
