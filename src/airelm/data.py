@@ -350,13 +350,19 @@ def split_standardize(table: RawTable, train_ratio: float = 0.8,
     tr, te = perm[:n_tr], perm[n_tr:]
 
     x_tr_raw = table.features[tr]
-    mean = x_tr_raw.mean(axis=0)
-    std = x_tr_raw.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, std = x_tr_raw.mean(axis=0), x_tr_raw.std(axis=0)
     # a bitwise-constant column can still show std ~ 1e-16 when its mean
     # is not exactly representable, so test constancy directly
     constant = np.all(x_tr_raw == x_tr_raw[:1], axis=0) | (std == 0.0)
     mean = np.where(constant, x_tr_raw[0], mean)
     std = np.where(constant, 1.0, std)
+    overflow = ~(np.isfinite(mean) & np.isfinite(std))
+    if overflow.any():
+        j = int(np.argmax(overflow))
+        name = table.feature_names[j] if table.feature_names else j
+        raise DataError(f"feature {name!r}: its training mean or std "
+                        "overflows float64")
     stats = StandardizationStats(mean=mean, std=std, constant=constant)
     return Dataset(x_train=stats.apply(x_tr_raw),
                    t_train=labels[tr],

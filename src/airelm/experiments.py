@@ -35,7 +35,7 @@ from .data import (Dataset, load_csv, load_idx, load_secom, load_wbcd,
 from .elm import (HiddenLayer, classify, digital_elm_hidden, fit,
                   online_update, predict)
 from .errors import OutputError
-from .numkernel import blas_thread_control, one_blas_thread
+from .numkernel import blas_thread_control, lapack_cholesky, one_blas_thread
 from .rng import (RngStream, SUB_SPLIT, SUB_CHANNEL, SUB_TRAIN_NOISE,
                   SUB_TEST_NOISE, SUB_DIGITAL, SUB_MINIBATCH, SUB_AR,
                   SUB_SYNTH, SUB_FEATSEL)
@@ -452,7 +452,8 @@ def _environment(cfg: ExperimentConfig) -> dict:
     env = {"numpy": np.__version__, "blas": blas.get("name"),
            "blas_version": blas.get("version"), "threads": cfg.threads,
            # every trial runs inside `one_blas_thread`
-           "blas_threads": 1 if blas_thread_control() else None}
+           "blas_threads": 1 if blas_thread_control() else None,
+           "lapack": lapack_cholesky() and lapack_cholesky()[1].__name__}
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         if var in os.environ:
             env[var] = os.environ[var]

@@ -10,6 +10,7 @@ not depend on the core count and trial workers do not oversubscribe it.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import functools
 
 import numpy as np
@@ -25,18 +26,18 @@ QR_MAX_COND = 1e6
 
 
 @functools.cache
-def blas_thread_control():
-    """(get, set) thread-count functions of numpy's BLAS, or None.
+def _linalg_lib():
+    """ctypes handle of numpy's linalg extension, through which dlsym finds
+    the OpenBLAS numpy loaded."""
+    return ctypes.CDLL(np.linalg._umath_linalg.__file__)
 
-    Looked up once, on first use, through the handle of numpy's own linalg
-    extension: dlsym searches that library's dependencies, so this finds
-    the OpenBLAS numpy loaded, under the plain or the scipy-openblas
-    names, 64-bit-integer builds included.  None for a BLAS without these
-    entry points (MKL, Accelerate, unknown builds).
-    """
-    import ctypes
-    from numpy.linalg import _umath_linalg
-    lib = ctypes.CDLL(_umath_linalg.__file__)
+
+@functools.cache
+def blas_thread_control():
+    """(get, set) thread-count functions of numpy's OpenBLAS, under the
+    plain or the scipy-openblas names, 64-bit-integer builds included; None
+    for a BLAS without them (MKL, Accelerate, unknown builds)."""
+    lib = _linalg_lib()
     for prefix in ("scipy_openblas", "openblas"):
         for suffix in ("64_", ""):
             try:
@@ -48,6 +49,36 @@ def blas_thread_control():
             put.argtypes, put.restype = [ctypes.c_int], None
             return get, put
     return None
+
+
+@functools.cache
+def lapack_cholesky():
+    """(dpotrf, dposv) of numpy's LAPACK, or None.  Only the scipy-openblas
+    ILP64 names are bound: their `64_` suffix fixes the integer width."""
+    lib, i64 = _linalg_lib(), ctypes.POINTER(ctypes.c_int64)
+    try:
+        potrf, posv = lib.scipy_dpotrf_64_, lib.scipy_dposv_64_
+    except AttributeError:
+        return None
+    arr = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS, WRITEABLE")
+    # the trailing size_t is the hidden Fortran length of the uplo string
+    potrf.argtypes = [ctypes.c_char_p, i64, arr, i64, i64, ctypes.c_size_t]
+    posv.argtypes = [ctypes.c_char_p, i64, i64, arr, i64, arr, i64, i64,
+                     ctypes.c_size_t]
+    potrf.restype = posv.restype = None
+    return potrf, posv
+
+
+def _cholesky_in_place(a: np.ndarray, b: np.ndarray = None) -> int:
+    """LAPACK info of dpotrf('L') on a or, given b, of dposv('L') solving
+    a x = b into b, in place.  a is n x n and symmetric, so C order serves."""
+    potrf, posv = lapack_cholesky()
+    n, info = ctypes.c_int64(a.shape[0]), ctypes.c_int64()
+    if b is None:
+        potrf(b"L", n, a, n, info, 1)
+    else:
+        posv(b"L", n, ctypes.c_int64(1), a, n, b, n, info, 1)
+    return info.value
 
 
 @contextlib.contextmanager
@@ -116,9 +147,7 @@ def pseudoinverse(a: np.ndarray, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray
     roughly machine precision for well-scaled inputs.
     """
     a = np.asarray(a, dtype=float)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("pseudoinverse: input contains NaN or Inf")
-    u, s, v = svd(a)
+    u, s, v = svd(a)                    # rejects NaN and Inf
     keep = s > _cutoff(rel_tol, a.shape, s[0] if s.size else 0.0)
     inv_s = np.zeros_like(s)
     inv_s[keep] = 1.0 / s[keep]
@@ -133,6 +162,8 @@ def _certified(a: np.ndarray, floor: float) -> bool:
     shifted = a.copy()
     shifted.flat[::n + 1] -= (2.0 * np.linalg.norm(a) * floor
                               + (n + 1) * np.finfo(float).eps * np.trace(a))
+    if lapack_cholesky() is not None:
+        return _cholesky_in_place(shifted) == 0
     try:
         np.linalg.cholesky(shifted)
         return True
@@ -175,7 +206,7 @@ def min_norm_lstsq(g: np.ndarray, t: np.ndarray,
     eigenvalues lam, kappa(G) = sqrt(lam_max / lam_min) and the cutoff
     tau = r * s_max, r = rel_tol * max(rows, cols), three paths compute it:
 
-    - Gram solve: an LU solve (`np.linalg.solve`) of A gives
+    - Gram solve: a Cholesky solve (LAPACK dposv) of A gives
       w = G^T A^-1 t (wide G) or w = A^-1 G^T t (tall G).
     - QR band, for a G proven full rank with kappa(G) <= QR_MAX_COND.  A
       square G then has G^+ = G^-1, and one LU solve gives w = G^-1 t; for
@@ -185,8 +216,8 @@ def min_norm_lstsq(g: np.ndarray, t: np.ndarray,
 
     The path is picked in up to four steps:
 
-    1. Gram certificate.  The Gram solve runs when a Cholesky factorization
-       of A - s I completes for the shift
+    1. Gram certificate.  The Gram solve runs when a bare dpotrf('L')
+       factors A - s I for the shift
 
            s = 2 ||A||_F * f + (n + 1) * eps * tr(A),
            f = max(GRAM_MAX_COND^-2, r^2).
@@ -213,11 +244,11 @@ def min_norm_lstsq(g: np.ndarray, t: np.ndarray,
 
     Why the bound 1e4: forming A squares the conditioning, so the Gram
     solve's relative error grows like kappa^2 * eps, about 1e-8 at 1e4, and
-    the LU solve of A adds as much.  The QR and the SVD, backward stable on
-    G itself (Golub and Van Loan, Matrix Computations, sections 5.3 and
-    5.6), and the LU of a square G with partial pivoting (Higham, ch. 9)
-    have errors of order kappa * eps; the LU takes about 2n^3/3 flops
-    against 8n^3/3 for the QR with its Q.
+    its backward-stable Cholesky (Higham, Thm 10.4) adds as much.  The QR
+    and the SVD, backward stable on G itself (Golub and Van Loan, Matrix
+    Computations, sections 5.3 and 5.6), and the LU of a square G with
+    partial pivoting (Higham, ch. 9) have errors of order kappa * eps; the
+    LU takes about 2n^3/3 flops against 8n^3/3 for the QR with its Q.
 
     Why the bound 1e6: `eigvalsh`'s absolute error is about
     n * eps * lam_max <= 1e-13 * lam_max for n <= 450, a tenth of the
@@ -227,11 +258,10 @@ def min_norm_lstsq(g: np.ndarray, t: np.ndarray,
     would cut nothing and every path returns G^+ t.  No path but the SVD
     ever sees a G with s_min <= tau, whatever rel_tol is.
 
-    Cost of a 455 x 455 band fit on one BLAS thread (2-vCPU Xeon VM,
-    numpy 2.4.6, OpenBLAS 0.3.31): A 1.9 ms, the two certificates 2.1 and
-    2.9 ms, the LU of G 4.4 ms; 11 ms in all, against 34 ms by `eigvalsh`
-    (11.6 ms), the QR (17.2 ms) and its R^T solve (4.0 ms), or 59 ms in
-    the SVD.
+    Without numpy's ILP64 dpotrf and dposv (`lapack_cholesky` is None),
+    `np.linalg.cholesky` runs the certificates, with the same decisions,
+    and `np.linalg.solve` (LU, 2n^3/3 flops to n^3/3) the Gram solve; w
+    moves at round-off only.  Per-fit costs: README, "Numerics".
     """
     g = np.asarray(g, dtype=float)
     t = np.asarray(t, dtype=float)
@@ -248,9 +278,12 @@ def min_norm_lstsq(g: np.ndarray, t: np.ndarray,
         a = g @ g.T if wide else g.T @ g
         path = _solver_path(a, r)
         if path == "gram":
-            if wide:
-                return g.T @ np.linalg.solve(a, t)
-            return np.linalg.solve(a, g.T @ t)
+            b = t.copy() if wide else g.T @ t
+            if lapack_cholesky() is None:
+                b = np.linalg.solve(a, b)
+            elif _cholesky_in_place(a, b):
+                raise np.linalg.LinAlgError("dposv: certified A not SPD")
+            return g.T @ b if wide else b
         del a               # free the Gram matrix before the next buffers
         if path == "qr":
             if g.shape[0] == g.shape[1]:

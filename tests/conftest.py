@@ -37,6 +37,16 @@ def tiny_csv(tmp_path):
     return str(path)
 
 
+@pytest.fixture()
+def numpy_linalg(monkeypatch):
+    """Run `min_norm_lstsq` as if numpy's LAPACK had no ILP64 dpotrf and
+    dposv: the certificate runs `np.linalg.cholesky` and the Gram solve
+    `np.linalg.solve`, and the manifest records no LAPACK routine."""
+    from airelm import experiments, numkernel
+    for module in (numkernel, experiments):
+        monkeypatch.setattr(module, "lapack_cholesky", lambda: None)
+
+
 def pytest_configure(config):
     config.addinivalue_line("markers", "slow: long-running statistical checks")
 

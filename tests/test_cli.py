@@ -121,6 +121,29 @@ def test_non_finite_data_cell_exits_2(tmp_path, capsys, cell):
     assert f"d.csv:6: non-finite cell '{cell}' in column 0" in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("dataset, message", [
+    ("name = csv\npath = {data}\nlabel_column = label\n", "feature 'a'"),
+    ("synth_separation = 1e308\n", "feature 0"),
+], ids=["huge_csv_cells", "huge_synth_separation"])
+def test_finite_but_huge_features_exit_2(tmp_path, capsys, dataset, message):
+    """Finite features whose training mean or std overflows float64 are a
+    data error, not NaN features ending in a solver traceback or a column
+    zeroed by an infinite std."""
+    data = tmp_path / "d.csv"
+    rows = [f"{(-1) ** i * 1e308!r},{i % 3},{1 if i % 2 else -1}"
+            for i in range(8)]
+    data.write_text("a,b,label\n" + "\n".join(rows) + "\n")
+    rc = main(["single", "--seeds", "1", "--config",
+               _ini(tmp_path, "[dataset]\n" + dataset.format(data=data)
+                    + "[model]\nn_r = 8\n")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("data error:")
+    assert f"{message}: its training mean or std overflows float64" in err
+
+
 def test_missing_output_directory_exits_3(tmp_path, capsys, monkeypatch):
     import airelm.cli
 

@@ -340,6 +340,24 @@ def test_split_constant_column_flagged():
     assert data.stats.std[1] == 1.0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_split_overflowing_column_is_a_data_error_unless_constant():
+    """A column whose training mean or std overflows float64 raises, named
+    by its header; a constant column of the same huge value does not,
+    since it standardizes to zeros without either statistic."""
+    table = _clean_table(12)
+    feats = table.features.copy()
+    feats[:, 2] = 1.5e308
+    data = split_standardize(RawTable(feats, table.labels), 0.8,
+                             RngStream(3).split(0))
+    assert data.stats.constant[2] and np.all(data.x_train[:, 2] == 0.0)
+    feats[::2, 2] = -1.5e308
+    huge = RawTable(feats, table.labels, feature_names=("a", "b", "c"))
+    with pytest.raises(DataError, match="feature 'c': its training mean or "
+                                        "std overflows float64"):
+        split_standardize(huge, 0.8, RngStream(3).split(0))
+
+
 def test_split_roundtrip():
     data = split_standardize(_clean_table(40), 0.8, RngStream(4).split(0))
     table = _clean_table(40)

@@ -24,7 +24,7 @@ from airelm.experiments import (
     summarize,
     write_manifest,
 )
-from airelm.numkernel import blas_thread_control
+from airelm.numkernel import blas_thread_control, lapack_cholesky
 from airelm.rng import RngStream, SUB_TEST_NOISE, SUB_TRAIN_NOISE
 
 
@@ -313,8 +313,10 @@ def test_manifest_contents(tmp_path):
     assert env["threads"] == 1
     assert {"blas", "blas_version", "blas_threads"} <= set(env)
     assert env["blas_threads"] == (1 if blas_thread_control() else None)
+    # the routine of the Gram solve, which sets the round-off bits of w
+    assert env["lapack"] == ("scipy_dposv_64_" if lapack_cholesky() else None)
     assert set(env) - {"numpy", "blas", "blas_version", "threads",
-                       "blas_threads"} <= {
+                       "blas_threads", "lapack"} <= {
         "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}
     # run() records the runner's own wall time; on one thread it encloses
     # every trial, and the CSV bytes do not depend on it
@@ -323,6 +325,17 @@ def test_manifest_contents(tmp_path):
     doc = json.loads(pathlib.Path(mpath).read_text())
     assert doc["elapsed_ms"] >= doc["total_wall_ms"] > 0
     assert csv_path.read_bytes() == csv_bytes
+
+
+def test_manifest_records_no_lapack_routine_in_numpy_fallback(tmp_path,
+                                                              numpy_linalg):
+    cfg = _cfg(grid=(32,))
+    rows = run_sweep_nr(cfg)
+    csv_path = tmp_path / "out.csv"
+    emit_csv(rows, str(csv_path))
+    doc = json.loads(pathlib.Path(
+        write_manifest(cfg, rows, str(csv_path))).read_text())
+    assert doc["environment"]["lapack"] is None
 
 
 def test_manifest_checksum_tracks_source_file(tmp_path, wbcd_csv):

@@ -2,7 +2,9 @@
 
 A refactor must leave these bytes alone.  LAPACK and BLAS give different
 round-off bits across builds, so the hashes are only checked under the
-numpy and BLAS build they were taken with.
+numpy and BLAS build they were taken with.  Each case has two: one with
+the Gram solve run by LAPACK's dposv, as that build runs it, and one with
+the `numpy_linalg` fallback, whose `np.linalg.solve` moves round-off only.
 """
 
 import hashlib
@@ -23,18 +25,27 @@ COMMON = ("[experiment]\nseeds = 2\nmaster_seed = 5\nbaseline = true\n"
           "[channel]\nsnr_db = 20\nkappa = 1\n"
           "[model]\nn_r = 48\n")
 
+# command: (INI tail, hash with dposv, hash with the numpy fallback)
 CASES = {
     "sweep-nr": ("[sweep]\ngrid = 16, 64\n",
+                 "93a5927cb8b24d2bd493264ee35f1c738719836c9cbea1c4cfb794291cb570f3",
                  "c62ff1e35e74ecb36f1a031b3a7c647acba4c3f3ec0c41c1a759b7242cd9d26b"),
     "sweep-snr": ("[sweep]\ngrid = 0, 30\n",
+                  "71b864afe3e99463c8e0ab8ffa5ea6ec6125d8106d9bfedec88f5e225563bf5c",
                   "86527f5cc49937a8cc2d59b0bb66af9ae9da57655e3a5343acb602d5592b8c8f"),
     "sweep-kappa": ("[sweep]\ngrid = 0, 10\n",
+                    "d272747de76d81cc7a24d016904bec58b2c4cf3750cf942a56c6f0c57dfcbc5a",
                     "12a0f7c55ea00b0ea668130ef1c0d0e8734b4eef414071341bab00159e0a69ff"),
     "online": ("[online]\nsteps = 2\niters_per_step = 2\nbatch_size = 16\n",
+               "e0b85ded2491992648c749d4a4eb551725107e2f7a927d70c80fd8e74d026978",
                "e011f3babe762fba6d6b9d6cffc33631d734356c0be0476337000c46fbf24309"),
     "single": ("",
+               "33ff9891b48635679a593270562e378cee9d574e9b21dc5492a16405ee74531e",
                "4d078569d7a1c05bb9864d1624a06338023c2d4c61cfb5d343b0ae30dd0a22aa"),
 }
+THRESHOLD = ("[sweep]\ngrid = 64, 94, 95, 128\n",
+             "0b0ab9b2019369ffce4d11547d43a8c2077e92556f5d98592fa409e64793359f",
+             "2c894be1c8432ff9a9452f5a6d8e4191427b1519e251a74d5c4904be3f7596ed")
 
 
 def _build():
@@ -59,11 +70,17 @@ def _check_hash(tmp_path, command, extra, digest):
 
 @pytest.mark.parametrize("command", sorted(CASES))
 def test_results_csv_matches_golden_hash(tmp_path, command):
-    _check_hash(tmp_path, command, *CASES[command])
+    extra, digest, _ = CASES[command]
+    _check_hash(tmp_path, command, extra, digest)
 
 
-def test_threshold_sweep_matches_golden_hash_on_every_solver_path(
-        tmp_path, monkeypatch):
+@pytest.mark.parametrize("command", sorted(CASES))
+def test_numpy_fallback_matches_golden_hash(tmp_path, command, numpy_linalg):
+    extra, _, digest = CASES[command]
+    _check_hash(tmp_path, command, extra, digest)
+
+
+def _threshold_sweep(tmp_path, monkeypatch, digest):
     """A grid straddling N_r = D_train = 96: of its 16 fits, 5 have a Gram
     matrix the first shifted Cholesky certifies, 8 one the second certifies
     for the QR (kappa <= 7.1e5: N_r = 95 on seed 0, the sigmoid baselines
@@ -72,7 +89,7 @@ def test_threshold_sweep_matches_golden_hash_on_every_solver_path(
     `eigvalsh` (the sigmoid baseline at N_r = 94 on seed 0, kappa 9.5e5)
     and 2 the SVD (the sigmoid baselines at N_r = 95, kappa 2.1e6 and
     1.4e6).  No G is square, so every QR-band fit calls `np.linalg.qr`."""
-    calls = {"lstsq": 0, "cholesky": 0, "eigvalsh": 0, "qr": 0, "svd": 0}
+    calls = {"lstsq": 0, "_certified": 0, "eigvalsh": 0, "qr": 0, "svd": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -82,15 +99,25 @@ def test_threshold_sweep_matches_golden_hash_on_every_solver_path(
 
     monkeypatch.setattr(airelm.elm, "min_norm_lstsq",
                         counted("lstsq", airelm.elm.min_norm_lstsq))
-    for key in ("cholesky", "eigvalsh", "qr"):
+    for key in ("eigvalsh", "qr"):
         monkeypatch.setattr(np.linalg, key, counted(key, getattr(np.linalg, key)))
-    monkeypatch.setattr(airelm.numkernel, "svd",
-                        counted("svd", airelm.numkernel.svd))
-    _check_hash(tmp_path, "sweep-nr", "[sweep]\ngrid = 64, 94, 95, 128\n",
-                "2c894be1c8432ff9a9452f5a6d8e4191427b1519e251a74d5c4904be3f7596ed")
-    # one Cholesky per Gram-certified fit, two per other fit
-    qr_certified = calls["cholesky"] - calls["lstsq"] - calls["eigvalsh"]
+    for key in ("_certified", "svd"):
+        monkeypatch.setattr(airelm.numkernel, key,
+                            counted(key, getattr(airelm.numkernel, key)))
+    _check_hash(tmp_path, "sweep-nr", THRESHOLD[0], digest)
+    # one certificate per Gram-certified fit, two per other fit
+    qr_certified = calls["_certified"] - calls["lstsq"] - calls["eigvalsh"]
     eig_qr = calls["qr"] - qr_certified
-    assert (2 * calls["lstsq"] - calls["cholesky"], qr_certified,
+    assert (2 * calls["lstsq"] - calls["_certified"], qr_certified,
             calls["eigvalsh"] - eig_qr - calls["svd"], eig_qr,
             calls["svd"]) == (5, 8, 0, 1, 2)
+
+
+def test_threshold_sweep_matches_golden_hash_on_every_solver_path(
+        tmp_path, monkeypatch):
+    _threshold_sweep(tmp_path, monkeypatch, THRESHOLD[1])
+
+
+def test_numpy_fallback_threshold_sweep_matches_golden_hash(
+        tmp_path, monkeypatch, numpy_linalg):
+    _threshold_sweep(tmp_path, monkeypatch, THRESHOLD[2])

@@ -235,10 +235,10 @@ def _counting(calls, fn):
 
 def _path_taken(monkeypatch, g, t, rel_tol=DEFAULT_REL_TOL):
     """The path one `min_norm_lstsq` call takes, from the factorizations it
-    calls, and its result.  One Cholesky is the Gram certificate, a second
-    the QR certificate; the QR band is `np.linalg.qr` for a wide or tall G
-    and an LU solve of G itself for a square one."""
-    calls = {name: [] for name in ("cholesky", "eigvalsh", "qr", "svd")}
+    calls, and its result.  One `_certified` call is the Gram certificate,
+    a second the QR certificate; the QR band is `np.linalg.qr` for a wide
+    or tall G and an LU solve of G itself for a square one."""
+    calls = {name: [] for name in ("_certified", "eigvalsh", "qr", "svd")}
     lu = []
     solve = np.linalg.solve
 
@@ -248,15 +248,17 @@ def _path_taken(monkeypatch, g, t, rel_tol=DEFAULT_REL_TOL):
         return solve(m, b)
 
     with monkeypatch.context() as mp:
-        for name in ("cholesky", "eigvalsh", "qr"):
+        for name in ("eigvalsh", "qr"):
             mp.setattr(np.linalg, name,
                        _counting(calls[name], getattr(np.linalg, name)))
         mp.setattr(np.linalg, "solve", solve_counting_g)
-        mp.setattr(numkernel, "svd", _counting(calls["svd"], numkernel.svd))
+        for name in ("_certified", "svd"):
+            mp.setattr(numkernel, name,
+                       _counting(calls[name], getattr(numkernel, name)))
         w = min_norm_lstsq(g, t, rel_tol)
     square = g.shape[0] == g.shape[1]
     assert len(calls["qr"] if square else lu) == 0, (g.shape, calls, lu)
-    counts = (len(calls["cholesky"]), len(calls["eigvalsh"]),
+    counts = (len(calls["_certified"]), len(calls["eigvalsh"]),
               len(calls["qr"]) + len(lu), len(calls["svd"]))
     paths = {(1, 0, 0, 0): "certified", (2, 0, 1, 0): "qr-certified",
              (2, 1, 0, 0): "gated", (2, 1, 1, 0): "qr", (2, 1, 0, 1): "svd"}
@@ -393,13 +395,90 @@ def test_min_norm_path_follows_eigvalsh_rule(shape, log_cond, spread, rel_tol,
     assert _rule_allows(_eigvalsh_rule(g, rel_tol), taken)
 
 
+needs_lapack = pytest.mark.skipif(
+    numkernel.lapack_cholesky() is None,
+    reason="numpy's LAPACK has no ILP64 dpotrf and dposv names")
+
+
+@needs_lapack
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(shape=st.sampled_from([(6, 6), (24, 24), (5, 14), (40, 10), (9, 1)]),
+       # extra draws near the edges of the Gram and the QR certificate
+       log_cond=st.one_of(st.floats(0.0, 7.0), st.floats(3.3, 4.2),
+                          st.floats(5.5, 6.2)),
+       spread=st.booleans(),
+       rel_tol=st.sampled_from([DEFAULT_REL_TOL, 1e-7, 1e-5, 1e-3]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_dpotrf_certificate_decides_as_numpy_cholesky(shape, log_cond, spread,
+                                                      rel_tol, seed):
+    """Over kappa in [1, 1e7] and at both floors of `_solver_path`, the
+    bare dpotrf certificate is True exactly when `np.linalg.cholesky`
+    succeeds on the same shifted matrix, and it leaves A as it was."""
+    rng = np.random.default_rng(seed)
+    g = (_spread if spread else _conditioned)(rng, *shape, 10.0 ** log_cond)
+    a = g @ g.T if shape[0] <= shape[1] else g.T @ g
+    n, r = a.shape[0], rel_tol * max(shape)
+    before = a.copy()
+    for floor in (max(GRAM_MAX_COND ** -2, r * r),
+                  max(QR_MAX_COND ** -2, r * r, 5 * n * np.finfo(float).eps)):
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(numkernel, "_cholesky_in_place", _counting(
+                calls, numkernel._cholesky_in_place))
+            by_dpotrf = numkernel._certified(a, floor)
+            assert calls == [(n, n)]
+            mp.setattr(numkernel, "lapack_cholesky", lambda: None)
+            assert numkernel._certified(a, floor) == by_dpotrf
+            assert len(calls) == 1
+    assert np.array_equal(a, before)
+
+
+@needs_lapack
+def test_gram_solve_by_dposv_matches_numpy_lstsq_to_1e_9(monkeypatch):
+    """Every Gram-certified case is solved by dposv, within 1e-9 of
+    `np.linalg.lstsq`, and leaves G and t as they were."""
+    solves = []
+    cholesky_in_place = numkernel._cholesky_in_place
+
+    def counting(a, b=None):
+        if b is not None:
+            solves.append(a.shape)
+        return cholesky_in_place(a, b)
+
+    monkeypatch.setattr(numkernel, "_cholesky_in_place", counting)
+    cases = [(g, t) for g, t, path in _solver_cases() if path == "certified"]
+    assert len(cases) == 6
+    for g, t in cases:
+        g_before, t_before = g.copy(), t.copy()
+        w = min_norm_lstsq(g, t)
+        ref = np.linalg.lstsq(g, t, rcond=DEFAULT_REL_TOL * max(g.shape))[0]
+        assert np.linalg.norm(w - ref) <= 1e-9 * np.linalg.norm(ref)
+        assert np.array_equal(g, g_before) and np.array_equal(t, t_before)
+    assert len(solves) == len(cases)
+
+
+def test_numpy_fallback_takes_the_same_paths(monkeypatch, numpy_linalg):
+    """Without the LAPACK binding every case takes the path it takes with
+    it, through `np.linalg.cholesky` and `np.linalg.solve`."""
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("called LAPACK directly in the numpy fallback")
+
+    monkeypatch.setattr(numkernel, "_cholesky_in_place", no_lapack)
+    for g, t, path in _solver_cases():
+        taken, w = _path_taken(monkeypatch, g, t)
+        assert taken == path, (path, g.shape)
+        ref = np.linalg.lstsq(g, t, rcond=DEFAULT_REL_TOL * max(g.shape))[0]
+        assert np.allclose(w, ref, atol=1e-10)
+
+
 def test_min_norm_rejects_bad_rel_tol_before_any_factorization(monkeypatch):
     def no_factorization(*args, **kwargs):
         raise AssertionError("factorized before rel_tol was checked")
 
     for name in ("cholesky", "eigvalsh", "qr", "solve"):
         monkeypatch.setattr(np.linalg, name, no_factorization)
-    monkeypatch.setattr(numkernel, "svd", no_factorization)
+    for name in ("_cholesky_in_place", "svd"):
+        monkeypatch.setattr(numkernel, name, no_factorization)
     for rel_tol in (0.0, 1.0, -1e-3, float("nan")):
         with pytest.raises(ValueError, match="rel_tol"):
             min_norm_lstsq(np.eye(3), np.ones(3), rel_tol)
