@@ -44,18 +44,20 @@ def rapp(y: float, p: RappParams = DEFAULT_RAPP) -> float:
     return float(y / (1.0 + (y / p.y_sat) ** p.alpha))
 
 
-def rapp_vec(y: np.ndarray, p: RappParams = DEFAULT_RAPP) -> np.ndarray:
+def rapp_vec(y: np.ndarray, p: RappParams = DEFAULT_RAPP,
+             out: np.ndarray = None) -> np.ndarray:
     """Element-wise Rapp activation; shape preserved.
 
     The denominator is built in one buffer that then takes the result, so
-    the call allocates one array the size of y.
+    the call allocates one array the size of y; given out (which may be y
+    itself), the result goes there and that buffer is only a temporary.
     """
     y = np.asarray(y, dtype=float)
     den = np.divide(y, p.y_sat, out=np.empty_like(y))
     den **= p.alpha
     den += 1.0
-    np.divide(y, den, out=den)
-    return den if den.ndim else den[()]
+    out = np.divide(y, den, out=den if out is None else out)
+    return out if out.ndim else out[()]
 
 
 def rapp_deriv(y: np.ndarray, p: RappParams = DEFAULT_RAPP) -> np.ndarray:
@@ -84,18 +86,19 @@ def rapp_peak(p: RappParams = DEFAULT_RAPP):
     return y_star, g_star
 
 
-def sigmoid(x):
+def sigmoid(x, out: np.ndarray = None):
     """Logistic function 1 / (1 + exp(-x)), overflow-safe for any finite x.
 
     With e = exp(-|x|), which never overflows, it is 1 / (1 + e) for
     x >= 0 and e / (1 + e) below.  The numerator exp(min(x, 0)) is exactly
-    1 for x >= 0 and exactly e below, without a per-element select.
+    1 for x >= 0 and exactly e below, without a per-element select.  The
+    result goes to out, which may be x itself, or else to a new array.
     """
     x = np.asarray(x, dtype=float)
     e = np.abs(x, out=np.empty_like(x))
     np.negative(e, out=e)
     np.exp(e, out=e)
-    out = np.minimum(x, 0.0, out=np.empty_like(x))
+    out = np.minimum(x, 0.0, out=np.empty_like(x) if out is None else out)
     np.exp(out, out=out)
     e += 1.0
     out /= e

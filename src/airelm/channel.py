@@ -118,43 +118,66 @@ def evolve_ar(h_prev: np.ndarray, cfg: ArConfig, rng: RngStream) -> np.ndarray:
     return cfg.eta * h_prev + (1.0 - cfg.eta) * theta
 
 
-def apply_channel(h_real: np.ndarray, x_tilde: np.ndarray, noise: NoiseModel,
-                  rng: RngStream = None) -> np.ndarray:
-    """Receive vector y~ = H^r x~ + n_r with n_r ~ N(0, sigma^2/2) i.i.d.
-
-    x_tilde is one transmit vector or a batch of them, one per row; a batch
-    gives one receive vector per row, x~ (H^r)^T plus noise drawn for the
-    whole batch in one call (row-major, so row by row).
-    """
+def receive(h_real: np.ndarray, x_tilde: np.ndarray) -> np.ndarray:
+    """Noiseless receive block: H^r x~ for one transmit vector x~, or
+    x~ (H^r)^T for a batch of them, one receive vector per row."""
     h_real = np.asarray(h_real, dtype=float)
     x = np.asarray(x_tilde, dtype=float)
     if x.ndim not in (1, 2) or h_real.shape[1] != x.shape[-1]:
         raise ValueError(
-            f"apply_channel: H^r has {h_real.shape[1]} columns but x~ has "
+            f"receive: H^r has {h_real.shape[1]} columns but x~ has "
             f"shape {x.shape}")
-    y = x @ h_real.T
-    if not noise.noiseless:
-        if rng is None:
-            raise ValueError("apply_channel: finite-SNR noise needs an RngStream")
-        y += rng.normal(0.0, np.sqrt(noise.sigma2 / 2.0), y.shape)
-    return y
+    return x @ h_real.T
+
+
+def add_noise(y: np.ndarray, noise: NoiseModel, rng: RngStream = None,
+              out: np.ndarray = None) -> np.ndarray:
+    """y + n_r with n_r ~ N(0, sigma^2/2) i.i.d., drawn for all of y in one
+    call (row-major, so row by row).
+
+    The sum goes to out, which may be y itself, or else to the noise draw's
+    own buffer; y is left as it is unless it is out.  A noiseless model
+    returns y itself.
+    """
+    if noise.noiseless:
+        return y
+    if rng is None:
+        raise ValueError("add_noise: finite-SNR noise needs an RngStream")
+    n = rng.normal(0.0, np.sqrt(noise.sigma2 / 2.0), y.shape)
+    return np.add(n, y, out=n if out is None else out)
+
+
+def apply_channel(h_real: np.ndarray, x_tilde: np.ndarray, noise: NoiseModel,
+                  rng: RngStream = None) -> np.ndarray:
+    """Receive vector y~ = H^r x~ + n_r with n_r ~ N(0, sigma^2/2) i.i.d.:
+    `add_noise` on the `receive` block of one transmit vector or a batch."""
+    return add_noise(receive(h_real, x_tilde), noise, rng)
+
+
+def signal_power(r: np.ndarray) -> float:
+    """P_sig of a receive block r, one receive vector per row: the average
+    per-antenna received signal power mean_i ||r_i||^2 / N_r."""
+    r = np.atleast_2d(r)
+    if r.size == 0:
+        raise ValueError("signal_power: empty transmit-vector set")
+    p_sig = np.mean(np.sum(r ** 2, axis=1)) / r.shape[1]
+    if p_sig == 0.0:
+        raise ValueError("signal_power: all-zero signal set, SNR undefined")
+    return p_sig
+
+
+def noise_for_snr(p_sig: float, snr_db: float) -> NoiseModel:
+    """The noise that puts signal power p_sig at snr_db at the receiver:
+    sigma^2 = p_sig / 10^(snr_db/10).  snr_db = +inf is noiseless and
+    leaves p_sig unused."""
+    if snr_db == math.inf:
+        return NOISELESS
+    return NoiseModel(float(p_sig / 10.0 ** (snr_db / 10.0)))
 
 
 def sigma2_for_snr(h_real: np.ndarray, x_tilde_set, snr_db: float) -> float:
-    """Noise power hitting a target receive SNR.
-
-    P_sig is the average per-antenna received signal power over the given
-    transmit vectors, mean_i ||H^r x~_i||^2 / N_r; the returned noise power
-    is sigma^2 = P_sig / 10^(snr_db/10).  snr_db = +inf gives exactly 0.
-    """
-    h_real = np.asarray(h_real, dtype=float)
-    xs = np.atleast_2d(np.asarray(x_tilde_set, dtype=float))
-    if xs.size == 0:
-        raise ValueError("sigma2_for_snr: empty transmit-vector set")
-    n_r = h_real.shape[0]
-    p_sig = np.mean(np.sum((xs @ h_real.T) ** 2, axis=1)) / n_r
-    if p_sig == 0.0:
-        raise ValueError("sigma2_for_snr: all-zero signal set, SNR undefined")
-    if np.isposinf(snr_db):
-        return 0.0
-    return float(p_sig / 10.0 ** (snr_db / 10.0))
+    """Noise power hitting a target receive SNR over the given transmit
+    vectors: `noise_for_snr` at their `signal_power` under h_real.
+    snr_db = +inf gives exactly 0."""
+    return noise_for_snr(signal_power(receive(h_real, x_tilde_set)),
+                         snr_db).sigma2

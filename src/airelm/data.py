@@ -86,7 +86,7 @@ def _to_pm1(labels: np.ndarray) -> np.ndarray:
     """Normalize label codes to +-1: accepts {-1,+1} as-is and {0,1} as
     0 -> -1, 1 -> +1; anything else is an error."""
     labels = np.asarray(labels)
-    vals = set(np.unique(labels).tolist())
+    vals = set(labels.tolist())
     if vals <= {-1, 1}:
         return labels.astype(float)
     if vals <= {0, 1}:
@@ -342,7 +342,7 @@ def split_standardize(table: RawTable, train_ratio: float = 0.8,
     if np.isnan(table.features).any():
         raise DataError("table still has missing cells; impute before splitting")
     labels = _to_pm1(table.labels)
-    if len(np.unique(labels)) < 2 and not allow_single_class:
+    if not allow_single_class and np.all(labels == labels[0]):
         raise DataError("single-class table (pass allow_single_class to override)")
 
     perm = rng.permutation(d_total)
@@ -357,18 +357,27 @@ def split_standardize(table: RawTable, train_ratio: float = 0.8,
     constant = np.all(x_tr_raw == x_tr_raw[:1], axis=0) | (std == 0.0)
     mean = np.where(constant, x_tr_raw[0], mean)
     std = np.where(constant, 1.0, std)
-    overflow = ~(np.isfinite(mean) & np.isfinite(std))
-    if overflow.any():
-        j = int(np.argmax(overflow))
-        name = table.feature_names[j] if table.feature_names else j
-        raise DataError(f"feature {name!r}: its training mean or std "
-                        "overflows float64")
+    _check_finite(table, np.isfinite(mean) & np.isfinite(std),
+                  "its training mean or std overflows float64")
     stats = StandardizationStats(mean=mean, std=std, constant=constant)
+    # a test cell far outside the training spread can still overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_te = stats.apply(table.features[te])
+    _check_finite(table, np.isfinite(x_te).all(axis=0),
+                  "a test-block value overflows float64 when standardized")
     return Dataset(x_train=stats.apply(x_tr_raw),
                    t_train=labels[tr],
-                   x_test=stats.apply(table.features[te]),
+                   x_test=x_te,
                    t_test=labels[te],
                    stats=stats)
+
+
+def _check_finite(table: RawTable, finite: np.ndarray, what: str) -> None:
+    """DataError naming the first feature whose entry of finite is False."""
+    if not finite.all():
+        j = int(np.argmin(finite))
+        name = table.feature_names[j] if table.feature_names else j
+        raise DataError(f"feature {name!r}: {what}")
 
 
 def synth_two_gaussians(rng: RngStream, d_total: int, d: int,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace, field
 import numpy as np
 
 from .activation import RappParams, DEFAULT_RAPP, rapp_vec, sigmoid
-from .channel import NoiseModel, NOISELESS, apply_channel
+from .channel import NoiseModel, NOISELESS, add_noise, receive
 from .errors import ConfigError
 from .numkernel import min_norm_lstsq
 from .rng import RngStream
@@ -55,30 +55,46 @@ class ElmModel:
     receive_power: float = float("nan")
 
 
-def _augment_rows(x: np.ndarray) -> np.ndarray:
+def augment(x: np.ndarray) -> np.ndarray:
+    """The transmit block x~: each row of the D x d feature matrix x with
+    the bias input 1 appended."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ValueError(f"expected a D x d feature matrix, got shape {x.shape}")
     return np.hstack([x, np.ones((x.shape[0], 1))])
 
 
-def hidden_matrix(layer, x: np.ndarray, rng: RngStream = None) -> np.ndarray:
-    """Hidden-layer output matrix G, one row per data point.
+def activate(layer, y: np.ndarray, rng: RngStream = None,
+             out: np.ndarray = None) -> np.ndarray:
+    """Hidden-layer outputs from the layer's noiseless pre-activation block
+    y, one row per data point.
 
-    For a channel layer, row i is rapp(H^r x~(i) + n_r), the rows received
-    in one batch by `apply_channel`, with fresh i.i.d. noise per data point
-    when the noise model has finite power.  For a digital layer,
-    row i is sigmoid(W x~(i)).
+    For a channel layer y is the receive block x~ (H^r)^T (`receive`) and
+    the result is rapp(y + n_r), with fresh i.i.d. noise for every entry
+    (`add_noise`) when the noise model has finite power; for a digital
+    layer y is x~ W^T and the result is sigmoid(y).  The result goes to
+    out, which may be y itself, or else to a new array, and y is left as it
+    is: one receive block then serves every noise level of its channel.
     """
-    a = _augment_rows(x)
+    if isinstance(layer, DigitalLayer):
+        return sigmoid(y, out=out)
+    z = add_noise(y, layer.noise, rng, out)
+    return rapp_vec(z, layer.rapp, out=out if z is y else z)
+
+
+def hidden_matrix(layer, x: np.ndarray, rng: RngStream = None) -> np.ndarray:
+    """Hidden-layer output matrix G, one row per data point: `activate` on
+    the pre-activation block of the rows of x, in that block's buffer."""
+    a = augment(x)
     if isinstance(layer, DigitalLayer):
         if a.shape[1] != layer.weights.shape[1]:
             raise ValueError(
                 f"feature dimension {a.shape[1] - 1} does not match layer "
                 f"d={layer.weights.shape[1] - 1}")
-        return sigmoid(a @ layer.weights.T)
-    y = apply_channel(layer.h_real, a, layer.noise, rng)
-    return rapp_vec(y, layer.rapp)
+        y = a @ layer.weights.T
+    else:
+        y = receive(layer.h_real, a)
+    return activate(layer, y, rng, out=y)
 
 
 def train(g: np.ndarray, t: np.ndarray, hidden=None) -> ElmModel:
@@ -95,6 +111,13 @@ def fit(layer, x: np.ndarray, t: np.ndarray, rng: RngStream = None) -> ElmModel:
     """hidden_matrix + train in one step, binding the layer to the model."""
     g = hidden_matrix(layer, x, rng)
     return train(g, t, hidden=layer)
+
+
+def fit_received(layer: HiddenLayer, r: np.ndarray, t: np.ndarray,
+                 rng: RngStream = None, out: np.ndarray = None) -> ElmModel:
+    """`fit` from the receive block r = x~ (H^r)^T of the training rows
+    instead of the rows themselves; out as in `activate`."""
+    return train(activate(layer, r, rng, out), t, hidden=layer)
 
 
 def predict(model: ElmModel, x: np.ndarray, rng: RngStream = None) -> np.ndarray:

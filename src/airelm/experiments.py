@@ -26,14 +26,18 @@ import numpy as np
 
 from . import __version__
 from .activation import RappParams
-from .channel import (ArConfig, NoiseModel, NOISELESS, RiceanConfig,
-                      sample_ricean, evolve_ar, sigma2_for_snr)
+from .channel import (ArConfig, RiceanConfig, noise_for_snr, receive,
+                      sample_ricean, evolve_ar, signal_power)
+# not called here since the receive block gives P_sig; perfbench/spans.py
+# looks sigma2_for_snr up on this module
+from .channel import sigma2_for_snr  # noqa: F401
 from .config import DATASET_FILES, ExperimentConfig
 from .data import (Dataset, load_csv, load_idx, load_secom, load_wbcd,
                    mnist_binarize, secom_prepare, split_standardize,
                    synth_two_gaussians)
-from .elm import (HiddenLayer, classify, digital_elm_hidden, fit,
-                  online_update, predict)
+from .elm import (HiddenLayer, activate, augment, classify,
+                  digital_elm_hidden, fit, fit_received, online_update,
+                  predict)
 from .errors import OutputError
 from .numkernel import blas_thread_control, lapack_cholesky, one_blas_thread
 from .rng import (RngStream, SUB_SPLIT, SUB_CHANNEL, SUB_TRAIN_NOISE,
@@ -126,28 +130,6 @@ def _draw_channel(cfg, dataset, trial, n_r: int, kappa: float):
         trial.split(SUB_CHANNEL))
 
 
-def _signal_power(dataset, h_real) -> float:
-    """P_sig of the training set under h_real, the calibration every SNR
-    point of the channel shares: `sigma2_for_snr` at 0 dB returns it."""
-    x_tilde = np.hstack([dataset.x_train,
-                         np.ones((dataset.x_train.shape[0], 1))])
-    return sigma2_for_snr(h_real, x_tilde, 0.0)
-
-
-def _channel_layer(cfg, h_real, p_sig: float, snr_db: float) -> HiddenLayer:
-    """The hidden layer a channel realizes at snr_db.
-
-    The noise power p_sig / 10^(snr_db/10) puts the training set, whose
-    signal power under h_real is p_sig, at snr_db at the receiver;
-    snr_db = +inf is noiseless and leaves p_sig unused.
-    """
-    noise = NOISELESS
-    if snr_db != math.inf:
-        noise = NoiseModel(p_sig / 10.0 ** (snr_db / 10.0))
-    return HiddenLayer(h_real=h_real, noise=noise,
-                       rapp=RappParams(y_sat=cfg.y_sat, alpha=cfg.alpha))
-
-
 class _NoiseReplay:
     """A noise substream's first draw, replayed at any noise level.
 
@@ -173,9 +155,20 @@ class _NoiseReplay:
         return out
 
 
-def _accuracy(model, dataset: Dataset, rng) -> float:
-    t_hat = predict(model, dataset.x_test, rng)
-    return float(np.mean(classify(t_hat) == dataset.t_test))
+def _accuracy(t_hat: np.ndarray, dataset: Dataset) -> float:
+    """Share of test points whose predicted class t_hat gets right."""
+    return (np.count_nonzero(classify(t_hat) == dataset.t_test)
+            / dataset.t_test.size)
+
+
+def _test_accuracies(models, x_test: np.ndarray, dataset: Dataset,
+                     rng) -> list:
+    """Test accuracy of each model in turn, all bound to one channel, so
+    one receive block of the test rows x_test (= x~) serves them all; the
+    test noise is drawn model by model, in order."""
+    r_test = receive(models[0].hidden.h_real, x_test)
+    return [_accuracy(activate(m.hidden, r_test, rng) @ m.w, dataset)
+            for m in models]
 
 
 def _digital_trial(cfg, dataset, trial, n_hidden: int):
@@ -183,7 +176,7 @@ def _digital_trial(cfg, dataset, trial, n_hidden: int):
     layer = digital_elm_hidden(trial.split(SUB_DIGITAL), n_hidden, dataset.d,
                                low=cfg.digital_low, high=cfg.digital_high)
     model = fit(layer, dataset.x_train, dataset.t_train)
-    acc = _accuracy(model, dataset, None)
+    acc = _accuracy(predict(model, dataset.x_test), dataset)
     return acc, model.train_residual, model.receive_power
 
 
@@ -226,32 +219,45 @@ def _run_grid(cfg: ExperimentConfig, experiment: str, points):
     Every point of a seed splits the same trial stream, so a seed's dataset,
     its channel at each (n_r, kappa) and its standard-normal noise blocks at
     each n_r are the same at every point; only the noise level changes.  One
-    task per seed therefore builds the dataset once, draws a channel when
-    (n_r, kappa) changes from the previous point, measures that channel's
-    signal power once for all its finite-SNR points, and keeps each noise
-    block only while a later finite-SNR point needs it.  Results are
-    ordered by (point, seed, model) regardless of thread count.
+    task per seed therefore builds the dataset and its transmit blocks x~
+    once.  When (n_r, kappa) changes from the previous point it draws the
+    channel and forms its noiseless receive blocks x~ (H^r)^T, the training
+    block at once and the test block at the first prediction; it measures
+    the signal power once, from the training block, for all the channel's
+    finite-SNR points; and it keeps each noise block only while a later
+    finite-SNR point needs it.  Every point but the channel's last writes
+    its training G into one scratch block the channel keeps; the last
+    writes the hidden matrices over the receive blocks and lets them go, so
+    no block outlives its channel.  Results are ordered by (point, seed,
+    model) regardless of thread count.
     """
     finite = [snr_db != math.inf for _, _, snr_db, _ in points]
     # whether a later finite-SNR point needs point i's noise blocks again
     reused = [any(f and q[0] == p[0]
                   for q, f in zip(points[i + 1:], finite[i + 1:]))
               for i, p in enumerate(points)]
+    # whether point i is the last of its channel's run of points
+    last = [i + 1 == len(points) or points[i + 1][:2] != p[:2]
+            for i, p in enumerate(points)]
+    rapp = RappParams(y_sat=cfg.y_sat, alpha=cfg.alpha)
 
     def one(seed, trial, dataset):
         row = partial(TrialResult, experiment=experiment,
                       dataset=cfg.dataset.name, seed=seed)
-        chan_key = h = None
+        x_train, x_test = augment(dataset.x_train), augment(dataset.x_test)
+        chan_key = None
         held = {}           # n_r -> (train, test) noise replays
         by_point = []
         for i, (n_r, kappa, snr_db, with_baseline) in enumerate(points):
             t0 = time.perf_counter()
             if (n_r, kappa) != chan_key:
                 chan_key, p_sig = (n_r, kappa), None
-                h = _draw_channel(cfg, dataset, trial, n_r, kappa)
+                h_real = _draw_channel(cfg, dataset, trial, n_r, kappa).real
+                r_train, r_test, g_train = receive(h_real, x_train), None, None
             if finite[i] and p_sig is None:
-                p_sig = _signal_power(dataset, h.real)
-            layer = _channel_layer(cfg, h.real, p_sig, snr_db)
+                p_sig = signal_power(r_train)
+            layer = HiddenLayer(h_real=h_real, rapp=rapp,
+                                noise=noise_for_snr(p_sig, snr_db))
             train_noise = test_noise = None
             if finite[i]:
                 train_noise, test_noise = held.pop(n_r, None) or (
@@ -260,8 +266,19 @@ def _run_grid(cfg: ExperimentConfig, experiment: str, points):
                 if reused[i]:
                     held[n_r] = (train_noise, test_noise)
                 train_noise.last = test_noise.last = not reused[i]
-            model = fit(layer, dataset.x_train, dataset.t_train, train_noise)
-            acc = _accuracy(model, dataset, test_noise)
+            if not last[i] and g_train is None:
+                g_train = np.empty_like(r_train)
+            model = fit_received(layer, r_train, dataset.t_train, train_noise,
+                                 out=r_train if last[i] else g_train)
+            if last[i]:
+                r_train = g_train = None
+            if r_test is None:
+                r_test = receive(h_real, x_test)
+            t_hat = activate(layer, r_test, test_noise,
+                             out=r_test if last[i] else None) @ model.w
+            if last[i]:
+                r_test = None
+            acc = _accuracy(t_hat, dataset)
             rows = [row(model="mimo", n_r=n_r, snr_db=snr_db, kappa=kappa,
                         accuracy=acc, train_residual=model.train_residual,
                         receive_power=model.receive_power,
@@ -321,22 +338,27 @@ def run_online(cfg: ExperimentConfig):
     """
     cfg = cfg.resolved()
     ar = ArConfig(eta=cfg.eta)
+    rapp = RappParams(y_sat=cfg.y_sat, alpha=cfg.alpha)
 
     def one(seed, trial, dataset):
         row = partial(TrialResult, experiment="online",
                       dataset=cfg.dataset.name, seed=seed, model="mimo",
                       n_r=cfg.n_r, snr_db=cfg.snr_db, kappa=cfg.kappa,
                       eta=cfg.eta)
+        x_test = augment(dataset.x_test)
         h = _draw_channel(cfg, dataset, trial, cfg.n_r, cfg.kappa)
-        p_sig = (_signal_power(dataset, h.real)
-                 if cfg.snr_db != math.inf else None)
-        layer = _channel_layer(cfg, h.real, p_sig, cfg.snr_db)
+        r_train = receive(h.real, augment(dataset.x_train))
+        p_sig = (signal_power(r_train) if cfg.snr_db != math.inf else None)
+        layer = HiddenLayer(h_real=h.real, rapp=rapp,
+                            noise=noise_for_snr(p_sig, cfg.snr_db))
         train_noise = trial.split(SUB_TRAIN_NOISE)
         test_noise = trial.split(SUB_TEST_NOISE)
         ar_rng = trial.split(SUB_AR)
         batch_rng = trial.split(SUB_MINIBATCH)
 
-        model = fit(layer, dataset.x_train, dataset.t_train, train_noise)
+        model = fit_received(layer, r_train, dataset.t_train, train_noise,
+                             out=r_train)
+        del r_train             # it holds the H(0) fit's G now
         rows = []
         for step in range(1, cfg.steps + 1):
             t0 = time.perf_counter()
@@ -344,15 +366,15 @@ def run_online(cfg: ExperimentConfig):
             layer_k = replace(layer, h_real=h.real)
             # normalizer: closed-form refit on the full data under H(k)
             full = fit(layer_k, dataset.x_train, dataset.t_train, train_noise)
-            acc_full = _accuracy(full, dataset, test_noise)
             # iteration 0 is the stale combiner under H(k)
             trace = [replace(model, hidden=layer_k)]
             model = online_update(model, h.real, dataset, cfg.gamma,
                                   cfg.batch_size, cfg.iters_per_step,
                                   batch_rng, noise_rng=train_noise,
                                   callback=lambda i, m: trace.append(m))
-            for i, m in enumerate(trace):
-                acc = _accuracy(m, dataset, test_noise)
+            acc_full, *accs = _test_accuracies([full, *trace], x_test,
+                                               dataset, test_noise)
+            for i, (m, acc) in enumerate(zip(trace, accs)):
                 rows.append(row(step=step, iteration=i, accuracy=acc,
                                 receive_power=m.receive_power,
                                 normalized_accuracy=(acc / acc_full

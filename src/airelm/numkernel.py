@@ -12,12 +12,14 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import math
 
 import numpy as np
 
 from .rng import RngStream
 
 DEFAULT_REL_TOL = 1e-12
+_EPS = float(np.finfo(float).eps)
 
 # Largest condition numbers of G that `min_norm_lstsq` solves through the Gram
 # matrix and through a QR of G; see its docstring for the bounds behind them.
@@ -60,7 +62,7 @@ def lapack_cholesky():
         potrf, posv = lib.scipy_dpotrf_64_, lib.scipy_dposv_64_
     except AttributeError:
         return None
-    arr = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS, WRITEABLE")
+    arr = ctypes.c_void_p           # checked by `_writable_pointer`
     # the trailing size_t is the hidden Fortran length of the uplo string
     potrf.argtypes = [ctypes.c_char_p, i64, arr, i64, i64, ctypes.c_size_t]
     posv.argtypes = [ctypes.c_char_p, i64, i64, arr, i64, arr, i64, i64,
@@ -69,15 +71,27 @@ def lapack_cholesky():
     return potrf, posv
 
 
+def _writable_pointer(a: np.ndarray) -> int:
+    """Address of a's data, for LAPACK to read and overwrite in place; a
+    TypeError, as `np.ctypeslib.ndpointer` raises, unless a is a writable,
+    C-contiguous float64 array."""
+    if not (isinstance(a, np.ndarray) and a.dtype == np.float64
+            and a.flags.c_contiguous and a.flags.writeable):
+        raise TypeError("LAPACK needs a writable, C-contiguous float64 array")
+    return a.ctypes.data
+
+
 def _cholesky_in_place(a: np.ndarray, b: np.ndarray = None) -> int:
     """LAPACK info of dpotrf('L') on a or, given b, of dposv('L') solving
-    a x = b into b, in place.  a is n x n and symmetric, so C order serves."""
+    a x = b into b, in place.  a is n x n and symmetric, so C order serves.
+    Both arrays are checked before LAPACK runs."""
     potrf, posv = lapack_cholesky()
     n, info = ctypes.c_int64(a.shape[0]), ctypes.c_int64()
     if b is None:
-        potrf(b"L", n, a, n, info, 1)
+        potrf(b"L", n, _writable_pointer(a), n, info, 1)
     else:
-        posv(b"L", n, ctypes.c_int64(1), a, n, b, n, info, 1)
+        pa, pb = _writable_pointer(a), _writable_pointer(b)
+        posv(b"L", n, ctypes.c_int64(1), pa, n, pb, n, info, 1)
     return info.value
 
 
@@ -159,9 +173,10 @@ def _certified(a: np.ndarray, floor: float) -> bool:
     s = 2 ||A||_F * floor + (n + 1) * eps * tr(A), which proves
     lam_min(A) >= 2 * floor * lam_max(A); see `min_norm_lstsq`."""
     n = a.shape[0]
+    flat = a.ravel(order="K")       # ||A||_F as np.linalg.norm computes it
     shifted = a.copy()
-    shifted.flat[::n + 1] -= (2.0 * np.linalg.norm(a) * floor
-                              + (n + 1) * np.finfo(float).eps * np.trace(a))
+    shifted.ravel()[::n + 1] -= (2.0 * math.sqrt(flat.dot(flat)) * floor
+                                 + (n + 1) * _EPS * a.trace())
     if lapack_cholesky() is not None:
         return _cholesky_in_place(shifted) == 0
     try:
@@ -176,10 +191,9 @@ def _solver_path(a: np.ndarray, r: float) -> str:
     matrix A, by two shifted-Cholesky certificates or, when both fail, by
     `eigvalsh`."""
     n = a.shape[0]
-    eps = np.finfo(float).eps
     if _certified(a, max(GRAM_MAX_COND ** -2, r * r)):
         return "gram"
-    if _certified(a, max(QR_MAX_COND ** -2, r * r, 5 * n * eps)):
+    if _certified(a, max(QR_MAX_COND ** -2, r * r, 5 * n * _EPS)):
         return "qr"
     lam = np.linalg.eigvalsh(a)
     lam_min, lam_max = lam[0], lam[-1]          # eigvalsh sorts ascending
@@ -191,7 +205,7 @@ def _solver_path(a: np.ndarray, r: float) -> str:
     # the band's edge must also stand clear of eigvalsh's n * eps * lam_max
     # error; kappa <= QR_MAX_COND implies that up to n = 450
     if (lam_max <= QR_MAX_COND ** 2 * lam_min
-            and 10 * n * eps * lam_max <= lam_min):
+            and 10 * n * _EPS * lam_max <= lam_min):
         return "qr"
     return "svd"
 
@@ -265,7 +279,7 @@ def min_norm_lstsq(g: np.ndarray, t: np.ndarray,
     """
     g = np.asarray(g, dtype=float)
     t = np.asarray(t, dtype=float)
-    if not (np.all(np.isfinite(g)) and np.all(np.isfinite(t))):
+    if not np.isfinite(t).all():
         raise ValueError("min_norm_lstsq: input contains NaN or Inf")
     if t.ndim == 2 and t.shape[1] == 1:
         t = t[:, 0]
@@ -276,6 +290,10 @@ def min_norm_lstsq(g: np.ndarray, t: np.ndarray,
     wide = g.shape[0] <= g.shape[1]
     if g.size:
         a = g @ g.T if wide else g.T @ g
+        # each entry of G is squared into one diagonal entry of A, so a
+        # finite tr(A) proves G finite unless the squares overflowed
+        if not (math.isfinite(a.trace()) or np.isfinite(g).all()):
+            raise ValueError("min_norm_lstsq: input contains NaN or Inf")
         path = _solver_path(a, r)
         if path == "gram":
             b = t.copy() if wide else g.T @ t

@@ -188,3 +188,20 @@ def test_rapp_vec_equals_direct_formula_bit_for_bit(x, params):
         got = rapp_vec(x, params)
     assert np.array_equal(_bits(got), _bits(direct))
     assert type(got) is type(direct)     # a 0-d input gives a numpy scalar
+
+
+@pytest.mark.parametrize("x", _FIXED_INPUTS)
+@pytest.mark.parametrize("fn", [sigmoid, rapp_vec])
+def test_out_argument_gives_the_same_bits_in_the_given_buffer(x, fn):
+    """fn(x, out=x) overwrites x with the bits fn(x) returns in a new
+    array, and fn(x) leaves x as it is."""
+    x = np.array(x, dtype=float)
+    before = x.copy()
+    with np.errstate(over="ignore"):
+        fresh = fn(x)
+        assert np.array_equal(_bits(x), _bits(before))
+        if x.ndim == 0:
+            return                  # a 0-d result comes back as a scalar
+        assert not np.shares_memory(fresh, x)
+        assert fn(x, out=x) is x
+    assert np.array_equal(_bits(x), _bits(fresh))

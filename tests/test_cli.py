@@ -144,6 +144,45 @@ def test_finite_but_huge_features_exit_2(tmp_path, capsys, dataset, message):
     assert f"{message}: its training mean or std overflows float64" in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_test_cell_overflowing_when_standardized_exits_2(tmp_path, capsys):
+    """Column a is 0.00-0.09 but for one 1e308 cell, which master_seed 6
+    puts in the test block: standardized by the training statistics it
+    would be inf, and the run would end normally with that row's
+    prediction NaN and counted wrong."""
+    data = tmp_path / "d.csv"
+    rows = [f"{i / 100:.2f},{i % 3},{1 if i % 2 else -1}" for i in range(10)]
+    rows[4] = "1e308,4,-1"
+    data.write_text("a,b,label\n" + "\n".join(rows) + "\n")
+    rc = main(["single", "--seeds", "1", "--config",
+               _ini(tmp_path, f"[experiment]\nmaster_seed = 6\n"
+                              f"[dataset]\nname = csv\npath = {data}\n"
+                              "label_column = label\n[model]\nn_r = 8\n")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == ("data error: feature 'a': a test-block value overflows "
+                   "float64 when standardized\n")
+
+
+def test_a_run_does_not_import_numpy_ma(tmp_path):
+    """numpy.ma, which `np.unique` imports on first use, costs a run about
+    15 ms of import time and 1.5 MB of memory; no step of a run needs it."""
+    ini = _ini(tmp_path, "[experiment]\nseeds = 2\n[dataset]\n"
+                         "name = synthetic\nsynth_size = 60\nsynth_d = 3\n"
+                         "[model]\nn_r = 16\n[sweep]\ngrid = 0, 20\n")
+    script = ("import sys\nfrom airelm.cli import main\n"
+              f"code = main(['sweep-snr', '--config', {ini!r}, "
+              f"'--out', {str(tmp_path / 'r.csv')!r}])\n"
+              "print(code, 'numpy.ma' in sys.modules)\n")
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
+
+
 def test_missing_output_directory_exits_3(tmp_path, capsys, monkeypatch):
     import airelm.cli
 

@@ -358,6 +358,25 @@ def test_split_overflowing_column_is_a_data_error_unless_constant():
         split_standardize(huge, 0.8, RngStream(3).split(0))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_split_test_cell_overflowing_when_standardized_is_a_data_error():
+    """A huge cell that the split puts in the test block, far outside a
+    column with finite training statistics, is a DataError naming the
+    column instead of an infinite feature; a cell that stays finite once
+    standardized passes."""
+    feats = np.column_stack([np.arange(10) / 100.0, np.arange(10) % 3])
+    labels = np.resize([1, -1], 10)
+    test_row = RngStream(6).permutation(10)[-1]   # the split's last draw
+    feats[test_row, 0] = 1e308
+    table = RawTable(feats, labels, feature_names=("a", "b"))
+    with pytest.raises(DataError, match="feature 'a': a test-block value "
+                                        "overflows float64 when standardized"):
+        split_standardize(table, 0.8, RngStream(6))
+    feats[test_row, 0] = 1e150
+    data = split_standardize(RawTable(feats, labels), 0.8, RngStream(6))
+    assert np.isfinite(data.x_test).all() and data.x_test.max() > 1e151
+
+
 def test_split_roundtrip():
     data = split_standardize(_clean_table(40), 0.8, RngStream(4).split(0))
     table = _clean_table(40)

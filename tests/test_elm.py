@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from airelm.activation import rapp_vec, sigmoid
-from airelm.channel import NoiseModel
+from airelm.channel import NoiseModel, receive
 from airelm.data import split_standardize, synth_two_gaussians
 from airelm.elm import (
     DigitalLayer,
     ElmModel,
     HiddenLayer,
+    activate,
+    augment,
     classify,
     digital_elm_hidden,
     fit,
@@ -73,6 +75,38 @@ def test_hidden_matrix_noise_requires_rng():
     layer = HiddenLayer(h_real=np.eye(3), noise=NoiseModel(sigma2=0.1))
     with pytest.raises(ValueError):
         hidden_matrix(layer, np.zeros((1, 2)))
+
+
+@pytest.mark.parametrize("sigma2", [0.0, 0.3])
+def test_activate_serves_every_point_from_one_receive_block(sigma2):
+    """activate(r) is hidden_matrix's G bit for bit, rapp(r + n) with the
+    noise drawn in one call, and leaves r as it is; out=r writes the same
+    bits over r."""
+    layer = dataclasses.replace(_random_layer(3, n_r=6, d=4),
+                                noise=NoiseModel(sigma2=sigma2))
+    x = RngStream(4).normal(size=(9, 4))
+    r = receive(layer.h_real, augment(x))
+    before = r.copy()
+    expected = hidden_matrix(layer, x, RngStream(5))
+    direct = rapp_vec(r + RngStream(5).normal(0.0, np.sqrt(sigma2 / 2.0),
+                                              r.shape)) if sigma2 else \
+        rapp_vec(r)
+    assert np.array_equal(expected, direct)
+    for _ in range(2):
+        assert np.array_equal(activate(layer, r, RngStream(5)), expected)
+        assert np.array_equal(r, before)
+    assert activate(layer, r, RngStream(5), out=r) is r
+    assert np.array_equal(r, expected)
+
+
+def test_digital_activate_is_sigmoid_of_the_product():
+    layer = digital_elm_hidden(RngStream(6), 5, 3)
+    x = RngStream(7).normal(size=(4, 3))
+    y = augment(x) @ layer.weights.T
+    before = y.copy()
+    g = activate(layer, y)
+    assert np.array_equal(g, sigmoid(before)) and np.array_equal(y, before)
+    assert np.array_equal(hidden_matrix(layer, x), g)
 
 
 # ------------------------------------------------------------ train

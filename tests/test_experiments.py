@@ -8,8 +8,10 @@ import pathlib
 import numpy as np
 import pytest
 
+from airelm.channel import noise_for_snr, receive, sigma2_for_snr, signal_power
 from airelm.config import DatasetConfig, ExperimentConfig, parse_config
-from airelm import experiments
+from airelm import channel, elm, experiments
+from airelm.elm import augment
 from airelm.errors import ConfigError
 from airelm.experiments import (
     SUMMARY_COLUMNS,
@@ -91,14 +93,14 @@ def test_trials_run_on_one_blas_thread(monkeypatch):
     if control is None:
         pytest.skip("this BLAS exposes no thread-count control")
     get, put = control
-    fit = experiments.fit
+    fit = experiments.fit_received
     seen = []
 
     def fit_and_record(*args, **kwargs):
         seen.append(get())
         return fit(*args, **kwargs)
 
-    monkeypatch.setattr(experiments, "fit", fit_and_record)
+    monkeypatch.setattr(experiments, "fit_received", fit_and_record)
     original = get()
     put(2)              # a count other than 1, so the restore is visible
     try:
@@ -111,6 +113,14 @@ def test_trials_run_on_one_blas_thread(monkeypatch):
 
 
 # -------------------------------------------------- seed-major driver
+
+def _recording(calls, fn):
+    def recorded(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        calls.append(out)
+        return out
+    return recorded
+
 
 def _count_calls(monkeypatch, name):
     calls = []
@@ -135,7 +145,7 @@ def test_each_seed_builds_its_dataset_once(monkeypatch, kind, grid):
 
 def test_snr_sweep_draws_each_seeds_channel_and_noise_once(monkeypatch):
     drawn = _count_calls(monkeypatch, "sample_ricean")
-    calibrated = _count_calls(monkeypatch, "sigma2_for_snr")
+    calibrated = _count_calls(monkeypatch, "signal_power")
     noise_draws = []
     normal = RngStream.normal
 
@@ -151,6 +161,43 @@ def test_snr_sweep_draws_each_seeds_channel_and_noise_once(monkeypatch):
     assert sorted(noise_draws) == sorted(
         (seed, sub) for seed in range(3)
         for sub in (SUB_TRAIN_NOISE, SUB_TEST_NOISE))
+
+
+def test_snr_sweep_forms_each_seeds_receive_blocks_once(monkeypatch):
+    """x~ (H^r)^T is computed twice per seed, for the training and the
+    test rows, however many SNR points share the channel; P_sig comes from
+    the training block."""
+    blocks = []
+    for module in (channel, elm, experiments):
+        monkeypatch.setattr(module, "receive",
+                            _recording(blocks, module.receive))
+    run(_cfg(kind="sweep_snr", grid=(0.0, 10.0, 20.0), seeds=3, n_r=32))
+    assert [r.shape for r in blocks] == [(96, 32), (24, 32)] * 3
+
+
+def _sigma2_reference(h_real, x_tilde, snr_db):
+    """`sigma2_for_snr` as it computed sigma^2 before the receive block
+    owned P_sig."""
+    if snr_db == math.inf:
+        return 0.0
+    p_sig = np.mean(np.sum((x_tilde @ h_real.T) ** 2, axis=1)) / len(h_real)
+    return float(p_sig / 10.0 ** (snr_db / 10.0))
+
+
+def test_noise_from_the_receive_block_is_sigma2_for_snr_bit_for_bit():
+    """The noise power a sweep takes from its training receive block, and
+    `sigma2_for_snr`, both give the bits of the formula they replaced."""
+    cfg = _cfg(kind="sweep_snr", n_r=32)
+    for seed in range(3):
+        trial = RngStream(cfg.master_seed).split(seed)
+        dataset = experiments._trial_dataset(cfg, None, trial)
+        h_real = experiments._draw_channel(cfg, dataset, trial, 32, 1.0).real
+        x_tilde = augment(dataset.x_train)
+        p_sig = signal_power(receive(h_real, x_tilde))
+        for snr_db in (-3.0, 0.0, 7.5, 30.0, math.inf):
+            expected = _sigma2_reference(h_real, x_tilde, snr_db)
+            assert noise_for_snr(p_sig, snr_db).sigma2 == expected
+            assert sigma2_for_snr(h_real, x_tilde, snr_db) == expected
 
 
 @pytest.mark.parametrize("kind, grid, extra", [

@@ -5,8 +5,13 @@ round-off bits across builds, so the hashes are only checked under the
 numpy and BLAS build they were taken with.  Each case has two: one with
 the Gram solve run by LAPACK's dposv, as that build runs it, and one with
 the `numpy_linalg` fallback, whose `np.linalg.solve` moves round-off only.
+
+The accuracy cells of the same runs are checked on every build: each is
+a count of correct test predictions over the 24 test rows, which
+round-off does not move unless it flips a predicted sign.
 """
 
+import csv
 import hashlib
 
 import numpy as np
@@ -46,6 +51,18 @@ CASES = {
 THRESHOLD = ("[sweep]\ngrid = 64, 94, 95, 128\n",
              "0b0ab9b2019369ffce4d11547d43a8c2077e92556f5d98592fa409e64793359f",
              "2c894be1c8432ff9a9452f5a6d8e4191427b1519e251a74d5c4904be3f7596ed")
+
+# command (or "threshold"): correct test predictions, out of 24, row by row
+CORRECT = {
+    "sweep-nr": (23, 21, 23, 23, 23, 20, 22, 23),
+    "sweep-snr": (22, 21, 23, 23, 23, 21),
+    "sweep-kappa": (23, 23, 22, 23),
+    "online": (23, 23, 23, 23, 23, 23, 23, 22, 22, 21, 23, 21),
+    "single": (23, 21, 23, 22),
+    "threshold": (23, 20, 22, 23, 22, 18, 17, 19,
+                  22, 17, 21, 15, 22, 20, 21, 16),
+}
+N_TEST = 24
 
 
 def _build():
@@ -121,3 +138,16 @@ def test_threshold_sweep_matches_golden_hash_on_every_solver_path(
 def test_numpy_fallback_threshold_sweep_matches_golden_hash(
         tmp_path, monkeypatch, numpy_linalg):
     _threshold_sweep(tmp_path, monkeypatch, THRESHOLD[2])
+
+
+@pytest.mark.parametrize("case", sorted(CORRECT))
+def test_accuracy_cells_match_golden_counts_on_every_build(tmp_path, case):
+    command, extra = (("sweep-nr", THRESHOLD[0]) if case == "threshold"
+                      else (case, CASES[case][0]))
+    ini = tmp_path / "exp.ini"
+    ini.write_text(COMMON + extra)
+    out = tmp_path / "r.csv"
+    assert main([command, "--config", str(ini), "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        cells = [row["accuracy"] for row in csv.DictReader(fh)]
+    assert cells == [str(k / N_TEST) for k in CORRECT[case]]

@@ -457,6 +457,46 @@ def test_gram_solve_by_dposv_matches_numpy_lstsq_to_1e_9(monkeypatch):
     assert len(solves) == len(cases)
 
 
+def _bad_array(kind, shape):
+    good = np.eye(*shape) if len(shape) == 2 else np.ones(shape)
+    if kind == "float32":
+        return good.astype(np.float32)
+    if kind == "non_contiguous":
+        wide = np.repeat(good, 2, axis=-1)
+        return wide[..., ::2]
+    if kind == "fortran_order":
+        return np.asfortranarray(np.arange(16.0).reshape(shape))
+    good.flags.writeable = False
+    return good
+
+
+@pytest.mark.parametrize("kind, operand", [
+    (kind, operand)
+    for kind in ("float32", "non_contiguous", "fortran_order", "read_only")
+    for operand in ("dpotrf a", "dposv a", "dposv b")
+    # a vector is C-contiguous in either order
+    if (kind, operand) != ("fortran_order", "dposv b")])
+def test_lapack_binding_rejects_bad_arrays_before_lapack_runs(
+        monkeypatch, kind, operand):
+    """The raw-pointer binding raises TypeError, as an `ndpointer` argtype
+    would, for any array LAPACK could not overwrite in place as float64 in
+    C order, and LAPACK never sees the call."""
+    ran = []
+    monkeypatch.setattr(numkernel, "lapack_cholesky", lambda: (
+        lambda *args: ran.append("dpotrf"), lambda *args: ran.append("dposv")))
+    a, b = np.eye(4), np.ones(4)
+    if operand.endswith("a"):
+        a = _bad_array(kind, (4, 4))
+    else:
+        b = _bad_array(kind, (4,))
+    with pytest.raises(TypeError, match="writable, C-contiguous float64"):
+        numkernel._cholesky_in_place(a, b if operand.startswith("dposv")
+                                     else None)
+    assert ran == []
+    numkernel._cholesky_in_place(np.eye(4), np.ones(4))
+    assert ran == ["dposv"]
+
+
 def test_numpy_fallback_takes_the_same_paths(monkeypatch, numpy_linalg):
     """Without the LAPACK binding every case takes the path it takes with
     it, through `np.linalg.cholesky` and `np.linalg.solve`."""
@@ -469,6 +509,26 @@ def test_numpy_fallback_takes_the_same_paths(monkeypatch, numpy_linalg):
         assert taken == path, (path, g.shape)
         ref = np.linalg.lstsq(g, t, rcond=DEFAULT_REL_TOL * max(g.shape))[0]
         assert np.allclose(w, ref, atol=1e-10)
+
+
+@pytest.mark.parametrize("shape", [(6, 4), (4, 6), (5, 5)])
+def test_min_norm_rejects_any_nan_or_inf_entry(shape):
+    """Every entry of G, and of t, is checked, whichever Gram matrix G
+    forms; a finite G whose Gram matrix overflows is not rejected."""
+    rng = np.random.default_rng(11)
+    g, t = rng.normal(size=shape), rng.normal(size=shape[0])
+    for bad in (np.nan, np.inf, -np.inf):
+        for i, j in np.ndindex(*shape):
+            g_bad = g.copy()
+            g_bad[i, j] = bad
+            with pytest.raises(ValueError, match="contains NaN or Inf"):
+                min_norm_lstsq(g_bad, t)
+        t_bad = t.copy()
+        t_bad[-1] = bad
+        with pytest.raises(ValueError, match="contains NaN or Inf"):
+            min_norm_lstsq(g, t_bad)
+    with np.errstate(over="ignore", invalid="ignore"):
+        min_norm_lstsq(g * 1e200, t)
 
 
 def test_min_norm_rejects_bad_rel_tol_before_any_factorization(monkeypatch):
