@@ -118,16 +118,18 @@ def evolve_ar(h_prev: np.ndarray, cfg: ArConfig, rng: RngStream) -> np.ndarray:
     return cfg.eta * h_prev + (1.0 - cfg.eta) * theta
 
 
-def receive(h_real: np.ndarray, x_tilde: np.ndarray) -> np.ndarray:
+def receive(h_real: np.ndarray, x_tilde: np.ndarray,
+            out: np.ndarray = None) -> np.ndarray:
     """Noiseless receive block: H^r x~ for one transmit vector x~, or
-    x~ (H^r)^T for a batch of them, one receive vector per row."""
+    x~ (H^r)^T for a batch of them, one receive vector per row; written to
+    out when given, else to a new array."""
     h_real = np.asarray(h_real, dtype=float)
     x = np.asarray(x_tilde, dtype=float)
     if x.ndim not in (1, 2) or h_real.shape[1] != x.shape[-1]:
         raise ValueError(
             f"receive: H^r has {h_real.shape[1]} columns but x~ has "
             f"shape {x.shape}")
-    return x @ h_real.T
+    return np.matmul(x, h_real.T, out=out)
 
 
 def add_noise(y: np.ndarray, noise: NoiseModel, rng: RngStream = None,

@@ -86,6 +86,12 @@ def test_threads_do_not_change_results():
     b = run_sweep_nr(_cfg(grid=(32, 64), seeds=2, threads=2))
     assert [(r.seed, r.n_r, r.accuracy) for r in a] == \
            [(r.seed, r.n_r, r.accuracy) for r in b]
+    # each worker hands its own receive blocks on from seed to seed
+    cfg = _cfg(kind="sweep_snr", grid=(0.0, 10.0), seeds=5, n_r=32)
+    fields = ("seed", "snr_db", "accuracy", "train_residual", "receive_power")
+    assert [[getattr(r, f) for f in fields] for r in run(cfg)] == \
+           [[getattr(r, f) for f in fields]
+            for r in run(dataclasses.replace(cfg, threads=2))]
 
 
 def test_trials_run_on_one_blas_thread(monkeypatch):
@@ -173,6 +179,25 @@ def test_snr_sweep_forms_each_seeds_receive_blocks_once(monkeypatch):
                             _recording(blocks, module.receive))
     run(_cfg(kind="sweep_snr", grid=(0.0, 10.0, 20.0), seeds=3, n_r=32))
     assert [r.shape for r in blocks] == [(96, 32), (24, 32)] * 3
+
+
+@pytest.mark.parametrize("kind, grid, extra, distinct", [
+    # one channel per seed: every seed writes into the first seed's blocks
+    ("sweep_snr", (0.0, 10.0), {}, 2),
+    ("sweep_kappa", (0.0, 10.0), {"snr_db": 10.0}, 2),
+    ("sweep_nr", (32,), {"snr_db": 10.0}, 2),
+    # N_r changes from channel to channel, so no block is handed on
+    ("sweep_nr", (16, 32), {"snr_db": 10.0}, 2 * 2 * 3),
+    # nor after a channel whose point runs a digital trial
+    ("sweep_nr", (32,), {"snr_db": 10.0, "baseline": True}, 2 * 3),
+])
+def test_receive_blocks_are_handed_on_only_to_a_channel_of_the_same_n_r(
+        monkeypatch, kind, grid, extra, distinct):
+    blocks = []
+    monkeypatch.setattr(experiments, "receive",
+                        _recording(blocks, experiments.receive))
+    run(_cfg(kind=kind, grid=grid, seeds=3, n_r=32, **extra))
+    assert len({id(b) for b in blocks}) == distinct
 
 
 def _sigma2_reference(h_real, x_tilde, snr_db):
