@@ -243,9 +243,10 @@ def _run_grid(cfg: ExperimentConfig, experiment: str, points):
     finite-SNR points; and it keeps each noise block only while a later
     finite-SNR point needs it.  Every point but the channel's last writes
     its training G into one scratch block the channel keeps; the last
-    writes the hidden matrices over the receive blocks and lets them go, so
-    no block outlives its channel.  Results are ordered by (point, seed,
-    model) regardless of thread count.
+    writes the hidden matrices over the receive blocks and lets them go, or
+    hands them on to the worker's next channel if it has the same N_r
+    (`_block`), so no block outlives its use.  Results are ordered by
+    (point, seed, model) regardless of thread count.
     """
     finite = [snr_db != math.inf for _, _, snr_db, _ in points]
     # whether a later finite-SNR point needs point i's noise blocks again
