@@ -74,6 +74,10 @@ class NoiseModel:
 
 NOISELESS = NoiseModel(0.0)
 
+# Entries per row block in `signal_power` and `elm.activate`: their
+# temporaries are one block, not one D x N_r array, each.
+BLOCK_ENTRIES = 1 << 15
+
 
 def steering_vector(n: int, theta: float) -> np.ndarray:
     """ULA steering vector, half-wavelength spacing: element m has phase
@@ -118,35 +122,30 @@ def evolve_ar(h_prev: np.ndarray, cfg: ArConfig, rng: RngStream) -> np.ndarray:
     return cfg.eta * h_prev + (1.0 - cfg.eta) * theta
 
 
-def receive(h_real: np.ndarray, x_tilde: np.ndarray,
-            out: np.ndarray = None) -> np.ndarray:
+def receive(h_real: np.ndarray, x_tilde: np.ndarray) -> np.ndarray:
     """Noiseless receive block: H^r x~ for one transmit vector x~, or
-    x~ (H^r)^T for a batch of them, one receive vector per row; written to
-    out when given, else to a new array."""
+    x~ (H^r)^T for a batch of them, one receive vector per row."""
     h_real = np.asarray(h_real, dtype=float)
     x = np.asarray(x_tilde, dtype=float)
     if x.ndim not in (1, 2) or h_real.shape[1] != x.shape[-1]:
         raise ValueError(
             f"receive: H^r has {h_real.shape[1]} columns but x~ has "
             f"shape {x.shape}")
-    return np.matmul(x, h_real.T, out=out)
+    return x @ h_real.T
 
 
-def add_noise(y: np.ndarray, noise: NoiseModel, rng: RngStream = None,
-              out: np.ndarray = None) -> np.ndarray:
+def add_noise(y: np.ndarray, noise: NoiseModel,
+              rng: RngStream = None) -> np.ndarray:
     """y + n_r with n_r ~ N(0, sigma^2/2) i.i.d., drawn for all of y in one
-    call (row-major, so row by row).
-
-    The sum goes to out, which may be y itself, or else to the noise draw's
-    own buffer; y is left as it is unless it is out.  A noiseless model
-    returns y itself.
+    call (row-major, so row by row), in the noise draw's own buffer; y is
+    left as it is.  A noiseless model returns y itself.
     """
     if noise.noiseless:
         return y
     if rng is None:
         raise ValueError("add_noise: finite-SNR noise needs an RngStream")
     n = rng.normal(0.0, np.sqrt(noise.sigma2 / 2.0), y.shape)
-    return np.add(n, y, out=n if out is None else out)
+    return np.add(n, y, out=n)
 
 
 def apply_channel(h_real: np.ndarray, x_tilde: np.ndarray, noise: NoiseModel,
@@ -156,13 +155,25 @@ def apply_channel(h_real: np.ndarray, x_tilde: np.ndarray, noise: NoiseModel,
     return add_noise(receive(h_real, x_tilde), noise, rng)
 
 
+def row_blocks(shape) -> list:
+    """Slices of consecutive rows that cover an array of this shape, each
+    of about BLOCK_ENTRIES entries (at least one row)."""
+    step = max(1, BLOCK_ENTRIES // max(1, math.prod(shape[1:])))
+    return [slice(a, a + step) for a in range(0, shape[0], step)]
+
+
 def signal_power(r: np.ndarray) -> float:
     """P_sig of a receive block r, one receive vector per row: the average
-    per-antenna received signal power mean_i ||r_i||^2 / N_r."""
+    per-antenna received signal power mean_i ||r_i||^2 / N_r.  The squares
+    are summed row block by row block, each row as the whole block would
+    sum it."""
     r = np.atleast_2d(r)
     if r.size == 0:
         raise ValueError("signal_power: empty transmit-vector set")
-    p_sig = np.mean(np.sum(r ** 2, axis=1)) / r.shape[1]
+    sums = np.empty(len(r))
+    for rows in row_blocks(r.shape):
+        np.sum(r[rows] ** 2, axis=1, out=sums[rows])
+    p_sig = np.mean(sums) / r.shape[1]
     if p_sig == 0.0:
         raise ValueError("signal_power: all-zero signal set, SNR undefined")
     return p_sig

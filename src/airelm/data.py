@@ -9,6 +9,7 @@ two-Gaussians generator so the test suite never needs a download.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import struct
@@ -153,6 +154,15 @@ def load_csv(path, label_column, delimiter: str = ",", missing_token: str = None
             raise DataError(f"{path}: label_column {label_idx} is outside the "
                             f"{width} columns")
 
+    # without a missing token, every feature cell converts in one call; the
+    # cell loop below runs where that fails, to name the first bad cell
+    cells = None
+    if missing_token is None and all(len(row) == width for row in body):
+        with contextlib.suppress(ValueError):
+            cells = np.array([row[:label_idx] + row[label_idx + 1:]
+                              for row in body], dtype=float)
+            cells = cells if np.isfinite(cells).all() else None
+
     feats, labels = [], []
     for i, row in enumerate(body):
         lineno = i + (2 if has_header else 1)
@@ -171,14 +181,16 @@ def load_csv(path, label_column, delimiter: str = ",", missing_token: str = None
             except (ValueError, OverflowError):
                 raise DataError(
                     f"{path}:{lineno}: unparseable label {raw_label!r}") from None
-        feats.append([_finite_cell(cell.strip(), missing_token, path,
-                                   lineno, j)
-                      for j, cell in enumerate(row) if j != label_idx])
+        if cells is None:
+            feats.append([_finite_cell(cell.strip(), missing_token, path,
+                                       lineno, j)
+                          for j, cell in enumerate(row) if j != label_idx])
 
     names = None
     if header is not None:
         names = tuple(h for j, h in enumerate(header) if j != label_idx)
-    return RawTable(features=np.array(feats, dtype=float),
+    return RawTable(features=(np.array(feats, dtype=float) if cells is None
+                              else cells),
                     labels=np.array(labels, dtype=int), feature_names=names)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace, field
 import numpy as np
 
 from .activation import RappParams, DEFAULT_RAPP, rapp_vec, sigmoid
-from .channel import NoiseModel, NOISELESS, add_noise, receive
+from .channel import NoiseModel, NOISELESS, add_noise, receive, row_blocks
 from .errors import ConfigError
 from .numkernel import min_norm_lstsq
 from .rng import RngStream
@@ -75,11 +75,19 @@ def activate(layer, y: np.ndarray, rng: RngStream = None,
     layer y is x~ W^T and the result is sigmoid(y).  The result goes to
     out, which may be y itself, or else to a new array, and y is left as it
     is: one receive block then serves every noise level of its channel.
+
+    A channel layer runs row block by row block (`row_blocks`), drawing
+    each block's noise in turn, so its temporaries are one block each and
+    its bits are those of one draw over all of y.
     """
     if isinstance(layer, DigitalLayer):
         return sigmoid(y, out=out)
-    z = add_noise(y, layer.noise, rng, out)
-    return rapp_vec(z, layer.rapp, out=out if z is y else z)
+    if out is None:
+        out = np.empty(y.shape)
+    for rows in row_blocks(y.shape):
+        rapp_vec(add_noise(y[rows], layer.noise, rng), layer.rapp,
+                 out=out[rows])
+    return out
 
 
 def hidden_matrix(layer, x: np.ndarray, rng: RngStream = None) -> np.ndarray:

@@ -17,7 +17,6 @@ import hashlib
 import json
 import math
 import os
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
@@ -40,6 +39,7 @@ from .elm import (HiddenLayer, activate, augment, classify,
                   digital_elm_hidden, fit, fit_received, online_update,
                   predict)
 from .errors import OutputError
+from . import numkernel
 from .numkernel import blas_thread_control, lapack_cholesky, one_blas_thread
 from .rng import (RngStream, SUB_SPLIT, SUB_CHANNEL, SUB_TRAIN_NOISE,
                   SUB_TEST_NOISE, SUB_DIGITAL, SUB_MINIBATCH, SUB_AR,
@@ -132,43 +132,49 @@ def _draw_channel(cfg, dataset, trial, n_r: int, kappa: float):
 
 
 class _NoiseReplay:
-    """A noise substream's first draw, replayed at any noise level.
+    """A noise substream's draws, replayed from its start at any noise
+    level and length.
 
     numpy's normal(mean, std, size) is mean + std * z element by element,
-    z its standard-normal draw, so `normal` returns bit for bit what the
-    stream itself returns as its first draw of that size.  z is drawn on
-    the first call and kept for later ones of the same size; set `last`
-    before the final call, which scales z in place and lets it go.
+    z its standard-normal draw, and split calls continue the stream bit for
+    bit.  So after `rewind`, successive `normal` calls return what a fresh
+    stream's successive calls would.  Each z is drawn once: `rewind` draws
+    what a pass needs beyond the draws kept so far in one call and keeps
+    it; the last pass draws that tail call by call, and lets each z go once
+    it is served.
     """
 
     def __init__(self, stream: RngStream):
-        self._stream, self._z, self.last = stream, None, False
+        self._stream, self._z = stream, []
+        self._first = self._pos = 0     # stream positions of _z[0] and next
+        self._last = False
 
-    def normal(self, mean, std, size):
-        if self._z is None:
-            self._z, self._stream = self._stream.normal(0.0, 1.0, size), None
-        if self.last:
-            out, self._z = self._z, None
-            out *= std
-        else:
-            out = std * self._z
+    def rewind(self, size: int, last: bool = False):
+        """Serve the stream from its first draw again, for a pass of `size`
+        draws."""
+        if self._last:
+            raise ValueError("_NoiseReplay: rewind after the last pass")
+        self._pos, self._last = 0, last
+        missing = size - sum(map(len, self._z))
+        if missing > 0 and not last:
+            self._z.append(self._stream.normal(0.0, 1.0, missing))
+        return self
+
+    def normal(self, mean, std, shape):
+        start, self._pos = self._pos, self._pos + math.prod(shape)
+        missing = self._pos - self._first - sum(map(len, self._z))
+        if missing > 0:
+            self._z.append(self._stream.normal(0.0, 1.0, missing))
+        pieces, at = [], self._first
+        for z in self._z:
+            pieces.append(z[max(0, start - at):max(0, self._pos - at)])
+            at += len(z)
+        out = std * (pieces[0] if len(pieces) == 1 else np.concatenate(pieces))
         out += mean
-        return out
-
-
-def _block(spare: dict, role: str, shape) -> np.ndarray:
-    """spare[role] if it has this shape, else a new array; either way its
-    contents are garbage.
-
-    A sweep worker hands its D x N_r blocks on to its next channel of the
-    same N_r.  Freeing every seed's receive and scratch blocks made glibc
-    return their pages to the OS at the end of the seed and fault them in
-    again in the next: on `snr_sweep_narrow` about 150 minor faults per
-    seed, 15,000 a run, at about 3 us each on a 2-vCPU VM.
-    """
-    block = spare.get(role)
-    return block if block is not None and block.shape == shape \
-        else np.empty(shape)
+        while (self._last and self._z
+               and self._first + len(self._z[0]) <= self._pos):
+            self._first += len(self._z.pop(0))
+        return out.reshape(shape)
 
 
 def _accuracy(t_hat: np.ndarray, dataset: Dataset) -> float:
@@ -232,83 +238,61 @@ def _run_grid(cfg: ExperimentConfig, experiment: str, points):
 
     points is a list of (n_r, kappa, snr_db, with_baseline) tuples; for every
     point x seed, one mimo trial (plus optionally one digital trial) runs.
-    Every point of a seed splits the same trial stream, so a seed's dataset,
-    its channel at each (n_r, kappa) and its standard-normal noise blocks at
-    each n_r are the same at every point; only the noise level changes.  One
-    task per seed therefore builds the dataset and its transmit blocks x~
-    once.  When (n_r, kappa) changes from the previous point it draws the
-    channel and forms its noiseless receive blocks x~ (H^r)^T, the training
-    block at once and the test block at the first prediction; it measures
-    the signal power once, from the training block, for all the channel's
-    finite-SNR points; and it keeps each noise block only while a later
-    finite-SNR point needs it.  Every point but the channel's last writes
-    its training G into one scratch block the channel keeps; the last
-    writes the hidden matrices over the receive blocks and lets them go, or
-    hands them on to the worker's next channel if it has the same N_r
-    (`_block`), so no block outlives its use.  Results are ordered by
-    (point, seed, model) regardless of thread count.
+    Every point of a seed splits the same trial stream, so a seed's dataset
+    and its channel at each (n_r, kappa) are the same at every point, and
+    its noise blocks at each n_r are the first D x n_r draws of the same two
+    noise streams; only the noise level and the width change.  One task per
+    seed therefore builds the dataset and its transmit blocks x~ once and
+    keeps one `_NoiseReplay` per noise stream, which draws each normal once
+    for the widest n_r and serves every point its prefix; the seed's last
+    finite-SNR point lets the draws go.  When (n_r, kappa) changes from the previous
+    point it draws the channel and forms its noiseless receive blocks
+    x~ (H^r)^T, the training block at once and the test block at the first
+    prediction, and it measures the signal power once, from the training
+    block, for all the channel's finite-SNR points.  The channel's last
+    point writes the hidden matrices over the receive blocks and lets them
+    go.  Results are ordered by (point, seed, model) regardless of thread
+    count.
     """
     finite = [snr_db != math.inf for _, _, snr_db, _ in points]
-    # whether a later finite-SNR point needs point i's noise blocks again
-    reused = [any(f and q[0] == p[0]
-                  for q, f in zip(points[i + 1:], finite[i + 1:]))
-              for i, p in enumerate(points)]
+    last_noisy = max((i for i, f in enumerate(finite) if f), default=-1)
     # whether point i is the last of its channel's run of points
     last = [i + 1 == len(points) or points[i + 1][:2] != p[:2]
             for i, p in enumerate(points)]
-    # whether point i ends a channel that hands its blocks on (`_block`):
-    # the next channel the worker draws, the next point's or the first
-    # point's of its next seed, has the same N_r, and no digital trial
-    # runs between them
-    hand_on = [last[i] and not p[3] and points[(i + 1) % len(points)][0]
-               == p[0] for i, p in enumerate(points)]
     rapp = RappParams(y_sat=cfg.y_sat, alpha=cfg.alpha)
-    workers = threading.local()     # .spare: the blocks a worker hands on
 
     def one(seed, trial, dataset):
         row = partial(TrialResult, experiment=experiment,
                       dataset=cfg.dataset.name, seed=seed)
         x_train, x_test = augment(dataset.x_train), augment(dataset.x_test)
         chan_key = None
-        held = {}           # n_r -> (train, test) noise replays
+        noise = [_NoiseReplay(trial.split(SUB_TRAIN_NOISE)),
+                 _NoiseReplay(trial.split(SUB_TEST_NOISE))]
         by_point = []
         for i, (n_r, kappa, snr_db, with_baseline) in enumerate(points):
             t0 = time.perf_counter()
             if (n_r, kappa) != chan_key:
                 chan_key, p_sig = (n_r, kappa), None
                 h_real = _draw_channel(cfg, dataset, trial, n_r, kappa).real
-                spare = workers.__dict__.pop("spare", {})
-                r_train = receive(h_real, x_train, out=_block(
-                    spare, "r_train", (len(x_train), n_r)))
-                r_test = g_train = None
+                r_train, r_test = receive(h_real, x_train), None
             if finite[i] and p_sig is None:
                 p_sig = signal_power(r_train)
             layer = HiddenLayer(h_real=h_real, rapp=rapp,
                                 noise=noise_for_snr(p_sig, snr_db))
-            train_noise = test_noise = None
-            if finite[i]:
-                train_noise, test_noise = held.pop(n_r, None) or (
-                    _NoiseReplay(trial.split(SUB_TRAIN_NOISE)),
-                    _NoiseReplay(trial.split(SUB_TEST_NOISE)))
-                if reused[i]:
-                    held[n_r] = (train_noise, test_noise)
-                train_noise.last = test_noise.last = not reused[i]
-            if not last[i] and g_train is None:
-                g_train = _block(spare, "g_train", r_train.shape)
+            train_noise, test_noise = (
+                [z.rewind(len(x) * n_r, last=i == last_noisy)
+                 for z, x in zip(noise, (x_train, x_test))]
+                if finite[i] else (None, None))
             model = fit_received(layer, r_train, dataset.t_train, train_noise,
-                                 out=r_train if last[i] else g_train)
-            if last[i] and not hand_on[i]:
-                r_train = g_train = None
+                                 out=r_train if last[i] else None)
+            if last[i]:
+                r_train = None
             if r_test is None:
-                r_test = receive(h_real, x_test, out=_block(
-                    spare, "r_test", (len(x_test), n_r)))
+                r_test = receive(h_real, x_test)
             t_hat = activate(layer, r_test, test_noise,
                              out=r_test if last[i] else None) @ model.w
-            if hand_on[i]:
-                workers.spare = {"r_train": r_train, "r_test": r_test,
-                                 "g_train": g_train}
             if last[i]:
-                r_train = r_test = g_train = spare = None
+                r_test = None
             acc = _accuracy(t_hat, dataset)
             rows = [row(model="mimo", n_r=n_r, snr_db=snr_db, kappa=kappa,
                         accuracy=acc, train_residual=model.train_residual,
@@ -506,7 +490,9 @@ def _environment(cfg: ExperimentConfig) -> dict:
            "blas_version": blas.get("version"), "threads": cfg.threads,
            # every trial runs inside `one_blas_thread`
            "blas_threads": 1 if blas_thread_control() else None,
-           "lapack": lapack_cholesky() and lapack_cholesky()[1].__name__}
+           "lapack": lapack_cholesky() and lapack_cholesky()[1].__name__,
+           # the allocator policy `cli.main` sets, null where it is not set
+           "malloc": numkernel.malloc_applied}
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         if var in os.environ:
             env[var] = os.environ[var]

@@ -95,6 +95,39 @@ def _cholesky_in_place(a: np.ndarray, b: np.ndarray = None) -> int:
     return info.value
 
 
+# glibc's mallopt parameter numbers and the policy `set_malloc_policy` sets
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+MALLOC_POLICY = {"mmap_threshold": 32 << 20, "trim_threshold": 64 << 20}
+malloc_applied = None       # MALLOC_POLICY once set in this process, or None
+
+
+def _libc():
+    """ctypes handle of the C library the process runs on."""
+    return ctypes.CDLL(None)
+
+
+def set_malloc_policy():
+    """Set MALLOC_POLICY through glibc's mallopt and return it, or None
+    where there is no mallopt or it refuses a value.
+
+    By default glibc serves a large block (from 128 KiB, a threshold it
+    raises as such blocks are freed) by its own mmap and unmaps it when it
+    is freed, and it trims a heap's free top beyond 128 KiB, so a sweep
+    faults each D x N_r block it allocates in page by page.  With these
+    thresholds the heap keeps freed blocks for reuse, in the resident set.
+    """
+    global malloc_applied
+    mallopt = getattr(_libc(), "mallopt", None)
+    malloc_applied = None
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = [ctypes.c_int] * 2, ctypes.c_int
+        if (mallopt(_M_MMAP_THRESHOLD, MALLOC_POLICY["mmap_threshold"]) == 1
+                and mallopt(_M_TRIM_THRESHOLD,
+                            MALLOC_POLICY["trim_threshold"]) == 1):
+            malloc_applied = dict(MALLOC_POLICY)
+    return malloc_applied
+
+
 @contextlib.contextmanager
 def one_blas_thread():
     """Hold BLAS at one thread inside the block; restore the count on exit.
@@ -171,12 +204,16 @@ def pseudoinverse(a: np.ndarray, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray
 def _certified(a: np.ndarray, floor: float) -> bool:
     """True when a Cholesky factorization of A - s I completes for the shift
     s = 2 ||A||_F * floor + (n + 1) * eps * tr(A), which proves
-    lam_min(A) >= 2 * floor * lam_max(A); see `min_norm_lstsq`."""
+    lam_min(A) >= 2 * floor * lam_max(A); see `min_norm_lstsq`.  False
+    for a shift that is not finite: dpotrf may complete on a NaN diagonal."""
     n = a.shape[0]
     flat = a.ravel(order="K")       # ||A||_F as np.linalg.norm computes it
+    shift = (2.0 * math.sqrt(flat.dot(flat)) * floor
+             + (n + 1) * _EPS * a.trace())
+    if not math.isfinite(shift):
+        return False
     shifted = a.copy()
-    shifted.ravel()[::n + 1] -= (2.0 * math.sqrt(flat.dot(flat)) * floor
-                                 + (n + 1) * _EPS * a.trace())
+    shifted.ravel()[::n + 1] -= shift
     if lapack_cholesky() is not None:
         return _cholesky_in_place(shifted) == 0
     try:
@@ -189,12 +226,14 @@ def _certified(a: np.ndarray, floor: float) -> bool:
 def _solver_path(a: np.ndarray, r: float) -> str:
     """"gram", "qr" or "svd": the path of `min_norm_lstsq` for the Gram
     matrix A, by two shifted-Cholesky certificates or, when both fail, by
-    `eigvalsh`."""
+    `eigvalsh`; an A that overflowed goes to the SVD."""
     n = a.shape[0]
     if _certified(a, max(GRAM_MAX_COND ** -2, r * r)):
         return "gram"
     if _certified(a, max(QR_MAX_COND ** -2, r * r, 5 * n * _EPS)):
         return "qr"
+    if not np.isfinite(a).all():    # squares of a finite G overflowed
+        return "svd"
     lam = np.linalg.eigvalsh(a)
     lam_min, lam_max = lam[0], lam[-1]          # eigvalsh sorts ascending
     tau = r * np.sqrt(max(lam_max, 0.0))
@@ -250,10 +289,11 @@ def min_norm_lstsq(g: np.ndarray, t: np.ndarray,
        and sends G to the QR band.  It also takes fits with
        kappa(G) <= GRAM_MAX_COND that step 1 missed (||A||_F can exceed
        lam_max by up to sqrt(n)); the band solves them more accurately.
-    3. Exact gate, when both certificates fail.  By the `eigvalsh` values,
-       with lam_min > tau^2, the Gram solve takes kappa(G) <= GRAM_MAX_COND
-       and the QR band kappa(G) <= QR_MAX_COND if also
-       lam_min >= 10 n eps lam_max.
+    3. Exact gate, when both certificates fail and A is finite (a finite G
+       whose squares overflow fails both and goes to step 4).  By the
+       `eigvalsh` values, with lam_min > tau^2, the Gram solve takes
+       kappa(G) <= GRAM_MAX_COND and the QR band kappa(G) <= QR_MAX_COND
+       if also lam_min >= 10 n eps lam_max.
     4. SVD, for every other G: the path for a numerically rank-deficient G.
 
     Why the bound 1e4: forming A squares the conditioning, so the Gram

@@ -78,6 +78,55 @@ def test_load_csv_missing_token_may_be_nan(tmp_path):
     assert not table.present[0, 1]
 
 
+def test_load_csv_one_shot_conversion_parses_as_the_cell_loop(
+        tmp_path, monkeypatch):
+    """A table of finite cells converts in one call, without the per-cell
+    loop, to the bits the loop gives: whitespace-padded, exponent, signed
+    and digit-grouped cells included.  A missing token sends the table
+    through the loop."""
+    from airelm import data
+    cells = [" 1.5", "2.5e-3 ", "\t-4E+2", "+.5", "1_000", "6.02214076e23",
+             "-0.0", " 7 ", "1e-320"]
+    rows = [cells[i:] + cells[:i] for i in range(len(cells))]
+    header = ",".join(f"c{j}" for j in range(len(cells))) + ",l\n"
+    body = "".join(",".join(row) + f",{(-1) ** i}\n"
+                   for i, row in enumerate(rows))
+    fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
+    fast.write_text(header + body)
+    slow.write_text(header + body + ",".join(["?"] + cells[1:]) + ",1\n")
+    looped, cell_loop = [], data._finite_cell
+    monkeypatch.setattr(data, "_finite_cell",
+                        lambda cell, *args: looped.append(cell)
+                        or cell_loop(cell, *args))
+
+    one_shot = load_csv(str(fast), label_column="l")
+    assert looped == []
+    table = load_csv(str(slow), label_column="l", missing_token="?")
+    assert len(looped) == len(cells) ** 2 + len(cells)
+    expected = np.array([[float(c.strip()) for c in row] for row in rows])
+    assert np.array_equal(one_shot.features.view(np.int64),
+                          expected.view(np.int64))
+    assert np.array_equal(table.features[:-1].view(np.int64),
+                          expected.view(np.int64))
+    assert np.isnan(table.features[-1, 0])
+    assert np.array_equal(one_shot.labels, table.labels[:-1])
+
+
+def test_load_csv_cell_errors_and_numeric_missing_token_keep_the_loop(
+        tmp_path):
+    """The first bad cell in file order is the one reported, before a bad
+    label on a later line; a missing token that reads as a number still
+    marks a missing cell."""
+    p = tmp_path / "t.csv"
+    p.write_text("x,y,l\n1,2,1\n3,frog,1\n5,6,maybe\n")
+    with pytest.raises(DataError,
+                       match=r"t\.csv:3: non-numeric cell 'frog' in column 1"):
+        load_csv(str(p), label_column=2)
+    p.write_text("x,y,l\n1, 0 ,1\n3,4,-1\n")
+    table = load_csv(str(p), label_column=2, missing_token="0")
+    assert np.isnan(table.features[0, 1]) and table.features[1, 1] == 4.0
+
+
 def test_load_csv_infinite_label(tmp_path):
     p = tmp_path / "t.csv"
     p.write_text("x,l\n1,1\n2,inf\n")

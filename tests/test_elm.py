@@ -1,11 +1,14 @@
 import dataclasses
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from airelm.activation import rapp_vec, sigmoid
-from airelm.channel import NoiseModel, receive
+from airelm import channel
+from airelm.activation import RappParams, rapp_vec, sigmoid
+from airelm.channel import NoiseModel, receive, signal_power
 from airelm.data import split_standardize, synth_two_gaussians
 from airelm.elm import (
     DigitalLayer,
@@ -22,6 +25,7 @@ from airelm.elm import (
     train,
 )
 from airelm.errors import ConfigError
+from airelm.experiments import _NoiseReplay
 from airelm.numkernel import min_norm_lstsq, one_blas_thread
 from airelm.rng import RngStream, SUB_CHANNEL, SUB_MINIBATCH, SUB_SYNTH
 
@@ -97,6 +101,37 @@ def test_activate_serves_every_point_from_one_receive_block(sigma2):
         assert np.array_equal(r, before)
     assert activate(layer, r, RngStream(5), out=r) is r
     assert np.array_equal(r, expected)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(rows=st.integers(0, 30), cols=st.integers(1, 12),
+       block=st.integers(1, 400), sigma2=st.sampled_from([0.0, 0.3, 40.0]),
+       alpha=st.sampled_from([2, 4]), replay=st.booleans(),
+       in_place=st.booleans(), seed=st.integers(0, 1000))
+def test_row_blocks_give_the_bits_of_the_whole_block_formulas(
+        rows, cols, block, sigma2, alpha, replay, in_place, seed):
+    """Whatever the shape and wherever the row blocks end, the blocked
+    `activate` is z / ((z / y_sat)^alpha + 1) with z = y + n, n drawn for
+    all of y in one call, from a stream or its `_NoiseReplay`, and the
+    blocked `signal_power` is mean_i ||y_i||^2 / N_r as one reduction."""
+    y = RngStream(seed).normal(0.0, 2.0, (rows, cols))
+    p = RappParams(y_sat=1.25, alpha=alpha)
+    layer = HiddenLayer(h_real=np.ones((cols, 2)), rapp=p,
+                        noise=NoiseModel(sigma2=sigma2))
+    stream = RngStream(seed).split(2)
+    if replay:
+        stream = _NoiseReplay(stream).rewind(y.size // 2)
+    z = y + RngStream(seed).split(2).normal(0.0, np.sqrt(sigma2 / 2.0),
+                                            y.shape) if sigma2 else y
+    expected = z / ((z / p.y_sat) ** p.alpha + 1.0)
+    y_before = y.copy()
+    with mock.patch.object(channel, "BLOCK_ENTRIES", block):
+        power = signal_power(y) if rows else None
+        g = activate(layer, y, stream, out=y if in_place else None)
+    assert (g is y) == in_place
+    assert np.array_equal(g.view(np.int64), expected.view(np.int64))
+    if rows:
+        assert power == np.mean(np.sum(y_before ** 2, axis=1)) / cols
 
 
 def test_digital_activate_is_sigmoid_of_the_product():

@@ -10,7 +10,7 @@ import pytest
 
 from airelm.channel import noise_for_snr, receive, sigma2_for_snr, signal_power
 from airelm.config import DatasetConfig, ExperimentConfig, parse_config
-from airelm import channel, elm, experiments
+from airelm import channel, cli, elm, experiments, numkernel
 from airelm.elm import augment
 from airelm.errors import ConfigError
 from airelm.experiments import (
@@ -86,7 +86,7 @@ def test_threads_do_not_change_results():
     b = run_sweep_nr(_cfg(grid=(32, 64), seeds=2, threads=2))
     assert [(r.seed, r.n_r, r.accuracy) for r in a] == \
            [(r.seed, r.n_r, r.accuracy) for r in b]
-    # each worker hands its own receive blocks on from seed to seed
+    # a sweep whose points replay each seed's noise draws, on 1 and 2 workers
     cfg = _cfg(kind="sweep_snr", grid=(0.0, 10.0), seeds=5, n_r=32)
     fields = ("seed", "snr_db", "accuracy", "train_residual", "receive_power")
     assert [[getattr(r, f) for f in fields] for r in run(cfg)] == \
@@ -169,6 +169,27 @@ def test_snr_sweep_draws_each_seeds_channel_and_noise_once(monkeypatch):
         for sub in (SUB_TRAIN_NOISE, SUB_TEST_NOISE))
 
 
+@pytest.mark.parametrize("grid", [(16, 32, 64), (64, 16, 32)])
+def test_nr_sweep_draws_each_normal_once_for_the_widest_n_r(monkeypatch,
+                                                            grid):
+    """Every N_r reads a prefix of the same two noise streams, so a seed
+    draws D_train * 64 training and D_test * 64 test normals, not
+    D * (16 + 32 + 64), in whatever order the grid runs."""
+    drawn = {}
+    normal = RngStream.normal
+
+    def counted(stream, mean=0.0, std=1.0, size=None):
+        if stream.key[-1] in (SUB_TRAIN_NOISE, SUB_TEST_NOISE):
+            drawn[stream.key] = drawn.get(stream.key, 0) + int(np.prod(size))
+        return normal(stream, mean, std, size)
+
+    monkeypatch.setattr(RngStream, "normal", counted)
+    run(_cfg(grid=grid, seeds=3, snr_db=10.0))
+    assert drawn == {(seed, sub): rows * 64 for seed in range(3)
+                     for sub, rows in ((SUB_TRAIN_NOISE, 96),
+                                       (SUB_TEST_NOISE, 24))}
+
+
 def test_snr_sweep_forms_each_seeds_receive_blocks_once(monkeypatch):
     """x~ (H^r)^T is computed twice per seed, for the training and the
     test rows, however many SNR points share the channel; P_sig comes from
@@ -179,25 +200,6 @@ def test_snr_sweep_forms_each_seeds_receive_blocks_once(monkeypatch):
                             _recording(blocks, module.receive))
     run(_cfg(kind="sweep_snr", grid=(0.0, 10.0, 20.0), seeds=3, n_r=32))
     assert [r.shape for r in blocks] == [(96, 32), (24, 32)] * 3
-
-
-@pytest.mark.parametrize("kind, grid, extra, distinct", [
-    # one channel per seed: every seed writes into the first seed's blocks
-    ("sweep_snr", (0.0, 10.0), {}, 2),
-    ("sweep_kappa", (0.0, 10.0), {"snr_db": 10.0}, 2),
-    ("sweep_nr", (32,), {"snr_db": 10.0}, 2),
-    # N_r changes from channel to channel, so no block is handed on
-    ("sweep_nr", (16, 32), {"snr_db": 10.0}, 2 * 2 * 3),
-    # nor after a channel whose point runs a digital trial
-    ("sweep_nr", (32,), {"snr_db": 10.0, "baseline": True}, 2 * 3),
-])
-def test_receive_blocks_are_handed_on_only_to_a_channel_of_the_same_n_r(
-        monkeypatch, kind, grid, extra, distinct):
-    blocks = []
-    monkeypatch.setattr(experiments, "receive",
-                        _recording(blocks, experiments.receive))
-    run(_cfg(kind=kind, grid=grid, seeds=3, n_r=32, **extra))
-    assert len({id(b) for b in blocks}) == distinct
 
 
 def _sigma2_reference(h_real, x_tilde, snr_db):
@@ -252,12 +254,25 @@ def test_sweep_rows_equal_single_runs(kind, grid, extra):
 
 
 def test_noise_replay_equals_stream_draws():
+    """Each pass after `rewind` gives the stream's own draws, at any noise
+    level and width, narrower or wider than the widest pass so far, and
+    however a pass splits its calls."""
     replay = experiments._NoiseReplay(RngStream(4).split(0, 2))
-    for std, last in ((0.3, False), (2.5, False), (0.7, True)):
-        replay.last = last
-        expected = RngStream(4).split(0, 2).normal(0.0, std, (5, 3))
-        got = replay.normal(0.0, std, (5, 3))
-        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+    passes = ((0.3, [(5, 3)]), (2.5, [(5, 3)]), (0.7, [(2, 8), (3, 8)]),
+              (1.1, [(2, 2)]), (0.2, [(1, 40), (3, 1), (7,)]),
+              (4.0, [(5, 8)]), (0.5, [(4, 9), (1, 9), (2, 20)]))
+    for i, (std, calls) in enumerate(passes):
+        # the size given may fall short: `normal` draws what is missing
+        replay.rewind(5 * 8, last=i + 1 == len(passes))
+        stream = RngStream(4).split(0, 2)
+        for size in calls:
+            expected = stream.normal(0.0, std, size)
+            got = replay.normal(0.0, std, size)
+            assert np.array_equal(got.view(np.int64),
+                                  expected.view(np.int64))
+    assert replay._z == []              # the last pass let every draw go
+    with pytest.raises(ValueError, match="last pass"):
+        replay.rewind(1)
 
 
 def test_kappa_zero_cell_matches_nr_sweep():
@@ -387,8 +402,11 @@ def test_manifest_contents(tmp_path):
     assert env["blas_threads"] == (1 if blas_thread_control() else None)
     # the routine of the Gram solve, which sets the round-off bits of w
     assert env["lapack"] == ("scipy_dposv_64_" if lapack_cholesky() else None)
+    # the allocator policy as this process has it: `cli.main` sets it
+    assert env["malloc"] == numkernel.malloc_applied in (
+        None, numkernel.MALLOC_POLICY)
     assert set(env) - {"numpy", "blas", "blas_version", "threads",
-                       "blas_threads", "lapack"} <= {
+                       "blas_threads", "lapack", "malloc"} <= {
         "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}
     # run() records the runner's own wall time; on one thread it encloses
     # every trial, and the CSV bytes do not depend on it
@@ -397,6 +415,27 @@ def test_manifest_contents(tmp_path):
     doc = json.loads(pathlib.Path(mpath).read_text())
     assert doc["elapsed_ms"] >= doc["total_wall_ms"] > 0
     assert csv_path.read_bytes() == csv_bytes
+
+
+def test_manifest_records_the_allocator_policy_or_null(tmp_path,
+                                                     monkeypatch, capsys):
+    """`cli.main` sets glibc's mmap and trim thresholds and the manifest
+    records them; without a C library that has mallopt it records null,
+    and the CSV bytes are the same."""
+    out = tmp_path / "r.csv"
+    argv = ["sweep-nr", "--seeds", "2", "--out", str(out)]
+    manifests, csvs = [], []
+    for libc in (numkernel._libc, lambda: None):
+        monkeypatch.setattr(numkernel, "_libc", libc)
+        assert cli.main(argv) == 0
+        manifests.append(json.loads(pathlib.Path(
+            str(out) + ".manifest.json").read_text())["environment"])
+        csvs.append(out.read_bytes())
+    if getattr(numkernel._libc(), "mallopt", None) is not None:
+        assert manifests[0]["malloc"] == {"mmap_threshold": 32 << 20,
+                                          "trim_threshold": 64 << 20}
+    assert manifests[1]["malloc"] is None
+    assert csvs[0] == csvs[1]
 
 
 def test_manifest_records_no_lapack_routine_in_numpy_fallback(tmp_path,

@@ -531,6 +531,31 @@ def test_min_norm_rejects_any_nan_or_inf_entry(shape):
         min_norm_lstsq(g * 1e200, t)
 
 
+@pytest.mark.parametrize("lapack", [True, False])
+@pytest.mark.parametrize("shape", [(4, 6), (6, 4)])
+def test_min_norm_of_g_whose_gram_matrix_overflows_is_the_svd_solution(
+        request, monkeypatch, shape, lapack):
+    """A finite G whose squares overflow float64 fails both certificates,
+    even where dpotrf would complete on the NaN-shifted diagonal, and goes
+    to the SVD without `eigvalsh`: w is pseudoinverse(G) t, wide or tall."""
+    if not lapack:
+        request.getfixturevalue("numpy_linalg")
+
+    def no_eigvalsh(a):
+        raise AssertionError("eigvalsh of an A that overflowed")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+    rng = np.random.default_rng(13)
+    g, t = 1e200 * rng.normal(size=shape), rng.normal(size=shape[0])
+    with np.errstate(over="ignore"):
+        w = min_norm_lstsq(g, t)
+    ref = pseudoinverse(g) @ t
+    assert np.allclose(w, ref, rtol=1e-10, atol=0.0)
+    # wide: both interpolate t; tall: both reach the least-squares residual
+    assert np.linalg.norm(g @ w - t) <= (1.001 * np.linalg.norm(g @ ref - t)
+                                         + 1e-12 * np.linalg.norm(t))
+
+
 def test_min_norm_rejects_bad_rel_tol_before_any_factorization(monkeypatch):
     def no_factorization(*args, **kwargs):
         raise AssertionError("factorized before rel_tol was checked")
