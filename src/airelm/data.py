@@ -157,7 +157,7 @@ def load_csv(path, label_column, delimiter: str = ",", missing_token: str = None
     # without a missing token, every feature cell converts in one call; the
     # cell loop below runs where that fails, to name the first bad cell
     cells = None
-    if missing_token is None and all(len(row) == width for row in body):
+    if missing_token is None:
         with contextlib.suppress(ValueError):
             cells = np.array([row[:label_idx] + row[label_idx + 1:]
                               for row in body], dtype=float)

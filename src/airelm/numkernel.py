@@ -95,10 +95,10 @@ def _cholesky_in_place(a: np.ndarray, b: np.ndarray = None) -> int:
     return info.value
 
 
-# glibc's mallopt parameter numbers and the policy `set_malloc_policy` sets
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+# the policy `set_malloc_policy` sets, and glibc's mallopt parameter numbers
 MALLOC_POLICY = {"mmap_threshold": 32 << 20, "trim_threshold": 64 << 20}
-malloc_applied = None       # MALLOC_POLICY once set in this process, or None
+_MALLOPT_PARAMS = {"mmap_threshold": -3, "trim_threshold": -1}
+malloc_applied = None       # MALLOC_POLICY once set; process-wide, as it is
 
 
 def _libc():
@@ -118,13 +118,12 @@ def set_malloc_policy():
     """
     global malloc_applied
     mallopt = getattr(_libc(), "mallopt", None)
-    malloc_applied = None
     if mallopt is not None:
         mallopt.argtypes, mallopt.restype = [ctypes.c_int] * 2, ctypes.c_int
-        if (mallopt(_M_MMAP_THRESHOLD, MALLOC_POLICY["mmap_threshold"]) == 1
-                and mallopt(_M_TRIM_THRESHOLD,
-                            MALLOC_POLICY["trim_threshold"]) == 1):
-            malloc_applied = dict(MALLOC_POLICY)
+    applied = mallopt is not None and all(
+        mallopt(_MALLOPT_PARAMS[key], value) == 1
+        for key, value in MALLOC_POLICY.items())
+    malloc_applied = dict(MALLOC_POLICY) if applied else None
     return malloc_applied
 
 

@@ -424,6 +424,7 @@ def test_manifest_records_the_allocator_policy_or_null(tmp_path,
     and the CSV bytes are the same."""
     out = tmp_path / "r.csv"
     argv = ["sweep-nr", "--seeds", "2", "--out", str(out)]
+    has_mallopt = getattr(numkernel._libc(), "mallopt", None) is not None
     manifests, csvs = [], []
     for libc in (numkernel._libc, lambda: None):
         monkeypatch.setattr(numkernel, "_libc", libc)
@@ -431,7 +432,7 @@ def test_manifest_records_the_allocator_policy_or_null(tmp_path,
         manifests.append(json.loads(pathlib.Path(
             str(out) + ".manifest.json").read_text())["environment"])
         csvs.append(out.read_bytes())
-    if getattr(numkernel._libc(), "mallopt", None) is not None:
+    if has_mallopt:
         assert manifests[0]["malloc"] == {"mmap_threshold": 32 << 20,
                                           "trim_threshold": 64 << 20}
     assert manifests[1]["malloc"] is None
