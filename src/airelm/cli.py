@@ -23,7 +23,6 @@ from dataclasses import replace
 from .config import KINDS, ExperimentConfig, parse_config
 from .errors import ConfigError, DataError, OutputError
 from .experiments import run, summarize
-from .numkernel import set_malloc_policy
 
 _SUBCOMMANDS = {kind.replace("_", "-"): kind for kind in KINDS}
 
@@ -80,7 +79,6 @@ def _print_summary(results) -> None:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     kind = _SUBCOMMANDS[args.command]
-    set_malloc_policy()
     try:
         if args.config is not None:
             cfg = parse_config(args.config, kind=kind)

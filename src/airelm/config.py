@@ -10,6 +10,7 @@ from __future__ import annotations
 import configparser
 import math
 import os
+import sys
 from dataclasses import dataclass, field, fields, replace
 
 from .activation import RappParams
@@ -205,6 +206,10 @@ class ExperimentConfig:
                     f"synth_size must be >= 2, got {ds.synth_size}")
             if ds.synth_d < 1:
                 raise ConfigError(f"synth_d must be >= 1, got {ds.synth_d}")
+            if ds.synth_size * ds.synth_d > sys.maxsize:
+                raise ConfigError("synth_size x synth_d must be at most "
+                                  f"{sys.maxsize} cells, got "
+                                  f"{ds.synth_size} x {ds.synth_d}")
             if not math.isfinite(ds.synth_separation):
                 raise ConfigError(f"synth_separation must be finite, got "
                                   f"{ds.synth_separation}")
@@ -238,13 +243,17 @@ def parse_config(path: str, kind: str = None) -> ExperimentConfig:
     Each config field is one INI key, in the section its field metadata
     names; keys the file leaves unset or empty keep the field default.
     `kind`, when given (by the CLI subcommand), overrides any kind in the
-    file.  Unknown sections/keys raise ConfigError.
+    file.  Unknown sections/keys, and a file that cannot be read as UTF-8
+    text, raise ConfigError.
     """
-    if not os.path.exists(path):
-        raise ConfigError(f"config file does not exist: {path}")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        parser.read(path)
+        parser.read_string(text, source=path)
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
 

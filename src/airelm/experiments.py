@@ -216,7 +216,10 @@ def _per_seed(cfg: ExperimentConfig, body):
     per worker for the whole map, so workers do not oversubscribe the cores
     and LAPACK results, hence the CSV bytes, do not depend on the core
     count.  Results come back in seed order whatever the thread count.
+    The allocator policy (`numkernel.set_malloc_policy`) is set first, so
+    every runner's trials run under it, whoever calls the runner.
     """
+    numkernel.set_malloc_policy()
     base_table = _load_base_table(cfg)
     if base_table is not None:
         cfg.check_batch_size(base_table.n_rows)
@@ -493,7 +496,7 @@ def _environment(cfg: ExperimentConfig) -> dict:
            # every trial runs inside `one_blas_thread`
            "blas_threads": 1 if blas_thread_control() else None,
            "lapack": lapack_cholesky() and lapack_cholesky()[1].__name__,
-           # the allocator policy `cli.main` sets, null where it is not set
+           # the allocator policy every runner sets, null where it is not
            "malloc": numkernel.malloc_applied}
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         if var in os.environ:

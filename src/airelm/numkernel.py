@@ -224,26 +224,11 @@ def _certified(a: np.ndarray, floor: float) -> bool:
 
 def _solver_path(a: np.ndarray, r: float) -> str:
     """"gram", "qr" or "svd": the path of `min_norm_lstsq` for the Gram
-    matrix A, by two shifted-Cholesky certificates or, when both fail, by
-    `eigvalsh`; an A that overflowed goes to the SVD."""
-    n = a.shape[0]
+    matrix A, by its two shifted-Cholesky certificates.  A non-finite A
+    fails both and goes to the SVD."""
     if _certified(a, max(GRAM_MAX_COND ** -2, r * r)):
         return "gram"
-    if _certified(a, max(QR_MAX_COND ** -2, r * r, 5 * n * _EPS)):
-        return "qr"
-    if not np.isfinite(a).all():    # squares of a finite G overflowed
-        return "svd"
-    lam = np.linalg.eigvalsh(a)
-    lam_min, lam_max = lam[0], lam[-1]          # eigvalsh sorts ascending
-    tau = r * np.sqrt(max(lam_max, 0.0))
-    if not (lam_min > 0.0 and lam_min > tau ** 2):
-        return "svd"
-    if lam_max <= GRAM_MAX_COND ** 2 * lam_min:
-        return "gram"
-    # the band's edge must also stand clear of eigvalsh's n * eps * lam_max
-    # error; kappa <= QR_MAX_COND implies that up to n = 450
-    if (lam_max <= QR_MAX_COND ** 2 * lam_min
-            and 10 * n * _EPS * lam_max <= lam_min):
+    if _certified(a, max(QR_MAX_COND ** -2, r * r)):
         return "qr"
     return "svd"
 
@@ -266,7 +251,7 @@ def min_norm_lstsq(g: np.ndarray, t: np.ndarray,
       w = R^-1 Q^T t (Householder QR, `np.linalg.qr`).
     - Thin SVD of G, keeping singular values above tau.
 
-    The path is picked in up to four steps:
+    Two shifted-Cholesky certificates pick the path:
 
     1. Gram certificate.  The Gram solve runs when a bare dpotrf('L')
        factors A - s I for the shift
@@ -279,21 +264,19 @@ def min_norm_lstsq(g: np.ndarray, t: np.ndarray,
        Accuracy and Stability of Numerical Algorithms, Thm 10.3), which the
        trace term covers along with the rounding of the shift (eps is twice
        the unit roundoff).  So a factor that completes proves
-       lam_min >= 2 f lam_max: kappa(G) <= 7.1e3 and lam_min > 2 tau^2,
-       with a margin that dwarfs the n * eps * lam_max error of `eigvalsh`,
-       whose values would pick the Gram solve too.
-    2. QR certificate.  The same test at f = max(QR_MAX_COND^-2, r^2,
-       5 n eps) proves kappa(G) <= 7.1e5, lam_min > 2 tau^2 and
-       lam_min >= 10 n eps lam_max, every condition of the band in step 3,
-       and sends G to the QR band.  It also takes fits with
-       kappa(G) <= GRAM_MAX_COND that step 1 missed (||A||_F can exceed
-       lam_max by up to sqrt(n)); the band solves them more accurately.
-    3. Exact gate, when both certificates fail and A is finite (a finite G
-       whose squares overflow fails both and goes to step 4).  By the
-       `eigvalsh` values, with lam_min > tau^2, the Gram solve takes
-       kappa(G) <= GRAM_MAX_COND and the QR band kappa(G) <= QR_MAX_COND
-       if also lam_min >= 10 n eps lam_max.
-    4. SVD, for every other G: the path for a numerically rank-deficient G.
+       lam_min >= 2 f lam_max: kappa(G) <= 7.1e3 and lam_min > 2 tau^2.
+    2. QR certificate.  The same test at f = max(QR_MAX_COND^-2, r^2)
+       proves kappa(G) <= 7.1e5 and lam_min > 2 tau^2, and sends G to the
+       QR band.  It also takes fits with kappa(G) <= GRAM_MAX_COND that
+       step 1 missed (||A||_F can exceed lam_max by up to sqrt(n)); the
+       band solves them more accurately.
+
+    Every other G takes the SVD: a numerically rank-deficient G, a G whose
+    Gram matrix overflowed (a non-finite shift fails both certificates),
+    and a full-rank G the certificates cannot place.  The last is possible,
+    at worst, from about kappa(G) = 1e5 at n = 455 (||A||_F and tr(A) can
+    reach sqrt(n) and n times lam_max), and costs time, not accuracy: the
+    SVD cuts nothing there and returns G^+ t too.
 
     Why the bound 1e4: forming A squares the conditioning, so the Gram
     solve's relative error grows like kappa^2 * eps, about 1e-8 at 1e4, and
@@ -303,13 +286,10 @@ def min_norm_lstsq(g: np.ndarray, t: np.ndarray,
     partial pivoting (Higham, ch. 9) have errors of order kappa * eps; the
     LU takes about 2n^3/3 flops against 8n^3/3 for the QR with its Q.
 
-    Why the bound 1e6: `eigvalsh`'s absolute error is about
-    n * eps * lam_max <= 1e-13 * lam_max for n <= 450, a tenth of the
-    smallest lam_min the band admits, so step 3 is resolved; for a larger
-    n its last condition keeps that margin.  A G in the band has
-    s_min >= 1e-6 * s_max, at least 1000 times the default tau, so the SVD
-    would cut nothing and every path returns G^+ t.  No path but the SVD
-    ever sees a G with s_min <= tau, whatever rel_tol is.
+    Why the bound 1e6: a G in the band has s_min >= 1e-6 * s_max, at least
+    1000 times the default tau, so the SVD would cut nothing and every path
+    returns G^+ t.  Both certificates prove lam_min > 2 tau^2, so no path
+    but the SVD ever sees a G with s_min <= tau, whatever rel_tol is.
 
     Without numpy's ILP64 dpotrf and dposv (`lapack_cholesky` is None),
     `np.linalg.cholesky` runs the certificates, with the same decisions,
@@ -328,7 +308,8 @@ def min_norm_lstsq(g: np.ndarray, t: np.ndarray,
     r = _cutoff(rel_tol, g.shape, 1.0)      # rejects a bad rel_tol up front
     wide = g.shape[0] <= g.shape[1]
     if g.size:
-        a = g @ g.T if wide else g.T @ g
+        with np.errstate(over="ignore"):    # an inf A fails both certificates
+            a = g @ g.T if wide else g.T @ g
         # each entry of G is squared into one diagonal entry of A, so a
         # finite tr(A) proves G finite unless the squares overflowed
         if not (math.isfinite(a.trace()) or np.isfinite(g).all()):

@@ -73,6 +73,24 @@ def test_missing_config_exits_1(capsys):
     assert capsys.readouterr().err.strip() != ""
 
 
+def test_config_path_that_is_a_directory_exits_1(tmp_path, capsys):
+    rc = main(["single", "--config", str(tmp_path), "--seeds", "1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot read config file")
+    assert err.count("\n") == 1
+
+
+def test_config_file_that_is_not_utf8_exits_1(tmp_path, capsys):
+    p = tmp_path / "exp.ini"
+    p.write_bytes("[experiment]\nseeds = 1\n# café\n".encode("latin-1"))
+    rc = main(["single", "--config", str(p)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot read config file")
+    assert "utf-8" in err and err.count("\n") == 1
+
+
 def test_unknown_config_key_exits_1(tmp_path, capsys):
     rc = main(["single", "--config",
                _ini(tmp_path, "[experiment]\nkind = single\nbogus = 1\n")])
@@ -315,6 +333,9 @@ def test_blas_thread_env_preserves_bytes(tmp_path):
      "synth_size must be >= 2, got 1"),
     ("sweep-nr", "[dataset]\nsynth_size = -5\n",
      "synth_size must be >= 2, got -5"),
+    # used to end in an OverflowError from the online batch-size check
+    ("online", "[dataset]\nsynth_size = 1" + "0" * 400 + "\n",
+     "synth_size x synth_d must be at most"),
 ], ids=["fractional_n_r", "nan_grid", "minus_inf_snr", "zero_n_r",
         "gamma_above_1", "zero_eta", "zero_batch_size", "odd_alpha",
         "zero_y_sat", "zero_steps", "inverted_digital_range",
@@ -325,7 +346,7 @@ def test_blas_thread_env_preserves_bytes(tmp_path):
         "minus_inf_digital_low", "negative_master_seed", "csv_without_path",
         "mnist_without_images", "mnist_without_labels", "secom_without_path",
         "secom_without_labels", "zero_synth_d", "synth_size_1",
-        "negative_synth_size"])
+        "negative_synth_size", "synth_size_beyond_float64"])
 def test_bad_sweep_values_exit_1_before_compute(tmp_path, capsys, monkeypatch,
                                                 command, body, message):
     import airelm.cli

@@ -1,10 +1,11 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from airelm.config import DatasetConfig, ExperimentConfig, parse_config
+from airelm.config import KINDS, DatasetConfig, ExperimentConfig, parse_config
 from airelm.data import split_standardize, synth_two_gaussians
-from airelm.errors import ConfigError
+from airelm.errors import ConfigError, OutputError
 from airelm.rng import RngStream
 
 
@@ -117,3 +118,74 @@ def test_online_batch_size_limit_is_the_split_train_block(
         replace(cfg, batch_size=d_train + 1).resolved()
     # only online runs draw mini-batches
     replace(cfg, kind="single", batch_size=d_train + 1).resolved()
+
+
+# ------------------------------------------------------------ parser fuzz
+
+_KEYS = {f.name: f.metadata["section"] for cls in (DatasetConfig,
+                                                   ExperimentConfig)
+         for f in fields(cls) if f.metadata}
+_VALUES = st.one_of(
+    st.text(max_size=20),
+    st.integers(-2 ** 70, 2 ** 70).map(str),
+    st.floats().map(repr),
+    # numbers at the edges of int and float64
+    st.sampled_from(["0", "-1", "2", "inf", "-inf", "nan", "1e999",
+                     "1" + "0" * 400, "-" + "9" * 400]),
+    st.sampled_from(["", "noiseless", "yes", "off", "0, 10", "64 128", ",",
+                     "M:-1, B:1", "a:", ":1", "synthetic", "wbcd", "csv",
+                     "mnist", "secom", *KINDS]))
+_LINES = st.one_of(
+    st.sampled_from(sorted({*_KEYS.values(), "bogus"})).map("[{}]".format),
+    st.tuples(st.sampled_from(sorted(_KEYS)) | st.text(max_size=10),
+              st.sampled_from(["=", ":", " = "]), _VALUES).map("".join),
+    st.text(max_size=30))
+
+
+def _ini(entries, junk):
+    """INI text setting each key of entries in its own section, then the
+    junk lines."""
+    sections = {}
+    for key, value in entries.items():
+        sections.setdefault(_KEYS[key], []).append(f"{key} = {value}")
+    return "\n".join([line for section, lines in sections.items()
+                      for line in (f"[{section}]", *lines)] + junk)
+
+
+_INI_TEXT = st.one_of(
+    st.builds(_ini, st.dictionaries(st.sampled_from(sorted(_KEYS)), _VALUES,
+                                    max_size=6),
+              st.lists(_LINES, max_size=2)),
+    st.lists(_LINES, max_size=12).map("\n".join))
+
+
+def _parse_or_config_error(path, kind):
+    """parse_config must return a resolved config or raise ConfigError or
+    OutputError."""
+    try:
+        cfg = parse_config(str(path), kind=kind)
+    except (ConfigError, OutputError):
+        return
+    assert cfg.kind in KINDS and cfg.n_r >= 1
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(text=_INI_TEXT, kind=st.sampled_from([None, *KINDS]))
+def test_parse_config_of_any_ini_text_returns_a_config_or_raises_config_error(
+        tmp_path_factory, text, kind):
+    """Any INI-shaped text parses to a resolved config or raises
+    ConfigError (OutputError for a bad out path), never another exception.
+    Nothing runs: no generated value starts a trial or a thread."""
+    path = tmp_path_factory.getbasetemp() / "fuzz.ini"
+    path.write_text(text, encoding="utf-8")
+    _parse_or_config_error(path, kind)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.binary(max_size=200) | st.text(max_size=60).map(
+    lambda text: text.encode("utf-16")))
+def test_parse_config_of_any_bytes_returns_a_config_or_raises_config_error(
+        tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz.ini"
+    path.write_bytes(data)
+    _parse_or_config_error(path, None)

@@ -4,6 +4,8 @@ import json
 import math
 import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -419,7 +421,7 @@ def test_manifest_contents(tmp_path):
 
 def test_manifest_records_the_allocator_policy_or_null(tmp_path,
                                                      monkeypatch, capsys):
-    """`cli.main` sets glibc's mmap and trim thresholds and the manifest
+    """Every runner sets glibc's mmap and trim thresholds and the manifest
     records them; without a C library that has mallopt it records null,
     and the CSV bytes are the same."""
     out = tmp_path / "r.csv"
@@ -437,6 +439,36 @@ def test_manifest_records_the_allocator_policy_or_null(tmp_path,
                                           "trim_threshold": 64 << 20}
     assert manifests[1]["malloc"] is None
     assert csvs[0] == csvs[1]
+
+
+def test_a_direct_runner_call_sets_the_allocator_policy(tmp_path):
+    """A program that calls a runner itself, as the demos do, runs under
+    the allocator policy and writes the CSV bytes `cli.main` writes.  The
+    runner runs in a fresh process, where nothing has set the policy."""
+    ini = tmp_path / "exp.ini"
+    ini.write_text("[experiment]\nseeds = 3\nmaster_seed = 7919\n"
+                   "[dataset]\nname = synthetic\nsynth_size = 60\n"
+                   "synth_d = 3\n[model]\nn_r = 16\n[sweep]\ngrid = 0, 20\n")
+    direct, by_cli = tmp_path / "direct.csv", tmp_path / "cli.csv"
+    script = (
+        "import sys\nfrom airelm import experiments, numkernel\n"
+        "from airelm.config import parse_config\n"
+        "before = numkernel.malloc_applied\n"
+        "cfg = parse_config(sys.argv[1], kind='sweep_snr')\n"
+        "experiments.emit_csv(experiments.run_sweep_snr(cfg), sys.argv[2])\n"
+        "has_mallopt = getattr(numkernel._libc(), 'mallopt', None) is not None\n"
+        "print(before, numkernel.malloc_applied == (\n"
+        "    numkernel.MALLOC_POLICY if has_mallopt else None))\n")
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-c", script, str(ini), str(direct)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "None True"
+    assert cli.main(["sweep-snr", "--config", str(ini),
+                     "--out", str(by_cli)]) == 0
+    assert direct.read_bytes() == by_cli.read_bytes()
 
 
 def test_manifest_records_no_lapack_routine_in_numpy_fallback(tmp_path,

@@ -49,8 +49,8 @@ CASES = {
                "4d078569d7a1c05bb9864d1624a06338023c2d4c61cfb5d343b0ae30dd0a22aa"),
 }
 THRESHOLD = ("[sweep]\ngrid = 64, 94, 95, 128\n",
-             "0b0ab9b2019369ffce4d11547d43a8c2077e92556f5d98592fa409e64793359f",
-             "2c894be1c8432ff9a9452f5a6d8e4191427b1519e251a74d5c4904be3f7596ed")
+             "d6f993a6fc57d8cc77d0f83798b3f2ab3ef20ce20c286d371b214b27fa2ac687",
+             "f624444149dc5f2f452e67b427ca11cef59058f03be988411ce837b59da8e1ad")
 
 # command (or "threshold"): correct test predictions, out of 24, row by row
 CORRECT = {
@@ -102,10 +102,10 @@ def _threshold_sweep(tmp_path, monkeypatch, digest):
     matrix the first shifted Cholesky certifies, 8 one the second certifies
     for the QR (kappa <= 7.1e5: N_r = 95 on seed 0, the sigmoid baselines
     at N_r = 64 and 128 and on seed 1 at 94, and the two N_r = 94 fits,
-    kappa 8.8e3 and 9.7e3, that fail the first), 1 takes the QR by
-    `eigvalsh` (the sigmoid baseline at N_r = 94 on seed 0, kappa 9.5e5)
-    and 2 the SVD (the sigmoid baselines at N_r = 95, kappa 2.1e6 and
-    1.4e6).  No G is square, so every QR-band fit calls `np.linalg.qr`."""
+    kappa 8.8e3 and 9.7e3, that fail the first) and 3 the SVD (the sigmoid
+    baselines at N_r = 94 on seed 0, kappa 9.5e5, and at N_r = 95, kappa
+    2.1e6 and 1.4e6).  No G is square, so every QR-band fit calls
+    `np.linalg.qr`, and no fit calls `eigvalsh`."""
     calls = {"lstsq": 0, "_certified": 0, "eigvalsh": 0, "qr": 0, "svd": 0}
 
     def counted(key, fn):
@@ -123,11 +123,9 @@ def _threshold_sweep(tmp_path, monkeypatch, digest):
                             counted(key, getattr(airelm.numkernel, key)))
     _check_hash(tmp_path, "sweep-nr", THRESHOLD[0], digest)
     # one certificate per Gram-certified fit, two per other fit
-    qr_certified = calls["_certified"] - calls["lstsq"] - calls["eigvalsh"]
-    eig_qr = calls["qr"] - qr_certified
-    assert (2 * calls["lstsq"] - calls["_certified"], qr_certified,
-            calls["eigvalsh"] - eig_qr - calls["svd"], eig_qr,
-            calls["svd"]) == (5, 8, 0, 1, 2)
+    assert (2 * calls["lstsq"] - calls["_certified"], calls["qr"],
+            calls["svd"], calls["eigvalsh"]) == (5, 8, 3, 0)
+    assert calls["lstsq"] == 16
 
 
 def test_threshold_sweep_matches_golden_hash_on_every_solver_path(

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -167,33 +169,31 @@ def _spread(rng, rows, cols, cond):
 def _solver_cases():
     """(G, t, the path min_norm_lstsq must take).
 
-    The path is "certified" (Gram solve, proven well-conditioned by the
-    first shifted Cholesky), "qr-certified" (QR band, proven by the second
-    one), "gated" (Gram solve, admitted by `eigvalsh`), "qr" (QR band,
-    GRAM_MAX_COND < kappa <= QR_MAX_COND read off `eigvalsh`) or "svd".  A
-    square G in the QR band is solved by one LU instead of the QR.
-    Inputs on both sides of GRAM_MAX_COND = 1e4 and QR_MAX_COND = 1e6:
-    random wide, tall and square G, geometric spectra at 1e3, 5e3, 2e4,
-    1e5, 9e5, 2e6 and 1e7, spread ones (all singular values 1 but the last)
-    between the Gram-certified limit, about 3.6e3 at 16x16, and 1e4, which
-    the QR certificate sends to the QR band, and just above 1e4, and a
-    rank-3 8x8.  Past kappa = 5**-0.5 * 1e6, about 7.1e5, the QR certificate
-    fails and `eigvalsh` places the 9e5 spectra.
+    The path is "gram" (Gram solve, proven well-conditioned by the first
+    shifted Cholesky), "qr" (QR band, proven by the second one) or "svd"
+    (both fail).  A square G in the QR band is solved by one LU instead of
+    the QR.  Inputs on both sides of GRAM_MAX_COND = 1e4 and
+    QR_MAX_COND = 1e6: random wide, tall and square G, geometric spectra at
+    1e3, 5e3, 2e4, 1e5, 9e5, 2e6 and 1e7, spread ones (all singular values 1
+    but the last) between the Gram-certified limit, about 3.6e3 at 16x16,
+    and 1e4, which the QR certificate sends to the QR band, and just above
+    1e4, and a rank-3 8x8.  Past kappa = 2**-0.5 * 1e6, about 7.1e5, the QR
+    certificate fails, so the 9e5 spectra take the SVD.
     """
     rng = np.random.default_rng(3)
     cases = []
     for rows, cols in [(20, 8), (8, 20), (16, 16)]:
         cases.append((rng.normal(size=(rows, cols)), rng.normal(size=rows),
-                      "certified"))
-    for g, path in [(_conditioned(rng, 12, 30, 1e3), "certified"),
-                    (_conditioned(rng, 30, 12, 1e3), "certified"),
-                    (_conditioned(rng, 16, 16, 5e3), "certified"),
-                    (_conditioned(rng, 16, 16, 2e4), "qr-certified"),
+                      "gram"))
+    for g, path in [(_conditioned(rng, 12, 30, 1e3), "gram"),
+                    (_conditioned(rng, 30, 12, 1e3), "gram"),
+                    (_conditioned(rng, 16, 16, 5e3), "gram"),
+                    (_conditioned(rng, 16, 16, 2e4), "qr"),
                     (_conditioned(rng, 12, 12, 1e7), "svd"),
-                    (_spread(rng, 16, 16, 5e3), "qr-certified"),
-                    (_spread(rng, 12, 30, 9e3), "qr-certified"),
-                    (_spread(rng, 30, 12, 9.9e3), "qr-certified"),
-                    (_spread(rng, 16, 16, 1.02e4), "qr-certified"),
+                    (_spread(rng, 16, 16, 5e3), "qr"),
+                    (_spread(rng, 12, 30, 9e3), "qr"),
+                    (_spread(rng, 30, 12, 9.9e3), "qr"),
+                    (_spread(rng, 16, 16, 1.02e4), "qr"),
                     (rng.normal(size=(8, 3)) @ rng.normal(size=(3, 8)),
                      "svd")]:
         cases.append((g, rng.normal(size=g.shape[0]), path))
@@ -201,8 +201,7 @@ def _solver_cases():
         for rows, cols in [(12, 30), (30, 12), (16, 16)]:
             g = _conditioned(rng, rows, cols, cond)
             cases.append((g, rng.normal(size=rows),
-                          "qr-certified" if cond <= 5 ** -0.5 * QR_MAX_COND
-                          else "qr" if cond <= QR_MAX_COND else "svd"))
+                          "qr" if cond <= 2 ** -0.5 * QR_MAX_COND else "svd"))
     return cases
 
 
@@ -216,10 +215,9 @@ def test_min_norm_matches_numpy_lstsq():
 def test_min_norm_qr_band_matches_numpy_lstsq_to_1e_9():
     """Both QR-band solves: the Householder QR of a wide or tall G and the
     LU of a square one."""
-    cases = [(g, t) for g, t, path in _solver_cases()
-             if path in ("qr-certified", "qr")]
-    assert len(cases) == 14
-    assert sum(g.shape[0] == g.shape[1] for g, _ in cases) == 6
+    cases = [(g, t) for g, t, path in _solver_cases() if path == "qr"]
+    assert len(cases) == 11
+    assert sum(g.shape[0] == g.shape[1] for g, _ in cases) == 5
     for g, t in cases:
         w = min_norm_lstsq(g, t)
         ref = np.linalg.lstsq(g, t, rcond=DEFAULT_REL_TOL * max(g.shape))[0]
@@ -233,12 +231,17 @@ def _counting(calls, fn):
     return counted
 
 
+def _no_eigvalsh(a):
+    raise AssertionError("min_norm_lstsq called eigvalsh")
+
+
 def _path_taken(monkeypatch, g, t, rel_tol=DEFAULT_REL_TOL):
     """The path one `min_norm_lstsq` call takes, from the factorizations it
     calls, and its result.  One `_certified` call is the Gram certificate,
     a second the QR certificate; the QR band is `np.linalg.qr` for a wide
-    or tall G and an LU solve of G itself for a square one."""
-    calls = {name: [] for name in ("_certified", "eigvalsh", "qr", "svd")}
+    or tall G and an LU solve of G itself for a square one.  `eigvalsh`
+    raises if it is called."""
+    calls = {name: [] for name in ("_certified", "qr", "svd")}
     lu = []
     solve = np.linalg.solve
 
@@ -248,9 +251,8 @@ def _path_taken(monkeypatch, g, t, rel_tol=DEFAULT_REL_TOL):
         return solve(m, b)
 
     with monkeypatch.context() as mp:
-        for name in ("eigvalsh", "qr"):
-            mp.setattr(np.linalg, name,
-                       _counting(calls[name], getattr(np.linalg, name)))
+        mp.setattr(np.linalg, "eigvalsh", _no_eigvalsh)
+        mp.setattr(np.linalg, "qr", _counting(calls["qr"], np.linalg.qr))
         mp.setattr(np.linalg, "solve", solve_counting_g)
         for name in ("_certified", "svd"):
             mp.setattr(numkernel, name,
@@ -258,17 +260,17 @@ def _path_taken(monkeypatch, g, t, rel_tol=DEFAULT_REL_TOL):
         w = min_norm_lstsq(g, t, rel_tol)
     square = g.shape[0] == g.shape[1]
     assert len(calls["qr"] if square else lu) == 0, (g.shape, calls, lu)
-    counts = (len(calls["_certified"]), len(calls["eigvalsh"]),
-              len(calls["qr"]) + len(lu), len(calls["svd"]))
-    paths = {(1, 0, 0, 0): "certified", (2, 0, 1, 0): "qr-certified",
-             (2, 1, 0, 0): "gated", (2, 1, 1, 0): "qr", (2, 1, 0, 1): "svd"}
+    counts = (len(calls["_certified"]), len(calls["qr"]) + len(lu),
+              len(calls["svd"]))
+    paths = {(1, 0, 0): "gram", (2, 1, 0): "qr", (2, 0, 1): "svd"}
     assert counts in paths, counts
     return paths[counts], w
 
 
 def _eigvalsh_rule(g, rel_tol):
-    """The path G's Gram matrix takes by its eigenvalues: "gram", "qr" or
-    "svd"."""
+    """The path G's Gram matrix would take by its eigenvalues: "gram" for
+    lam_min > tau^2 and kappa(G) <= GRAM_MAX_COND, "qr" for lam_min > tau^2
+    and kappa(G) <= QR_MAX_COND, else "svd"."""
     a = g @ g.T if g.shape[0] <= g.shape[1] else g.T @ g
     lam = np.linalg.eigvalsh(a)
     tau = rel_tol * max(g.shape) * np.sqrt(max(lam[-1], 0.0))
@@ -276,29 +278,36 @@ def _eigvalsh_rule(g, rel_tol):
         return "svd"
     if lam[-1] <= GRAM_MAX_COND ** 2 * lam[0]:
         return "gram"
-    resolved = 10 * len(lam) * np.finfo(float).eps * lam[-1] <= lam[0]
-    return "qr" if lam[-1] <= QR_MAX_COND ** 2 * lam[0] and resolved else "svd"
+    return "qr" if lam[-1] <= QR_MAX_COND ** 2 * lam[0] else "svd"
 
 
-def _rule_allows(rule, path):
-    """Whether a path is consistent with the `eigvalsh` rule: the Gram
-    certificate admits only rule "gram"; the QR certificate, which proves
-    kappa(G) <= 5**-0.5 * QR_MAX_COND, admits rule "gram" or "qr", never
-    "svd"; a path `eigvalsh` decided is exactly the rule."""
-    allowed = {"gram": ("certified", "qr-certified", "gated"),
-               "qr": ("qr-certified", "qr")}
-    return path in allowed.get(rule, (rule,))
+def _certificates_agree(g, rel_tol, path):
+    """Whether a path is consistent with G's eigenvalues.  The Gram
+    certificate proves kappa(G) <= 2**-0.5 * GRAM_MAX_COND, so it admits
+    only rule "gram"; the QR certificate proves kappa(G) <=
+    2**-0.5 * QR_MAX_COND, so it admits rule "gram" or "qr", never "svd".
+    Both fail only where lam_min is within twice the QR certificate's shift
+    s: a Cholesky of A - s I with lam_min(A) > 2 s would complete."""
+    rule = _eigvalsh_rule(g, rel_tol)
+    if path != "svd":
+        return rule in {"gram": ("gram",), "qr": ("gram", "qr")}[path]
+    a = g @ g.T if g.shape[0] <= g.shape[1] else g.T @ g
+    n, r = a.shape[0], rel_tol * max(g.shape)
+    shift = (2.0 * np.linalg.norm(a) * max(QR_MAX_COND ** -2, r * r)
+             + (n + 1) * np.finfo(float).eps * np.trace(a))
+    return np.linalg.eigvalsh(a)[0] <= 2.0 * shift
 
 
 def test_min_norm_svd_fallback_only_when_ill_conditioned(monkeypatch):
     """The Gram solve, the QR band and the SVD stay separate branches,
-    chosen by kappa(G); the certificates only skip `eigvalsh`, and the QR
-    certificate also takes fits below GRAM_MAX_COND that fail the Gram
-    one."""
+    chosen by the two certificates alone: each admits only fits that G's
+    eigenvalues place on its path, and the SVD takes only fits within the
+    QR certificate's shift.  The QR certificate also takes fits below
+    GRAM_MAX_COND that fail the Gram one."""
     for g, t, path in _solver_cases():
         taken, _ = _path_taken(monkeypatch, g, t)
         assert taken == path, (path, g.shape, np.linalg.cond(g))
-        assert _rule_allows(_eigvalsh_rule(g, DEFAULT_REL_TOL), path)
+        assert _certificates_agree(g, DEFAULT_REL_TOL, path)
     # a rel_tol whose cutoff lies above s_min sends even kappa = 1e3 to the
     # SVD, which then drops the directions below the cutoff; at kappa = 1e5
     # it does so although kappa lies inside the QR band
@@ -311,68 +320,47 @@ def test_min_norm_svd_fallback_only_when_ill_conditioned(monkeypatch):
         ref = np.linalg.lstsq(g, t, rcond=1e-3 * 12)[0]
         assert np.allclose(w, ref, atol=1e-10)
     # when r^2 sets both floors the certificates test the same shift, so a
-    # fit that fails the first fails the second and `eigvalsh` admits it to
-    # the Gram solve
+    # fit that fails the first fails the second and takes the SVD, which
+    # still returns G^+ t: s_min lies above the cutoff
     g, t = _spread(rng, 16, 16, 5e3), rng.normal(size=16)
+    assert _eigvalsh_rule(g, 1e-5) == "gram"
     taken, w = _path_taken(monkeypatch, g, t, rel_tol=1e-5)
-    assert taken == "gated"
+    assert taken == "svd"
     ref = np.linalg.lstsq(g, t, rcond=1e-5 * 16)[0]
-    # the Gram solve's kappa^2 * eps error, about 5.5e-9 here
-    assert np.linalg.norm(w - ref) <= 1e-8 * np.linalg.norm(ref)
+    assert np.linalg.norm(w - ref) <= 1e-9 * np.linalg.norm(ref)
 
 
 def test_min_norm_square_band_fit_is_one_lu(monkeypatch):
     """A square G at the benchmark's N_r = D_train = 455 with kappa 1e5 is
     proven in the QR band by the second certificate and solved by one LU of
-    G: neither `eigvalsh` nor `np.linalg.qr` runs."""
+    G: `np.linalg.qr` does not run."""
     rng = np.random.default_rng(8)
     g, t = _conditioned(rng, 455, 455, 1e5), rng.normal(size=455)
     taken, w = _path_taken(monkeypatch, g, t)
-    assert taken == "qr-certified"
+    assert taken == "qr"
     ref = np.linalg.lstsq(g, t, rcond=DEFAULT_REL_TOL * 455)[0]
     assert np.linalg.norm(w - ref) <= 1e-9 * np.linalg.norm(ref)
 
 
-def test_min_norm_qr_band_needs_eigenvalues_resolved(monkeypatch):
-    """At n = 520 a kappa of 9.5e5 lies inside QR_MAX_COND, but lam_min is
-    below 10 n eps lam_max, so `eigvalsh` cannot place it: the SVD runs."""
+def test_min_norm_band_fit_past_the_qr_certificate_takes_the_svd(monkeypatch):
+    """At n = 520 a kappa of 9.5e5 lies inside QR_MAX_COND, but past the
+    7.1e5 the QR certificate can prove: the SVD runs, and returns G^+ t."""
     rng = np.random.default_rng(6)
-    g = _conditioned(rng, 520, 520, 9.5e5)
-    lam = np.linalg.eigvalsh(g @ g.T)
-    assert lam[-1] <= QR_MAX_COND ** 2 * lam[0]
-    assert _eigvalsh_rule(g, DEFAULT_REL_TOL) == "svd"
-    taken, _ = _path_taken(monkeypatch, g, rng.normal(size=520))
+    g, t = _conditioned(rng, 520, 520, 9.5e5), rng.normal(size=520)
+    assert _eigvalsh_rule(g, DEFAULT_REL_TOL) == "qr"
+    taken, w = _path_taken(monkeypatch, g, t)
     assert taken == "svd"
+    ref = np.linalg.lstsq(g, t, rcond=DEFAULT_REL_TOL * 520)[0]
+    assert np.linalg.norm(w - ref) <= 1e-9 * np.linalg.norm(ref)
 
 
-def test_qr_certificate_keeps_the_eigvalsh_margin_for_large_n(monkeypatch):
-    """Past n = 900, 5 n eps sets the QR certificate's floor.  A diagonal
-    Gram matrix at n = 2000 with lam_max = 1 and the rest 3e-12 has
-    kappa(G) = 5.8e5, inside QR_MAX_COND, but lam_min < 10 n eps lam_max:
-    the certificate must fail and leave the fit to `eigvalsh`, which sends
-    it to the SVD.  The eigenvalues of a diagonal matrix are its diagonal,
-    which stands in for `eigvalsh` here to keep the test fast."""
-    n = 2000
-    lam = np.full(n, 3e-12)
-    lam[0] = 1.0
-    calls = []
-    monkeypatch.setattr(np.linalg, "eigvalsh",
-                        _counting(calls, lambda a: np.sort(np.diagonal(a))))
-    assert numkernel._solver_path(np.diag(lam), DEFAULT_REL_TOL * n) == "svd"
-    assert calls == [(n, n)]
-
-
-def test_min_norm_calls_eigvalsh_only_when_certificate_fails(monkeypatch):
-    """`eigvalsh` runs only when both the Gram and the QR certificate
-    fail."""
-    calls = []
-    monkeypatch.setattr(np.linalg, "eigvalsh",
-                        _counting(calls, np.linalg.eigvalsh))
+def test_min_norm_never_calls_eigvalsh(monkeypatch):
+    """No input, on any path, makes `min_norm_lstsq` call `eigvalsh`."""
+    monkeypatch.setattr(np.linalg, "eigvalsh", _no_eigvalsh)
     for g, t, path in _solver_cases():
-        calls.clear()
         min_norm_lstsq(g, t)
-        assert len(calls) == int(path not in ("certified", "qr-certified")), (
-            path, g.shape)
+        for rel_tol in (1e-7, 1e-5, 1e-3):
+            min_norm_lstsq(g, t, rel_tol)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -385,14 +373,14 @@ def test_min_norm_calls_eigvalsh_only_when_certificate_fails(monkeypatch):
        seed=st.integers(0, 2 ** 32 - 1))
 def test_min_norm_path_follows_eigvalsh_rule(shape, log_cond, spread, rel_tol,
                                              seed):
-    """Over kappa in [1, 1e7], a Gram-certified fit has rule "gram", a
-    QR-certified one rule "gram" or "qr" (never "svd"), and a fit
-    `eigvalsh` decides takes exactly the rule."""
+    """Over kappa in [1, 1e7], without `eigvalsh`, a Gram-certified fit has
+    rule "gram", a QR-certified one rule "gram" or "qr" (never "svd"), and
+    a fit that takes the SVD has lam_min within twice the QR shift."""
     rng = np.random.default_rng(seed)
     g = (_spread if spread else _conditioned)(rng, *shape, 10.0 ** log_cond)
     with pytest.MonkeyPatch.context() as mp:
         taken, _ = _path_taken(mp, g, rng.normal(size=shape[0]), rel_tol)
-    assert _rule_allows(_eigvalsh_rule(g, rel_tol), taken)
+    assert _certificates_agree(g, rel_tol, taken)
 
 
 needs_lapack = pytest.mark.skipif(
@@ -420,7 +408,7 @@ def test_dpotrf_certificate_decides_as_numpy_cholesky(shape, log_cond, spread,
     n, r = a.shape[0], rel_tol * max(shape)
     before = a.copy()
     for floor in (max(GRAM_MAX_COND ** -2, r * r),
-                  max(QR_MAX_COND ** -2, r * r, 5 * n * np.finfo(float).eps)):
+                  max(QR_MAX_COND ** -2, r * r)):
         calls = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(numkernel, "_cholesky_in_place", _counting(
@@ -446,7 +434,7 @@ def test_gram_solve_by_dposv_matches_numpy_lstsq_to_1e_9(monkeypatch):
         return cholesky_in_place(a, b)
 
     monkeypatch.setattr(numkernel, "_cholesky_in_place", counting)
-    cases = [(g, t) for g, t, path in _solver_cases() if path == "certified"]
+    cases = [(g, t) for g, t, path in _solver_cases() if path == "gram"]
     assert len(cases) == 6
     for g, t in cases:
         g_before, t_before = g.copy(), t.copy()
@@ -514,7 +502,8 @@ def test_numpy_fallback_takes_the_same_paths(monkeypatch, numpy_linalg):
 @pytest.mark.parametrize("shape", [(6, 4), (4, 6), (5, 5)])
 def test_min_norm_rejects_any_nan_or_inf_entry(shape):
     """Every entry of G, and of t, is checked, whichever Gram matrix G
-    forms; a finite G whose Gram matrix overflows is not rejected."""
+    forms; a finite G whose Gram matrix overflows is not rejected, and
+    solving it raises no warning."""
     rng = np.random.default_rng(11)
     g, t = rng.normal(size=shape), rng.normal(size=shape[0])
     for bad in (np.nan, np.inf, -np.inf):
@@ -527,27 +516,24 @@ def test_min_norm_rejects_any_nan_or_inf_entry(shape):
         t_bad[-1] = bad
         with pytest.raises(ValueError, match="contains NaN or Inf"):
             min_norm_lstsq(g, t_bad)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         min_norm_lstsq(g * 1e200, t)
 
 
 @pytest.mark.parametrize("lapack", [True, False])
 @pytest.mark.parametrize("shape", [(4, 6), (6, 4)])
 def test_min_norm_of_g_whose_gram_matrix_overflows_is_the_svd_solution(
-        request, monkeypatch, shape, lapack):
+        request, shape, lapack):
     """A finite G whose squares overflow float64 fails both certificates,
     even where dpotrf would complete on the NaN-shifted diagonal, and goes
-    to the SVD without `eigvalsh`: w is pseudoinverse(G) t, wide or tall."""
+    to the SVD without a warning: w is pseudoinverse(G) t, wide or tall."""
     if not lapack:
         request.getfixturevalue("numpy_linalg")
-
-    def no_eigvalsh(a):
-        raise AssertionError("eigvalsh of an A that overflowed")
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
     rng = np.random.default_rng(13)
     g, t = 1e200 * rng.normal(size=shape), rng.normal(size=shape[0])
-    with np.errstate(over="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         w = min_norm_lstsq(g, t)
     ref = pseudoinverse(g) @ t
     assert np.allclose(w, ref, rtol=1e-10, atol=0.0)
