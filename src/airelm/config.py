@@ -146,11 +146,11 @@ class ExperimentConfig:
         for g in cfg.grid or ():
             if math.isnan(g):
                 raise ConfigError(f"sweep grid values must be numbers, got {g}")
-            if cfg.kind == "sweep_nr" and not (math.isfinite(g) and g >= 1
+            if cfg.kind == "sweep_nr" and not (1 <= g <= sys.maxsize
                                                and g == int(g)):
                 raise ConfigError(
                     f"sweep_nr grid values are antenna counts and must be "
-                    f"positive integers, got {g}")
+                    f"integers in [1, {sys.maxsize}], got {g}")
         snrs = cfg.grid if cfg.kind == "sweep_snr" else ()
         for snr in (cfg.snr_db, *snrs):
             # -inf dB is a zero signal: sigma2 = P / 0 is infinite, the fit NaN
@@ -164,6 +164,9 @@ class ExperimentConfig:
                 f"master_seed must be >= 0, got {cfg.master_seed}")
         if cfg.n_r < 1:
             raise ConfigError(f"n_r must be >= 1, got {cfg.n_r}")
+        if cfg.n_r > sys.maxsize:
+            raise ConfigError(
+                f"n_r must be at most {sys.maxsize}, got {cfg.n_r}")
         kappas = cfg.grid if cfg.kind == "sweep_kappa" else ()
         for kappa in (cfg.kappa, *kappas):                # validates each
             RiceanConfig(n_r=cfg.n_r, n_t=1, kappa=kappa,

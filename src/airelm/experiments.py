@@ -132,50 +132,34 @@ def _draw_channel(cfg, dataset, trial, n_r: int, kappa: float):
 
 
 class _NoiseReplay:
-    """A noise substream's draws, replayed from its start at any noise
-    level and length.
+    """A noise substream's first `size` draws, replayed from its start at
+    any noise level and length up to `size`.
 
     numpy's normal(mean, std, size) is mean + std * z element by element,
     z its standard-normal draw, and split calls continue the stream bit for
     bit.  So after `rewind`, successive `normal` calls return what a fresh
-    stream's successive calls would.  Each z is drawn once: `rewind` draws
-    what a pass needs beyond the draws kept so far in one call and keeps
-    it; the last pass draws that tail call by call, and lets each z go once
-    it is served.  (Kept draws in one piece per pass, not one per call,
-    keep the heap compact: per call, peak RSS on `sweep_nr_wbcd` rose by
-    about 1 MB.)
+    stream's successive calls would.  z is drawn in one call when the
+    replay is built; the last pass lets it go once it has served its draws.
     """
 
-    def __init__(self, stream: RngStream):
-        self._stream, self._z = stream, []
-        self._first = self._pos = 0     # stream positions of _z[0] and next
-        self._last = False
+    def __init__(self, stream: RngStream, size: int):
+        self._z = stream.normal(0.0, 1.0, size)
+        self._pos, self._end = 0, -1    # next draw; the last pass's end
 
     def rewind(self, size: int, last: bool = False):
         """Serve the stream from its first draw again, for a pass of `size`
         draws."""
-        if self._last:
+        if self._z is None:
             raise ValueError("_NoiseReplay: rewind after the last pass")
-        self._pos, self._last = 0, last
-        missing = size - sum(map(len, self._z))
-        if missing > 0 and not last:
-            self._z.append(self._stream.normal(0.0, 1.0, missing))
+        self._pos, self._end = 0, size if last else -1
         return self
 
     def normal(self, mean, std, shape):
         start, self._pos = self._pos, self._pos + math.prod(shape)
-        missing = self._pos - self._first - sum(map(len, self._z))
-        if missing > 0:
-            self._z.append(self._stream.normal(0.0, 1.0, missing))
-        pieces, at = [], self._first
-        for z in self._z:
-            pieces.append(z[max(0, start - at):max(0, self._pos - at)])
-            at += len(z)
-        out = std * (pieces[0] if len(pieces) == 1 else np.concatenate(pieces))
+        out = std * self._z[start:self._pos]
         out += mean
-        while (self._last and self._z
-               and self._first + len(self._z[0]) <= self._pos):
-            self._first += len(self._z.pop(0))
+        if self._pos == self._end:
+            self._z = None
         return out.reshape(shape)
 
 
@@ -248,19 +232,20 @@ def _run_grid(cfg: ExperimentConfig, experiment: str, points):
     its noise blocks at each n_r are the first D x n_r draws of the same two
     noise streams; only the noise level and the width change.  One task per
     seed therefore builds the dataset and its transmit blocks x~ once and
-    keeps one `_NoiseReplay` per noise stream, which draws each normal once
-    for the widest n_r and serves every point its prefix; the seed's last
-    finite-SNR point lets the draws go.  When (n_r, kappa) changes from the
-    previous point it draws the channel and forms its noiseless receive
-    blocks x~ (H^r)^T, the training block at once and the test block at the
-    first prediction, and it measures the signal power once, from the
-    training block, for all the channel's finite-SNR points.  The channel's
-    last point writes the hidden matrices over the receive blocks and lets
-    them go.  Results are ordered by (point, seed, model) regardless of
-    thread count.
+    keeps one `_NoiseReplay` per noise stream, which draws D x widest
+    normals, widest the largest finite-SNR n_r, and serves every point its
+    prefix; the seed's last finite-SNR point lets the draws go.  When
+    (n_r, kappa) changes from the previous point it draws the channel and
+    forms its noiseless receive blocks x~ (H^r)^T, the training block at
+    once and the test block at the first prediction, and it measures the
+    signal power once, from the training block, for all the channel's
+    finite-SNR points.  The channel's last point writes the hidden matrices
+    over the receive blocks and lets them go.  Results are ordered by
+    (point, seed, model) regardless of thread count.
     """
     finite = [snr_db != math.inf for _, _, snr_db, _ in points]
     last_noisy = max((i for i, f in enumerate(finite) if f), default=-1)
+    widest = max((p[0] for p, f in zip(points, finite) if f), default=0)
     # whether point i is the last of its channel's run of points
     last = [i + 1 == len(points) or points[i + 1][:2] != p[:2]
             for i, p in enumerate(points)]
@@ -271,8 +256,9 @@ def _run_grid(cfg: ExperimentConfig, experiment: str, points):
                       dataset=cfg.dataset.name, seed=seed)
         x_train, x_test = augment(dataset.x_train), augment(dataset.x_test)
         chan_key = None
-        noise = [_NoiseReplay(trial.split(SUB_TRAIN_NOISE)),
-                 _NoiseReplay(trial.split(SUB_TEST_NOISE))]
+        noise = [_NoiseReplay(trial.split(sub), len(x) * widest)
+                 for sub, x in ((SUB_TRAIN_NOISE, x_train),
+                                (SUB_TEST_NOISE, x_test))] if widest else None
         by_point = []
         for i, (n_r, kappa, snr_db, with_baseline) in enumerate(points):
             t0 = time.perf_counter()

@@ -1,6 +1,14 @@
+import os
 import pathlib
 
 import pytest
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+# pytest puts src on its own sys.path only; subprocesses that import the
+# package (the CLI, the demos) find it through PYTHONPATH
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    [str(REPO_ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])
 
 
 @pytest.fixture(scope="session")
@@ -49,6 +57,3 @@ def numpy_linalg(monkeypatch):
 
 def pytest_configure(config):
     config.addinivalue_line("markers", "slow: long-running statistical checks")
-
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent

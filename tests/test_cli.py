@@ -192,10 +192,7 @@ def test_a_run_does_not_import_numpy_ma(tmp_path):
               f"code = main(['sweep-snr', '--config', {ini!r}, "
               f"'--out', {str(tmp_path / 'r.csv')!r}])\n"
               "print(code, 'numpy.ma' in sys.modules)\n")
-    src = pathlib.Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
+    proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 False"
@@ -263,9 +260,6 @@ def test_blas_thread_env_preserves_bytes(tmp_path):
                "[model]\nn_r = 512\n"
                "[online]\nsteps = 1\niters_per_step = 2\n")
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.abspath(src), *filter(None, [env.get("PYTHONPATH")])])
     outs = []
     for blas_threads in (None, "1"):
         out = tmp_path / f"blas_{blas_threads}.csv"
@@ -285,6 +279,11 @@ def test_blas_thread_env_preserves_bytes(tmp_path):
     ("sweep-nr", "[sweep]\ngrid = 16, nan\n", "nan"),
     ("sweep-nr", "[channel]\nsnr_db = -inf\n", "-inf"),
     ("sweep-nr", "[model]\nn_r = 0\n", "n_r must be >= 1"),
+    # each used to end in "Maximum allowed dimension exceeded" from the
+    # channel draw
+    ("single", "[model]\nn_r = " + "1" + "0" * 30 + "\n",
+     "n_r must be at most"),
+    ("sweep-nr", "[sweep]\ngrid = 16, 1e30\n", "1e+30"),
     ("sweep-nr", "[online]\ngamma = 2\n", "gamma must lie in (0, 1)"),
     ("sweep-nr", "[online]\neta = 0\n", "eta must lie in (0, 1]"),
     ("sweep-nr", "[online]\nbatch_size = 0\n", "batch_size must be >= 1"),
@@ -337,6 +336,7 @@ def test_blas_thread_env_preserves_bytes(tmp_path):
     ("online", "[dataset]\nsynth_size = 1" + "0" * 400 + "\n",
      "synth_size x synth_d must be at most"),
 ], ids=["fractional_n_r", "nan_grid", "minus_inf_snr", "zero_n_r",
+        "huge_n_r", "huge_n_r_grid",
         "gamma_above_1", "zero_eta", "zero_batch_size", "odd_alpha",
         "zero_y_sat", "zero_steps", "inverted_digital_range",
         "negative_subsample", "subsample_1", "nan_kappa", "inf_kappa",

@@ -18,8 +18,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 def test_demo_exits_0(tmp_path, demo):
     tmpdir = tmp_path / "tmp"
     tmpdir.mkdir()
-    env = dict(os.environ, TMPDIR=str(tmpdir), PYTHONPATH=os.pathsep.join(
-        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    env = dict(os.environ, TMPDIR=str(tmpdir))
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / f"{demo}.py")],
                           cwd=tmp_path, env=env, capture_output=True,
                           text=True, timeout=120)

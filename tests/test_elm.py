@@ -120,7 +120,7 @@ def test_row_blocks_give_the_bits_of_the_whole_block_formulas(
                         noise=NoiseModel(sigma2=sigma2))
     stream = RngStream(seed).split(2)
     if replay:
-        stream = _NoiseReplay(stream).rewind(y.size // 2)
+        stream = _NoiseReplay(stream, y.size).rewind(y.size)
     z = y + RngStream(seed).split(2).normal(0.0, np.sqrt(sigma2 / 2.0),
                                             y.shape) if sigma2 else y
     expected = z / ((z / p.y_sat) ** p.alpha + 1.0)

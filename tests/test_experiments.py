@@ -171,25 +171,31 @@ def test_snr_sweep_draws_each_seeds_channel_and_noise_once(monkeypatch):
         for sub in (SUB_TRAIN_NOISE, SUB_TEST_NOISE))
 
 
-@pytest.mark.parametrize("grid", [(16, 32, 64), (64, 16, 32)])
+@pytest.mark.parametrize("grid, snr_db", [
+    pytest.param((16, 32, 64), 10.0, id="grid0"),
+    pytest.param((64, 16, 32), 10.0, id="grid1"),
+    pytest.param((16, 32, 64), math.inf, id="noiseless"),
+])
 def test_nr_sweep_draws_each_normal_once_for_the_widest_n_r(monkeypatch,
-                                                            grid):
+                                                            grid, snr_db):
     """Every N_r reads a prefix of the same two noise streams, so a seed
     draws D_train * 64 training and D_test * 64 test normals, not
-    D * (16 + 32 + 64), in whatever order the grid runs."""
+    D * (16 + 32 + 64), in one call per stream, in whatever order the grid
+    runs; a sweep without noise draws none."""
     drawn = {}
     normal = RngStream.normal
 
     def counted(stream, mean=0.0, std=1.0, size=None):
         if stream.key[-1] in (SUB_TRAIN_NOISE, SUB_TEST_NOISE):
-            drawn[stream.key] = drawn.get(stream.key, 0) + int(np.prod(size))
+            drawn.setdefault(stream.key, []).append(int(np.prod(size)))
         return normal(stream, mean, std, size)
 
     monkeypatch.setattr(RngStream, "normal", counted)
-    run(_cfg(grid=grid, seeds=3, snr_db=10.0))
-    assert drawn == {(seed, sub): rows * 64 for seed in range(3)
-                     for sub, rows in ((SUB_TRAIN_NOISE, 96),
-                                       (SUB_TEST_NOISE, 24))}
+    run(_cfg(grid=grid, seeds=3, snr_db=snr_db))
+    assert drawn == ({} if snr_db == math.inf else
+                     {(seed, sub): [rows * 64] for seed in range(3)
+                      for sub, rows in ((SUB_TRAIN_NOISE, 96),
+                                        (SUB_TEST_NOISE, 24))})
 
 
 def test_snr_sweep_forms_each_seeds_receive_blocks_once(monkeypatch):
@@ -257,22 +263,23 @@ def test_sweep_rows_equal_single_runs(kind, grid, extra):
 
 def test_noise_replay_equals_stream_draws():
     """Each pass after `rewind` gives the stream's own draws, at any noise
-    level and width, narrower or wider than the widest pass so far, and
-    however a pass splits its calls."""
-    replay = experiments._NoiseReplay(RngStream(4).split(0, 2))
+    level and any width up to the replay's size, however a pass splits its
+    calls; the last pass lets the draws go."""
+    replay = experiments._NoiseReplay(RngStream(4).split(0, 2), 5 * 8)
     passes = ((0.3, [(5, 3)]), (2.5, [(5, 3)]), (0.7, [(2, 8), (3, 8)]),
-              (1.1, [(2, 2)]), (0.2, [(1, 40), (3, 1), (7,)]),
-              (4.0, [(5, 8)]), (0.5, [(4, 9), (1, 9), (2, 20)]))
+              (1.1, [(2, 2)]), (0.2, [(1, 30), (3, 1), (7,)]),
+              (4.0, [(5, 8)]), (0.5, [(4, 5), (1, 5), (3,)]))
     for i, (std, calls) in enumerate(passes):
-        # the size given may fall short: `normal` draws what is missing
-        replay.rewind(5 * 8, last=i + 1 == len(passes))
+        replay.rewind(sum(math.prod(size) for size in calls),
+                      last=i + 1 == len(passes))
         stream = RngStream(4).split(0, 2)
         for size in calls:
+            assert replay._z is not None
             expected = stream.normal(0.0, std, size)
             got = replay.normal(0.0, std, size)
             assert np.array_equal(got.view(np.int64),
                                   expected.view(np.int64))
-    assert replay._z == []              # the last pass let every draw go
+    assert replay._z is None            # the last pass let every draw go
     with pytest.raises(ValueError, match="last pass"):
         replay.rewind(1)
 
@@ -459,11 +466,8 @@ def test_a_direct_runner_call_sets_the_allocator_policy(tmp_path):
         "has_mallopt = getattr(numkernel._libc(), 'mallopt', None) is not None\n"
         "print(before, numkernel.malloc_applied == (\n"
         "    numkernel.MALLOC_POLICY if has_mallopt else None))\n")
-    src = pathlib.Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
     proc = subprocess.run([sys.executable, "-c", script, str(ini), str(direct)],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "None True"
     assert cli.main(["sweep-snr", "--config", str(ini),
