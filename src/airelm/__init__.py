@@ -19,14 +19,14 @@ from .activation import (RappParams, rapp, rapp_vec, rapp_deriv, rapp_peak,
                          sigmoid)
 from .channel import (RiceanConfig, ArConfig, NoiseModel, NOISELESS,
                       steering_vector, los_matrix, ricean_mix, sample_ricean,
-                      evolve_ar, receive, add_noise, apply_channel,
-                      signal_power, noise_for_snr, sigma2_for_snr)
+                      evolve_ar, receive, add_noise, signal_power,
+                      noise_for_snr, sigma2_for_snr)
 from .elm import (HiddenLayer, DigitalLayer, ElmModel, augment, activate,
                   hidden_matrix, train, fit, fit_received, predict, classify,
                   online_update, digital_elm_hidden)
-from .data import (RawTable, StandardizationStats, Dataset, load_csv,
-                   load_wbcd, load_idx, load_secom, mnist_binarize,
-                   secom_prepare, split_standardize, synth_two_gaussians)
+from .data import (RawTable, Dataset, load_csv, load_wbcd, load_idx,
+                   load_secom, mnist_binarize, secom_prepare,
+                   split_standardize, synth_two_gaussians)
 from .config import DatasetConfig, ExperimentConfig, parse_config
 from .experiments import (TrialResult, run_sweep_nr, run_sweep_snr,
                           run_sweep_kappa, run_online, run_single, run,

@@ -148,13 +148,6 @@ def add_noise(y: np.ndarray, noise: NoiseModel,
     return np.add(n, y, out=n)
 
 
-def apply_channel(h_real: np.ndarray, x_tilde: np.ndarray, noise: NoiseModel,
-                  rng: RngStream = None) -> np.ndarray:
-    """Receive vector y~ = H^r x~ + n_r with n_r ~ N(0, sigma^2/2) i.i.d.:
-    `add_noise` on the `receive` block of one transmit vector or a batch."""
-    return add_noise(receive(h_real, x_tilde), noise, rng)
-
-
 def row_blocks(shape) -> list:
     """Slices of consecutive rows that cover an array of this shape, each
     of about BLOCK_ENTRIES entries (at least one row)."""

@@ -77,10 +77,13 @@ def _to_label_column(raw: str):
         return raw
 
 
-def _key(section: str, default, parse):
-    """A config field read from INI key `[section] <field name>` by `parse`."""
+def _key(section: str, default, parse, least=None, between=None):
+    """A config field read from INI key `[section] <field name>` by `parse`.
+    `resolved` rejects a set value below `least` or outside the open
+    interval `between`."""
     return field(default=default,
-                 metadata={"section": section, "parse": parse})
+                 metadata={"section": section, "parse": parse,
+                           "least": least, "between": between})
 
 
 @dataclass(frozen=True)
@@ -95,11 +98,11 @@ class DatasetConfig:
     missing_token: str = _key("dataset", None, str)
     has_header: bool = _key("dataset", True, _to_bool)
     label_map: dict = _key("dataset", None, _to_label_map)
-    train_ratio: float = _key("dataset", 0.8, float)
+    train_ratio: float = _key("dataset", 0.8, float, between=(0, 1))
     # optional row cap before splitting
-    subsample: int = _key("dataset", None, int)
-    synth_size: int = _key("dataset", 400, int)
-    synth_d: int = _key("dataset", 8, int)
+    subsample: int = _key("dataset", None, int, least=2)
+    synth_size: int = _key("dataset", 400, int, least=2)
+    synth_d: int = _key("dataset", 8, int, least=1)
     synth_separation: float = _key("dataset", 4.0, float)
     mnist_pixels: int = _key("dataset", 100, int)
     secom_features: int = _key("dataset", 20, int)
@@ -108,10 +111,10 @@ class DatasetConfig:
 @dataclass(frozen=True)
 class ExperimentConfig:
     kind: str = _key("experiment", "single", str)
-    seeds: int = _key("experiment", 300, int)
-    master_seed: int = _key("experiment", 0, int)
+    seeds: int = _key("experiment", 300, int, least=1)
+    master_seed: int = _key("experiment", 0, int, least=0)
     baseline: bool = _key("experiment", False, _to_bool)
-    threads: int = _key("experiment", 1, int)
+    threads: int = _key("experiment", 1, int, least=1)
     out: str = _key("experiment", None, str)
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
     kappa: float = _key("channel", 0.0, float)
@@ -122,15 +125,15 @@ class ExperimentConfig:
     y_sat: float = _key("activation", 1.5, float)
     alpha: int = _key("activation", 2, int)
     # resolved by `resolved()`: 1024 online, else 256
-    n_r: int = _key("model", None, int)
+    n_r: int = _key("model", None, int, least=1)
     digital_low: float = _key("model", -1.0, float)
     digital_high: float = _key("model", 1.0, float)
     grid: tuple = _key("sweep", None, _to_grid)
     eta: float = _key("online", 0.9, float)
-    gamma: float = _key("online", 0.5, float)
-    batch_size: int = _key("online", 32, int)
-    steps: int = _key("online", 5, int)
-    iters_per_step: int = _key("online", 20, int)
+    gamma: float = _key("online", 0.5, float, between=(0, 1))
+    batch_size: int = _key("online", 32, int, least=1)
+    steps: int = _key("online", 5, int, least=1)
+    iters_per_step: int = _key("online", 20, int, least=0)
 
     def resolved(self) -> "ExperimentConfig":
         """Fill kind-dependent defaults and validate."""
@@ -157,13 +160,22 @@ class ExperimentConfig:
             if math.isnan(snr) or snr == -math.inf:
                 raise ConfigError(
                     f"snr_db must be a finite number or inf, got {snr}")
-        if cfg.seeds < 1:
-            raise ConfigError(f"seeds must be >= 1, got {cfg.seeds}")
-        if cfg.master_seed < 0:
-            raise ConfigError(
-                f"master_seed must be >= 0, got {cfg.master_seed}")
-        if cfg.n_r < 1:
-            raise ConfigError(f"n_r must be >= 1, got {cfg.n_r}")
+        ds = cfg.dataset
+        for obj in (cfg, ds):
+            for f in fields(obj):
+                value = getattr(obj, f.name)
+                least, between = map(f.metadata.get, ("least", "between"))
+                # only the synthetic dataset reads the synth_ keys
+                if value is None or (f.name.startswith("synth_")
+                                     and ds.name != "synthetic"):
+                    continue
+                # negated comparisons, so that NaN fails them
+                if least is not None and not value >= least:
+                    raise ConfigError(
+                        f"{f.name} must be >= {least}, got {value}")
+                if between and not between[0] < value < between[1]:
+                    raise ConfigError(
+                        f"{f.name} must lie in {between}, got {value}")
         if cfg.n_r > sys.maxsize:
             raise ConfigError(
                 f"n_r must be at most {sys.maxsize}, got {cfg.n_r}")
@@ -174,26 +186,9 @@ class ExperimentConfig:
                          los_angle_tx=cfg.los_angle_tx)
         RappParams(y_sat=cfg.y_sat, alpha=cfg.alpha)    # validates both
         ArConfig(eta=cfg.eta)                           # eta in (0, 1]
-        if not (0.0 < cfg.gamma < 1.0):
-            raise ConfigError(f"gamma must lie in (0, 1), got {cfg.gamma}")
-        if cfg.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {cfg.batch_size}")
-        if cfg.steps < 1:
-            raise ConfigError(f"steps must be >= 1, got {cfg.steps}")
-        if cfg.iters_per_step < 0:
-            raise ConfigError(
-                f"iters_per_step must be >= 0, got {cfg.iters_per_step}")
         if not -math.inf < cfg.digital_low < cfg.digital_high < math.inf:
             raise ConfigError(f"need finite digital_low < digital_high, got "
                               f"[{cfg.digital_low}, {cfg.digital_high}]")
-        if cfg.threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {cfg.threads}")
-        if not (0.0 < cfg.dataset.train_ratio < 1.0):
-            raise ConfigError(
-                f"train_ratio must lie in (0, 1), got {cfg.dataset.train_ratio}")
-        ds = cfg.dataset
-        if ds.subsample is not None and ds.subsample < 2:
-            raise ConfigError(f"subsample must be >= 2, got {ds.subsample}")
         if ds.name not in DATASET_FILES:
             raise ConfigError(f"unknown dataset name {ds.name!r}")
         # a file key the dataset does not read is ignored, set or not
@@ -204,11 +199,6 @@ class ExperimentConfig:
             if not os.path.exists(p):
                 raise ConfigError(f"[dataset] {key} file does not exist: {p}")
         if ds.name == "synthetic":
-            if ds.synth_size < 2:
-                raise ConfigError(
-                    f"synth_size must be >= 2, got {ds.synth_size}")
-            if ds.synth_d < 1:
-                raise ConfigError(f"synth_d must be >= 1, got {ds.synth_d}")
             if ds.synth_size * ds.synth_d > sys.maxsize:
                 raise ConfigError("synth_size x synth_d must be at most "
                                   f"{sys.maxsize} cells, got "

@@ -53,22 +53,6 @@ class RawTable:
 
 
 @dataclass(frozen=True)
-class StandardizationStats:
-    """Per-feature training-block mean/std; zero-variance columns get std = 1
-    and are flagged in `constant`."""
-
-    mean: np.ndarray = field(repr=False)
-    std: np.ndarray = field(repr=False)
-    constant: np.ndarray = field(repr=False)
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return (np.asarray(x, dtype=float) - self.mean) / self.std
-
-    def invert(self, z: np.ndarray) -> np.ndarray:
-        return np.asarray(z, dtype=float) * self.std + self.mean
-
-
-@dataclass(frozen=True)
 class Dataset:
     """Standardized features with +-1 targets and a fixed train/test split."""
 
@@ -76,7 +60,6 @@ class Dataset:
     t_train: np.ndarray = field(repr=False)
     x_test: np.ndarray = field(repr=False)
     t_test: np.ndarray = field(repr=False)
-    stats: StandardizationStats = None
 
     @property
     def d(self) -> int:
@@ -338,13 +321,13 @@ def train_count(d_total: int, train_ratio: float) -> int:
 
 
 def split_standardize(table: RawTable, train_ratio: float = 0.8,
-                      rng: RngStream = None,
-                      allow_single_class: bool = False) -> Dataset:
+                      rng: RngStream = None) -> Dataset:
     """Uniform random split + per-feature standardization.
 
     Standardization statistics come from the training block only and are
-    applied to both blocks; zero-variance columns are flagged and pass
-    through as zeros after centering.  Labels are normalized to +-1.
+    applied to both blocks; a constant training column gets std 1 and
+    passes through as zeros after centering.  Labels are normalized to
+    +-1, and a single-class table is an error.
     """
     if not (0.0 < train_ratio < 1.0):
         raise DataError(f"train_ratio must lie in (0, 1), got {train_ratio}")
@@ -354,8 +337,8 @@ def split_standardize(table: RawTable, train_ratio: float = 0.8,
     if np.isnan(table.features).any():
         raise DataError("table still has missing cells; impute before splitting")
     labels = _to_pm1(table.labels)
-    if not allow_single_class and np.all(labels == labels[0]):
-        raise DataError("single-class table (pass allow_single_class to override)")
+    if np.all(labels == labels[0]):
+        raise DataError("single-class table")
 
     perm = rng.permutation(d_total)
     n_tr = train_count(d_total, train_ratio)
@@ -371,17 +354,13 @@ def split_standardize(table: RawTable, train_ratio: float = 0.8,
     std = np.where(constant, 1.0, std)
     _check_finite(table, np.isfinite(mean) & np.isfinite(std),
                   "its training mean or std overflows float64")
-    stats = StandardizationStats(mean=mean, std=std, constant=constant)
     # a test cell far outside the training spread can still overflow
     with np.errstate(over="ignore", invalid="ignore"):
-        x_te = stats.apply(table.features[te])
+        x_te = (table.features[te] - mean) / std
     _check_finite(table, np.isfinite(x_te).all(axis=0),
                   "a test-block value overflows float64 when standardized")
-    return Dataset(x_train=stats.apply(x_tr_raw),
-                   t_train=labels[tr],
-                   x_test=x_te,
-                   t_test=labels[te],
-                   stats=stats)
+    return Dataset(x_train=(x_tr_raw - mean) / std, t_train=labels[tr],
+                   x_test=x_te, t_test=labels[te])
 
 
 def _check_finite(table: RawTable, finite: np.ndarray, what: str) -> None:

@@ -10,7 +10,7 @@ channel ages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -158,36 +158,32 @@ def digital_elm_hidden(rng: RngStream, n_hidden: int, d: int,
     return DigitalLayer(weights=w)
 
 
-def online_update(model: ElmModel, h_real_k: np.ndarray, data, gamma: float,
+def online_update(model: ElmModel, layer_k: HiddenLayer, data, gamma: float,
                   batch_size: int, n_iters: int, rng: RngStream,
-                  noise_rng: RngStream = None, callback=None) -> ElmModel:
-    """Mini-batch re-training under an aged channel.
+                  noise_rng: RngStream = None) -> list:
+    """Mini-batch re-training under an aged channel: the models after each
+    of n_iters iterations, in order, all bound to the stepped layer_k.
 
-    Starting from the previous frame's combiner, repeat n_iters times: draw
-    an index set S of batch_size training points uniformly without
-    replacement, solve the small LS problem w_S* = G_S^+ t_S under the new
-    channel, and take w <- w + gamma * w_S*.  Sampling is independent across
-    iterations; indices are sorted within an iteration, so batch_size = D
-    makes one iteration exactly w + gamma * w*.
-
-    callback(i, model), when given, sees the model after iteration i
-    (0-based).
+    Starting from the previous frame's combiner model.w, each iteration
+    draws an index set S of batch_size training points uniformly without
+    replacement, solves the small LS problem w_S* = G_S^+ t_S through
+    layer_k, and takes w <- w + gamma * w_S*.  Sampling is independent
+    across iterations; indices are sorted within an iteration, so
+    batch_size = D makes one iteration exactly w + gamma * w*.
     """
-    if model.hidden is None or isinstance(model.hidden, DigitalLayer):
-        raise ConfigError("online_update needs a channel-backed fitted model")
+    if not isinstance(layer_k, HiddenLayer):
+        raise ConfigError("online_update needs a channel hidden layer")
     if not (0.0 < gamma < 1.0):
         raise ConfigError(f"gamma must lie in (0, 1), got {gamma}")
     d_tr = data.x_train.shape[0]
     if not (1 <= batch_size <= d_tr):
         raise ConfigError(
             f"batch_size must lie in [1, {d_tr}], got {batch_size}")
-    layer_k = replace(model.hidden, h_real=np.asarray(h_real_k, dtype=float))
-    w = model.w
-    for i in range(n_iters):
+    w, models = model.w, []
+    for _ in range(n_iters):
         idx = np.sort(rng.choice(d_tr, batch_size, replace=False))
         g_s = hidden_matrix(layer_k, data.x_train[idx], noise_rng)
         w = w + gamma * min_norm_lstsq(g_s, data.t_train[idx])
-        model = ElmModel(w=w, hidden=layer_k, receive_power=float(w @ w))
-        if callback is not None:
-            callback(i, model)
-    return model
+        models.append(ElmModel(w=w, hidden=layer_k,
+                               receive_power=float(w @ w)))
+    return models

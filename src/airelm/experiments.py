@@ -373,11 +373,11 @@ def run_online(cfg: ExperimentConfig):
             # normalizer: closed-form refit on the full data under H(k)
             full = fit(layer_k, dataset.x_train, dataset.t_train, train_noise)
             # iteration 0 is the stale combiner under H(k)
-            trace = [replace(model, hidden=layer_k)]
-            model = online_update(model, h.real, dataset, cfg.gamma,
-                                  cfg.batch_size, cfg.iters_per_step,
-                                  batch_rng, noise_rng=train_noise,
-                                  callback=lambda i, m: trace.append(m))
+            trace = [replace(model, hidden=layer_k),
+                     *online_update(model, layer_k, dataset, cfg.gamma,
+                                    cfg.batch_size, cfg.iters_per_step,
+                                    batch_rng, noise_rng=train_noise)]
+            model = trace[-1]
             acc_full, *accs = _test_accuracies([full, *trace], x_test,
                                                dataset, test_noise)
             for i, (m, acc) in enumerate(zip(trace, accs)):
@@ -409,21 +409,20 @@ def summarize(results):
     mean wall time.  std is the population standard deviation."""
     if not results:
         raise ValueError("summarize: empty result list")
+    key_columns = SUMMARY_COLUMNS[:7]       # model .. iteration
     groups = {}
     for r in results:
-        key = (r.model, r.n_r, r.snr_db, r.kappa, r.eta, r.step, r.iteration)
+        key = tuple(getattr(r, c) for c in key_columns)
         groups.setdefault(key, []).append(r)
     table = []
-    for key in groups:
-        rows = groups[key]
+    for key, rows in groups.items():
         accs = np.array([r.accuracy for r in rows], dtype=float)
         naccs = [r.normalized_accuracy for r in rows
                  if r.normalized_accuracy is not None]
         powers = [r.receive_power for r in rows if r.receive_power is not None]
         walls = [r.wall_ms for r in rows if r.wall_ms is not None]
         table.append({
-            "model": key[0], "n_r": key[1], "snr_db": key[2], "kappa": key[3],
-            "eta": key[4], "step": key[5], "iteration": key[6],
+            **dict(zip(key_columns, key)),
             "n_trials": len(rows),
             "mean_accuracy": float(accs.mean()),
             "std_accuracy": float(accs.std()),
@@ -434,10 +433,8 @@ def summarize(results):
             "mean_receive_power": float(np.mean(powers)) if powers else None,
             "mean_wall_ms": float(np.mean(walls)) if walls else None,
         })
-    table.sort(key=lambda row: tuple(
-        (v is None, v) for v in (row["model"], row["n_r"], row["snr_db"],
-                                 row["kappa"], row["eta"], row["step"],
-                                 row["iteration"])))
+    table.sort(key=lambda row: tuple((row[c] is None, row[c])
+                                     for c in key_columns))
     return table
 
 

@@ -84,7 +84,20 @@ def _writable_pointer(a: np.ndarray) -> int:
 def _cholesky_in_place(a: np.ndarray, b: np.ndarray = None) -> int:
     """LAPACK info of dpotrf('L') on a or, given b, of dposv('L') solving
     a x = b into b, in place.  a is n x n and symmetric, so C order serves.
-    Both arrays are checked before LAPACK runs."""
+    Both arrays are checked before LAPACK runs.
+
+    Without numpy's ILP64 dpotrf and dposv (`lapack_cholesky` is None),
+    `np.linalg.cholesky` factors a copy of a, or `np.linalg.solve` (LU)
+    writes x into b, and the info is 0, or 1 where they raise."""
+    if lapack_cholesky() is None:
+        try:
+            if b is None:
+                np.linalg.cholesky(a)
+            else:
+                b[...] = np.linalg.solve(a, b)
+        except np.linalg.LinAlgError:
+            return 1
+        return 0
     potrf, posv = lapack_cholesky()
     n, info = ctypes.c_int64(a.shape[0]), ctypes.c_int64()
     if b is None:
@@ -213,13 +226,7 @@ def _certified(a: np.ndarray, floor: float) -> bool:
         return False
     shifted = a.copy()
     shifted.ravel()[::n + 1] -= shift
-    if lapack_cholesky() is not None:
-        return _cholesky_in_place(shifted) == 0
-    try:
-        np.linalg.cholesky(shifted)
-        return True
-    except np.linalg.LinAlgError:
-        return False
+    return _cholesky_in_place(shifted) == 0
 
 
 def _solver_path(a: np.ndarray, r: float) -> str:
@@ -291,10 +298,10 @@ def min_norm_lstsq(g: np.ndarray, t: np.ndarray,
     returns G^+ t.  Both certificates prove lam_min > 2 tau^2, so no path
     but the SVD ever sees a G with s_min <= tau, whatever rel_tol is.
 
-    Without numpy's ILP64 dpotrf and dposv (`lapack_cholesky` is None),
-    `np.linalg.cholesky` runs the certificates, with the same decisions,
-    and `np.linalg.solve` (LU, 2n^3/3 flops to n^3/3) the Gram solve; w
-    moves at round-off only.  Per-fit costs: README, "Numerics".
+    Without numpy's ILP64 dpotrf and dposv, `_cholesky_in_place` runs the
+    certificates by `np.linalg.cholesky`, with the same decisions, and the
+    Gram solve by `np.linalg.solve` (LU, 2n^3/3 flops to n^3/3); w moves at
+    round-off only.  Per-fit costs: README, "Numerics".
     """
     g = np.asarray(g, dtype=float)
     t = np.asarray(t, dtype=float)
@@ -317,9 +324,7 @@ def min_norm_lstsq(g: np.ndarray, t: np.ndarray,
         path = _solver_path(a, r)
         if path == "gram":
             b = t.copy() if wide else g.T @ t
-            if lapack_cholesky() is None:
-                b = np.linalg.solve(a, b)
-            elif _cholesky_in_place(a, b):
+            if _cholesky_in_place(a, b):
                 raise np.linalg.LinAlgError("dposv: certified A not SPD")
             return g.T @ b if wide else b
         del a               # free the Gram matrix before the next buffers

@@ -6,9 +6,10 @@ from airelm.channel import (
     NOISELESS,
     NoiseModel,
     RiceanConfig,
-    apply_channel,
+    add_noise,
     evolve_ar,
     los_matrix,
+    receive,
     ricean_mix,
     sample_ricean,
     sigma2_for_snr,
@@ -169,48 +170,51 @@ def test_ar_config_validation():
 
 
 # ------------------------------------------------------- application
+# the channel is applied as `add_noise` on the `receive` block
 
 def test_apply_channel_noiseless():
-    y = apply_channel(np.eye(2), np.array([3.0, 4.0]), NOISELESS)
+    y = receive(np.eye(2), np.array([3.0, 4.0]))
     assert np.array_equal(y, [3.0, 4.0])
+    assert add_noise(y, NOISELESS) is y
 
 
 def test_apply_channel_matmul():
     h = np.array([[1.0, 2.0], [0.0, 1.0], [1.0, 0.0]])
-    y = apply_channel(h, np.array([1.0, 1.0]), NOISELESS)
+    y = receive(h, np.array([1.0, 1.0]))
     assert np.allclose(y, [3.0, 1.0, 1.0])
 
 
 def test_apply_channel_dimension_mismatch():
     with pytest.raises(ValueError):
-        apply_channel(np.eye(2), np.array([1.0, 2.0, 3.0]), NOISELESS)
+        receive(np.eye(2), np.array([1.0, 2.0, 3.0]))
 
 
 def test_apply_channel_noise_requires_rng():
     with pytest.raises(ValueError):
-        apply_channel(np.eye(2), np.array([1.0, 1.0]), NoiseModel(sigma2=0.1))
+        add_noise(np.ones(2), NoiseModel(sigma2=0.1))
 
 
 def test_apply_channel_noise_perturbs():
-    h = np.eye(4)
     x = np.ones(4)
-    y = apply_channel(h, x, NoiseModel(sigma2=0.5), RngStream(30).split(2))
-    assert not np.array_equal(y, x)
-    assert np.all(np.isfinite(y))
+    y = receive(np.eye(4), x)
+    noisy = add_noise(y, NoiseModel(sigma2=0.5), RngStream(30).split(2))
+    assert not np.array_equal(noisy, x)
+    assert np.all(np.isfinite(noisy))
+    assert np.array_equal(y, x)     # the receive block is left as it is
 
 
 def test_apply_channel_batch_one_row_per_vector():
     rng = RngStream(31)
     h = rng.normal(size=(5, 3))
     xs = rng.normal(size=(4, 3))
-    y = apply_channel(h, xs, NOISELESS)
+    y = receive(h, xs)
     assert y.shape == (4, 5)
     for i in range(4):
-        assert np.allclose(y[i], apply_channel(h, xs[i], NOISELESS), atol=1e-13)
+        assert np.allclose(y[i], receive(h, xs[i]), atol=1e-13)
     with pytest.raises(ValueError):
-        apply_channel(h, np.ones((4, 5)), NOISELESS)
+        receive(h, np.ones((4, 5)))
     # one draw of N(0, sigma^2/2) noise for the whole batch, row by row
-    noisy = apply_channel(h, xs, NoiseModel(sigma2=0.5), RngStream(32))
+    noisy = add_noise(y, NoiseModel(sigma2=0.5), RngStream(32))
     assert np.array_equal(noisy, xs @ h.T + RngStream(32).normal(0.0, 0.5, (4, 5)))
 
 

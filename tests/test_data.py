@@ -13,6 +13,7 @@ from airelm.data import (
     secom_prepare,
     split_standardize,
     synth_two_gaussians,
+    train_count,
 )
 from airelm.elm import classify, fit, predict
 from airelm.errors import DataError
@@ -354,6 +355,14 @@ def _clean_table(rows=10, cols=3, seed=0):
     return RawTable(feats, labels)
 
 
+def _train_stats(table, rng, train_ratio=0.8):
+    """The split's row permutation and its training rows' mean and std, from
+    the permutation `split_standardize` draws first from rng."""
+    perm = rng.permutation(table.n_rows)
+    x_train = table.features[perm[:train_count(table.n_rows, train_ratio)]]
+    return perm, x_train.mean(axis=0), x_train.std(axis=0)
+
+
 def test_split_sizes():
     data = split_standardize(_clean_table(10), 0.8, RngStream(0).split(0))
     assert data.x_train.shape == (8, 3)
@@ -370,11 +379,11 @@ def test_split_train_block_standardized():
 def test_split_test_uses_train_stats():
     # test block is standardized with the train block's numbers, so its
     # own mean need not vanish
-    data = split_standardize(_clean_table(50, seed=3), 0.8, RngStream(2).split(0))
-    orig = split_standardize(_clean_table(50, seed=3), 0.8, RngStream(2).split(0))
-    assert np.array_equal(data.x_test, orig.x_test)
-    back = data.stats.invert(data.x_test)
-    assert np.isfinite(back).all()
+    table = _clean_table(50, seed=3)
+    data = split_standardize(table, 0.8, RngStream(2).split(0))
+    perm, mean, std = _train_stats(table, RngStream(2).split(0))
+    assert np.array_equal(data.x_test, (table.features[perm[40:]] - mean) / std)
+    assert np.abs(data.x_test.mean(axis=0)).max() > 1e-8
 
 
 def test_split_constant_column_flagged():
@@ -383,10 +392,9 @@ def test_split_constant_column_flagged():
     feats[:, 1] = 4.2
     table = RawTable(feats, table.labels)
     data = split_standardize(table, 0.8, RngStream(3).split(0))
-    assert data.stats.constant[1]
-    assert not data.stats.constant[0]
-    assert np.allclose(data.x_train[:, 1], 0.0)
-    assert data.stats.std[1] == 1.0
+    # std 1 after centering on the column's value: zeros in both blocks
+    assert np.all(data.x_train[:, 1] == 0.0) and np.all(data.x_test[:, 1] == 0.0)
+    assert np.any(data.x_train[:, 0] != 0.0)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -399,7 +407,7 @@ def test_split_overflowing_column_is_a_data_error_unless_constant():
     feats[:, 2] = 1.5e308
     data = split_standardize(RawTable(feats, table.labels), 0.8,
                              RngStream(3).split(0))
-    assert data.stats.constant[2] and np.all(data.x_train[:, 2] == 0.0)
+    assert np.all(data.x_train[:, 2] == 0.0) and np.all(data.x_test[:, 2] == 0.0)
     feats[::2, 2] = -1.5e308
     huge = RawTable(feats, table.labels, feature_names=("a", "b", "c"))
     with pytest.raises(DataError, match="feature 'c': its training mean or "
@@ -427,17 +435,20 @@ def test_split_test_cell_overflowing_when_standardized_is_a_data_error():
 
 
 def test_split_roundtrip():
-    data = split_standardize(_clean_table(40), 0.8, RngStream(4).split(0))
     table = _clean_table(40)
-    z = data.stats.apply(table.features)
-    assert np.allclose(data.stats.invert(z), table.features, atol=1e-10)
+    data = split_standardize(table, 0.8, RngStream(4).split(0))
+    perm, mean, std = _train_stats(table, RngStream(4).split(0))
+    assert np.allclose(data.x_train * std + mean, table.features[perm[:32]],
+                       atol=1e-10)
+    assert np.allclose(data.x_test * std + mean, table.features[perm[32:]],
+                       atol=1e-10)
 
 
 def test_split_partition_is_disjoint_and_complete():
     table = _clean_table(25, seed=9)
     data = split_standardize(table, 0.8, RngStream(5).split(0))
-    rebuilt = np.vstack([data.stats.invert(data.x_train),
-                         data.stats.invert(data.x_test)])
+    _, mean, std = _train_stats(table, RngStream(5).split(0))
+    rebuilt = np.vstack([data.x_train, data.x_test]) * std + mean
     assert rebuilt.shape == table.features.shape
     a = np.sort(rebuilt.round(9).view(float).reshape(25, -1), axis=0)
     b = np.sort(table.features.round(9).view(float).reshape(25, -1), axis=0)
@@ -465,7 +476,6 @@ def test_split_single_class_guard():
     ones = RawTable(table.features, np.ones(10))
     with pytest.raises(DataError):
         split_standardize(ones, 0.8, RngStream(0).split(0))
-    split_standardize(ones, 0.8, RngStream(0).split(0), allow_single_class=True)
 
 
 def test_split_deterministic():

@@ -327,8 +327,8 @@ def test_online_full_batch_step_from_zero():
     # one full-batch update from w = 0 lands exactly on gamma * w_star
     data, layer, model = _online_setup()
     zero = dataclasses.replace(model, w=np.zeros_like(model.w))
-    stepped = online_update(
-        zero, layer.h_real, data, gamma=0.5,
+    stepped, = online_update(
+        zero, layer, data, gamma=0.5,
         batch_size=len(data.t_train), n_iters=1,
         rng=RngStream(0).split(SUB_MINIBATCH),
     )
@@ -342,8 +342,8 @@ def test_online_full_batch_accumulates_along_w_star():
     # k * gamma * w_star
     data, layer, model = _online_setup(1)
     zero = dataclasses.replace(model, w=np.zeros_like(model.w))
-    out = online_update(
-        zero, layer.h_real, data, gamma=0.5,
+    *_, out = online_update(
+        zero, layer, data, gamma=0.5,
         batch_size=len(data.t_train), n_iters=5,
         rng=RngStream(1).split(SUB_MINIBATCH),
     )
@@ -356,8 +356,8 @@ def test_online_fixed_channel_rescales_not_rotates():
     # with an unchanged channel the update direction is w_star itself,
     # so decisions (signs) are untouched while the norm grows
     data, layer, model = _online_setup(2)
-    out = online_update(
-        model, layer.h_real, data, gamma=0.5,
+    *_, out = online_update(
+        model, layer, data, gamma=0.5,
         batch_size=len(data.t_train), n_iters=3,
         rng=RngStream(2).split(SUB_MINIBATCH),
     )
@@ -369,36 +369,43 @@ def test_online_fixed_channel_rescales_not_rotates():
 
 def test_online_minibatch_deterministic():
     data, layer, model = _online_setup(3)
-    a = online_update(model, layer.h_real, data, 0.5, 16, 4,
-                      RngStream(3).split(SUB_MINIBATCH))
-    b = online_update(model, layer.h_real, data, 0.5, 16, 4,
-                      RngStream(3).split(SUB_MINIBATCH))
+    *_, a = online_update(model, layer, data, 0.5, 16, 4,
+                          RngStream(3).split(SUB_MINIBATCH))
+    *_, b = online_update(model, layer, data, 0.5, 16, 4,
+                          RngStream(3).split(SUB_MINIBATCH))
     assert np.array_equal(a.w, b.w)
-    c = online_update(model, layer.h_real, data, 0.5, 16, 4,
-                      RngStream(4).split(SUB_MINIBATCH))
+    *_, c = online_update(model, layer, data, 0.5, 16, 4,
+                          RngStream(4).split(SUB_MINIBATCH))
     assert not np.array_equal(a.w, c.w)
 
 
-def test_online_callback_sequence():
+def test_online_returns_one_model_per_iteration():
+    """The i-th model is the combiner after iteration i, bound to the
+    stepped layer: a longer run starts with the models of a shorter one."""
     data, layer, model = _online_setup(4)
-    seen = []
-    online_update(model, layer.h_real, data, 0.5, 16, 3,
-                  RngStream(4).split(SUB_MINIBATCH),
-                  callback=lambda i, m: seen.append((i, m.w.copy())))
-    assert [i for i, _ in seen] == [0, 1, 2]
+    stepped = dataclasses.replace(layer, h_real=layer.h_real + 0.1)
+    three = online_update(model, stepped, data, 0.5, 16, 3,
+                          RngStream(4).split(SUB_MINIBATCH))
+    two = online_update(model, stepped, data, 0.5, 16, 2,
+                        RngStream(4).split(SUB_MINIBATCH))
+    assert len(three) == 3 and all(m.hidden is stepped for m in three)
+    assert all(np.array_equal(a.w, b.w) for a, b in zip(two, three))
+    assert not np.array_equal(three[1].w, three[2].w)
+    assert online_update(model, stepped, data, 0.5, 16, 0,
+                         RngStream(4).split(SUB_MINIBATCH)) == []
 
 
 def test_online_validation():
     data, layer, model = _online_setup(5)
     rng = RngStream(5).split(SUB_MINIBATCH)
     with pytest.raises(ConfigError):
-        online_update(model, layer.h_real, data, 0.0, 16, 1, rng)
+        online_update(model, layer, data, 0.0, 16, 1, rng)
     with pytest.raises(ConfigError):
-        online_update(model, layer.h_real, data, 1.5, 16, 1, rng)
+        online_update(model, layer, data, 1.5, 16, 1, rng)
     with pytest.raises(ConfigError):
-        online_update(model, layer.h_real, data, 0.5, 0, 1, rng)
+        online_update(model, layer, data, 0.5, 0, 1, rng)
     with pytest.raises(ConfigError):
-        online_update(model, layer.h_real, data, 0.5, len(data.t_train) + 1, 1, rng)
+        online_update(model, layer, data, 0.5, len(data.t_train) + 1, 1, rng)
 
 
 def test_online_rejects_digital_model():
@@ -407,7 +414,7 @@ def test_online_rejects_digital_model():
     g = hidden_matrix(dig, data.x_train)
     dmodel = train(g, data.t_train, hidden=dig)
     with pytest.raises(ConfigError):
-        online_update(dmodel, layer.h_real, data, 0.5, 16, 1,
+        online_update(dmodel, dig, data, 0.5, 16, 1,
                       RngStream(6).split(SUB_MINIBATCH))
 
 

@@ -401,7 +401,8 @@ def test_dpotrf_certificate_decides_as_numpy_cholesky(shape, log_cond, spread,
                                                       rel_tol, seed):
     """Over kappa in [1, 1e7] and at both floors of `_solver_path`, the
     bare dpotrf certificate is True exactly when `np.linalg.cholesky`
-    succeeds on the same shifted matrix, and it leaves A as it was."""
+    succeeds on the same shifted matrix, and it leaves A as it was.  Both
+    run inside `_cholesky_in_place`, once per certificate."""
     rng = np.random.default_rng(seed)
     g = (_spread if spread else _conditioned)(rng, *shape, 10.0 ** log_cond)
     a = g @ g.T if shape[0] <= shape[1] else g.T @ g
@@ -409,15 +410,17 @@ def test_dpotrf_certificate_decides_as_numpy_cholesky(shape, log_cond, spread,
     before = a.copy()
     for floor in (max(GRAM_MAX_COND ** -2, r * r),
                   max(QR_MAX_COND ** -2, r * r)):
-        calls = []
+        calls, by_numpy = [], []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(numkernel, "_cholesky_in_place", _counting(
                 calls, numkernel._cholesky_in_place))
+            mp.setattr(np.linalg, "cholesky",
+                       _counting(by_numpy, np.linalg.cholesky))
             by_dpotrf = numkernel._certified(a, floor)
-            assert calls == [(n, n)]
+            assert calls == [(n, n)] and by_numpy == []
             mp.setattr(numkernel, "lapack_cholesky", lambda: None)
             assert numkernel._certified(a, floor) == by_dpotrf
-            assert len(calls) == 1
+            assert calls == [(n, n)] * 2 and by_numpy == [(n, n)]
     assert np.array_equal(a, before)
 
 
@@ -487,14 +490,24 @@ def test_lapack_binding_rejects_bad_arrays_before_lapack_runs(
 
 def test_numpy_fallback_takes_the_same_paths(monkeypatch, numpy_linalg):
     """Without the LAPACK binding every case takes the path it takes with
-    it, through `np.linalg.cholesky` and `np.linalg.solve`."""
+    it, each certificate by one `np.linalg.cholesky` and the Gram solve by
+    `np.linalg.solve` of A."""
     def no_lapack(*args, **kwargs):
         raise AssertionError("called LAPACK directly in the numpy fallback")
 
-    monkeypatch.setattr(numkernel, "_cholesky_in_place", no_lapack)
+    factored, solved = [], []
+    monkeypatch.setattr(numkernel, "_writable_pointer", no_lapack)
+    monkeypatch.setattr(np.linalg, "cholesky",
+                        _counting(factored, np.linalg.cholesky))
+    monkeypatch.setattr(np.linalg, "solve", _counting(solved, np.linalg.solve))
     for g, t, path in _solver_cases():
+        factored.clear()
+        solved.clear()
         taken, w = _path_taken(monkeypatch, g, t)
         assert taken == path, (path, g.shape)
+        assert len(factored) == (1 if path == "gram" else 2)
+        if path == "gram":
+            assert solved == [(min(g.shape),) * 2]
         ref = np.linalg.lstsq(g, t, rcond=DEFAULT_REL_TOL * max(g.shape))[0]
         assert np.allclose(w, ref, atol=1e-10)
 
