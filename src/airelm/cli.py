@@ -20,7 +20,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .config import KINDS, ExperimentConfig, parse_config
+from .config import KINDS, ExperimentConfig, manifest_path, parse_config
 from .errors import ConfigError, DataError, OutputError
 from .experiments import run, summarize
 
@@ -100,7 +100,7 @@ def main(argv=None) -> int:
     _print_summary(results)
     if cfg.out is not None:
         print(f"results: {cfg.out}")
-        print(f"manifest: {cfg.out}.manifest.json")
+        print(f"manifest: {manifest_path(cfg.out)}")
     return 0
 
 

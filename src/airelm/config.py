@@ -206,28 +206,47 @@ class ExperimentConfig:
             if not math.isfinite(ds.synth_separation):
                 raise ConfigError(f"synth_separation must be finite, got "
                                   f"{ds.synth_separation}")
-            cfg.check_batch_size(ds.synth_size)
+            cfg.check_table(ds.synth_size, ds.synth_d)
         if cfg.out is not None:
             parent = os.path.dirname(os.path.abspath(cfg.out))
             if not os.path.isdir(parent):
                 raise OutputError(f"output directory does not exist: {parent}")
-            if os.path.isdir(cfg.out):
-                raise OutputError(f"output path is a directory: {cfg.out}")
+            for path in (cfg.out, manifest_path(cfg.out)):
+                if os.path.isdir(path):
+                    raise OutputError(f"output path is a directory: {path}")
         return cfg
 
-    def check_batch_size(self, n_rows: int) -> None:
-        """Reject an online batch_size above the training block that an
-        n_rows table leaves after `subsample` and the train/test split."""
+    def check_table(self, n_rows: int, n_features: int) -> None:
+        """Reject, before any trial, what an n_rows x n_features table cannot
+        run: an online batch_size above the training block left after
+        `subsample` and the train/test split, or a channel matrix H or a
+        hidden matrix G larger than physical memory.  H is sized with all
+        n_features, which bounds the subset mnist and secom select."""
         ds = self.dataset
         if ds.subsample is not None:
             n_rows = min(n_rows, ds.subsample)
-        if self.kind != "online" or n_rows < 2:
+        if n_rows < 2:
             return          # too few rows is a data error, found on loading
         d_train = train_count(n_rows, ds.train_ratio)
-        if self.batch_size > d_train:
+        if self.kind == "online" and self.batch_size > d_train:
             raise ConfigError(
                 f"batch_size must be at most the {d_train} training rows, "
                 f"got {self.batch_size}")
+        n_r = int(max(self.grid)) if self.kind == "sweep_nr" else self.n_r
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        for name, rows, cols, item in (
+                ("channel matrix H", n_r, n_features + 1, 16),  # complex
+                ("hidden matrix G", max(d_train, n_rows - d_train), n_r, 8)):
+            if rows * cols * item > memory:
+                raise ConfigError(
+                    f"the {rows} x {cols} {name} needs "
+                    f"{rows * cols * item / 2 ** 30:.1f} GiB, more than the "
+                    f"{memory / 2 ** 30:.1f} GiB of physical memory")
+
+
+def manifest_path(out: str) -> str:
+    """Where a run writes the manifest of its results CSV at out."""
+    return f"{out}.manifest.json"
 
 
 def parse_config(path: str, kind: str = None) -> ExperimentConfig:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import io
 import math
 import struct
 from dataclasses import dataclass, field
@@ -78,12 +79,25 @@ def _to_pm1(labels: np.ndarray) -> np.ndarray:
     raise DataError(f"cannot map label values {sorted(vals)} to -1/+1")
 
 
-def _open(path, mode: str = "r", **kwargs):
-    """open(path), or a DataError naming the file."""
+def _open(path):
+    """open(path, "rb"), or a DataError naming the file."""
     try:
-        return open(path, mode, **kwargs)
+        return open(path, "rb")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
+
+
+def _read_text(path, newline=None) -> io.StringIO:
+    """The file's text, decoded as UTF-8, with `open`'s newline handling,
+    or a DataError naming the line of the first byte that is not UTF-8."""
+    with _open(path) as fh:
+        raw = fh.read()
+    try:
+        return io.StringIO(raw.decode("utf-8"), newline=newline)
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path}:{line}: not UTF-8 text ({exc.reason} at "
+                        f"byte {exc.start})") from None
 
 
 def _finite_cell(cell: str, missing: str, path, lineno: int,
@@ -114,8 +128,11 @@ def load_csv(path, label_column, delimiter: str = ",", missing_token: str = None
     error, as is a row whose label fails to parse (through label_map if
     given).
     """
-    with _open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh, delimiter=delimiter) if r]
+    reader = csv.reader(_read_text(path, newline=""), delimiter=delimiter)
+    try:
+        rows = [r for r in reader if r]
+    except csv.Error as exc:
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from None
     if not rows:
         raise DataError(f"{path}: empty file")
 
@@ -146,24 +163,22 @@ def load_csv(path, label_column, delimiter: str = ",", missing_token: str = None
                               for row in body], dtype=float)
             cells = cells if np.isfinite(cells).all() else None
 
-    feats, labels = [], []
+    feats, labels = [], np.empty(len(body), dtype=int)
     for i, row in enumerate(body):
         lineno = i + (2 if has_header else 1)
         if len(row) != width:
             raise DataError(
                 f"{path}:{lineno}: ragged row, expected {width} cells got {len(row)}")
         raw_label = row[label_idx].strip()
-        if label_map is not None:
-            if raw_label not in label_map:
-                raise DataError(
-                    f"{path}:{lineno}: label {raw_label!r} not in mapping")
-            labels.append(int(label_map[raw_label]))
-        else:
-            try:
-                labels.append(int(float(raw_label)))
-            except (ValueError, OverflowError):
-                raise DataError(
-                    f"{path}:{lineno}: unparseable label {raw_label!r}") from None
+        if label_map is not None and raw_label not in label_map:
+            raise DataError(
+                f"{path}:{lineno}: label {raw_label!r} not in mapping")
+        try:        # an integer label too large for the array overflows
+            labels[i] = (int(label_map[raw_label]) if label_map is not None
+                         else int(float(raw_label)))
+        except (ValueError, OverflowError):
+            raise DataError(
+                f"{path}:{lineno}: unparseable label {raw_label!r}") from None
         if cells is None:
             feats.append([_finite_cell(cell.strip(), missing_token, path,
                                        lineno, j)
@@ -172,9 +187,10 @@ def load_csv(path, label_column, delimiter: str = ",", missing_token: str = None
     names = None
     if header is not None:
         names = tuple(h for j, h in enumerate(header) if j != label_idx)
-    return RawTable(features=(np.array(feats, dtype=float) if cells is None
-                              else cells),
-                    labels=np.array(labels, dtype=int), feature_names=names)
+    # D x (width - 1) even for a table with no rows
+    features = np.array(feats, dtype=float) if cells is None else cells
+    return RawTable(features=features.reshape(len(body), width - 1),
+                    labels=labels, feature_names=names)
 
 
 def load_wbcd(path) -> RawTable:
@@ -191,9 +207,8 @@ def load_wbcd(path) -> RawTable:
 
 def _text_rows(path) -> list:
     """(line number, whitespace-split cells) for every nonblank line."""
-    with _open(path) as fh:
-        return [(n, line.split()) for n, line in enumerate(fh, 1)
-                if line.strip()]
+    return [(n, line.split()) for n, line in enumerate(_read_text(path), 1)
+            if line.strip()]
 
 
 def load_secom(features_path, labels_path) -> RawTable:
@@ -234,24 +249,26 @@ _IDX_IMAGE_MAGIC = 0x00000803
 _IDX_LABEL_MAGIC = 0x00000801
 
 
-def _read_exact(fh, n: int, path, what: str) -> bytes:
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise DataError(f"{path}: truncated {what} ({len(buf)} of {n} bytes)")
-    return buf
-
-
 def _read_idx(path, magic: int, n_dims: int, what: str) -> np.ndarray:
-    """An IDX file's unsigned-byte payload in the shape its header gives."""
-    with _open(path, "rb") as fh:
-        header = struct.unpack(f">{n_dims + 1}I", _read_exact(
-            fh, 4 * (n_dims + 1), path, "header"))
-        if header[0] != magic:
-            raise DataError(f"{path}: bad {what} magic 0x{header[0]:08x}, "
-                            f"expected 0x{magic:08x}")
-        dims = header[1:]
-        payload = _read_exact(fh, math.prod(dims), path, f"{what} payload")
-    return np.frombuffer(payload, dtype=np.uint8).reshape(dims)
+    """An IDX file's unsigned-byte payload in the shape its header gives.
+    The payload size the header claims is checked against the bytes the
+    file holds before any array is made."""
+    with _open(path) as fh:
+        raw = fh.read()
+    start = 4 * (n_dims + 1)
+    if len(raw) < start:
+        raise DataError(f"{path}: truncated header ({len(raw)} of {start} "
+                        f"bytes)")
+    header = struct.unpack_from(f">{n_dims + 1}I", raw)
+    if header[0] != magic:
+        raise DataError(f"{path}: bad {what} magic 0x{header[0]:08x}, "
+                        f"expected 0x{magic:08x}")
+    dims, left = header[1:], len(raw) - start
+    size = math.prod(dims)
+    if left < size:
+        raise DataError(f"{path}: truncated {what} payload ({left} of {size} "
+                        f"bytes)")
+    return np.frombuffer(raw, np.uint8, size, start).reshape(dims)
 
 
 def load_idx(images_path, labels_path) -> RawTable:

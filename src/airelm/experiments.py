@@ -31,7 +31,7 @@ from .channel import (ArConfig, RiceanConfig, noise_for_snr, receive,
 # not called here since the receive block gives P_sig; perfbench/spans.py
 # looks sigma2_for_snr up on this module
 from .channel import sigma2_for_snr  # noqa: F401
-from .config import DATASET_FILES, ExperimentConfig
+from .config import DATASET_FILES, ExperimentConfig, manifest_path
 from .data import (Dataset, load_csv, load_idx, load_secom, load_wbcd,
                    mnist_binarize, secom_prepare, split_standardize,
                    synth_two_gaussians)
@@ -206,7 +206,7 @@ def _per_seed(cfg: ExperimentConfig, body):
     numkernel.set_malloc_policy()
     base_table = _load_base_table(cfg)
     if base_table is not None:
-        cfg.check_batch_size(base_table.n_rows)
+        cfg.check_table(base_table.n_rows, base_table.n_features)
 
     def one(seed):
         trial = RngStream(cfg.master_seed).split(seed)
@@ -520,10 +520,13 @@ def write_manifest(cfg: ExperimentConfig, results, csv_path,
         "mean_trial_wall_ms": float(np.mean(walls)) if walls else 0.0,
         "created_unix": int(time.time()),
     }
-    path = str(csv_path) + ".manifest.json"
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    path = manifest_path(csv_path)
+    try:
+        with open(path, "w") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise OutputError(f"cannot write manifest to {path}: {exc}") from None
     return path
 
 

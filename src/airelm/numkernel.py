@@ -89,7 +89,8 @@ def _cholesky_in_place(a: np.ndarray, b: np.ndarray = None) -> int:
     Without numpy's ILP64 dpotrf and dposv (`lapack_cholesky` is None),
     `np.linalg.cholesky` factors a copy of a, or `np.linalg.solve` (LU)
     writes x into b, and the info is 0, or 1 where they raise."""
-    if lapack_cholesky() is None:
+    lapack = lapack_cholesky()
+    if lapack is None:
         try:
             if b is None:
                 np.linalg.cholesky(a)
@@ -98,7 +99,7 @@ def _cholesky_in_place(a: np.ndarray, b: np.ndarray = None) -> int:
         except np.linalg.LinAlgError:
             return 1
         return 0
-    potrf, posv = lapack_cholesky()
+    potrf, posv = lapack
     n, info = ctypes.c_int64(a.shape[0]), ctypes.c_int64()
     if b is None:
         potrf(b"L", n, _writable_pointer(a), n, info, 1)

@@ -57,3 +57,15 @@ def numpy_linalg(monkeypatch):
 
 def pytest_configure(config):
     config.addinivalue_line("markers", "slow: long-running statistical checks")
+
+
+def pytest_collection_modifyitems(config, items):
+    """Fail a test under tests/ that leaves a file open.  CPython warns of
+    the leak in a finalizer, so pytest reports the ResourceWarning as a
+    PytestUnraisableExceptionWarning, which `error::ResourceWarning` does
+    not make an error; this mark does."""
+    leak = pytest.mark.filterwarnings(
+        "error::pytest.PytestUnraisableExceptionWarning")
+    for item in items:
+        if item.path.is_relative_to(REPO_ROOT / "tests"):
+            item.add_marker(leak)

@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import struct
 import subprocess
 import sys
 
@@ -137,6 +138,45 @@ def test_non_finite_data_cell_exits_2(tmp_path, capsys, cell):
     assert err.count("\n") == 1
     assert err.startswith("data error:")
     assert f"d.csv:6: non-finite cell '{cell}' in column 0" in err
+
+
+def _idx_header(magic, *dims):
+    return struct.pack(f">{len(dims) + 1}I", magic, *dims)
+
+
+@pytest.mark.parametrize("dataset, files, message", [
+    ("name = csv\npath = {a}\nlabel_column = l\n",
+     [b"a,l\n1,1\n2,\xff\n"], "a:3: not UTF-8 text"),
+    ("name = secom\npath = {a}\nlabels = {b}\n",
+     [b"1 2\n3 \xfe4\n", b"1\n-1\n"], "a:2: not UTF-8 text"),
+    ("name = csv\npath = {a}\nlabel_column = l\n",
+     [b"a,l\n1,1\n" + b"1" * 131073 + b",1\n"],
+     "a:3: field larger than field limit"),
+    ("name = mnist\nimages = {a}\nlabels = {b}\n",
+     [_idx_header(0x803, *[2 ** 32 - 1] * 3), _idx_header(0x801, 0)],
+     "a: truncated image payload (0 of"),
+    ("name = mnist\nimages = {a}\nlabels = {b}\n",
+     [_idx_header(0x803, 2 ** 20, 2 ** 10, 2 ** 10), _idx_header(0x801, 0)],
+     f"a: truncated image payload (0 of {2 ** 40} bytes)"),
+], ids=["csv_not_utf8", "secom_not_utf8", "csv_field_over_limit",
+        "idx_dims_overflow", "idx_dims_beyond_memory"])
+def test_malformed_data_file_exits_2_before_any_trial(
+        tmp_path, capsys, monkeypatch, dataset, files, message):
+    import airelm.experiments
+
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran on a malformed data file")
+
+    monkeypatch.setattr(airelm.experiments, "sample_ricean", no_trial)
+    paths = dict(zip("ab", (tmp_path / "a", tmp_path / "b")))
+    for path, data in zip(paths.values(), files):
+        path.write_bytes(data)
+    rc = main(["single", "--seeds", "1", "--config",
+               _ini(tmp_path, "[dataset]\n" + dataset.format(**paths))])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("data error:") and message in err
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -420,6 +460,58 @@ def test_online_batch_above_train_block_exits_1_before_fit(
     assert err.count("\n") == 1
     assert err.startswith("config error:")
     assert f"at most the {d_train} training rows, got 40" in err
+
+
+@pytest.mark.parametrize("command, dataset, model, block", [
+    ("single", "", "[model]\nn_r = 1000000000000\n",
+     "the 1000000000000 x 9 channel matrix H needs"),
+    ("sweep-nr", "name = csv\npath = {data}\nlabel_column = label\n",
+     "[sweep]\ngrid = 16, 100000000000000\n",
+     "the 100000000000000 x 3 channel matrix H needs"),
+    ("single", "synth_size = 10000000\nsynth_d = 1\n",
+     "[model]\nn_r = 20000000\n",
+     "the 8000000 x 20000000 hidden matrix G needs"),
+], ids=["synthetic_n_r", "csv_sweep_grid", "hidden_matrix"])
+def test_block_larger_than_memory_exits_1_before_any_trial(
+        tmp_path, capsys, monkeypatch, command, dataset, model, block):
+    """An N_r whose channel or hidden matrix cannot fit in physical memory
+    is a config error naming the block, found before any channel draw."""
+    import airelm.experiments
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a channel was drawn before the sizes were checked")
+
+    monkeypatch.setattr(airelm.experiments, "sample_ricean", no_draw)
+    data = tmp_path / "d.csv"
+    data.write_text("a,b,label\n" + "".join(
+        f"{i},{i % 7},{1 if i % 2 else -1}\n" for i in range(60)))
+    cfg = _ini(tmp_path, "[experiment]\nseeds = 1\n[dataset]\n"
+               + dataset.format(data=data) + model)
+    rc = main([command, "--config", cfg])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("config error:") and block in err
+    assert "GiB of physical memory" in err
+
+
+def test_manifest_path_that_is_a_directory_exits_3_before_compute(
+        tmp_path, capsys, monkeypatch):
+    import airelm.cli
+
+    def no_compute(cfg):
+        raise AssertionError("the experiment ran before the manifest path "
+                             "was checked")
+
+    monkeypatch.setattr(airelm.cli, "run", no_compute)
+    out = tmp_path / "r.csv"
+    (tmp_path / "r.csv.manifest.json").mkdir()
+    rc = main(["single", "--seeds", "1", "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err == ("output error: output path is a directory: "
+                   f"{out}.manifest.json\n")
+    assert not out.exists()
 
 
 def test_manifest_records_cli_config(tmp_path):

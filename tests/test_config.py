@@ -103,6 +103,29 @@ def test_parse_config_empty_key_keeps_default(tmp_path):
         assert repr(parse_config(str(path))) == repr(expected), line
 
 
+@pytest.mark.parametrize("section, key", [
+    ("experiment", "seeds"), ("online", "gamma"), ("dataset", "train_ratio"),
+    ("dataset", "subsample")])
+def test_declared_ranges_reject_nan(section, key):
+    """A NaN fails the range a key declares, open interval or bound."""
+    cfg = ExperimentConfig()
+    if section == "dataset":
+        cfg = replace(cfg, dataset=replace(cfg.dataset, **{key: float("nan")}))
+    else:
+        cfg = replace(cfg, **{key: float("nan")})
+    with pytest.raises(ConfigError, match=f"^{key} must .*, got nan$"):
+        cfg.resolved()
+
+
+def test_synth_key_ranges_apply_to_the_synthetic_dataset_only(tmp_path):
+    data = tmp_path / "d.csv"
+    data.write_text("a,label\n1,1\n2,-1\n")
+    ds = DatasetConfig(name="csv", path=str(data), synth_size=0, synth_d=0)
+    assert ExperimentConfig(dataset=ds).resolved().dataset.synth_size == 0
+    with pytest.raises(ConfigError, match="synth_size must be >= 2, got 0"):
+        ExperimentConfig(dataset=replace(ds, name="synthetic")).resolved()
+
+
 @pytest.mark.parametrize("synth_size, train_ratio, subsample", [
     (40, 0.8, None), (41, 0.5, None), (3, 0.9, None), (400, 0.8, 25),
     (30, 0.7, 90)])

@@ -2,6 +2,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from airelm.data import (
     RawTable,
@@ -532,3 +533,46 @@ def test_synth_deterministic():
     a = synth_two_gaussians(RngStream(3).split(SUB_SYNTH), 100, 3, 2.0)
     b = synth_two_gaussians(RngStream(3).split(SUB_SYNTH), 100, 3, 2.0)
     assert np.array_equal(a.features, b.features)
+
+
+# -------------------------------------------------------- any bytes
+
+_TEXTISH = st.text(alphabet="0123456789.-+eE,; \t\n\r\"?naNifMBlbel",
+                   max_size=200).map(str.encode)
+_FILE_BYTES = st.binary(max_size=200) | _TEXTISH
+
+
+def _idx_bytes(magic, dims, payload):
+    return struct.pack(f">{len(dims) + 1}I", magic, *dims) + payload
+
+
+_IDX_BYTES = _FILE_BYTES | st.builds(
+    _idx_bytes, st.sampled_from([0x803, 0x801, 0x802]),
+    st.lists(st.integers(0, 4) | st.integers(0, 2 ** 32 - 1), max_size=4),
+    st.binary(max_size=40))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(loader=st.sampled_from(["csv", "secom", "idx"]), data=st.data())
+def test_any_file_bytes_load_as_a_table_or_raise_data_error(
+        tmp_path_factory, loader, data):
+    """Whatever bytes a data file holds, its loader returns a RawTable or
+    raises DataError, never another exception."""
+    first, second = (tmp_path_factory.getbasetemp() / name
+                     for name in ("fuzz.a", "fuzz.b"))
+    files = _IDX_BYTES if loader == "idx" else _FILE_BYTES
+    first.write_bytes(data.draw(files))
+    second.write_bytes(data.draw(files))
+    try:
+        if loader == "csv":
+            table = load_csv(first, data.draw(st.sampled_from([0, 1, "l"])),
+                             has_header=data.draw(st.booleans()),
+                             missing_token=data.draw(st.sampled_from(
+                                 [None, "?"])))
+        elif loader == "secom":
+            table = load_secom(first, second)
+        else:
+            table = load_idx(first, second)
+    except DataError:
+        return
+    assert isinstance(table, RawTable) and table.features.ndim == 2

@@ -14,7 +14,7 @@ from airelm.channel import noise_for_snr, receive, sigma2_for_snr, signal_power
 from airelm.config import DatasetConfig, ExperimentConfig, parse_config
 from airelm import channel, cli, elm, experiments, numkernel
 from airelm.elm import augment
-from airelm.errors import ConfigError
+from airelm.errors import ConfigError, OutputError
 from airelm.experiments import (
     SUMMARY_COLUMNS,
     TRIAL_COLUMNS,
@@ -388,6 +388,16 @@ def test_emit_csv_crlf_line_endings(tmp_path):
 
 
 # ----------------------------------------------------------- manifest
+
+def test_manifest_that_cannot_be_written_is_an_output_error(tmp_path):
+    """A manifest path that turned into a directory after the config was
+    checked is an OutputError, as an unwritable CSV is."""
+    cfg = _cfg(grid=(32,), seeds=1)
+    rows = run_sweep_nr(cfg)
+    (tmp_path / "out.csv.manifest.json").mkdir()
+    with pytest.raises(OutputError, match="cannot write manifest to"):
+        write_manifest(cfg, rows, str(tmp_path / "out.csv"))
+
 
 def test_manifest_contents(tmp_path):
     cfg = _cfg(grid=(32,))
