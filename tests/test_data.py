@@ -394,7 +394,8 @@ def test_split_constant_column_flagged():
     table = RawTable(feats, table.labels)
     data = split_standardize(table, 0.8, RngStream(3).split(0))
     # std 1 after centering on the column's value: zeros in both blocks
-    assert np.all(data.x_train[:, 1] == 0.0) and np.all(data.x_test[:, 1] == 0.0)
+    assert np.all(data.x_train[:, 1] == 0.0)
+    assert np.all(data.x_test[:, 1] == 0.0)
     assert np.any(data.x_train[:, 0] != 0.0)
 
 
@@ -408,7 +409,8 @@ def test_split_overflowing_column_is_a_data_error_unless_constant():
     feats[:, 2] = 1.5e308
     data = split_standardize(RawTable(feats, table.labels), 0.8,
                              RngStream(3).split(0))
-    assert np.all(data.x_train[:, 2] == 0.0) and np.all(data.x_test[:, 2] == 0.0)
+    assert np.all(data.x_train[:, 2] == 0.0)
+    assert np.all(data.x_test[:, 2] == 0.0)
     feats[::2, 2] = -1.5e308
     huge = RawTable(feats, table.labels, feature_names=("a", "b", "c"))
     with pytest.raises(DataError, match="feature 'c': its training mean or "
