@@ -2,8 +2,8 @@
 
 A fading Ricean/Rayleigh channel plays the role of the random hidden layer
 of a single-hidden-layer network; a Rapp soft threshold is the analog
-activation; the receive combiner is trained in closed form by minimum-norm
-least squares and re-tracked online while the channel ages.
+activation; the receive combiner is trained in closed form, by ridge or by
+minimum-norm least squares, and re-tracked online while the channel ages.
 """
 
 __version__ = "0.1.0"
@@ -14,7 +14,8 @@ from .errors import ConfigError, DataError, OutputError
 from .rng import (RngStream, SUB_SPLIT, SUB_CHANNEL, SUB_TRAIN_NOISE,
                   SUB_TEST_NOISE, SUB_DIGITAL, SUB_MINIBATCH, SUB_AR,
                   SUB_SYNTH, SUB_FEATSEL)
-from .numkernel import sample_cgaussian, svd, pseudoinverse, min_norm_lstsq
+from .numkernel import (sample_cgaussian, svd, pseudoinverse, min_norm_lstsq,
+                        ridge_lstsq)
 from .activation import (RappParams, rapp, rapp_vec, rapp_deriv, rapp_peak,
                          sigmoid)
 from .channel import (RiceanConfig, ArConfig, NoiseModel, NOISELESS,

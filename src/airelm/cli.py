@@ -22,7 +22,7 @@ from dataclasses import replace
 
 from .config import KINDS, ExperimentConfig, manifest_path, parse_config
 from .errors import ConfigError, DataError, OutputError
-from .experiments import run, summarize
+from .experiments import SUMMARY_COLUMNS, run, summarize
 
 _SUBCOMMANDS = {kind.replace("_", "-"): kind for kind in KINDS}
 
@@ -41,6 +41,10 @@ _FLAGS = {
 }
 
 
+# summarize() columns the printed table leaves out
+_NOT_PRINTED = ("min_accuracy", "max_accuracy", "mean_receive_power")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="airelm",
@@ -56,11 +60,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _print_summary(results) -> None:
     table = summarize(results)
-    cols = ("model", "n_r", "snr_db", "kappa", "eta", "step", "iteration",
-            "n_trials", "mean_accuracy", "std_accuracy",
-            "mean_normalized_accuracy", "mean_wall_ms")
-    keep = [c for c in cols
-            if any(row.get(c) is not None for row in table)]
+    keep = [c for c in SUMMARY_COLUMNS if c not in _NOT_PRINTED
+            and any(row.get(c) is not None for row in table)]
     header = "  ".join(f"{c:>12}" for c in keep)
     print(header)
     for row in table:

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, fields, replace
 from .activation import RappParams
 from .channel import ArConfig, RiceanConfig
 from .data import train_count
+from .elm import COMBINERS
 from .errors import ConfigError, OutputError
 
 KINDS = ("sweep_nr", "sweep_snr", "sweep_kappa", "online", "single")
@@ -126,6 +127,7 @@ class ExperimentConfig:
     alpha: int = _key("activation", 2, int)
     # resolved by `resolved()`: 1024 online, else 256
     n_r: int = _key("model", None, int, least=1)
+    combiner: str = _key("model", "ridge", str)     # one of elm.COMBINERS
     digital_low: float = _key("model", -1.0, float)
     digital_high: float = _key("model", 1.0, float)
     grid: tuple = _key("sweep", None, _to_grid)
@@ -184,6 +186,9 @@ class ExperimentConfig:
             RiceanConfig(n_r=cfg.n_r, n_t=1, kappa=kappa,
                          pathloss=cfg.pathloss, los_angle_rx=cfg.los_angle_rx,
                          los_angle_tx=cfg.los_angle_tx)
+        if cfg.combiner not in COMBINERS:
+            raise ConfigError(f"combiner must be one of {COMBINERS}, got "
+                              f"{cfg.combiner!r}")
         RappParams(y_sat=cfg.y_sat, alpha=cfg.alpha)    # validates both
         ArConfig(eta=cfg.eta)                           # eta in (0, 1]
         if not -math.inf < cfg.digital_low < cfg.digital_high < math.inf:
@@ -198,6 +203,9 @@ class ExperimentConfig:
                 raise ConfigError(f"dataset {ds.name!r} needs [dataset] {key}")
             if not os.path.exists(p):
                 raise ConfigError(f"[dataset] {key} file does not exist: {p}")
+        if ds.name == "csv" and len(ds.delimiter) != 1:
+            raise ConfigError(f"delimiter must be one character, got "
+                              f"{ds.delimiter!r}")
         if ds.name == "synthetic":
             if ds.synth_size * ds.synth_d > sys.maxsize:
                 raise ConfigError("synth_size x synth_d must be at most "

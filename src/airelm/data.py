@@ -234,7 +234,8 @@ def load_secom(features_path, labels_path) -> RawTable:
     label_rows = _text_rows(labels_path)
     if len(label_rows) != len(feat_rows):
         raise DataError(
-            f"SECOM: {len(feat_rows)} feature rows vs {len(label_rows)} labels")
+            f"{features_path} has {len(feat_rows)} feature rows, "
+            f"{labels_path} {len(label_rows)} labels")
     labels = np.empty(len(label_rows), dtype=int)
     for i, (lineno, row) in enumerate(label_rows):
         try:
@@ -282,8 +283,8 @@ def load_idx(images_path, labels_path) -> RawTable:
     labels = _read_idx(labels_path, _IDX_LABEL_MAGIC, 1, "label").astype(int)
     count, h, w = pixels.shape
     if len(labels) != count:
-        raise DataError(f"image/label count mismatch: {count} images vs "
-                        f"{len(labels)} labels")
+        raise DataError(f"image/label count mismatch: {images_path} has "
+                        f"{count} images, {labels_path} {len(labels)} labels")
     feats = pixels.reshape(count, h * w).astype(float) / 255.0
     return RawTable(features=feats, labels=labels)
 

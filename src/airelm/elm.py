@@ -4,8 +4,8 @@ The fading channel's real part is the (fixed, random) hidden-layer weight
 matrix: a feature vector x is appended with a constant 1 (the implicit SLFN
 bias, so N_t = d+1), pushed through the channel, and soft-thresholded by the
 Rapp curve.  Only the analog combining vector w is trained, in closed form
-by minimum-norm least squares; a mini-batch update rule re-tracks w when the
-channel ages.
+by minimum-norm or ridge least squares (the combiner, `COMBINERS`); a
+mini-batch update rule re-tracks w when the channel ages.
 """
 
 from __future__ import annotations
@@ -17,8 +17,12 @@ import numpy as np
 from .activation import RappParams, DEFAULT_RAPP, rapp_vec, sigmoid
 from .channel import NoiseModel, NOISELESS, add_noise, receive, row_blocks
 from .errors import ConfigError
-from .numkernel import min_norm_lstsq
+from .numkernel import min_norm_lstsq, ridge_lstsq
 from .rng import RngStream
+
+# the closed-form combiners `train` fits: "min_norm" is w = G^+ t
+# (`min_norm_lstsq`), "ridge" the regularized fit of `ridge_lstsq`
+COMBINERS = ("min_norm", "ridge")
 
 
 @dataclass(frozen=True)
@@ -105,27 +109,34 @@ def hidden_matrix(layer, x: np.ndarray, rng: RngStream = None) -> np.ndarray:
     return activate(layer, y, rng, out=y)
 
 
-def train(g: np.ndarray, t: np.ndarray, hidden=None) -> ElmModel:
-    """Closed-form fit: w* = G^+ t (minimum-norm least squares)."""
+def train(g: np.ndarray, t: np.ndarray, hidden=None,
+          combiner: str = "min_norm") -> ElmModel:
+    """Closed-form fit: w* = G^+ t (minimum-norm least squares), or the
+    ridge solution of `ridge_lstsq` for combiner = "ridge"."""
+    if combiner not in COMBINERS:
+        raise ValueError(f"unknown combiner {combiner!r}")
     g = np.asarray(g, dtype=float)
     t = np.asarray(t, dtype=float).reshape(-1)
-    w = min_norm_lstsq(g, t)
+    w = (ridge_lstsq if combiner == "ridge" else min_norm_lstsq)(g, t)
     residual = float(np.linalg.norm(g @ w - t))
     return ElmModel(w=w, hidden=hidden, train_residual=residual,
                     receive_power=float(w @ w))
 
 
-def fit(layer, x: np.ndarray, t: np.ndarray, rng: RngStream = None) -> ElmModel:
+def fit(layer, x: np.ndarray, t: np.ndarray, rng: RngStream = None,
+        combiner: str = "min_norm") -> ElmModel:
     """hidden_matrix + train in one step, binding the layer to the model."""
     g = hidden_matrix(layer, x, rng)
-    return train(g, t, hidden=layer)
+    return train(g, t, hidden=layer, combiner=combiner)
 
 
 def fit_received(layer: HiddenLayer, r: np.ndarray, t: np.ndarray,
-                 rng: RngStream = None, out: np.ndarray = None) -> ElmModel:
+                 rng: RngStream = None, out: np.ndarray = None,
+                 combiner: str = "min_norm") -> ElmModel:
     """`fit` from the receive block r = x~ (H^r)^T of the training rows
     instead of the rows themselves; out as in `activate`."""
-    return train(activate(layer, r, rng, out), t, hidden=layer)
+    return train(activate(layer, r, rng, out), t, hidden=layer,
+                 combiner=combiner)
 
 
 def predict(model: ElmModel, x: np.ndarray, rng: RngStream = None) -> np.ndarray:

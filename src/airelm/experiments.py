@@ -183,7 +183,8 @@ def _digital_trial(cfg, dataset, trial, n_hidden: int):
     """Digital-ELM baseline: random uniform weights, sigmoid, no channel."""
     layer = digital_elm_hidden(trial.split(SUB_DIGITAL), n_hidden, dataset.d,
                                low=cfg.digital_low, high=cfg.digital_high)
-    model = fit(layer, dataset.x_train, dataset.t_train)
+    model = fit(layer, dataset.x_train, dataset.t_train,
+                combiner=cfg.combiner)
     acc = _accuracy(predict(model, dataset.x_test), dataset)
     return acc, model.train_residual, model.receive_power
 
@@ -275,7 +276,8 @@ def _run_grid(cfg: ExperimentConfig, experiment: str, points):
                  for z, x in zip(noise, (x_train, x_test))]
                 if finite[i] else (None, None))
             model = fit_received(layer, r_train, dataset.t_train, train_noise,
-                                 out=r_train if last[i] else None)
+                                 out=r_train if last[i] else None,
+                                 combiner=cfg.combiner)
             if last[i]:
                 r_train = None
             if r_test is None:
@@ -338,8 +340,9 @@ def run_online(cfg: ExperimentConfig):
     Per seed: fit the closed form on H(0); then for each channel step,
     evolve H, record the pre-update normalized accuracy (iteration 0) and
     the trace of the mini-batch rule (iterations 1..n), where the
-    normalizer is the full-data LS solution recomputed under the stepped
-    channel.  Each step's measured wall time goes on its iteration-0 row;
+    normalizer is the full-data fit recomputed under the stepped channel.
+    Both closed-form fits use cfg.combiner; the mini-batch rule is always
+    minimum-norm.  Each step's measured wall time goes on its iteration-0 row;
     the other rows carry none, and the H(0) fit belongs to no step.
     """
     cfg = cfg.resolved()
@@ -363,7 +366,7 @@ def run_online(cfg: ExperimentConfig):
         batch_rng = trial.split(SUB_MINIBATCH)
 
         model = fit_received(layer, r_train, dataset.t_train, train_noise,
-                             out=r_train)
+                             out=r_train, combiner=cfg.combiner)
         del r_train             # it holds the H(0) fit's G now
         rows = []
         for step in range(1, cfg.steps + 1):
@@ -371,7 +374,8 @@ def run_online(cfg: ExperimentConfig):
             h = evolve_ar(h, ar, ar_rng)
             layer_k = replace(layer, h_real=h.real)
             # normalizer: closed-form refit on the full data under H(k)
-            full = fit(layer_k, dataset.x_train, dataset.t_train, train_noise)
+            full = fit(layer_k, dataset.x_train, dataset.t_train, train_noise,
+                       combiner=cfg.combiner)
             # iteration 0 is the stale combiner under H(k)
             trace = [replace(model, hidden=layer_k),
                      *online_update(model, layer_k, dataset, cfg.gamma,

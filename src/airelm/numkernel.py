@@ -1,4 +1,5 @@
-"""Dense numerical kernel: Gaussian sampling, SVD, pseudoinverse, min-norm LS.
+"""Dense numerical kernel: Gaussian sampling, SVD, pseudoinverse, min-norm
+and ridge least squares.
 
 Matrices are plain float64 (or complex128) numpy arrays in row-major order;
 no wrapper class is introduced.  All operations are pure functions of their
@@ -25,6 +26,10 @@ _EPS = float(np.finfo(float).eps)
 # matrix and through a QR of G; see its docstring for the bounds behind them.
 GRAM_MAX_COND = 1e4
 QR_MAX_COND = 1e6
+
+# The ridge weight of `ridge_lstsq`: lam = RIDGE_C * tr(A) / n, RIDGE_C times
+# the mean eigenvalue of the n x n Gram matrix A, so lam scales with G.
+RIDGE_C = 1.0
 
 
 @functools.cache
@@ -214,6 +219,34 @@ def pseudoinverse(a: np.ndarray, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray
     return v @ (inv_s[:, None] * u.T)
 
 
+def _gram_system(g, t, name: str):
+    """(G, t, A, wide) for G w ~= t: G and t as float64 arrays (a column t
+    flattened) and A the smaller Gram matrix, G G^T for a wide G (no more
+    rows than columns) else G^T G, or None for an empty G.  Raises
+    ValueError, before any factorization, for a NaN or Inf in G or t and
+    for mismatched shapes; a finite G whose Gram matrix overflows passes,
+    its A holding Inf, with no warning."""
+    g = np.asarray(g, dtype=float)
+    t = np.asarray(t, dtype=float)
+    if not np.isfinite(t).all():
+        raise ValueError(f"{name}: input contains NaN or Inf")
+    if t.ndim == 2 and t.shape[1] == 1:
+        t = t[:, 0]
+    if t.ndim != 1 or g.ndim != 2 or g.shape[0] != t.shape[0]:
+        raise ValueError(
+            f"{name}: shape mismatch, G is {g.shape}, t has {t.shape}")
+    wide = g.shape[0] <= g.shape[1]
+    if not g.size:
+        return g, t, None, wide
+    with np.errstate(over="ignore"):
+        a = g @ g.T if wide else g.T @ g
+    # each entry of G is squared into one diagonal entry of A, so a finite
+    # tr(A) proves G finite unless the squares overflowed
+    if not (math.isfinite(a.trace()) or np.isfinite(g).all()):
+        raise ValueError(f"{name}: input contains NaN or Inf")
+    return g, t, a, wide
+
+
 def _certified(a: np.ndarray, floor: float) -> bool:
     """True when a Cholesky factorization of A - s I completes for the shift
     s = 2 ||A||_F * floor + (n + 1) * eps * tr(A), which proves
@@ -304,24 +337,10 @@ def min_norm_lstsq(g: np.ndarray, t: np.ndarray,
     Gram solve by `np.linalg.solve` (LU, 2n^3/3 flops to n^3/3); w moves at
     round-off only.  Per-fit costs: README, "Numerics".
     """
-    g = np.asarray(g, dtype=float)
-    t = np.asarray(t, dtype=float)
-    if not np.isfinite(t).all():
-        raise ValueError("min_norm_lstsq: input contains NaN or Inf")
-    if t.ndim == 2 and t.shape[1] == 1:
-        t = t[:, 0]
-    if t.ndim != 1 or g.ndim != 2 or g.shape[0] != t.shape[0]:
-        raise ValueError(
-            f"min_norm_lstsq: shape mismatch, G is {g.shape}, t has {t.shape}")
-    r = _cutoff(rel_tol, g.shape, 1.0)      # rejects a bad rel_tol up front
-    wide = g.shape[0] <= g.shape[1]
-    if g.size:
-        with np.errstate(over="ignore"):    # an inf A fails both certificates
-            a = g @ g.T if wide else g.T @ g
-        # each entry of G is squared into one diagonal entry of A, so a
-        # finite tr(A) proves G finite unless the squares overflowed
-        if not (math.isfinite(a.trace()) or np.isfinite(g).all()):
-            raise ValueError("min_norm_lstsq: input contains NaN or Inf")
+    g, t, a, wide = _gram_system(g, t, "min_norm_lstsq")
+    # rejects a bad rel_tol before any factorization
+    r = _cutoff(rel_tol, g.shape, 1.0)
+    if a is not None:
         path = _solver_path(a, r)
         if path == "gram":
             b = t.copy() if wide else g.T @ t
@@ -342,3 +361,35 @@ def min_norm_lstsq(g: np.ndarray, t: np.ndarray,
     coeff = np.zeros_like(s)
     coeff[keep] = (u.T @ t)[keep] / s[keep]
     return v @ coeff
+
+
+def ridge_lstsq(g: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Ridge least-squares solution w of G w ~= t: the minimizer of
+    ||G w - t||^2 + lam ||w||^2 with lam = RIDGE_C * tr(A) / n, for the
+    n x n Gram matrix A of `min_norm_lstsq` (the regularized ELM of Huang,
+    Zhou, Ding and Zhang, IEEE TSMC-B 42(2), 2012; Hoerl and Kennard,
+    Technometrics 12(1), 1970).
+
+    One Cholesky solve (LAPACK dposv, through `_cholesky_in_place`) of
+    A + lam I gives w = G^T (A + lam I)^-1 t for a wide G and
+    w = (A + lam I)^-1 G^T t for a tall one; the two are equal.  lam is
+    RIDGE_C times A's mean eigenvalue and lam_max(A) <= tr(A), so
+    kappa(A + lam I) <= 1 + n / RIDGE_C whatever G is: the factor completes
+    for every finite A, with no certificate, QR, LU or SVD.  A zero or
+    empty G gives w = 0, the minimum-norm answer.  A finite G whose Gram
+    matrix overflows is solved scaled by a power of two, and w scaled back.
+    """
+    g, t, a, wide = _gram_system(g, t, "ridge_lstsq")
+    trace = 0.0 if a is None else a.trace()
+    if trace == 0.0:
+        return np.zeros(g.shape[1])
+    n = a.shape[0]
+    lam = RIDGE_C * trace / n
+    if not math.isfinite(trace + lam):
+        exponent = math.frexp(np.abs(g).max())[1]
+        return np.ldexp(ridge_lstsq(np.ldexp(g, -exponent), t), -exponent)
+    a.ravel()[::n + 1] += lam
+    b = t.copy() if wide else g.T @ t
+    if _cholesky_in_place(a, b):
+        raise np.linalg.LinAlgError("dposv: A + lam I not SPD")
+    return g.T @ b if wide else b

@@ -33,6 +33,25 @@ def test_single_runs_with_defaults(tmp_path, capsys):
     assert str(out) in text
 
 
+def test_printed_summary_shows_every_summary_column_but_three(
+        tmp_path, capsys):
+    """The printed table takes its columns from `summarize`, leaving out
+    min/max accuracy and receive power, and drops a column empty in every
+    row (online columns in a sweep)."""
+    cfg = _ini(tmp_path, "[experiment]\nseeds = 1\n[dataset]\n"
+               "synth_size = 40\n[online]\nsteps = 1\niters_per_step = 1\n"
+               "batch_size = 8\n")
+    assert main(["online", "--config", cfg]) == 0
+    assert capsys.readouterr().out.splitlines()[0].split() == [
+        "model", "n_r", "snr_db", "kappa", "eta", "step", "iteration",
+        "n_trials", "mean_accuracy", "std_accuracy",
+        "mean_normalized_accuracy", "mean_wall_ms"]
+    assert main(["single", "--seeds", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[0].split() == [
+        "model", "n_r", "snr_db", "kappa", "n_trials", "mean_accuracy",
+        "std_accuracy", "mean_wall_ms"]
+
+
 def test_seed_flag_changes_output(tmp_path):
     a, b, c = (tmp_path / n for n in ("a.csv", "b.csv", "c.csv"))
     assert main(["single", "--seeds", "2", "--out", str(a)]) == 0
@@ -375,6 +394,11 @@ def test_blas_thread_env_preserves_bytes(tmp_path):
     # used to end in an OverflowError from the online batch-size check
     ("online", "[dataset]\nsynth_size = 1" + "0" * 400 + "\n",
      "synth_size x synth_d must be at most"),
+    # used to end in a TypeError from csv.reader on loading
+    ("single", "[dataset]\nname = csv\npath = {file}\ndelimiter = ;;\n",
+     "delimiter must be one character, got ';;'"),
+    ("sweep-nr", "[model]\ncombiner = pinv\n",
+     "combiner must be one of ('min_norm', 'ridge'), got 'pinv'"),
 ], ids=["fractional_n_r", "nan_grid", "minus_inf_snr", "zero_n_r",
         "huge_n_r", "huge_n_r_grid",
         "gamma_above_1", "zero_eta", "zero_batch_size", "odd_alpha",
@@ -386,7 +410,8 @@ def test_blas_thread_env_preserves_bytes(tmp_path):
         "minus_inf_digital_low", "negative_master_seed", "csv_without_path",
         "mnist_without_images", "mnist_without_labels", "secom_without_path",
         "secom_without_labels", "zero_synth_d", "synth_size_1",
-        "negative_synth_size", "synth_size_beyond_float64"])
+        "negative_synth_size", "synth_size_beyond_float64",
+        "two_character_delimiter", "unknown_combiner"])
 def test_bad_sweep_values_exit_1_before_compute(tmp_path, capsys, monkeypatch,
                                                 command, body, message):
     import airelm.cli

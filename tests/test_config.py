@@ -10,7 +10,7 @@ from airelm.rng import RngStream
 
 
 def _all_keys_ini(tmp_path):
-    """An INI setting each of the 38 keys to a value other than its default."""
+    """An INI setting each of the 39 keys to a value other than its default."""
     files = {}
     for name in ("features.txt", "images.idx", "labels.txt"):
         files[name] = tmp_path / name
@@ -51,6 +51,7 @@ def _all_keys_ini(tmp_path):
         "alpha = 4\n"
         "[model]\n"
         "n_r = 96\n"
+        "combiner = min_norm\n"
         "digital_low = -0.5\n"
         "digital_high = 0.75\n"
         "[sweep]\n"
@@ -81,7 +82,8 @@ def test_parse_config_reads_every_key(tmp_path):
             subsample=50, synth_size=120, synth_d=5, synth_separation=2.5,
             mnist_pixels=49, secom_features=10),
         kappa=3.5, pathloss=2.0, los_angle_rx=0.25, los_angle_tx=-0.5,
-        snr_db=15.0, y_sat=2.0, alpha=4, n_r=96, digital_low=-0.5,
+        snr_db=15.0, y_sat=2.0, alpha=4, n_r=96, combiner="min_norm",
+        digital_low=-0.5,
         digital_high=0.75, grid=(0.5, 2.0, 8.0), eta=0.8, gamma=0.25,
         batch_size=16, steps=3, iters_per_step=4)
     cfg = parse_config(str(path))
@@ -124,6 +126,18 @@ def test_synth_key_ranges_apply_to_the_synthetic_dataset_only(tmp_path):
     assert ExperimentConfig(dataset=ds).resolved().dataset.synth_size == 0
     with pytest.raises(ConfigError, match="synth_size must be >= 2, got 0"):
         ExperimentConfig(dataset=replace(ds, name="synthetic")).resolved()
+
+
+@pytest.mark.parametrize("delimiter", ["", ";;", "\t\t"])
+def test_csv_delimiter_must_be_one_character(tmp_path, delimiter):
+    """An empty delimiter cannot come from an INI file, where an empty value
+    keeps the default, but it can from code."""
+    data = tmp_path / "d.csv"
+    data.write_text("a,label\n1,1\n2,-1\n")
+    ds = DatasetConfig(name="csv", path=str(data), delimiter=delimiter)
+    with pytest.raises(ConfigError, match="delimiter must be one character"):
+        ExperimentConfig(dataset=ds).resolved()
+    assert ExperimentConfig(dataset=replace(ds, delimiter="\t")).resolved()
 
 
 @pytest.mark.parametrize("synth_size, train_ratio, subsample", [

@@ -223,8 +223,9 @@ def test_load_idx_bad_magic(tmp_path):
 
 
 def test_load_idx_count_mismatch(tmp_path):
-    imgs, lbls = _write_idx_pair(tmp_path, n_lbl=3)
-    with pytest.raises(DataError):
+    imgs, lbls = _write_idx_pair(tmp_path, labels=(3, 8, 1), n_img=2)
+    with pytest.raises(DataError, match=r"imgs\.idx has 2 images, "
+                                        r"\S*lbls\.idx 3 labels"):
         load_idx(imgs, lbls)
 
 
@@ -312,7 +313,8 @@ def test_load_secom_values_and_missing(tmp_path):
     ("1 nan\n3 4\n", "-1\n1\n", r"secom\.data:1: non-finite cell 'nan'"),
     ("\n", "-1\n", r"secom\.data: empty file"),
     ("1 2\n3 4\n", "-1\nx\n", r"secom_labels\.data:2: unparseable label 'x'"),
-    ("1 2\n3 4\n", "-1\n", "2 feature rows vs 1 labels"),
+    ("1 2\n3 4\n", "-1\n",
+     r"secom\.data has 2 feature rows, \S*secom_labels\.data 1 labels"),
 ], ids=["non_numeric", "ragged", "inf", "lowercase_nan", "empty", "bad_label",
         "count_mismatch"])
 def test_load_secom_errors(tmp_path, features, labels, message):

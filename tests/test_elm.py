@@ -26,7 +26,7 @@ from airelm.elm import (
 )
 from airelm.errors import ConfigError
 from airelm.experiments import _NoiseReplay
-from airelm.numkernel import min_norm_lstsq, one_blas_thread
+from airelm.numkernel import min_norm_lstsq, one_blas_thread, ridge_lstsq
 from airelm.rng import RngStream, SUB_CHANNEL, SUB_MINIBATCH, SUB_SYNTH
 
 
@@ -180,6 +180,17 @@ def test_train_residual_field_is_l2():
     t = rng.normal(size=20)
     model = train(g, t)
     assert model.train_residual == pytest.approx(np.linalg.norm(g @ model.w - t), rel=1e-12)
+
+
+def test_train_fits_the_named_combiner_and_defaults_to_min_norm():
+    rng = np.random.default_rng(10)
+    g, t = rng.normal(size=(12, 30)), rng.normal(size=12)
+    assert np.array_equal(train(g, t).w, min_norm_lstsq(g, t))
+    ridge = train(g, t, combiner="ridge")
+    assert np.array_equal(ridge.w, ridge_lstsq(g, t))
+    assert ridge.receive_power == float(ridge.w @ ridge.w)
+    with pytest.raises(ValueError, match="unknown combiner"):
+        train(g, t, combiner="ridge ")
 
 
 # -------------------------------------------------- predict/classify

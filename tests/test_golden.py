@@ -1,10 +1,15 @@
 """Golden SHA-256 hashes of the results CSV for each experiment kind.
 
+Each kind is pinned twice: with the default combiner, ridge, and with
+`combiner = min_norm`, the paper's w = G^+ t, whose runs also pin the
+min-norm solver's paths (Gram solve, QR band, SVD).
+
 A refactor must leave these bytes alone.  LAPACK and BLAS give different
 round-off bits across builds, so the hashes are only checked under the
 numpy and BLAS build they were taken with.  Each case has two: one with
-the Gram solve run by LAPACK's dposv, as that build runs it, and one with
-the `numpy_linalg` fallback, whose `np.linalg.solve` moves round-off only.
+the Cholesky solve run by LAPACK's dposv, as that build runs it, and one
+with the `numpy_linalg` fallback, whose `np.linalg.solve` moves round-off
+only.
 
 The accuracy cells of the same runs are checked on every build: each is
 a count of correct test predictions over the 24 test rows, which
@@ -25,12 +30,14 @@ NUMPY_VERSION = "2.4.6"
 BLAS = ("scipy-openblas", "0.3.31.188.0")
 
 # baseline only adds rows to sweep_nr and single; the others ignore it
-COMMON = ("[experiment]\nseeds = 2\nmaster_seed = 5\nbaseline = true\n"
-          "[dataset]\nname = synthetic\nsynth_size = 120\nsynth_d = 4\n"
-          "[channel]\nsnr_db = 20\nkappa = 1\n"
-          "[model]\nn_r = 48\n")
+RIDGE_COMMON = ("[experiment]\nseeds = 2\nmaster_seed = 5\nbaseline = true\n"
+                "[dataset]\nname = synthetic\nsynth_size = 120\nsynth_d = 4\n"
+                "[channel]\nsnr_db = 20\nkappa = 1\n"
+                "[model]\nn_r = 48\n")
+COMMON = RIDGE_COMMON + "combiner = min_norm\n"
 
-# command: (INI tail, hash with dposv, hash with the numpy fallback)
+# command: (INI tail, hash with dposv, hash with the numpy fallback), all
+# with combiner = min_norm
 CASES = {
     "sweep-nr": ("[sweep]\ngrid = 16, 64\n",
                  "93a5927cb8b24d2bd493264ee35f1c738719836c9cbea1c4cfb794291cb570f3",
@@ -47,6 +54,25 @@ CASES = {
     "single": ("",
                "33ff9891b48635679a593270562e378cee9d574e9b21dc5492a16405ee74531e",
                "4d078569d7a1c05bb9864d1624a06338023c2d4c61cfb5d343b0ae30dd0a22aa"),
+}
+# command: (hash with dposv, hash with the numpy fallback, correct test
+# predictions out of 24 row by row), with the default combiner, ridge
+RIDGE = {
+    "sweep-nr": ("252442f7ae4667e914678d9647dc202d63211e1035db1dea04fb02c0a54e06aa",
+                 "63bd191d148a69215076a9c7a91c22e744c93fbe4a00c74dbd43ad7332c5b461",
+                 (23, 22, 22, 24, 23, 23, 23, 24)),
+    "sweep-snr": ("a0fa98dbe8beef114ca2a974d3fb3e0ddae102ca79be8b3afc9864e7e0f352cc",
+                  "77d35505a029587d556899ae6564dc8c5bfbdeb941d1bf4623c02ea2c80b66ab",
+                  (23, 22, 23, 23, 23, 23)),
+    "sweep-kappa": ("8aa8e0604b24ecf33c4229ae9a2eb5817552aa69e8bca2587107767b181dbc1e",
+                    "149b0f2f7b969973c5adeb11f6aed0d4e2eb5f7e764781487c8d34d42eae5639",
+                    (23, 23, 23, 21)),
+    "online": ("04b7b4c111275f3ea8e86755713585db899c6da097420a51167a936b61334762",
+               "b2cf1b3540e8793b6965d51622576010148b269855b74d8eb3a7d293ddd4986a",
+               (23, 23, 23, 23, 23, 22, 23, 22, 22, 22, 23, 23)),
+    "single": ("c88bc06d8590bc347f85b1239efd5cecb37787f1ac72b4f6a48d3b6c056048bd",
+               "30f7de5648c99b23059b5ac3928f6552442281fa556aeac7829069347406d017",
+               (23, 23, 23, 23)),
 }
 THRESHOLD = ("[sweep]\ngrid = 64, 94, 95, 128\n",
              "d6f993a6fc57d8cc77d0f83798b3f2ab3ef20ce20c286d371b214b27fa2ac687",
@@ -73,16 +99,29 @@ def _build():
     return np.__version__, (blas.get("name"), blas.get("version"))
 
 
-def _check_hash(tmp_path, command, extra, digest):
+def _run(tmp_path, command, ini_text):
+    """The results CSV path of `command` run on ini_text."""
+    ini = tmp_path / "exp.ini"
+    ini.write_text(ini_text)
+    out = tmp_path / "r.csv"
+    assert main([command, "--config", str(ini), "--out", str(out)]) == 0
+    return out
+
+
+def _check_hash(tmp_path, command, extra, digest, common=COMMON):
     numpy_version, blas = _build()
     if (numpy_version, blas) != (NUMPY_VERSION, BLAS):
         pytest.skip(f"hashes taken under numpy {NUMPY_VERSION} with {BLAS}, "
                     f"this is numpy {numpy_version} with {blas}")
-    ini = tmp_path / "exp.ini"
-    ini.write_text(COMMON + extra)
-    out = tmp_path / "r.csv"
-    assert main([command, "--config", str(ini), "--out", str(out)]) == 0
+    out = _run(tmp_path, command, common + extra)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def _check_cells(tmp_path, command, ini_text, correct):
+    out = _run(tmp_path, command, ini_text)
+    with open(out, newline="") as fh:
+        cells = [row["accuracy"] for row in csv.DictReader(fh)]
+    assert cells == [str(k / N_TEST) for k in correct]
 
 
 @pytest.mark.parametrize("command", sorted(CASES))
@@ -142,10 +181,24 @@ def test_numpy_fallback_threshold_sweep_matches_golden_hash(
 def test_accuracy_cells_match_golden_counts_on_every_build(tmp_path, case):
     command, extra = (("sweep-nr", THRESHOLD[0]) if case == "threshold"
                       else (case, CASES[case][0]))
-    ini = tmp_path / "exp.ini"
-    ini.write_text(COMMON + extra)
-    out = tmp_path / "r.csv"
-    assert main([command, "--config", str(ini), "--out", str(out)]) == 0
-    with open(out, newline="") as fh:
-        cells = [row["accuracy"] for row in csv.DictReader(fh)]
-    assert cells == [str(k / N_TEST) for k in CORRECT[case]]
+    _check_cells(tmp_path, command, COMMON + extra, CORRECT[case])
+
+
+@pytest.mark.parametrize("command", sorted(RIDGE))
+def test_ridge_default_matches_golden_hash(tmp_path, command):
+    _check_hash(tmp_path, command, CASES[command][0], RIDGE[command][0],
+                common=RIDGE_COMMON)
+
+
+@pytest.mark.parametrize("command", sorted(RIDGE))
+def test_numpy_fallback_ridge_default_matches_golden_hash(
+        tmp_path, command, numpy_linalg):
+    _check_hash(tmp_path, command, CASES[command][0], RIDGE[command][1],
+                common=RIDGE_COMMON)
+
+
+@pytest.mark.parametrize("command", sorted(RIDGE))
+def test_ridge_default_accuracy_cells_match_golden_counts_on_every_build(
+        tmp_path, command):
+    _check_cells(tmp_path, command, RIDGE_COMMON + CASES[command][0],
+                 RIDGE[command][2])

@@ -21,8 +21,10 @@ from airelm.numkernel import (
     DEFAULT_REL_TOL,
     GRAM_MAX_COND,
     QR_MAX_COND,
+    RIDGE_C,
     min_norm_lstsq,
     pseudoinverse,
+    ridge_lstsq,
     sample_cgaussian,
     svd,
 )
@@ -598,6 +600,87 @@ def test_min_norm_residual_is_optimal():
 def test_min_norm_rejects_bad_shapes():
     with pytest.raises(ValueError):
         min_norm_lstsq(np.array([[1.0, 2.0]]), np.array([1.0, 2.0]))
+
+
+# ------------------------------------------------------------- ridge
+
+def _ridge_cases():
+    rng = np.random.default_rng(21)
+    low_rank = rng.normal(size=(12, 3)) @ rng.normal(size=(3, 20))
+    return {"wide": rng.normal(size=(8, 30)), "tall": rng.normal(size=(40, 6)),
+            "square": rng.normal(size=(15, 15)),
+            "rank_deficient_wide": low_rank, "rank_deficient_tall": low_rank.T}
+
+
+@pytest.mark.parametrize("lapack", [True, False])
+@pytest.mark.parametrize("case", sorted(_ridge_cases()))
+def test_ridge_matches_the_shifted_gram_solve_and_normal_equations(
+        request, case, lapack):
+    """w solves (A + lam I) b = t, w = G^T b (wide) or (A + lam I) w = G^T t
+    (tall), lam = RIDGE_C tr(A) / n, and the ridge normal equations
+    (G^T G + lam I) w = G^T t, to 1e-10 relative."""
+    if not lapack:
+        request.getfixturevalue("numpy_linalg")
+    g = _ridge_cases()[case]
+    t = np.random.default_rng(22).normal(size=g.shape[0])
+    w = ridge_lstsq(g, t)
+    wide = g.shape[0] <= g.shape[1]
+    a = g @ g.T if wide else g.T @ g
+    n = a.shape[0]
+    lam = RIDGE_C * np.trace(a) / n
+    shifted = a + lam * np.eye(n)
+    ref = (g.T @ np.linalg.solve(shifted, t) if wide
+           else np.linalg.solve(shifted, g.T @ t))
+    normal = np.linalg.solve(g.T @ g + lam * np.eye(g.shape[1]), g.T @ t)
+    for expected in (ref, normal):
+        assert np.linalg.norm(w - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("shape", [(5, 9), (9, 5), (6, 6), (0, 4), (4, 0)])
+def test_ridge_of_zero_or_empty_g_is_zero_as_min_norm(monkeypatch, shape):
+    g, t = np.zeros(shape), np.ones(shape[0])
+    expected = min_norm_lstsq(g, t)
+    monkeypatch.setattr(numkernel, "_cholesky_in_place", None)
+    w = ridge_lstsq(g, t)
+    assert w.shape == (shape[1],) and not w.any()
+    assert np.array_equal(w, expected)
+
+
+@pytest.mark.parametrize("lapack", [True, False])
+@pytest.mark.parametrize("shape", [(4, 6), (6, 4)])
+def test_ridge_of_g_whose_gram_matrix_overflows_scales_exactly(
+        request, shape, lapack):
+    """A finite G whose Gram matrix overflows is solved without a warning,
+    and scaling G by a power of two scales w by its inverse, bit for bit."""
+    if not lapack:
+        request.getfixturevalue("numpy_linalg")
+    rng = np.random.default_rng(23)
+    g, t = rng.normal(size=shape), rng.normal(size=shape[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = ridge_lstsq(g * 2.0 ** 600, t)
+    assert np.array_equal(w * 2.0 ** 600, ridge_lstsq(g, t))
+
+
+@pytest.mark.parametrize("g, t", [
+    (np.array([[1.0, np.nan], [0.0, 1.0]]), np.ones(2)),
+    (np.array([[1.0, np.inf, 0.0]]), np.ones(1)),
+    (np.eye(3), np.array([1.0, np.nan, 0.0])),
+    (np.eye(3), np.ones(2)),
+    (np.ones(3), np.ones(3)),
+    (np.eye(2), np.ones((2, 2))),
+], ids=["nan_g", "inf_g", "nan_t", "short_t", "vector_g", "matrix_t"])
+def test_ridge_rejects_nan_and_bad_shapes_before_any_factorization(
+        monkeypatch, g, t):
+    def no_factorization(*args, **kwargs):
+        raise AssertionError("factorized before the input was checked")
+
+    for name in ("cholesky", "qr", "solve"):
+        monkeypatch.setattr(np.linalg, name, no_factorization)
+    for name in ("_cholesky_in_place", "svd"):
+        monkeypatch.setattr(numkernel, name, no_factorization)
+    with pytest.raises(ValueError, match="ridge_lstsq"):
+        ridge_lstsq(g, t)
 
 
 # ---------------------------------------------------------- sampling
