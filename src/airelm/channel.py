@@ -159,16 +159,20 @@ def signal_power(r: np.ndarray) -> float:
     """P_sig of a receive block r, one receive vector per row: the average
     per-antenna received signal power mean_i ||r_i||^2 / N_r.  The squares
     are summed row block by row block, each row as the whole block would
-    sum it."""
+    sum it.  A ConfigError names the pathloss when the power overflows."""
     r = np.atleast_2d(r)
     if r.size == 0:
         raise ValueError("signal_power: empty transmit-vector set")
     sums = np.empty(len(r))
-    for rows in row_blocks(r.shape):
-        np.sum(r[rows] ** 2, axis=1, out=sums[rows])
+    with np.errstate(over="ignore"):
+        for rows in row_blocks(r.shape):
+            np.sum(r[rows] ** 2, axis=1, out=sums[rows])
     p_sig = np.mean(sums) / r.shape[1]
     if p_sig == 0.0:
         raise ValueError("signal_power: all-zero signal set, SNR undefined")
+    if not math.isfinite(p_sig):
+        raise ConfigError("the received signal power overflows float64; "
+                          "lower [channel] pathloss")
     return p_sig
 
 

@@ -10,13 +10,16 @@ Subcommands map one-to-one onto the experiment runners:
 
 Without --config, built-in defaults run the synthetic two-Gaussians dataset.
 Exit codes: 0 success, 1 configuration error, 2 data error, 3 output error
-(the --out directory does not exist, or the CSV cannot be written).  A
-missing output directory is found before any trial runs.
+(the --out directory does not exist, the CSV cannot be written, or the
+reader of stdout closed it before the summary was printed; the CSV and the
+manifest are written by then).  A missing output directory is found before
+any trial runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -98,10 +101,19 @@ def main(argv=None) -> int:
     except OutputError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return 3
-    _print_summary(results)
-    if cfg.out is not None:
-        print(f"results: {cfg.out}")
-        print(f"manifest: {manifest_path(cfg.out)}")
+    try:
+        _print_summary(results)
+        if cfg.out is not None:
+            print(f"results: {cfg.out}")
+            print(f"manifest: {manifest_path(cfg.out)}")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered, and the flush
+        # at interpreter exit, to devnull instead of a second traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("output error: stdout was closed before the summary was "
+              "printed", file=sys.stderr)
+        return 3
     return 0
 
 

@@ -87,6 +87,10 @@ def _key(section: str, default, parse, least=None, between=None):
                            "least": least, "between": between})
 
 
+# the dataset that reads the keys of each name prefix; the others ignore them
+_READ_BY = {"synth": "synthetic", "mnist": "mnist", "secom": "secom"}
+
+
 @dataclass(frozen=True)
 class DatasetConfig:
     # synthetic | wbcd | csv | mnist | secom
@@ -105,8 +109,8 @@ class DatasetConfig:
     synth_size: int = _key("dataset", 400, int, least=2)
     synth_d: int = _key("dataset", 8, int, least=1)
     synth_separation: float = _key("dataset", 4.0, float)
-    mnist_pixels: int = _key("dataset", 100, int)
-    secom_features: int = _key("dataset", 20, int)
+    mnist_pixels: int = _key("dataset", 100, int, least=1)
+    secom_features: int = _key("dataset", 20, int, least=1)
 
 
 @dataclass(frozen=True)
@@ -167,9 +171,10 @@ class ExperimentConfig:
             for f in fields(obj):
                 value = getattr(obj, f.name)
                 least, between = map(f.metadata.get, ("least", "between"))
-                # only the synthetic dataset reads the synth_ keys
-                if value is None or (f.name.startswith("synth_")
-                                     and ds.name != "synthetic"):
+                # a synth_, mnist_ or secom_ key is checked only for the
+                # dataset that reads it
+                reader = _READ_BY.get(f.name.split("_")[0], ds.name)
+                if value is None or reader != ds.name:
                     continue
                 # negated comparisons, so that NaN fails them
                 if least is not None and not value >= least:

@@ -22,10 +22,9 @@ from .rng import RngStream
 DEFAULT_REL_TOL = 1e-12
 _EPS = float(np.finfo(float).eps)
 
-# Largest condition numbers of G that `min_norm_lstsq` solves through the Gram
-# matrix and through a QR of G; see its docstring for the bounds behind them.
+# Largest condition number of G that `min_norm_lstsq` solves through the Gram
+# matrix; see its docstring for the bound behind it.
 GRAM_MAX_COND = 1e4
-QR_MAX_COND = 1e6
 
 # The ridge weight of `ridge_lstsq`: lam = RIDGE_C * tr(A) / n, RIDGE_C times
 # the mean eigenvalue of the n x n Gram matrix A, so lam scales with G.
@@ -263,104 +262,53 @@ def _certified(a: np.ndarray, floor: float) -> bool:
     return _cholesky_in_place(shifted) == 0
 
 
-def _solver_path(a: np.ndarray, r: float) -> str:
-    """"gram", "qr" or "svd": the path of `min_norm_lstsq` for the Gram
-    matrix A, by its two shifted-Cholesky certificates.  A non-finite A
-    fails both and goes to the SVD."""
-    if _certified(a, max(GRAM_MAX_COND ** -2, r * r)):
-        return "gram"
-    if _certified(a, max(QR_MAX_COND ** -2, r * r)):
-        return "qr"
-    return "svd"
-
-
 def min_norm_lstsq(g: np.ndarray, t: np.ndarray,
                    rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray:
     """Minimum-norm least-squares solution w of G w ~= t, i.e. w = G^+ t.
 
     Among all minimizers of ||G w - t|| the returned w has the smallest
     Euclidean norm and lies in the row space of G.  With the Gram matrix
-    A = G G^T (n x n) when G has no more rows than columns, else G^T G, its
-    eigenvalues lam, kappa(G) = sqrt(lam_max / lam_min) and the cutoff
-    tau = r * s_max, r = rel_tol * max(rows, cols), three paths compute it:
+    A = G G^T (n x n) when G has no more rows than columns, else G^T G, and
+    the cutoff tau = r * s_max, r = rel_tol * max(rows, cols), two paths
+    compute it:
 
-    - Gram solve: a Cholesky solve (LAPACK dposv) of A gives
-      w = G^T A^-1 t (wide G) or w = A^-1 G^T t (tall G).
-    - QR band, for a G proven full rank with kappa(G) <= QR_MAX_COND.  A
-      square G then has G^+ = G^-1, and one LU solve gives w = G^-1 t; for
-      a wide G, G^T = Q R and w = Q R^-T t; for a tall G, G = Q R and
-      w = R^-1 Q^T t (Householder QR, `np.linalg.qr`).
-    - Thin SVD of G, keeping singular values above tau.
+    - Gram solve, when a bare dpotrf('L') factors A - s I for the shift
 
-    Two shifted-Cholesky certificates pick the path:
+          s = 2 ||A||_F * f + (n + 1) * eps * tr(A),
+          f = max(GRAM_MAX_COND^-2, r^2).
 
-    1. Gram certificate.  The Gram solve runs when a bare dpotrf('L')
-       factors A - s I for the shift
-
-           s = 2 ||A||_F * f + (n + 1) * eps * tr(A),
-           f = max(GRAM_MAX_COND^-2, r^2).
-
-       ||A||_F >= lam_max, and a computed Cholesky factor R of a symmetric M
-       has R^T R = M + dM with ||dM||_2 <= gamma_(n+1) tr(M) (Higham,
-       Accuracy and Stability of Numerical Algorithms, Thm 10.3), which the
-       trace term covers along with the rounding of the shift (eps is twice
-       the unit roundoff).  So a factor that completes proves
-       lam_min >= 2 f lam_max: kappa(G) <= 7.1e3 and lam_min > 2 tau^2.
-    2. QR certificate.  The same test at f = max(QR_MAX_COND^-2, r^2)
-       proves kappa(G) <= 7.1e5 and lam_min > 2 tau^2, and sends G to the
-       QR band.  It also takes fits with kappa(G) <= GRAM_MAX_COND that
-       step 1 missed (||A||_F can exceed lam_max by up to sqrt(n)); the
-       band solves them more accurately.
-
-    Every other G takes the SVD: a numerically rank-deficient G, a G whose
-    Gram matrix overflowed (a non-finite shift fails both certificates),
-    and a full-rank G the certificates cannot place.  The last is possible,
-    at worst, from about kappa(G) = 1e5 at n = 455 (||A||_F and tr(A) can
-    reach sqrt(n) and n times lam_max), and costs time, not accuracy: the
-    SVD cuts nothing there and returns G^+ t too.
-
-    Why the bound 1e4: forming A squares the conditioning, so the Gram
-    solve's relative error grows like kappa^2 * eps, about 1e-8 at 1e4, and
-    its backward-stable Cholesky (Higham, Thm 10.4) adds as much.  The QR
-    and the SVD, backward stable on G itself (Golub and Van Loan, Matrix
-    Computations, sections 5.3 and 5.6), and the LU of a square G with
-    partial pivoting (Higham, ch. 9) have errors of order kappa * eps; the
-    LU takes about 2n^3/3 flops against 8n^3/3 for the QR with its Q.
-
-    Why the bound 1e6: a G in the band has s_min >= 1e-6 * s_max, at least
-    1000 times the default tau, so the SVD would cut nothing and every path
-    returns G^+ t.  Both certificates prove lam_min > 2 tau^2, so no path
-    but the SVD ever sees a G with s_min <= tau, whatever rel_tol is.
+      ||A||_F >= lam_max, and a computed Cholesky factor R of a symmetric
+      M has R^T R = M + dM with ||dM||_2 <= gamma_(n+1) tr(M) (Higham,
+      Accuracy and Stability of Numerical Algorithms, Thm 10.3), which the
+      trace term covers along with the rounding of the shift (eps is twice
+      the unit roundoff).  So a factor that completes proves
+      lam_min >= 2 f lam_max: kappa(G) <= 7.1e3 and lam_min > 2 tau^2, so
+      no singular value would be cut.  A Cholesky solve (LAPACK dposv) of
+      A then gives w = G^T A^-1 t (wide G) or w = A^-1 G^T t (tall G).
+      Forming A squares the conditioning, so the relative error grows like
+      kappa^2 * eps, about 1e-8 at 1e4, and the backward-stable Cholesky
+      (Higham, Thm 10.4) adds as much.
+    - Every other G, an empty, zero, rank-deficient or ill-conditioned one
+      or one whose Gram matrix overflowed (a non-finite shift fails the
+      certificate), takes one `np.linalg.lstsq` call with rcond = r:
+      LAPACK's dgelsd, an SVD of G that treats singular values at or below
+      tau as zero, the cut of `pseudoinverse`.
 
     Without numpy's ILP64 dpotrf and dposv, `_cholesky_in_place` runs the
-    certificates by `np.linalg.cholesky`, with the same decisions, and the
+    certificate by `np.linalg.cholesky`, with the same decision, and the
     Gram solve by `np.linalg.solve` (LU, 2n^3/3 flops to n^3/3); w moves at
     round-off only.  Per-fit costs: README, "Numerics".
     """
     g, t, a, wide = _gram_system(g, t, "min_norm_lstsq")
     # rejects a bad rel_tol before any factorization
     r = _cutoff(rel_tol, g.shape, 1.0)
-    if a is not None:
-        path = _solver_path(a, r)
-        if path == "gram":
-            b = t.copy() if wide else g.T @ t
-            if _cholesky_in_place(a, b):
-                raise np.linalg.LinAlgError("dposv: certified A not SPD")
-            return g.T @ b if wide else b
-        del a               # free the Gram matrix before the next buffers
-        if path == "qr":
-            if g.shape[0] == g.shape[1]:
-                return np.linalg.solve(g, t)
-            if wide:
-                q, tri = np.linalg.qr(g.T)
-                return q @ np.linalg.solve(tri.T, t)
-            q, tri = np.linalg.qr(g)
-            return np.linalg.solve(tri, q.T @ t)
-    u, s, v = svd(g)
-    keep = s > r * (s[0] if s.size else 0.0)
-    coeff = np.zeros_like(s)
-    coeff[keep] = (u.T @ t)[keep] / s[keep]
-    return v @ coeff
+    if a is not None and _certified(a, max(GRAM_MAX_COND ** -2, r * r)):
+        b = t.copy() if wide else g.T @ t
+        if _cholesky_in_place(a, b):
+            raise np.linalg.LinAlgError("dposv: certified A not SPD")
+        return g.T @ b if wide else b
+    del a                   # free the Gram matrix before dgelsd's buffers
+    return np.linalg.lstsq(g, t, rcond=r)[0]
 
 
 def ridge_lstsq(g: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -375,7 +323,7 @@ def ridge_lstsq(g: np.ndarray, t: np.ndarray) -> np.ndarray:
     w = (A + lam I)^-1 G^T t for a tall one; the two are equal.  lam is
     RIDGE_C times A's mean eigenvalue and lam_max(A) <= tr(A), so
     kappa(A + lam I) <= 1 + n / RIDGE_C whatever G is: the factor completes
-    for every finite A, with no certificate, QR, LU or SVD.  A zero or
+    for every finite A, with no certificate or SVD.  A zero or
     empty G gives w = 0, the minimum-norm answer.  A finite G whose Gram
     matrix overflows is solved scaled by a power of two, and w scaled back.
     """

@@ -283,6 +283,12 @@ def test_threads_flag_preserves_bytes(tmp_path):
         "[experiment]\nkind = sweep_nr\nseeds = 1\n"
         "[dataset]\nname = synthetic\nsynth_size = 569\nsynth_d = 30\n"
         "[sweep]\ngrid = 512\n",
+        # min-norm fits on both sides of N_r = D_train = 96, some of them
+        # past the Gram certificate, solved by np.linalg.lstsq
+        "[experiment]\nkind = sweep_nr\nseeds = 2\nbaseline = true\n"
+        "[dataset]\nname = synthetic\nsynth_size = 120\nsynth_d = 4\n"
+        "[channel]\nsnr_db = 20\n[model]\ncombiner = min_norm\n"
+        "[sweep]\ngrid = 64, 94, 95, 128\n",
     ]
     for body in bodies:
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -399,6 +405,11 @@ def test_blas_thread_env_preserves_bytes(tmp_path):
      "delimiter must be one character, got ';;'"),
     ("sweep-nr", "[model]\ncombiner = pinv\n",
      "combiner must be one of ('min_norm', 'ridge'), got 'pinv'"),
+    # each used to end in "negative dimensions" from rng.choice in a trial
+    ("sweep-nr", "[dataset]\nname = mnist\nimages = {file}\nlabels = {file}\n"
+     "mnist_pixels = -1\n", "mnist_pixels must be >= 1, got -1"),
+    ("sweep-nr", "[dataset]\nname = secom\npath = {file}\nlabels = {file}\n"
+     "secom_features = -2\n", "secom_features must be >= 1, got -2"),
 ], ids=["fractional_n_r", "nan_grid", "minus_inf_snr", "zero_n_r",
         "huge_n_r", "huge_n_r_grid",
         "gamma_above_1", "zero_eta", "zero_batch_size", "odd_alpha",
@@ -411,7 +422,8 @@ def test_blas_thread_env_preserves_bytes(tmp_path):
         "mnist_without_images", "mnist_without_labels", "secom_without_path",
         "secom_without_labels", "zero_synth_d", "synth_size_1",
         "negative_synth_size", "synth_size_beyond_float64",
-        "two_character_delimiter", "unknown_combiner"])
+        "two_character_delimiter", "unknown_combiner",
+        "negative_mnist_pixels", "negative_secom_features"])
 def test_bad_sweep_values_exit_1_before_compute(tmp_path, capsys, monkeypatch,
                                                 command, body, message):
     import airelm.cli
@@ -429,6 +441,40 @@ def test_bad_sweep_values_exit_1_before_compute(tmp_path, capsys, monkeypatch,
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith("config error:") and message in err
+
+
+def test_signal_power_overflow_exits_1_naming_pathloss(tmp_path, capsys):
+    """A pathloss whose received signal power overflows float64 is found
+    in the first trial, which needs the data to compute P_sig: it used to
+    end in "ridge_lstsq: input contains NaN or Inf"."""
+    out = tmp_path / "r.csv"
+    cfg = _ini(tmp_path, "[experiment]\nseeds = 1\n[channel]\n"
+                         "pathloss = 1e308\nsnr_db = 20\n[model]\nn_r = 16\n")
+    assert main(["single", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("config error:") and "pathloss" in err
+    assert not out.exists()
+
+
+def test_reader_closing_stdout_early_exits_3_without_traceback(tmp_path):
+    """`airelm online ... | head -1`: the summary, over 4,000 rows, fills
+    the pipe, the reader closes it after one line, and the run exits 3
+    with one line on stderr, its CSV and manifest written."""
+    out = tmp_path / "r.csv"
+    cfg = _ini(tmp_path, "[experiment]\nseeds = 1\n[model]\nn_r = 16\n"
+                         "[online]\nsteps = 200\niters_per_step = 20\n"
+                         "batch_size = 8\n")
+    proc = subprocess.Popen([sys.executable, "-m", "airelm.cli", "online",
+                             "--config", cfg, "--out", str(out)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert b"mean_accuracy" in proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 3, err
+    assert err.startswith("output error:") and err.count("\n") == 1, err
+    assert out.exists() and pathlib.Path(str(out) + ".manifest.json").exists()
 
 
 def test_file_key_the_dataset_does_not_read_is_not_checked(tmp_path):

@@ -128,6 +128,19 @@ def test_synth_key_ranges_apply_to_the_synthetic_dataset_only(tmp_path):
         ExperimentConfig(dataset=replace(ds, name="synthetic")).resolved()
 
 
+@pytest.mark.parametrize("key, reader", [("mnist_pixels", "mnist"),
+                                         ("secom_features", "secom")])
+def test_mnist_and_secom_key_ranges_apply_to_their_dataset_only(
+        tmp_path, key, reader):
+    data = tmp_path / "d.csv"
+    data.write_text("a,label\n1,1\n2,-1\n")
+    ds = DatasetConfig(name="csv", path=str(data), labels=str(data),
+                       images=str(data), **{key: 0})
+    assert getattr(ExperimentConfig(dataset=ds).resolved().dataset, key) == 0
+    with pytest.raises(ConfigError, match=f"{key} must be >= 1, got 0"):
+        ExperimentConfig(dataset=replace(ds, name=reader)).resolved()
+
+
 @pytest.mark.parametrize("delimiter", ["", ";;", "\t\t"])
 def test_csv_delimiter_must_be_one_character(tmp_path, delimiter):
     """An empty delimiter cannot come from an INI file, where an empty value

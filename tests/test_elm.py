@@ -454,21 +454,46 @@ def test_minibatch_solve_cost_scales_quadratically():
     assert 2.0 <= ratio <= 8.0, f"scaling ratio {ratio:.2f}"
 
 
+def _train_problems(rng, n):
+    """(path, G, t) at size n for each path of `min_norm_lstsq`: a wide
+    n x 2n Gaussian G, which the certificate passes, and a rank n/2 n x n
+    product, which takes `np.linalg.lstsq`."""
+    half = n // 2
+    return [("gram", rng.normal(size=(n, 2 * n)), rng.normal(size=n)),
+            ("lstsq", rng.normal(size=(n, half)) @ rng.normal(size=(half, n)),
+             rng.normal(size=n))]
+
+
 @pytest.mark.slow
-def test_train_cost_scales_with_problem_size():
+def test_train_cost_scales_with_problem_size(monkeypatch):
+    """Doubling n costs 2 to 10 times as much on each solver path, timed
+    on inputs that stay on that path at n = 256 and 512."""
     # Interleaved repetitions on one BLAS thread, as every trial runs, and
     # the minimum of each size: load on the machine only ever adds time.
     rng = np.random.default_rng(1)
-    problems = {n: (rng.normal(size=(n, n)), rng.normal(size=n))
-                for n in (256, 512)}
-    times = {n: [] for n in problems}
+    problems = {(path, n): (g, t) for n in (256, 512)
+                for path, g, t in _train_problems(rng, n)}
+    lstsq, solved = np.linalg.lstsq, []
+
+    def counted(g, t, rcond):
+        solved.append(g.shape)
+        return lstsq(g, t, rcond=rcond)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(np.linalg, "lstsq", counted)
+        for (path, _), (g, t) in problems.items():
+            solved.clear()
+            train(g, t)
+            assert solved == ([] if path == "gram" else [g.shape]), path
+    times = {key: [] for key in problems}
     with one_blas_thread():
         for g, t in problems.values():
             train(g, t)  # warm up
         for _ in range(7):
-            for n, (g, t) in problems.items():
+            for key, (g, t) in problems.items():
                 t0 = time.perf_counter()
                 train(g, t)
-                times[n].append(time.perf_counter() - t0)
-    ratio = min(times[512]) / min(times[256])
-    assert 2.0 <= ratio <= 10.0, f"train scaling ratio {ratio:.2f}"
+                times[key].append(time.perf_counter() - t0)
+    for path in ("gram", "lstsq"):
+        ratio = min(times[path, 512]) / min(times[path, 256])
+        assert 2.0 <= ratio <= 10.0, f"{path} train scaling ratio {ratio:.2f}"

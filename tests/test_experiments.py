@@ -647,56 +647,12 @@ def test_config_rejects_unknown_kind():
 WORKLOADS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 
-def test_wbcd_threshold_fits_take_qr_not_svd(tmp_path, monkeypatch):
-    """At N_r = D_train = 455 on the benchmark's WBCD stand-in, every
-    min-norm fit is full rank; those with kappa(G) in the QR band (1e4, 1e6] are proven
-    there by the QR certificate, so neither the SVD nor `eigvalsh` runs.
-    The workloads file is run from source, so nothing is written next to
-    it."""
-    import runpy
-    from airelm import numkernel
-    from airelm.cli import main
-
-    write_wdbc = runpy.run_path(str(WORKLOADS))["write_wdbc"]
-    data = tmp_path / "wdbc.data"
-    write_wdbc(data, 7919)
-    ini = tmp_path / "exp.ini"
-    ini.write_text("[experiment]\nseeds = 3\nmaster_seed = 7919\n"
-                   "baseline = true\n"
-                   f"[dataset]\nname = wbcd\npath = {data}\n"
-                   "[channel]\nsnr_db = 20\n[model]\ncombiner = min_norm\n"
-                   "[sweep]\ngrid = 455\n")
-    calls = {"eigvalsh": 0, "svd": 0}
-    paths = []
-    eigvalsh, solver_path = np.linalg.eigvalsh, numkernel._solver_path
-
-    def counted(key, fn):
-        def wrapper(*args, **kwargs):
-            calls[key] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    def recorded(a, r):
-        lam = eigvalsh(a)
-        paths.append((np.sqrt(lam[-1] / lam[0]), solver_path(a, r)))
-        return paths[-1][1]
-
-    monkeypatch.setattr(np.linalg, "eigvalsh",
-                        counted("eigvalsh", np.linalg.eigvalsh))
-    monkeypatch.setattr(numkernel, "svd", counted("svd", numkernel.svd))
-    monkeypatch.setattr(numkernel, "_solver_path", recorded)
-    assert main(["sweep-nr", "--config", str(ini)]) == 0
-    assert calls == {"eigvalsh": 0, "svd": 0}
-    ill = [path for kappa, path in paths if kappa > numkernel.GRAM_MAX_COND]
-    assert ill and set(ill) == {"qr"}, paths
-
-
 def test_default_combiner_fits_take_one_cholesky_solve_each(
         tmp_path, monkeypatch):
     """With the default combiner, ridge, every fit of a sweep over the
     WBCD stand-in's interpolation threshold (N_r = D_train = 455), mimo
     and digital alike, is one `_cholesky_in_place` call: no certificate,
-    QR or SVD runs."""
+    `np.linalg.lstsq` or SVD runs."""
     import runpy
     from airelm.cli import main
 
@@ -709,7 +665,7 @@ def test_default_combiner_fits_take_one_cholesky_solve_each(
                    f"[dataset]\nname = wbcd\npath = {data}\n"
                    "[channel]\nsnr_db = 20\n[sweep]\ngrid = 128, 455, 512\n")
     calls = dict.fromkeys(("train", "_cholesky_in_place", "_certified",
-                           "qr", "svd"), 0)
+                           "lstsq", "svd"), 0)
 
     def counted(owner, name):
         fn = getattr(owner, name)
@@ -720,9 +676,9 @@ def test_default_combiner_fits_take_one_cholesky_solve_each(
         monkeypatch.setattr(owner, name, wrapper)
 
     counted(elm, "train")
-    counted(np.linalg, "qr")
+    counted(np.linalg, "lstsq")
     for name in ("_cholesky_in_place", "_certified", "svd"):
         counted(numkernel, name)
     assert main(["sweep-nr", "--config", str(ini)]) == 0
     assert calls == {"train": 12, "_cholesky_in_place": 12, "_certified": 0,
-                     "qr": 0, "svd": 0}
+                     "lstsq": 0, "svd": 0}

@@ -2,7 +2,7 @@
 
 Each kind is pinned twice: with the default combiner, ridge, and with
 `combiner = min_norm`, the paper's w = G^+ t, whose runs also pin the
-min-norm solver's paths (Gram solve, QR band, SVD).
+min-norm solver's two paths (Gram solve, `np.linalg.lstsq`).
 
 A refactor must leave these bytes alone.  LAPACK and BLAS give different
 round-off bits across builds, so the hashes are only checked under the
@@ -40,8 +40,8 @@ COMMON = RIDGE_COMMON + "combiner = min_norm\n"
 # with combiner = min_norm
 CASES = {
     "sweep-nr": ("[sweep]\ngrid = 16, 64\n",
-                 "93a5927cb8b24d2bd493264ee35f1c738719836c9cbea1c4cfb794291cb570f3",
-                 "c62ff1e35e74ecb36f1a031b3a7c647acba4c3f3ec0c41c1a759b7242cd9d26b"),
+                 "490ea15c54e1136a22dda213f87d389ba2b58e4e4f10a2a483688ecff06ae95c",
+                 "cc95f3ceed69fa9f3282df351cf710a4679d3d15567d5d9a8a13b355c5c37eba"),
     "sweep-snr": ("[sweep]\ngrid = 0, 30\n",
                   "71b864afe3e99463c8e0ab8ffa5ea6ec6125d8106d9bfedec88f5e225563bf5c",
                   "86527f5cc49937a8cc2d59b0bb66af9ae9da57655e3a5343acb602d5592b8c8f"),
@@ -52,8 +52,8 @@ CASES = {
                "e0b85ded2491992648c749d4a4eb551725107e2f7a927d70c80fd8e74d026978",
                "e011f3babe762fba6d6b9d6cffc33631d734356c0be0476337000c46fbf24309"),
     "single": ("",
-               "33ff9891b48635679a593270562e378cee9d574e9b21dc5492a16405ee74531e",
-               "4d078569d7a1c05bb9864d1624a06338023c2d4c61cfb5d343b0ae30dd0a22aa"),
+               "fcce0bbdec9f55380eed8d1a5fd61b6a78b86253daf79236f35665242a1260a0",
+               "25e395f89ead88ba05d820dd4ad999b903bb5089a3050207d77fb3e1df866f41"),
 }
 # command: (hash with dposv, hash with the numpy fallback, correct test
 # predictions out of 24 row by row), with the default combiner, ridge
@@ -75,8 +75,8 @@ RIDGE = {
                (23, 23, 23, 23)),
 }
 THRESHOLD = ("[sweep]\ngrid = 64, 94, 95, 128\n",
-             "d6f993a6fc57d8cc77d0f83798b3f2ab3ef20ce20c286d371b214b27fa2ac687",
-             "f624444149dc5f2f452e67b427ca11cef59058f03be988411ce837b59da8e1ad")
+             "4a4bfa2df5ef5677b95e7b9b112457a8887523a95982eda255dec88ec6a30aa8",
+             "7703c8c7526605bfd9198fefead636c0d5d070a8e4faf655b7d186c6af2817b8")
 
 # command (or "threshold"): correct test predictions, out of 24, row by row
 CORRECT = {
@@ -138,14 +138,11 @@ def test_numpy_fallback_matches_golden_hash(tmp_path, command, numpy_linalg):
 
 def _threshold_sweep(tmp_path, monkeypatch, digest):
     """A grid straddling N_r = D_train = 96: of its 16 fits, 5 have a Gram
-    matrix the first shifted Cholesky certifies, 8 one the second certifies
-    for the QR (kappa <= 7.1e5: N_r = 95 on seed 0, the sigmoid baselines
-    at N_r = 64 and 128 and on seed 1 at 94, and the two N_r = 94 fits,
-    kappa 8.8e3 and 9.7e3, that fail the first) and 3 the SVD (the sigmoid
-    baselines at N_r = 94 on seed 0, kappa 9.5e5, and at N_r = 95, kappa
-    2.1e6 and 1.4e6).  No G is square, so every QR-band fit calls
-    `np.linalg.qr`, and no fit calls `eigvalsh`."""
-    calls = {"lstsq": 0, "_certified": 0, "eigvalsh": 0, "qr": 0, "svd": 0}
+    matrix the shifted Cholesky certifies and 11 take `np.linalg.lstsq`
+    (among them the sigmoid baselines at N_r = 94 on seed 0, kappa 9.5e5,
+    and at N_r = 95, kappa 2.1e6 and 1.4e6).  Every fit runs the
+    certificate once, and no fit calls `eigvalsh` or `numkernel.svd`."""
+    calls = dict.fromkeys(("fits", "_certified", "lstsq", "eigvalsh", "svd"), 0)
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -154,17 +151,15 @@ def _threshold_sweep(tmp_path, monkeypatch, digest):
         return wrapper
 
     monkeypatch.setattr(airelm.elm, "min_norm_lstsq",
-                        counted("lstsq", airelm.elm.min_norm_lstsq))
-    for key in ("eigvalsh", "qr"):
+                        counted("fits", airelm.elm.min_norm_lstsq))
+    for key in ("eigvalsh", "lstsq"):
         monkeypatch.setattr(np.linalg, key, counted(key, getattr(np.linalg, key)))
     for key in ("_certified", "svd"):
         monkeypatch.setattr(airelm.numkernel, key,
                             counted(key, getattr(airelm.numkernel, key)))
     _check_hash(tmp_path, "sweep-nr", THRESHOLD[0], digest)
-    # one certificate per Gram-certified fit, two per other fit
-    assert (2 * calls["lstsq"] - calls["_certified"], calls["qr"],
-            calls["svd"], calls["eigvalsh"]) == (5, 8, 3, 0)
-    assert calls["lstsq"] == 16
+    assert calls == {"fits": 16, "_certified": 16, "lstsq": 11,
+                     "eigvalsh": 0, "svd": 0}
 
 
 def test_threshold_sweep_matches_golden_hash_on_every_solver_path(

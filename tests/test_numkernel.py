@@ -20,7 +20,6 @@ from airelm import numkernel
 from airelm.numkernel import (
     DEFAULT_REL_TOL,
     GRAM_MAX_COND,
-    QR_MAX_COND,
     RIDGE_C,
     min_norm_lstsq,
     pseudoinverse,
@@ -161,7 +160,7 @@ def _spread(rng, rows, cols, cond):
 
     ||A||_F of its Gram matrix A is about sqrt(min(rows, cols)) times
     lam_max, so the Gram certificate of `min_norm_lstsq` fails well below
-    kappa = GRAM_MAX_COND and the QR certificate decides.
+    kappa = GRAM_MAX_COND and the fit takes `np.linalg.lstsq`.
     """
     s = np.ones(min(rows, cols))
     s[-1] = 1.0 / cond
@@ -171,16 +170,12 @@ def _spread(rng, rows, cols, cond):
 def _solver_cases():
     """(G, t, the path min_norm_lstsq must take).
 
-    The path is "gram" (Gram solve, proven well-conditioned by the first
-    shifted Cholesky), "qr" (QR band, proven by the second one) or "svd"
-    (both fail).  A square G in the QR band is solved by one LU instead of
-    the QR.  Inputs on both sides of GRAM_MAX_COND = 1e4 and
-    QR_MAX_COND = 1e6: random wide, tall and square G, geometric spectra at
-    1e3, 5e3, 2e4, 1e5, 9e5, 2e6 and 1e7, spread ones (all singular values 1
-    but the last) between the Gram-certified limit, about 3.6e3 at 16x16,
-    and 1e4, which the QR certificate sends to the QR band, and just above
-    1e4, and a rank-3 8x8.  Past kappa = 2**-0.5 * 1e6, about 7.1e5, the QR
-    certificate fails, so the 9e5 spectra take the SVD.
+    The path is "gram" (Gram solve, proven well-conditioned by the shifted
+    Cholesky) or "lstsq" (one `np.linalg.lstsq` call).  Inputs on both
+    sides of GRAM_MAX_COND = 1e4: random wide, tall and square G, geometric
+    spectra at 1e3, 5e3, 2e4, 1e5, 9e5, 2e6 and 1e7, spread ones (all
+    singular values 1 but the last) between the Gram-certified limit, about
+    3.6e3 at 16x16, and just above 1e4, and a rank-3 8x8.
     """
     rng = np.random.default_rng(3)
     cases = []
@@ -190,20 +185,19 @@ def _solver_cases():
     for g, path in [(_conditioned(rng, 12, 30, 1e3), "gram"),
                     (_conditioned(rng, 30, 12, 1e3), "gram"),
                     (_conditioned(rng, 16, 16, 5e3), "gram"),
-                    (_conditioned(rng, 16, 16, 2e4), "qr"),
-                    (_conditioned(rng, 12, 12, 1e7), "svd"),
-                    (_spread(rng, 16, 16, 5e3), "qr"),
-                    (_spread(rng, 12, 30, 9e3), "qr"),
-                    (_spread(rng, 30, 12, 9.9e3), "qr"),
-                    (_spread(rng, 16, 16, 1.02e4), "qr"),
+                    (_conditioned(rng, 16, 16, 2e4), "lstsq"),
+                    (_conditioned(rng, 12, 12, 1e7), "lstsq"),
+                    (_spread(rng, 16, 16, 5e3), "lstsq"),
+                    (_spread(rng, 12, 30, 9e3), "lstsq"),
+                    (_spread(rng, 30, 12, 9.9e3), "lstsq"),
+                    (_spread(rng, 16, 16, 1.02e4), "lstsq"),
                     (rng.normal(size=(8, 3)) @ rng.normal(size=(3, 8)),
-                     "svd")]:
+                     "lstsq")]:
         cases.append((g, rng.normal(size=g.shape[0]), path))
     for cond in (2e4, 1e5, 9e5, 2e6):
         for rows, cols in [(12, 30), (30, 12), (16, 16)]:
             g = _conditioned(rng, rows, cols, cond)
-            cases.append((g, rng.normal(size=rows),
-                          "qr" if cond <= 2 ** -0.5 * QR_MAX_COND else "svd"))
+            cases.append((g, rng.normal(size=rows), "lstsq"))
     return cases
 
 
@@ -212,18 +206,6 @@ def test_min_norm_matches_numpy_lstsq():
         w = min_norm_lstsq(g, t)
         ref = np.linalg.lstsq(g, t, rcond=DEFAULT_REL_TOL * max(g.shape))[0]
         assert np.allclose(w, ref, atol=1e-10)
-
-
-def test_min_norm_qr_band_matches_numpy_lstsq_to_1e_9():
-    """Both QR-band solves: the Householder QR of a wide or tall G and the
-    LU of a square one."""
-    cases = [(g, t) for g, t, path in _solver_cases() if path == "qr"]
-    assert len(cases) == 11
-    assert sum(g.shape[0] == g.shape[1] for g, _ in cases) == 5
-    for g, t in cases:
-        w = min_norm_lstsq(g, t)
-        ref = np.linalg.lstsq(g, t, rcond=DEFAULT_REL_TOL * max(g.shape))[0]
-        assert np.linalg.norm(w - ref) <= 1e-9 * np.linalg.norm(ref)
 
 
 def _counting(calls, fn):
@@ -238,126 +220,118 @@ def _no_eigvalsh(a):
 
 
 def _path_taken(monkeypatch, g, t, rel_tol=DEFAULT_REL_TOL):
-    """The path one `min_norm_lstsq` call takes, from the factorizations it
-    calls, and its result.  One `_certified` call is the Gram certificate,
-    a second the QR certificate; the QR band is `np.linalg.qr` for a wide
-    or tall G and an LU solve of G itself for a square one.  `eigvalsh`
-    raises if it is called."""
-    calls = {name: [] for name in ("_certified", "qr", "svd")}
-    lu = []
-    solve = np.linalg.solve
-
-    def solve_counting_g(m, b):
-        if np.array_equal(m, g):
-            lu.append(m.shape)
-        return solve(m, b)
-
+    """The path one `min_norm_lstsq` call takes, from the calls it makes,
+    and its result: one `_certified` call, then `np.linalg.lstsq` unless
+    the certificate passed.  `eigvalsh` raises if it is called, and
+    `numkernel.svd` may not run."""
+    calls = {name: [] for name in ("_certified", "lstsq", "svd")}
     with monkeypatch.context() as mp:
         mp.setattr(np.linalg, "eigvalsh", _no_eigvalsh)
-        mp.setattr(np.linalg, "qr", _counting(calls["qr"], np.linalg.qr))
-        mp.setattr(np.linalg, "solve", solve_counting_g)
+        mp.setattr(np.linalg, "lstsq", _counting(calls["lstsq"], np.linalg.lstsq))
         for name in ("_certified", "svd"):
             mp.setattr(numkernel, name,
                        _counting(calls[name], getattr(numkernel, name)))
         w = min_norm_lstsq(g, t, rel_tol)
-    square = g.shape[0] == g.shape[1]
-    assert len(calls["qr"] if square else lu) == 0, (g.shape, calls, lu)
-    counts = (len(calls["_certified"]), len(calls["qr"]) + len(lu),
-              len(calls["svd"]))
-    paths = {(1, 0, 0): "gram", (2, 1, 0): "qr", (2, 0, 1): "svd"}
-    assert counts in paths, counts
+    counts = tuple(len(calls[name]) for name in calls)
+    paths = {(1, 0, 0): "gram", (1, 1, 0): "lstsq"}
+    assert counts in paths, (g.shape, counts)
     return paths[counts], w
 
 
 def _eigvalsh_rule(g, rel_tol):
     """The path G's Gram matrix would take by its eigenvalues: "gram" for
-    lam_min > tau^2 and kappa(G) <= GRAM_MAX_COND, "qr" for lam_min > tau^2
-    and kappa(G) <= QR_MAX_COND, else "svd"."""
+    lam_min > tau^2 and kappa(G) <= GRAM_MAX_COND, else "lstsq"."""
     a = g @ g.T if g.shape[0] <= g.shape[1] else g.T @ g
     lam = np.linalg.eigvalsh(a)
     tau = rel_tol * max(g.shape) * np.sqrt(max(lam[-1], 0.0))
-    if not (lam[0] > 0.0 and lam[0] > tau ** 2):
-        return "svd"
-    if lam[-1] <= GRAM_MAX_COND ** 2 * lam[0]:
+    if lam[0] > 0.0 and lam[0] > tau ** 2 and (
+            lam[-1] <= GRAM_MAX_COND ** 2 * lam[0]):
         return "gram"
-    return "qr" if lam[-1] <= QR_MAX_COND ** 2 * lam[0] else "svd"
+    return "lstsq"
 
 
 def _certificates_agree(g, rel_tol, path):
-    """Whether a path is consistent with G's eigenvalues.  The Gram
-    certificate proves kappa(G) <= 2**-0.5 * GRAM_MAX_COND, so it admits
-    only rule "gram"; the QR certificate proves kappa(G) <=
-    2**-0.5 * QR_MAX_COND, so it admits rule "gram" or "qr", never "svd".
-    Both fail only where lam_min is within twice the QR certificate's shift
-    s: a Cholesky of A - s I with lam_min(A) > 2 s would complete."""
-    rule = _eigvalsh_rule(g, rel_tol)
-    if path != "svd":
-        return rule in {"gram": ("gram",), "qr": ("gram", "qr")}[path]
+    """Whether a path is consistent with G's eigenvalues.  The certificate
+    proves kappa(G) <= 2**-0.5 * GRAM_MAX_COND, so "gram" admits only rule
+    "gram"; it fails, sending the fit to "lstsq", only where lam_min is
+    within twice its shift s: a Cholesky of A - s I with lam_min(A) > 2 s
+    would complete."""
+    if path == "gram":
+        return _eigvalsh_rule(g, rel_tol) == "gram"
     a = g @ g.T if g.shape[0] <= g.shape[1] else g.T @ g
     n, r = a.shape[0], rel_tol * max(g.shape)
-    shift = (2.0 * np.linalg.norm(a) * max(QR_MAX_COND ** -2, r * r)
+    shift = (2.0 * np.linalg.norm(a) * max(GRAM_MAX_COND ** -2, r * r)
              + (n + 1) * np.finfo(float).eps * np.trace(a))
     return np.linalg.eigvalsh(a)[0] <= 2.0 * shift
 
 
 def test_min_norm_svd_fallback_only_when_ill_conditioned(monkeypatch):
-    """The Gram solve, the QR band and the SVD stay separate branches,
-    chosen by the two certificates alone: each admits only fits that G's
-    eigenvalues place on its path, and the SVD takes only fits within the
-    QR certificate's shift.  The QR certificate also takes fits below
-    GRAM_MAX_COND that fail the Gram one."""
+    """The Gram solve and the `np.linalg.lstsq` fallback stay separate
+    branches, chosen by the certificate alone: it admits only fits that
+    G's eigenvalues place on the Gram path, and the fallback takes only
+    fits within the certificate's shift."""
     for g, t, path in _solver_cases():
         taken, _ = _path_taken(monkeypatch, g, t)
         assert taken == path, (path, g.shape, np.linalg.cond(g))
         assert _certificates_agree(g, DEFAULT_REL_TOL, path)
     # a rel_tol whose cutoff lies above s_min sends even kappa = 1e3 to the
-    # SVD, which then drops the directions below the cutoff; at kappa = 1e5
-    # it does so although kappa lies inside the QR band
+    # fallback, which then drops the directions below the cutoff
     rng = np.random.default_rng(4)
     for cond in (1e3, 1e5):
         g, t = _conditioned(rng, 12, 12, cond), rng.normal(size=12)
         assert np.linalg.svd(g, compute_uv=False)[-1] <= 1e-3 * 12
         taken, w = _path_taken(monkeypatch, g, t, rel_tol=1e-3)
-        assert taken == "svd"
-        ref = np.linalg.lstsq(g, t, rcond=1e-3 * 12)[0]
-        assert np.allclose(w, ref, atol=1e-10)
-    # when r^2 sets both floors the certificates test the same shift, so a
-    # fit that fails the first fails the second and takes the SVD, which
-    # still returns G^+ t: s_min lies above the cutoff
+        assert taken == "lstsq"
+        assert np.allclose(w, pseudoinverse(g, 1e-3) @ t, atol=1e-10)
+    # the certificate's slack sends a fit the eigenvalues place on the Gram
+    # path to the fallback, which still returns G^+ t: s_min lies above the
+    # cutoff
     g, t = _spread(rng, 16, 16, 5e3), rng.normal(size=16)
     assert _eigvalsh_rule(g, 1e-5) == "gram"
     taken, w = _path_taken(monkeypatch, g, t, rel_tol=1e-5)
-    assert taken == "svd"
-    ref = np.linalg.lstsq(g, t, rcond=1e-5 * 16)[0]
+    assert taken == "lstsq"
+    ref = pseudoinverse(g) @ t
     assert np.linalg.norm(w - ref) <= 1e-9 * np.linalg.norm(ref)
 
 
-def test_min_norm_square_band_fit_is_one_lu(monkeypatch):
-    """A square G at the benchmark's N_r = D_train = 455 with kappa 1e5 is
-    proven in the QR band by the second certificate and solved by one LU of
-    G: `np.linalg.qr` does not run."""
-    rng = np.random.default_rng(8)
-    g, t = _conditioned(rng, 455, 455, 1e5), rng.normal(size=455)
-    taken, w = _path_taken(monkeypatch, g, t)
-    assert taken == "qr"
-    ref = np.linalg.lstsq(g, t, rcond=DEFAULT_REL_TOL * 455)[0]
-    assert np.linalg.norm(w - ref) <= 1e-9 * np.linalg.norm(ref)
+def _fallback_cases():
+    """(G, rel_tol): rank-deficient and ill-conditioned G, wide, tall and
+    square, at three cutoffs.  At rel_tol 1e-5 and 1e-3 the cutoff lies
+    between singular values of the geometric spectra, so some are cut."""
+    rng = np.random.default_rng(12)
+    cases = []
+    for rows, cols in [(12, 30), (30, 12), (16, 16)]:
+        low_rank = rng.normal(size=(rows, 4)) @ rng.normal(size=(4, cols))
+        for rel_tol in (DEFAULT_REL_TOL, 1e-5, 1e-3):
+            cases.append((low_rank, rel_tol))
+            for cond in (1e5, 1e7, 1e9):
+                cases.append((_conditioned(rng, rows, cols, cond), rel_tol))
+    return cases
 
 
-def test_min_norm_band_fit_past_the_qr_certificate_takes_the_svd(monkeypatch):
-    """At n = 520 a kappa of 9.5e5 lies inside QR_MAX_COND, but past the
-    7.1e5 the QR certificate can prove: the SVD runs, and returns G^+ t."""
-    rng = np.random.default_rng(6)
-    g, t = _conditioned(rng, 520, 520, 9.5e5), rng.normal(size=520)
-    assert _eigvalsh_rule(g, DEFAULT_REL_TOL) == "qr"
-    taken, w = _path_taken(monkeypatch, g, t)
-    assert taken == "svd"
-    ref = np.linalg.lstsq(g, t, rcond=DEFAULT_REL_TOL * 520)[0]
-    assert np.linalg.norm(w - ref) <= 1e-9 * np.linalg.norm(ref)
+def test_min_norm_lstsq_fallback_matches_pseudoinverse(monkeypatch):
+    """The fallback and `pseudoinverse` cut the same directions: every
+    uncertified fit gives pseudoinverse(G, rel_tol) t within 1e-9,
+    whether the cutoff tau removes zero, tiny or moderate singular
+    values.  No singular value lies within 1e-6 of tau, where the two
+    SVDs' round-off could decide a cut differently."""
+    cut_above_s_min = 0
+    rng = np.random.default_rng(13)
+    for g, rel_tol in _fallback_cases():
+        t = rng.normal(size=g.shape[0])
+        s = np.linalg.svd(g, compute_uv=False)
+        tau = rel_tol * max(g.shape) * s[0]
+        assert np.all(np.abs(s / tau - 1.0) > 1e-6)
+        cut_above_s_min += bool(0.0 < s[-1] * 1e3 < tau)
+        taken, w = _path_taken(monkeypatch, g, t, rel_tol)
+        assert taken == "lstsq"
+        ref = pseudoinverse(g, rel_tol) @ t
+        assert np.linalg.norm(w - ref) <= 1e-9 * np.linalg.norm(ref)
+    assert cut_above_s_min >= 6
 
 
 def test_min_norm_never_calls_eigvalsh(monkeypatch):
-    """No input, on any path, makes `min_norm_lstsq` call `eigvalsh`."""
+    """No input, on either path, makes `min_norm_lstsq` call `eigvalsh`."""
     monkeypatch.setattr(np.linalg, "eigvalsh", _no_eigvalsh)
     for g, t, path in _solver_cases():
         min_norm_lstsq(g, t)
@@ -376,8 +350,8 @@ def test_min_norm_never_calls_eigvalsh(monkeypatch):
 def test_min_norm_path_follows_eigvalsh_rule(shape, log_cond, spread, rel_tol,
                                              seed):
     """Over kappa in [1, 1e7], without `eigvalsh`, a Gram-certified fit has
-    rule "gram", a QR-certified one rule "gram" or "qr" (never "svd"), and
-    a fit that takes the SVD has lam_min within twice the QR shift."""
+    rule "gram", and a fit that takes `np.linalg.lstsq` has lam_min within
+    twice the certificate's shift."""
     rng = np.random.default_rng(seed)
     g = (_spread if spread else _conditioned)(rng, *shape, 10.0 ** log_cond)
     with pytest.MonkeyPatch.context() as mp:
@@ -393,7 +367,7 @@ needs_lapack = pytest.mark.skipif(
 @needs_lapack
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(shape=st.sampled_from([(6, 6), (24, 24), (5, 14), (40, 10), (9, 1)]),
-       # extra draws near the edges of the Gram and the QR certificate
+       # extra draws near the edge of the certificate and near kappa 1e6
        log_cond=st.one_of(st.floats(0.0, 7.0), st.floats(3.3, 4.2),
                           st.floats(5.5, 6.2)),
        spread=st.booleans(),
@@ -401,17 +375,16 @@ needs_lapack = pytest.mark.skipif(
        seed=st.integers(0, 2 ** 32 - 1))
 def test_dpotrf_certificate_decides_as_numpy_cholesky(shape, log_cond, spread,
                                                       rel_tol, seed):
-    """Over kappa in [1, 1e7] and at both floors of `_solver_path`, the
-    bare dpotrf certificate is True exactly when `np.linalg.cholesky`
-    succeeds on the same shifted matrix, and it leaves A as it was.  Both
-    run inside `_cholesky_in_place`, once per certificate."""
+    """Over kappa in [1, 1e7], at the certificate's floor and at the bare
+    cutoff floor r^2, the bare dpotrf certificate is True exactly when
+    `np.linalg.cholesky` succeeds on the same shifted matrix, and it leaves
+    A as it was.  Both run inside `_cholesky_in_place`, once per call."""
     rng = np.random.default_rng(seed)
     g = (_spread if spread else _conditioned)(rng, *shape, 10.0 ** log_cond)
     a = g @ g.T if shape[0] <= shape[1] else g.T @ g
     n, r = a.shape[0], rel_tol * max(shape)
     before = a.copy()
-    for floor in (max(GRAM_MAX_COND ** -2, r * r),
-                  max(QR_MAX_COND ** -2, r * r)):
+    for floor in (max(GRAM_MAX_COND ** -2, r * r), r * r):
         calls, by_numpy = [], []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(numkernel, "_cholesky_in_place", _counting(
@@ -492,8 +465,8 @@ def test_lapack_binding_rejects_bad_arrays_before_lapack_runs(
 
 def test_numpy_fallback_takes_the_same_paths(monkeypatch, numpy_linalg):
     """Without the LAPACK binding every case takes the path it takes with
-    it, each certificate by one `np.linalg.cholesky` and the Gram solve by
-    `np.linalg.solve` of A."""
+    it, the certificate by one `np.linalg.cholesky` and the Gram solve by
+    `np.linalg.solve` of A; the fallback solves nothing by LU."""
     def no_lapack(*args, **kwargs):
         raise AssertionError("called LAPACK directly in the numpy fallback")
 
@@ -507,9 +480,8 @@ def test_numpy_fallback_takes_the_same_paths(monkeypatch, numpy_linalg):
         solved.clear()
         taken, w = _path_taken(monkeypatch, g, t)
         assert taken == path, (path, g.shape)
-        assert len(factored) == (1 if path == "gram" else 2)
-        if path == "gram":
-            assert solved == [(min(g.shape),) * 2]
+        assert len(factored) == 1
+        assert solved == ([(min(g.shape),) * 2] if path == "gram" else [])
         ref = np.linalg.lstsq(g, t, rcond=DEFAULT_REL_TOL * max(g.shape))[0]
         assert np.allclose(w, ref, atol=1e-10)
 
@@ -540,9 +512,10 @@ def test_min_norm_rejects_any_nan_or_inf_entry(shape):
 @pytest.mark.parametrize("shape", [(4, 6), (6, 4)])
 def test_min_norm_of_g_whose_gram_matrix_overflows_is_the_svd_solution(
         request, shape, lapack):
-    """A finite G whose squares overflow float64 fails both certificates,
+    """A finite G whose squares overflow float64 fails the certificate,
     even where dpotrf would complete on the NaN-shifted diagonal, and goes
-    to the SVD without a warning: w is pseudoinverse(G) t, wide or tall."""
+    to `np.linalg.lstsq`, an SVD, without a warning: w is
+    pseudoinverse(G) t, wide or tall."""
     if not lapack:
         request.getfixturevalue("numpy_linalg")
     rng = np.random.default_rng(13)
@@ -561,7 +534,7 @@ def test_min_norm_rejects_bad_rel_tol_before_any_factorization(monkeypatch):
     def no_factorization(*args, **kwargs):
         raise AssertionError("factorized before rel_tol was checked")
 
-    for name in ("cholesky", "eigvalsh", "qr", "solve"):
+    for name in ("cholesky", "eigvalsh", "lstsq", "qr", "solve"):
         monkeypatch.setattr(np.linalg, name, no_factorization)
     for name in ("_cholesky_in_place", "svd"):
         monkeypatch.setattr(numkernel, name, no_factorization)
