@@ -22,9 +22,9 @@ from .channel import (RiceanConfig, ArConfig, NoiseModel, NOISELESS,
                       steering_vector, los_matrix, ricean_mix, sample_ricean,
                       evolve_ar, receive, add_noise, signal_power,
                       noise_for_snr, sigma2_for_snr)
-from .elm import (HiddenLayer, DigitalLayer, ElmModel, augment, activate,
-                  hidden_matrix, train, fit, fit_received, predict, classify,
-                  online_update, digital_elm_hidden)
+from .elm import (HiddenLayer, DigitalLayer, ElmModel, augment,
+                  hidden_matrix, train, fit, predict, classify, online_update,
+                  digital_elm_hidden)
 from .data import (RawTable, Dataset, load_csv, load_wbcd, load_idx,
                    load_secom, mnist_binarize, secom_prepare,
                    split_standardize, synth_two_gaussians)

@@ -53,8 +53,10 @@ def rapp_vec(y: np.ndarray, p: RappParams = DEFAULT_RAPP,
     itself), the result goes there and that buffer is only a temporary.
     """
     y = np.asarray(y, dtype=float)
-    den = np.divide(y, p.y_sat, out=np.empty_like(y))
-    den **= p.alpha
+    # an overflowing denominator gives the curve's exact limit, +-0
+    with np.errstate(over="ignore"):
+        den = np.divide(y, p.y_sat, out=np.empty_like(y))
+        den **= p.alpha
     den += 1.0
     out = np.divide(y, den, out=den if out is None else out)
     return out if out.ndim else out[()]

@@ -74,7 +74,7 @@ class NoiseModel:
 
 NOISELESS = NoiseModel(0.0)
 
-# Entries per row block in `signal_power` and `elm.activate`: their
+# Entries per row block in `signal_power` and `elm.hidden_matrix`: their
 # temporaries are one block, not one D x N_r array, each.
 BLOCK_ENTRIES = 1 << 15
 
@@ -159,7 +159,8 @@ def signal_power(r: np.ndarray) -> float:
     """P_sig of a receive block r, one receive vector per row: the average
     per-antenna received signal power mean_i ||r_i||^2 / N_r.  The squares
     are summed row block by row block, each row as the whole block would
-    sum it.  A ConfigError names the pathloss when the power overflows."""
+    sum it.  A ConfigError names the pathloss when the power overflows or
+    is zero."""
     r = np.atleast_2d(r)
     if r.size == 0:
         raise ValueError("signal_power: empty transmit-vector set")
@@ -169,7 +170,8 @@ def signal_power(r: np.ndarray) -> float:
             np.sum(r[rows] ** 2, axis=1, out=sums[rows])
     p_sig = np.mean(sums) / r.shape[1]
     if p_sig == 0.0:
-        raise ValueError("signal_power: all-zero signal set, SNR undefined")
+        raise ConfigError("the received signal power underflows to 0 in "
+                          "float64; raise [channel] pathloss")
     if not math.isfinite(p_sig):
         raise ConfigError("the received signal power overflows float64; "
                           "lower [channel] pathloss")
@@ -179,10 +181,24 @@ def signal_power(r: np.ndarray) -> float:
 def noise_for_snr(p_sig: float, snr_db: float) -> NoiseModel:
     """The noise that puts signal power p_sig at snr_db at the receiver:
     sigma^2 = p_sig / 10^(snr_db/10).  snr_db = +inf is noiseless and
-    leaves p_sig unused."""
+    leaves p_sig unused.  A ConfigError names snr_db when 10^(snr_db/10)
+    is not a positive finite float, and the pathloss too when sigma^2
+    overflows."""
     if snr_db == math.inf:
         return NOISELESS
-    return NoiseModel(float(p_sig / 10.0 ** (snr_db / 10.0)))
+    try:
+        ratio = 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        ratio = math.inf
+    if not 0.0 < ratio < math.inf:
+        raise ConfigError(f"snr_db must be inf or a number whose "
+                          f"10^(snr_db/10) is a positive finite float, "
+                          f"got {snr_db}")
+    sigma2 = float(p_sig) / ratio
+    if sigma2 == math.inf:
+        raise ConfigError(f"the noise power at snr_db = {snr_db} overflows "
+                          f"float64; raise snr_db or lower [channel] pathloss")
+    return NoiseModel(sigma2)
 
 
 def sigma2_for_snr(h_real: np.ndarray, x_tilde_set, snr_db: float) -> float:

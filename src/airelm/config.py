@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass, field, fields, replace
 
 from .activation import RappParams
-from .channel import ArConfig, RiceanConfig
+from .channel import ArConfig, RiceanConfig, noise_for_snr
 from .data import train_count
 from .elm import COMBINERS
 from .errors import ConfigError, OutputError
@@ -161,11 +161,8 @@ class ExperimentConfig:
                     f"sweep_nr grid values are antenna counts and must be "
                     f"integers in [1, {sys.maxsize}], got {g}")
         snrs = cfg.grid if cfg.kind == "sweep_snr" else ()
-        for snr in (cfg.snr_db, *snrs):
-            # -inf dB is a zero signal: sigma2 = P / 0 is infinite, the fit NaN
-            if math.isnan(snr) or snr == -math.inf:
-                raise ConfigError(
-                    f"snr_db must be a finite number or inf, got {snr}")
+        for snr in (cfg.snr_db, *snrs):     # NaN, -inf and huge |snr| fail
+            noise_for_snr(0.0, snr)
         ds = cfg.dataset
         for obj in (cfg, ds):
             for f in fields(obj):

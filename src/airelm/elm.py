@@ -68,35 +68,14 @@ def augment(x: np.ndarray) -> np.ndarray:
     return np.hstack([x, np.ones((x.shape[0], 1))])
 
 
-def activate(layer, y: np.ndarray, rng: RngStream = None,
-             out: np.ndarray = None) -> np.ndarray:
-    """Hidden-layer outputs from the layer's noiseless pre-activation block
-    y, one row per data point.
-
-    For a channel layer y is the receive block x~ (H^r)^T (`receive`) and
-    the result is rapp(y + n_r), with fresh i.i.d. noise for every entry
-    (`add_noise`) when the noise model has finite power; for a digital
-    layer y is x~ W^T and the result is sigmoid(y).  The result goes to
-    out, which may be y itself, or else to a new array, and y is left as it
-    is: one receive block then serves every noise level of its channel.
-
-    A channel layer runs row block by row block (`row_blocks`), drawing
-    each block's noise in turn, so its temporaries are one block each and
-    its bits are those of one draw over all of y.
-    """
-    if isinstance(layer, DigitalLayer):
-        return sigmoid(y, out=out)
-    if out is None:
-        out = np.empty(y.shape)
-    for rows in row_blocks(y.shape):
-        rapp_vec(add_noise(y[rows], layer.noise, rng), layer.rapp,
-                 out=out[rows])
-    return out
-
-
 def hidden_matrix(layer, x: np.ndarray, rng: RngStream = None) -> np.ndarray:
-    """Hidden-layer output matrix G, one row per data point: `activate` on
-    the pre-activation block of the rows of x, in that block's buffer."""
+    """Hidden-layer output matrix G, one row per data point of x, written
+    over the pre-activation block y: rapp(y + n_r) for a channel layer, y
+    the receive block x~ (H^r)^T and n_r fresh i.i.d. noise when the noise
+    model has finite power (`add_noise`); sigmoid(y) for a digital layer,
+    y = x~ W^T.  A channel layer runs row block by row block (`row_blocks`),
+    so its temporaries are one block each; it draws each block's noise in
+    turn, and its bits are those of one draw over all of y."""
     a = augment(x)
     if isinstance(layer, DigitalLayer):
         if a.shape[1] != layer.weights.shape[1]:
@@ -104,9 +83,12 @@ def hidden_matrix(layer, x: np.ndarray, rng: RngStream = None) -> np.ndarray:
                 f"feature dimension {a.shape[1] - 1} does not match layer "
                 f"d={layer.weights.shape[1] - 1}")
         y = a @ layer.weights.T
-    else:
-        y = receive(layer.h_real, a)
-    return activate(layer, y, rng, out=y)
+        return sigmoid(y, out=y)
+    y = receive(layer.h_real, a)
+    for rows in row_blocks(y.shape):
+        rapp_vec(add_noise(y[rows], layer.noise, rng), layer.rapp,
+                 out=y[rows])
+    return y
 
 
 def train(g: np.ndarray, t: np.ndarray, hidden=None,
@@ -128,15 +110,6 @@ def fit(layer, x: np.ndarray, t: np.ndarray, rng: RngStream = None,
     """hidden_matrix + train in one step, binding the layer to the model."""
     g = hidden_matrix(layer, x, rng)
     return train(g, t, hidden=layer, combiner=combiner)
-
-
-def fit_received(layer: HiddenLayer, r: np.ndarray, t: np.ndarray,
-                 rng: RngStream = None, out: np.ndarray = None,
-                 combiner: str = "min_norm") -> ElmModel:
-    """`fit` from the receive block r = x~ (H^r)^T of the training rows
-    instead of the rows themselves; out as in `activate`."""
-    return train(activate(layer, r, rng, out), t, hidden=layer,
-                 combiner=combiner)
 
 
 def predict(model: ElmModel, x: np.ndarray, rng: RngStream = None) -> np.ndarray:

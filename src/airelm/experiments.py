@@ -35,9 +35,8 @@ from .config import DATASET_FILES, ExperimentConfig, manifest_path
 from .data import (Dataset, load_csv, load_idx, load_secom, load_wbcd,
                    mnist_binarize, secom_prepare, split_standardize,
                    synth_two_gaussians)
-from .elm import (HiddenLayer, activate, augment, classify,
-                  digital_elm_hidden, fit, fit_received, online_update,
-                  predict)
+from .elm import (HiddenLayer, augment, classify, digital_elm_hidden, fit,
+                  online_update, predict)
 from .errors import OutputError
 from . import numkernel
 from .numkernel import blas_thread_control, lapack_cholesky, one_blas_thread
@@ -163,30 +162,22 @@ class _NoiseReplay:
         return out.reshape(shape)
 
 
-def _accuracy(t_hat: np.ndarray, dataset: Dataset) -> float:
-    """Share of test points whose predicted class t_hat gets right."""
+def _accuracy(model, dataset: Dataset, rng=None) -> float:
+    """Share of test points whose class the model predicts right, its test
+    noise drawn from rng."""
+    t_hat = predict(model, dataset.x_test, rng)
     return (np.count_nonzero(classify(t_hat) == dataset.t_test)
             / dataset.t_test.size)
 
 
-def _test_accuracies(models, x_test: np.ndarray, dataset: Dataset,
-                     rng) -> list:
-    """Test accuracy of each model in turn, all bound to one channel, so
-    one receive block of the test rows x_test (= x~) serves them all; the
-    test noise is drawn model by model, in order."""
-    r_test = receive(models[0].hidden.h_real, x_test)
-    return [_accuracy(activate(m.hidden, r_test, rng) @ m.w, dataset)
-            for m in models]
-
-
-def _digital_trial(cfg, dataset, trial, n_hidden: int):
-    """Digital-ELM baseline: random uniform weights, sigmoid, no channel."""
-    layer = digital_elm_hidden(trial.split(SUB_DIGITAL), n_hidden, dataset.d,
-                               low=cfg.digital_low, high=cfg.digital_high)
-    model = fit(layer, dataset.x_train, dataset.t_train,
+def _fit_and_score(cfg, dataset, layer, noise=(None, None)) -> dict:
+    """One trial's result cells: fit through layer, training noise from
+    noise[0], then test, test noise from noise[1]."""
+    model = fit(layer, dataset.x_train, dataset.t_train, noise[0],
                 combiner=cfg.combiner)
-    acc = _accuracy(predict(model, dataset.x_test), dataset)
-    return acc, model.train_residual, model.receive_power
+    return {"accuracy": _accuracy(model, dataset, noise[1]),
+            "train_residual": model.train_residual,
+            "receive_power": model.receive_power}
 
 
 # ---------------------------------------------------------------------------
@@ -232,71 +223,51 @@ def _run_grid(cfg: ExperimentConfig, experiment: str, points):
     and its channel at each (n_r, kappa) are the same at every point, and
     its noise blocks at each n_r are the first D x n_r draws of the same two
     noise streams; only the noise level and the width change.  One task per
-    seed therefore builds the dataset and its transmit blocks x~ once and
-    keeps one `_NoiseReplay` per noise stream, which draws D x widest
-    normals, widest the largest finite-SNR n_r, and serves every point its
-    prefix; the seed's last finite-SNR point lets the draws go.  When
-    (n_r, kappa) changes from the previous point it draws the channel and
-    forms its noiseless receive blocks x~ (H^r)^T, the training block at
-    once and the test block at the first prediction, and it measures the
-    signal power once, from the training block, for all the channel's
-    finite-SNR points.  The channel's last point writes the hidden matrices
-    over the receive blocks and lets them go.  Results are ordered by
-    (point, seed, model) regardless of thread count.
+    seed therefore builds the dataset once and keeps one `_NoiseReplay` per
+    noise stream, which draws D x widest normals, widest the largest
+    finite-SNR n_r, and serves every point its prefix; the seed's last
+    finite-SNR point lets the draws go.  When (n_r, kappa) changes from the
+    previous point it draws the channel and measures the signal power of
+    its training receive block, for all the channel's points.  Results are
+    ordered by (point, seed, model) regardless of thread count.
     """
     finite = [snr_db != math.inf for _, _, snr_db, _ in points]
     last_noisy = max((i for i, f in enumerate(finite) if f), default=-1)
     widest = max((p[0] for p, f in zip(points, finite) if f), default=0)
-    # whether point i is the last of its channel's run of points
-    last = [i + 1 == len(points) or points[i + 1][:2] != p[:2]
-            for i, p in enumerate(points)]
     rapp = RappParams(y_sat=cfg.y_sat, alpha=cfg.alpha)
 
     def one(seed, trial, dataset):
         row = partial(TrialResult, experiment=experiment,
                       dataset=cfg.dataset.name, seed=seed)
-        x_train, x_test = augment(dataset.x_train), augment(dataset.x_test)
+        sizes = len(dataset.x_train), len(dataset.x_test)
         chan_key = None
-        noise = [_NoiseReplay(trial.split(sub), len(x) * widest)
-                 for sub, x in ((SUB_TRAIN_NOISE, x_train),
-                                (SUB_TEST_NOISE, x_test))] if widest else None
+        replays = [_NoiseReplay(trial.split(sub), d * widest)
+                   for sub, d in zip((SUB_TRAIN_NOISE, SUB_TEST_NOISE),
+                                     sizes)] if widest else None
         by_point = []
         for i, (n_r, kappa, snr_db, with_baseline) in enumerate(points):
             t0 = time.perf_counter()
             if (n_r, kappa) != chan_key:
-                chan_key, p_sig = (n_r, kappa), None
+                chan_key = (n_r, kappa)
                 h_real = _draw_channel(cfg, dataset, trial, n_r, kappa).real
-                r_train, r_test = receive(h_real, x_train), None
-            if finite[i] and p_sig is None:
-                p_sig = signal_power(r_train)
+                p_sig = signal_power(receive(h_real,
+                                             augment(dataset.x_train)))
             layer = HiddenLayer(h_real=h_real, rapp=rapp,
                                 noise=noise_for_snr(p_sig, snr_db))
-            train_noise, test_noise = (
-                [z.rewind(len(x) * n_r, last=i == last_noisy)
-                 for z, x in zip(noise, (x_train, x_test))]
-                if finite[i] else (None, None))
-            model = fit_received(layer, r_train, dataset.t_train, train_noise,
-                                 out=r_train if last[i] else None,
-                                 combiner=cfg.combiner)
-            if last[i]:
-                r_train = None
-            if r_test is None:
-                r_test = receive(h_real, x_test)
-            t_hat = activate(layer, r_test, test_noise,
-                             out=r_test if last[i] else None) @ model.w
-            if last[i]:
-                r_test = None
-            acc = _accuracy(t_hat, dataset)
+            noise = ([z.rewind(d * n_r, last=i == last_noisy)
+                      for z, d in zip(replays, sizes)]
+                     if finite[i] else (None, None))
             rows = [row(model="mimo", n_r=n_r, snr_db=snr_db, kappa=kappa,
-                        accuracy=acc, train_residual=model.train_residual,
-                        receive_power=model.receive_power,
+                        **_fit_and_score(cfg, dataset, layer, noise),
                         wall_ms=(time.perf_counter() - t0) * 1e3)]
-            if with_baseline:
+            if with_baseline:       # the digital ELM: no channel, no noise
                 t0 = time.perf_counter()
-                acc, resid, power = _digital_trial(cfg, dataset, trial, n_r)
+                layer = digital_elm_hidden(
+                    trial.split(SUB_DIGITAL), n_r, dataset.d,
+                    low=cfg.digital_low, high=cfg.digital_high)
                 rows.append(row(model="digital", n_r=n_r, snr_db=math.inf,
-                                kappa=kappa, accuracy=acc,
-                                train_residual=resid, receive_power=power,
+                                kappa=kappa,
+                                **_fit_and_score(cfg, dataset, layer),
                                 wall_ms=(time.perf_counter() - t0) * 1e3))
             by_point.append(rows)
         return by_point
@@ -354,10 +325,8 @@ def run_online(cfg: ExperimentConfig):
                       dataset=cfg.dataset.name, seed=seed, model="mimo",
                       n_r=cfg.n_r, snr_db=cfg.snr_db, kappa=cfg.kappa,
                       eta=cfg.eta)
-        x_test = augment(dataset.x_test)
         h = _draw_channel(cfg, dataset, trial, cfg.n_r, cfg.kappa)
-        r_train = receive(h.real, augment(dataset.x_train))
-        p_sig = (signal_power(r_train) if cfg.snr_db != math.inf else None)
+        p_sig = signal_power(receive(h.real, augment(dataset.x_train)))
         layer = HiddenLayer(h_real=h.real, rapp=rapp,
                             noise=noise_for_snr(p_sig, cfg.snr_db))
         train_noise = trial.split(SUB_TRAIN_NOISE)
@@ -365,9 +334,8 @@ def run_online(cfg: ExperimentConfig):
         ar_rng = trial.split(SUB_AR)
         batch_rng = trial.split(SUB_MINIBATCH)
 
-        model = fit_received(layer, r_train, dataset.t_train, train_noise,
-                             out=r_train, combiner=cfg.combiner)
-        del r_train             # it holds the H(0) fit's G now
+        model = fit(layer, dataset.x_train, dataset.t_train, train_noise,
+                    combiner=cfg.combiner)
         rows = []
         for step in range(1, cfg.steps + 1):
             t0 = time.perf_counter()
@@ -382,8 +350,8 @@ def run_online(cfg: ExperimentConfig):
                                     cfg.batch_size, cfg.iters_per_step,
                                     batch_rng, noise_rng=train_noise)]
             model = trace[-1]
-            acc_full, *accs = _test_accuracies([full, *trace], x_test,
-                                               dataset, test_noise)
+            acc_full, *accs = [_accuracy(m, dataset, test_noise)
+                               for m in (full, *trace)]
             for i, (m, acc) in enumerate(zip(trace, accs)):
                 rows.append(row(step=step, iteration=i, accuracy=acc,
                                 receive_power=m.receive_power,

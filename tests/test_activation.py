@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -188,6 +189,15 @@ def test_rapp_vec_equals_direct_formula_bit_for_bit(x, params):
         got = rapp_vec(x, params)
     assert np.array_equal(_bits(got), _bits(direct))
     assert type(got) is type(direct)     # a 0-d input gives a numpy scalar
+
+
+def test_rapp_vec_overflowing_denominator_gives_the_limit_without_a_warning():
+    """(y / y_sat)^alpha overflows at |y| = 1e200, alpha = 8, and y / inf is
+    the curve's exact limit, +-0, so nothing warns."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = rapp_vec(np.array([1e200, -1e200]), RappParams(1.5, 8))
+    assert np.array_equal(_bits(got), _bits(np.array([0.0, -0.0])))
 
 
 @pytest.mark.parametrize("x", _FIXED_INPUTS)

@@ -410,6 +410,11 @@ def test_blas_thread_env_preserves_bytes(tmp_path):
      "mnist_pixels = -1\n", "mnist_pixels must be >= 1, got -1"),
     ("sweep-nr", "[dataset]\nname = secom\npath = {file}\nlabels = {file}\n"
      "secom_features = -2\n", "secom_features must be >= 1, got -2"),
+    # 10^(snr_db/10) overflows, or is 0 and sigma2 = P_sig / 0 infinite:
+    # an OverflowError and a ridge_lstsq traceback from the first trial
+    ("sweep-nr", "[channel]\nsnr_db = 4000\n", "got 4000.0"),
+    ("sweep-nr", "[channel]\nsnr_db = -4000\n", "got -4000.0"),
+    ("sweep-snr", "[sweep]\ngrid = 10, 4000\n", "got 4000.0"),
 ], ids=["fractional_n_r", "nan_grid", "minus_inf_snr", "zero_n_r",
         "huge_n_r", "huge_n_r_grid",
         "gamma_above_1", "zero_eta", "zero_batch_size", "odd_alpha",
@@ -423,7 +428,8 @@ def test_blas_thread_env_preserves_bytes(tmp_path):
         "secom_without_labels", "zero_synth_d", "synth_size_1",
         "negative_synth_size", "synth_size_beyond_float64",
         "two_character_delimiter", "unknown_combiner",
-        "negative_mnist_pixels", "negative_secom_features"])
+        "negative_mnist_pixels", "negative_secom_features", "snr_db_4000",
+        "snr_db_minus_4000", "snr_grid_4000"])
 def test_bad_sweep_values_exit_1_before_compute(tmp_path, capsys, monkeypatch,
                                                 command, body, message):
     import airelm.cli
@@ -444,17 +450,23 @@ def test_bad_sweep_values_exit_1_before_compute(tmp_path, capsys, monkeypatch,
 
 
 def test_signal_power_overflow_exits_1_naming_pathloss(tmp_path, capsys):
-    """A pathloss whose received signal power overflows float64 is found
-    in the first trial, which needs the data to compute P_sig: it used to
-    end in "ridge_lstsq: input contains NaN or Inf"."""
-    out = tmp_path / "r.csv"
-    cfg = _ini(tmp_path, "[experiment]\nseeds = 1\n[channel]\n"
-                         "pathloss = 1e308\nsnr_db = 20\n[model]\nn_r = 16\n")
-    assert main(["single", "--config", cfg, "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1
-    assert err.startswith("config error:") and "pathloss" in err
-    assert not out.exists()
+    """A pathloss whose received signal power, or noise power, overflows
+    float64 is found in the first trial, which needs the data to compute
+    P_sig.  At 20 dB it used to end in "ridge_lstsq: input contains NaN or
+    Inf"; noiseless, P_sig went unmeasured and the run exited 0 at chance
+    accuracy; sigma2 = P_sig / 1e-300 overflowing at -3000 dB ended as the
+    first did."""
+    for i, channel in enumerate(("pathloss = 1e308\nsnr_db = 20\n",
+                                 "pathloss = 1e308\nsnr_db = inf\n",
+                                 "pathloss = 1e10\nsnr_db = -3000\n")):
+        out = tmp_path / f"r{i}.csv"
+        cfg = _ini(tmp_path, "[experiment]\nseeds = 1\n[channel]\n"
+                   + channel + "[model]\nn_r = 16\n")
+        assert main(["single", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1, channel
+        assert err.startswith("config error:") and "pathloss" in err
+        assert not out.exists()
 
 
 def test_reader_closing_stdout_early_exits_3_without_traceback(tmp_path):

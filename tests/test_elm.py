@@ -14,7 +14,6 @@ from airelm.elm import (
     DigitalLayer,
     ElmModel,
     HiddenLayer,
-    activate,
     augment,
     classify,
     digital_elm_hidden,
@@ -82,66 +81,56 @@ def test_hidden_matrix_noise_requires_rng():
 
 
 @pytest.mark.parametrize("sigma2", [0.0, 0.3])
-def test_activate_serves_every_point_from_one_receive_block(sigma2):
-    """activate(r) is hidden_matrix's G bit for bit, rapp(r + n) with the
-    noise drawn in one call, and leaves r as it is; out=r writes the same
-    bits over r."""
+def test_hidden_matrix_is_rapp_of_the_receive_block_plus_one_draw(sigma2):
+    """G is rapp(r + n) bit for bit, r = x~ (H^r)^T and n drawn for all of
+    r in one call; the same stream gives the same G again."""
     layer = dataclasses.replace(_random_layer(3, n_r=6, d=4),
                                 noise=NoiseModel(sigma2=sigma2))
     x = RngStream(4).normal(size=(9, 4))
     r = receive(layer.h_real, augment(x))
-    before = r.copy()
-    expected = hidden_matrix(layer, x, RngStream(5))
     direct = rapp_vec(r + RngStream(5).normal(0.0, np.sqrt(sigma2 / 2.0),
                                               r.shape)) if sigma2 else \
         rapp_vec(r)
-    assert np.array_equal(expected, direct)
     for _ in range(2):
-        assert np.array_equal(activate(layer, r, RngStream(5)), expected)
-        assert np.array_equal(r, before)
-    assert activate(layer, r, RngStream(5), out=r) is r
-    assert np.array_equal(r, expected)
+        assert np.array_equal(hidden_matrix(layer, x, RngStream(5)), direct)
 
 
 @settings(derandomize=True, max_examples=120, deadline=None)
 @given(rows=st.integers(0, 30), cols=st.integers(1, 12),
        block=st.integers(1, 400), sigma2=st.sampled_from([0.0, 0.3, 40.0]),
        alpha=st.sampled_from([2, 4]), replay=st.booleans(),
-       in_place=st.booleans(), seed=st.integers(0, 1000))
+       seed=st.integers(0, 1000))
 def test_row_blocks_give_the_bits_of_the_whole_block_formulas(
-        rows, cols, block, sigma2, alpha, replay, in_place, seed):
+        rows, cols, block, sigma2, alpha, replay, seed):
     """Whatever the shape and wherever the row blocks end, the blocked
-    `activate` is z / ((z / y_sat)^alpha + 1) with z = y + n, n drawn for
-    all of y in one call, from a stream or its `_NoiseReplay`, and the
-    blocked `signal_power` is mean_i ||y_i||^2 / N_r as one reduction."""
-    y = RngStream(seed).normal(0.0, 2.0, (rows, cols))
+    `hidden_matrix` is z / ((z / y_sat)^alpha + 1) with z = y + n, y the
+    receive block and n drawn for all of y in one call, from a stream or
+    its `_NoiseReplay`, and the blocked `signal_power` is
+    mean_i ||y_i||^2 / N_r as one reduction."""
+    x = RngStream(seed).normal(0.0, 2.0, (rows, 3))
     p = RappParams(y_sat=1.25, alpha=alpha)
-    layer = HiddenLayer(h_real=np.ones((cols, 2)), rapp=p,
-                        noise=NoiseModel(sigma2=sigma2))
+    layer = HiddenLayer(h_real=RngStream(seed).split(1).normal(size=(cols, 4)),
+                        rapp=p, noise=NoiseModel(sigma2=sigma2))
+    y = receive(layer.h_real, augment(x))
     stream = RngStream(seed).split(2)
     if replay:
         stream = _NoiseReplay(stream, y.size).rewind(y.size)
     z = y + RngStream(seed).split(2).normal(0.0, np.sqrt(sigma2 / 2.0),
                                             y.shape) if sigma2 else y
     expected = z / ((z / p.y_sat) ** p.alpha + 1.0)
-    y_before = y.copy()
     with mock.patch.object(channel, "BLOCK_ENTRIES", block):
         power = signal_power(y) if rows else None
-        g = activate(layer, y, stream, out=y if in_place else None)
-    assert (g is y) == in_place
+        g = hidden_matrix(layer, x, stream)
     assert np.array_equal(g.view(np.int64), expected.view(np.int64))
     if rows:
-        assert power == np.mean(np.sum(y_before ** 2, axis=1)) / cols
+        assert power == np.mean(np.sum(y ** 2, axis=1)) / cols
 
 
-def test_digital_activate_is_sigmoid_of_the_product():
+def test_digital_hidden_matrix_is_sigmoid_of_the_product():
     layer = digital_elm_hidden(RngStream(6), 5, 3)
     x = RngStream(7).normal(size=(4, 3))
-    y = augment(x) @ layer.weights.T
-    before = y.copy()
-    g = activate(layer, y)
-    assert np.array_equal(g, sigmoid(before)) and np.array_equal(y, before)
-    assert np.array_equal(hidden_matrix(layer, x), g)
+    assert np.array_equal(hidden_matrix(layer, x),
+                          sigmoid(augment(x) @ layer.weights.T))
 
 
 # ------------------------------------------------------------ train

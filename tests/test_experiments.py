@@ -12,7 +12,7 @@ import pytest
 
 from airelm.channel import noise_for_snr, receive, sigma2_for_snr, signal_power
 from airelm.config import DatasetConfig, ExperimentConfig, parse_config
-from airelm import channel, cli, elm, experiments, numkernel
+from airelm import cli, elm, experiments, numkernel
 from airelm.elm import augment
 from airelm.errors import ConfigError, OutputError
 from airelm.experiments import (
@@ -101,14 +101,14 @@ def test_trials_run_on_one_blas_thread(monkeypatch):
     if control is None:
         pytest.skip("this BLAS exposes no thread-count control")
     get, put = control
-    fit = experiments.fit_received
+    fit = experiments.fit
     seen = []
 
     def fit_and_record(*args, **kwargs):
         seen.append(get())
         return fit(*args, **kwargs)
 
-    monkeypatch.setattr(experiments, "fit_received", fit_and_record)
+    monkeypatch.setattr(experiments, "fit", fit_and_record)
     original = get()
     put(2)              # a count other than 1, so the restore is visible
     try:
@@ -121,14 +121,6 @@ def test_trials_run_on_one_blas_thread(monkeypatch):
 
 
 # -------------------------------------------------- seed-major driver
-
-def _recording(calls, fn):
-    def recorded(*args, **kwargs):
-        out = fn(*args, **kwargs)
-        calls.append(out)
-        return out
-    return recorded
-
 
 def _count_calls(monkeypatch, name):
     calls = []
@@ -171,6 +163,16 @@ def test_snr_sweep_draws_each_seeds_channel_and_noise_once(monkeypatch):
         for sub in (SUB_TRAIN_NOISE, SUB_TEST_NOISE))
 
 
+def test_noiseless_nr_sweep_measures_each_channels_signal_power_once(
+        monkeypatch):
+    """P_sig is measured for every channel, noiseless or not, so a
+    receive block that overflows float64 is found at any snr_db."""
+    drawn = _count_calls(monkeypatch, "sample_ricean")
+    calibrated = _count_calls(monkeypatch, "signal_power")
+    run(_cfg(grid=(16, 32, 64), seeds=3, snr_db=math.inf))
+    assert len(drawn) == len(calibrated) == 3 * 3
+
+
 @pytest.mark.parametrize("grid, snr_db", [
     pytest.param((16, 32, 64), 10.0, id="grid0"),
     pytest.param((64, 16, 32), 10.0, id="grid1"),
@@ -196,18 +198,6 @@ def test_nr_sweep_draws_each_normal_once_for_the_widest_n_r(monkeypatch,
                      {(seed, sub): [rows * 64] for seed in range(3)
                       for sub, rows in ((SUB_TRAIN_NOISE, 96),
                                         (SUB_TEST_NOISE, 24))})
-
-
-def test_snr_sweep_forms_each_seeds_receive_blocks_once(monkeypatch):
-    """x~ (H^r)^T is computed twice per seed, for the training and the
-    test rows, however many SNR points share the channel; P_sig comes from
-    the training block."""
-    blocks = []
-    for module in (channel, elm, experiments):
-        monkeypatch.setattr(module, "receive",
-                            _recording(blocks, module.receive))
-    run(_cfg(kind="sweep_snr", grid=(0.0, 10.0, 20.0), seeds=3, n_r=32))
-    assert [r.shape for r in blocks] == [(96, 32), (24, 32)] * 3
 
 
 def _sigma2_reference(h_real, x_tilde, snr_db):
