@@ -124,13 +124,13 @@ def evolve_ar(h_prev: np.ndarray, cfg: ArConfig, rng: RngStream) -> np.ndarray:
 
 def receive(h_real: np.ndarray, x_tilde: np.ndarray) -> np.ndarray:
     """Noiseless receive block: H^r x~ for one transmit vector x~, or
-    x~ (H^r)^T for a batch of them, one receive vector per row."""
+    x~ (H^r)^T for a batch, one per row; a digital layer's W serves as H^r."""
     h_real = np.asarray(h_real, dtype=float)
     x = np.asarray(x_tilde, dtype=float)
     if x.ndim not in (1, 2) or h_real.shape[1] != x.shape[-1]:
         raise ValueError(
-            f"receive: H^r has {h_real.shape[1]} columns but x~ has "
-            f"shape {x.shape}")
+            f"receive: the layer matrix (H^r or W) has {h_real.shape[1]} "
+            f"columns but x~ has shape {x.shape}")
     return x @ h_real.T
 
 

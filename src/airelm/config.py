@@ -33,19 +33,12 @@ DEFAULT_GRIDS = {
 
 
 def _to_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(raw)
+    return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
 
 
 def _to_float(raw: str) -> float:
-    low = raw.strip().lower()
-    if low in ("inf", "+inf", "infinity", "noiseless"):
-        return float("inf")
-    return float(raw)
+    # float() reads inf, +inf and infinity in any case
+    return math.inf if raw.strip().lower() == "noiseless" else float(raw)
 
 
 def _to_grid(raw: str) -> tuple:
@@ -193,9 +186,10 @@ class ExperimentConfig:
                               f"{cfg.combiner!r}")
         RappParams(y_sat=cfg.y_sat, alpha=cfg.alpha)    # validates both
         ArConfig(eta=cfg.eta)                           # eta in (0, 1]
-        if not -math.inf < cfg.digital_low < cfg.digital_high < math.inf:
-            raise ConfigError(f"need finite digital_low < digital_high, got "
-                              f"[{cfg.digital_low}, {cfg.digital_high}]")
+        low, high = cfg.digital_low, cfg.digital_high
+        if not 0.0 < high - low < math.inf:     # NaN and inf - inf fail
+            raise ConfigError(f"need digital_low < digital_high, a finite "
+                              f"width apart, got [{low}, {high}]")
         if ds.name not in DATASET_FILES:
             raise ConfigError(f"unknown dataset name {ds.name!r}")
         # a file key the dataset does not read is ignored, set or not
@@ -294,7 +288,7 @@ def parse_config(path: str, kind: str = None) -> ExperimentConfig:
                 continue
             try:
                 values[cls][key] = parse(raw)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, KeyError):
                 raise ConfigError(f"{path}: bad value for [{section}] {key} = "
                                   f"{raw!r}") from None
     if kind:

@@ -70,24 +70,19 @@ def augment(x: np.ndarray) -> np.ndarray:
 
 def hidden_matrix(layer, x: np.ndarray, rng: RngStream = None) -> np.ndarray:
     """Hidden-layer output matrix G, one row per data point of x, written
-    over the pre-activation block y: rapp(y + n_r) for a channel layer, y
-    the receive block x~ (H^r)^T and n_r fresh i.i.d. noise when the noise
-    model has finite power (`add_noise`); sigmoid(y) for a digital layer,
-    y = x~ W^T.  A channel layer runs row block by row block (`row_blocks`),
-    so its temporaries are one block each; it draws each block's noise in
-    turn, and its bits are those of one draw over all of y."""
-    a = augment(x)
-    if isinstance(layer, DigitalLayer):
-        if a.shape[1] != layer.weights.shape[1]:
-            raise ValueError(
-                f"feature dimension {a.shape[1] - 1} does not match layer "
-                f"d={layer.weights.shape[1] - 1}")
-        y = a @ layer.weights.T
-        return sigmoid(y, out=y)
-    y = receive(layer.h_real, a)
+    over the pre-activation block y = x~ (H^r)^T or x~ W^T: rapp(y + n_r)
+    for a channel layer, n_r fresh i.i.d. noise when the noise model has
+    finite power (`add_noise`), and sigmoid(y) for a digital layer.  Both
+    run row block by row block (`row_blocks`), so temporaries are one block
+    each, and the blocks' noise draws give the bits of one draw over y."""
+    digital = isinstance(layer, DigitalLayer)
+    y = receive(layer.weights if digital else layer.h_real, augment(x))
     for rows in row_blocks(y.shape):
-        rapp_vec(add_noise(y[rows], layer.noise, rng), layer.rapp,
-                 out=y[rows])
+        if digital:
+            sigmoid(y[rows], out=y[rows])
+        else:
+            rapp_vec(add_noise(y[rows], layer.noise, rng), layer.rapp,
+                     out=y[rows])
     return y
 
 
@@ -102,7 +97,18 @@ def train(g: np.ndarray, t: np.ndarray, hidden=None,
     w = (ridge_lstsq if combiner == "ridge" else min_norm_lstsq)(g, t)
     residual = float(np.linalg.norm(g @ w - t))
     return ElmModel(w=w, hidden=hidden, train_residual=residual,
-                    receive_power=float(w @ w))
+                    receive_power=_receive_power(w))
+
+
+def _receive_power(w: np.ndarray) -> float:
+    """||w||^2 of a fitted combiner, or a ConfigError naming the pathloss if
+    it overflows: P_sig may still be a normal float, so only a fit finds it."""
+    with np.errstate(over="ignore"):
+        power = float(w @ w)
+    if not np.isfinite(power):
+        raise ConfigError("the combiner's power ||w||^2 overflows float64; "
+                          "raise [channel] pathloss")
+    return power
 
 
 def fit(layer, x: np.ndarray, t: np.ndarray, rng: RngStream = None,
@@ -116,8 +122,7 @@ def predict(model: ElmModel, x: np.ndarray, rng: RngStream = None) -> np.ndarray
     """Combiner output t_hat(i) = w . g(H^r x~(i)), fresh noise per evaluation."""
     if model.hidden is None:
         raise ValueError("predict: model is not bound to a hidden layer")
-    g = hidden_matrix(model.hidden, x, rng)
-    return g @ model.w
+    return hidden_matrix(model.hidden, x, rng) @ model.w
 
 
 def classify(t_hat: np.ndarray) -> np.ndarray:
@@ -136,8 +141,8 @@ def digital_elm_hidden(rng: RngStream, n_hidden: int, d: int,
     """
     if n_hidden < 1 or d < 0:
         raise ConfigError(f"bad layer size n_hidden={n_hidden}, d={d}")
-    if not low < high:
-        raise ConfigError(f"need low < high, got [{low}, {high}]")
+    if not 0.0 < high - low < np.inf:
+        raise ConfigError(f"need finite high - low > 0, got [{low}, {high}]")
     w = rng.uniform(low, high, (n_hidden, d + 1))
     return DigitalLayer(weights=w)
 
@@ -169,5 +174,5 @@ def online_update(model: ElmModel, layer_k: HiddenLayer, data, gamma: float,
         g_s = hidden_matrix(layer_k, data.x_train[idx], noise_rng)
         w = w + gamma * min_norm_lstsq(g_s, data.t_train[idx])
         models.append(ElmModel(w=w, hidden=layer_k,
-                               receive_power=float(w @ w)))
+                               receive_power=_receive_power(w)))
     return models

@@ -122,12 +122,14 @@ def _trial_dataset(cfg: ExperimentConfig, base_table, trial: RngStream) -> Datas
 # single-trial cores
 
 def _draw_channel(cfg, dataset, trial, n_r: int, kappa: float):
-    """The trial's channel realization at (n_r, kappa)."""
-    return sample_ricean(
+    """The trial's channel realization H at (n_r, kappa), and P_sig, the
+    signal power of the training receive block under its real part."""
+    h = sample_ricean(
         RiceanConfig(n_r=n_r, n_t=dataset.d + 1, kappa=kappa,
                      pathloss=cfg.pathloss, los_angle_rx=cfg.los_angle_rx,
                      los_angle_tx=cfg.los_angle_tx),
         trial.split(SUB_CHANNEL))
+    return h, signal_power(receive(h.real, augment(dataset.x_train)))
 
 
 class _NoiseReplay:
@@ -208,14 +210,12 @@ def _per_seed(cfg: ExperimentConfig, body):
         if cfg.threads > 1:
             with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
                 return list(pool.map(one, range(cfg.seeds)))
-        # not a one-worker pool: its thread's own malloc arena raised peak
-        # RSS 57.9 -> 61.2 MB (sweep_nr_wbcd), 39.6 -> 40.7 MB
-        # (snr_sweep_narrow) on a 2-vCPU VM
+        # not a one-worker pool, whose thread's malloc arena raises peak RSS
         return [one(seed) for seed in range(cfg.seeds)]
 
 
-def _run_grid(cfg: ExperimentConfig, experiment: str, points):
-    """Shared sweep driver.
+def _run_grid(cfg: ExperimentConfig, points):
+    """Shared sweep driver, its rows named by cfg.kind.
 
     points is a list of (n_r, kappa, snr_db, with_baseline) tuples; for every
     point x seed, one mimo trial (plus optionally one digital trial) runs.
@@ -229,15 +229,14 @@ def _run_grid(cfg: ExperimentConfig, experiment: str, points):
     finite-SNR point lets the draws go.  When (n_r, kappa) changes from the
     previous point it draws the channel and measures the signal power of
     its training receive block, for all the channel's points.  Results are
-    ordered by (point, seed, model) regardless of thread count.
-    """
+    ordered by (point, seed, model) regardless of thread count."""
     finite = [snr_db != math.inf for _, _, snr_db, _ in points]
     last_noisy = max((i for i, f in enumerate(finite) if f), default=-1)
     widest = max((p[0] for p, f in zip(points, finite) if f), default=0)
     rapp = RappParams(y_sat=cfg.y_sat, alpha=cfg.alpha)
 
     def one(seed, trial, dataset):
-        row = partial(TrialResult, experiment=experiment,
+        row = partial(TrialResult, experiment=cfg.kind,
                       dataset=cfg.dataset.name, seed=seed)
         sizes = len(dataset.x_train), len(dataset.x_test)
         chan_key = None
@@ -249,10 +248,8 @@ def _run_grid(cfg: ExperimentConfig, experiment: str, points):
             t0 = time.perf_counter()
             if (n_r, kappa) != chan_key:
                 chan_key = (n_r, kappa)
-                h_real = _draw_channel(cfg, dataset, trial, n_r, kappa).real
-                p_sig = signal_power(receive(h_real,
-                                             augment(dataset.x_train)))
-            layer = HiddenLayer(h_real=h_real, rapp=rapp,
+                h, p_sig = _draw_channel(cfg, dataset, trial, n_r, kappa)
+            layer = HiddenLayer(h_real=h.real, rapp=rapp,
                                 noise=noise_for_snr(p_sig, snr_db))
             noise = ([z.rewind(d * n_r, last=i == last_noisy)
                       for z, d in zip(replays, sizes)]
@@ -278,31 +275,31 @@ def _run_grid(cfg: ExperimentConfig, experiment: str, points):
 
 def run_sweep_nr(cfg: ExperimentConfig):
     """Accuracy versus antenna count N_r (Fig.-2-style experiment)."""
-    cfg = cfg.resolved()
+    cfg = replace(cfg, kind="sweep_nr").resolved()
     points = [(int(g), cfg.kappa, cfg.snr_db, cfg.baseline) for g in cfg.grid]
-    return _run_grid(cfg, "sweep_nr", points)
+    return _run_grid(cfg, points)
 
 
 def run_sweep_snr(cfg: ExperimentConfig):
     """Accuracy versus receive SNR, plus a noise-free reference column."""
-    cfg = cfg.resolved()
+    cfg = replace(cfg, kind="sweep_snr").resolved()
     points = [(cfg.n_r, cfg.kappa, float(g), False) for g in cfg.grid]
     points.append((cfg.n_r, cfg.kappa, float("inf"), False))  # reference
-    return _run_grid(cfg, "sweep_snr", points)
+    return _run_grid(cfg, points)
 
 
 def run_sweep_kappa(cfg: ExperimentConfig):
     """Accuracy versus Ricean factor kappa (LoS dominance)."""
-    cfg = cfg.resolved()
+    cfg = replace(cfg, kind="sweep_kappa").resolved()
     points = [(cfg.n_r, float(g), cfg.snr_db, False) for g in cfg.grid]
-    return _run_grid(cfg, "sweep_kappa", points)
+    return _run_grid(cfg, points)
 
 
 def run_single(cfg: ExperimentConfig):
     """One grid point (n_r, kappa, snr) over the seed sweep."""
-    cfg = cfg.resolved()
+    cfg = replace(cfg, kind="single").resolved()
     points = [(cfg.n_r, cfg.kappa, cfg.snr_db, cfg.baseline)]
-    return _run_grid(cfg, "single", points)
+    return _run_grid(cfg, points)
 
 
 def run_online(cfg: ExperimentConfig):
@@ -316,17 +313,16 @@ def run_online(cfg: ExperimentConfig):
     minimum-norm.  Each step's measured wall time goes on its iteration-0 row;
     the other rows carry none, and the H(0) fit belongs to no step.
     """
-    cfg = cfg.resolved()
+    cfg = replace(cfg, kind="online").resolved()
     ar = ArConfig(eta=cfg.eta)
     rapp = RappParams(y_sat=cfg.y_sat, alpha=cfg.alpha)
 
     def one(seed, trial, dataset):
-        row = partial(TrialResult, experiment="online",
+        row = partial(TrialResult, experiment=cfg.kind,
                       dataset=cfg.dataset.name, seed=seed, model="mimo",
                       n_r=cfg.n_r, snr_db=cfg.snr_db, kappa=cfg.kappa,
                       eta=cfg.eta)
-        h = _draw_channel(cfg, dataset, trial, cfg.n_r, cfg.kappa)
-        p_sig = signal_power(receive(h.real, augment(dataset.x_train)))
+        h, p_sig = _draw_channel(cfg, dataset, trial, cfg.n_r, cfg.kappa)
         layer = HiddenLayer(h_real=h.real, rapp=rapp,
                             noise=noise_for_snr(p_sig, cfg.snr_db))
         train_noise = trial.split(SUB_TRAIN_NOISE)

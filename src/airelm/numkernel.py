@@ -246,16 +246,25 @@ def _gram_system(g, t, name: str):
     return g, t, a, wide
 
 
+def _gram_solve(g, t, a, wide: bool) -> np.ndarray:
+    """G^T A^-1 t (wide G) or A^-1 G^T t (tall G) by one dposv over A."""
+    b = t.copy() if wide else g.T @ t
+    if _cholesky_in_place(a, b):
+        raise np.linalg.LinAlgError("dposv: A not positive definite")
+    return g.T @ b if wide else b
+
+
 def _certified(a: np.ndarray, floor: float) -> bool:
     """True when a Cholesky factorization of A - s I completes for the shift
     s = 2 ||A||_F * floor + (n + 1) * eps * tr(A), which proves
-    lam_min(A) >= 2 * floor * lam_max(A); see `min_norm_lstsq`.  False
-    for a shift that is not finite: dpotrf may complete on a NaN diagonal."""
+    lam_min(A) >= 2 * floor * lam_max(A); see `min_norm_lstsq`.  False for
+    a trace term below the normal floats, where underflow voids the bound,
+    and for an s that is not finite: dpotrf may complete on a NaN diagonal."""
     n = a.shape[0]
-    flat = a.ravel(order="K")       # ||A||_F as np.linalg.norm computes it
-    shift = (2.0 * math.sqrt(flat.dot(flat)) * floor
-             + (n + 1) * _EPS * a.trace())
-    if not math.isfinite(shift):
+    term = (n + 1) * _EPS * a.trace()
+    # a Python float, so an overflowing product is inf without a warning
+    shift = 2.0 * float(np.linalg.norm(a)) * floor + term
+    if not (term >= 2.0 ** -1022 and math.isfinite(shift)):
         return False
     shifted = a.copy()
     shifted.ravel()[::n + 1] -= shift
@@ -303,10 +312,7 @@ def min_norm_lstsq(g: np.ndarray, t: np.ndarray,
     # rejects a bad rel_tol before any factorization
     r = _cutoff(rel_tol, g.shape, 1.0)
     if a is not None and _certified(a, max(GRAM_MAX_COND ** -2, r * r)):
-        b = t.copy() if wide else g.T @ t
-        if _cholesky_in_place(a, b):
-            raise np.linalg.LinAlgError("dposv: certified A not SPD")
-        return g.T @ b if wide else b
+        return _gram_solve(g, t, a, wide)
     del a                   # free the Gram matrix before dgelsd's buffers
     return np.linalg.lstsq(g, t, rcond=r)[0]
 
@@ -324,20 +330,18 @@ def ridge_lstsq(g: np.ndarray, t: np.ndarray) -> np.ndarray:
     RIDGE_C times A's mean eigenvalue and lam_max(A) <= tr(A), so
     kappa(A + lam I) <= 1 + n / RIDGE_C whatever G is: the factor completes
     for every finite A, with no certificate or SVD.  A zero or
-    empty G gives w = 0, the minimum-norm answer.  A finite G whose Gram
-    matrix overflows is solved scaled by a power of two, and w scaled back.
+    empty G gives w = 0, the minimum-norm answer.  G is scaled by a power
+    of two, and w back, where its Gram matrix overflows or lam is subnormal.
     """
     g, t, a, wide = _gram_system(g, t, "ridge_lstsq")
     trace = 0.0 if a is None else a.trace()
-    if trace == 0.0:
+    if trace == 0.0 and not g.any():
         return np.zeros(g.shape[1])
     n = a.shape[0]
     lam = RIDGE_C * trace / n
-    if not math.isfinite(trace + lam):
+    if not (2.0 ** -1022 <= lam and math.isfinite(trace + lam)):
         exponent = math.frexp(np.abs(g).max())[1]
-        return np.ldexp(ridge_lstsq(np.ldexp(g, -exponent), t), -exponent)
+        with np.errstate(over="ignore"):
+            return np.ldexp(ridge_lstsq(np.ldexp(g, -exponent), t), -exponent)
     a.ravel()[::n + 1] += lam
-    b = t.copy() if wide else g.T @ t
-    if _cholesky_in_place(a, b):
-        raise np.linalg.LinAlgError("dposv: A + lam I not SPD")
-    return g.T @ b if wide else b
+    return _gram_solve(g, t, a, wide)

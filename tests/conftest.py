@@ -2,6 +2,7 @@ import os
 import pathlib
 
 import pytest
+from hypothesis import settings
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -9,6 +10,11 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 # package (the CLI, the demos) find it through PYTHONPATH
 os.environ["PYTHONPATH"] = os.pathsep.join(
     [str(REPO_ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])
+
+# every property test draws the same examples on every run, untimed; a
+# test's own @settings sets only its max_examples
+settings.register_profile("airelm", derandomize=True, deadline=None)
+settings.load_profile("airelm")
 
 
 @pytest.fixture(scope="session")

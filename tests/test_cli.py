@@ -6,8 +6,11 @@ import subprocess
 import sys
 
 import pytest
+from dataclasses import fields
+from hypothesis import example, given, settings, strategies as st
 
 from airelm.cli import build_parser, main
+from airelm.config import KINDS, DatasetConfig, ExperimentConfig
 
 
 def _ini(tmp_path, body):
@@ -415,6 +418,9 @@ def test_blas_thread_env_preserves_bytes(tmp_path):
     ("sweep-nr", "[channel]\nsnr_db = 4000\n", "got 4000.0"),
     ("sweep-nr", "[channel]\nsnr_db = -4000\n", "got -4000.0"),
     ("sweep-snr", "[sweep]\ngrid = 10, 4000\n", "got 4000.0"),
+    # used to end in an OverflowError from the first digital weight draw
+    ("sweep-nr", "baseline = true\n[model]\ndigital_low = -1e308\n"
+     "digital_high = 1e308\n", "finite width"),
 ], ids=["fractional_n_r", "nan_grid", "minus_inf_snr", "zero_n_r",
         "huge_n_r", "huge_n_r_grid",
         "gamma_above_1", "zero_eta", "zero_batch_size", "odd_alpha",
@@ -429,7 +435,8 @@ def test_blas_thread_env_preserves_bytes(tmp_path):
         "negative_synth_size", "synth_size_beyond_float64",
         "two_character_delimiter", "unknown_combiner",
         "negative_mnist_pixels", "negative_secom_features", "snr_db_4000",
-        "snr_db_minus_4000", "snr_grid_4000"])
+        "snr_db_minus_4000", "snr_grid_4000",
+        "overflowing_digital_width"])
 def test_bad_sweep_values_exit_1_before_compute(tmp_path, capsys, monkeypatch,
                                                 command, body, message):
     import airelm.cli
@@ -450,18 +457,28 @@ def test_bad_sweep_values_exit_1_before_compute(tmp_path, capsys, monkeypatch,
 
 
 def test_signal_power_overflow_exits_1_naming_pathloss(tmp_path, capsys):
-    """A pathloss whose received signal power, or noise power, overflows
-    float64 is found in the first trial, which needs the data to compute
-    P_sig.  At 20 dB it used to end in "ridge_lstsq: input contains NaN or
-    Inf"; noiseless, P_sig went unmeasured and the run exited 0 at chance
-    accuracy; sigma2 = P_sig / 1e-300 overflowing at -3000 dB ended as the
-    first did."""
-    for i, channel in enumerate(("pathloss = 1e308\nsnr_db = 20\n",
-                                 "pathloss = 1e308\nsnr_db = inf\n",
-                                 "pathloss = 1e10\nsnr_db = -3000\n")):
+    """A pathloss whose received signal power, noise power or combiner
+    power overflows float64 is found in the first trial, which needs the
+    data to compute P_sig, and the fit to compute ||w||^2.  At 20 dB it
+    used to end in "ridge_lstsq: input contains NaN or Inf"; noiseless,
+    P_sig went unmeasured and the run exited 0 at chance accuracy;
+    sigma2 = P_sig / 1e-300 overflowing at -3000 dB ended as the first did.
+    A tiny pathloss makes w huge: the 1e-320 and 1e-307 runs exited 0
+    with an overflow warning and an infinite receive_power, the min-norm
+    one at a P_sig of 4.3e-307, a normal float; on 3 rows, with a 2 x 2
+    Gram matrix, ridge's lam was subnormal too."""
+    for i, channel in enumerate((
+            "pathloss = 1e308\nsnr_db = 20\n[model]\nn_r = 16\n",
+            "pathloss = 1e308\nsnr_db = inf\n[model]\nn_r = 16\n",
+            "pathloss = 1e10\nsnr_db = -3000\n[model]\nn_r = 16\n",
+            "pathloss = 1e-320\nsnr_db = 20\n[model]\nn_r = 16\n",
+            "pathloss = 1e-307\nsnr_db = 20\n[model]\ncombiner = min_norm\n",
+            # lam is subnormal: the unscaled ridge solve warned "invalid
+            # value encountered in matmul"
+            "pathloss = 1e-320\n[dataset]\nsynth_size = 3\n")):
         out = tmp_path / f"r{i}.csv"
         cfg = _ini(tmp_path, "[experiment]\nseeds = 1\n[channel]\n"
-                   + channel + "[model]\nn_r = 16\n")
+                   + channel)
         assert main(["single", "--config", cfg, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1, channel
@@ -617,3 +634,103 @@ def test_online_subcommand(tmp_path):
     assert rc == 0
     lines = out.read_text().splitlines()
     assert len(lines) == 1 + 1 * 2 * 3  # header + seeds x steps x (1 + iters)
+
+
+# ------------------------------------------------------------------ CLI fuzz
+
+# every key of the config schema, by section
+_SCHEMA = {f.name: f.metadata["section"]
+           for cls in (ExperimentConfig, DatasetConfig)
+           for f in fields(cls) if f.metadata}
+_EDGES = ["0", "-1", "1e308", "-1e308", "nan", "inf", "-inf",
+          str(sys.maxsize + 1)]
+# text from which no number parses: int() and float() read only Nd digits
+_NO_NUMBER = st.text(st.characters(exclude_categories=["Cs", "Nd"]),
+                     max_size=12)
+# every example sets each key that sizes an array or a loop, and threads,
+# to a valid value of at most 64 or an invalid one, so no run is large
+_SMALL = st.integers(1, 64).map(str)
+_BOUNDED = {key: _SMALL for key in (
+    "seeds", "n_r", "synth_d", "batch_size", "mnist_pixels",
+    "secom_features")}
+_BOUNDED["synth_size"] = _BOUNDED["subsample"] = st.integers(2, 64).map(str)
+# an online run makes steps x iters_per_step mini-batch fits
+_BOUNDED["steps"] = _BOUNDED["iters_per_step"] = st.integers(1, 8).map(str)
+_BOUNDED["grid"] = st.lists(_SMALL, min_size=1, max_size=3).map(", ".join)
+_BOUNDED["threads"] = st.sampled_from(["1", "2"])
+_INVALID_SIZE = st.sampled_from(_EDGES[:-1]) | _NO_NUMBER
+# valid values of the other keys; {data} is a small CSV file, {tmp} the
+# test's directory: `out` is never a path the run could write elsewhere
+_VALID = {
+    "kind": KINDS, "master_seed": ["7"], "baseline": ["true", "no"],
+    "out": ["{tmp}/r.csv"], "name": ["synthetic", "wbcd", "csv", "mnist",
+                                     "secom"],
+    "path": ["{data}"], "images": ["{data}"], "labels": ["{data}"],
+    "label_column": ["label"], "delimiter": [";"], "missing_token": ["?"],
+    "has_header": ["off"], "label_map": ["1:1, 2:-1"],
+    "train_ratio": ["0.5"], "synth_separation": ["1"], "kappa": ["10"],
+    "pathloss": ["1e-320"], "los_angle_rx": ["0.5"],
+    "los_angle_tx": ["0.5"], "snr_db": ["20", "noiseless"], "y_sat": ["0.5"],
+    "alpha": ["4"], "combiner": ["min_norm", "ridge"], "digital_low": ["0"],
+    "digital_high": ["2"], "eta": ["1"], "gamma": ["0.9"],
+}
+_INVALID_OUT = st.sampled_from(["{tmp}/none/r.csv", "{tmp}"])
+# True about once in n draws; hypothesis favors the ends of a range, so
+# True sits in the middle
+_ONE_IN_16 = st.sampled_from([False] * 8 + [True] + [False] * 7)
+_ONE_IN_10 = st.sampled_from([False] * 5 + [True] + [False] * 4)
+_VALUE_KIND = st.sampled_from(["valid"] * 2 + ["edge", "valid", "text"]
+                              + ["valid"] * 2)
+
+
+@st.composite
+def _schema_ini(draw):
+    """INI text over the config schema: every bounded key, valid 15 times
+    in 16; about one in ten of the others, valid 5 times in 7, else an edge
+    value or any text (for `out`, a missing directory or a directory); and
+    now and then an unknown key or section."""
+    sections = {}
+    for key, section in _SCHEMA.items():
+        if key in _BOUNDED:
+            value = draw(_INVALID_SIZE if draw(_ONE_IN_16)
+                         else _BOUNDED[key])
+        elif draw(_ONE_IN_10):
+            kind = draw(_VALUE_KIND)
+            value = draw(st.sampled_from(_VALID[key]) if kind == "valid"
+                         else _INVALID_OUT if key == "out"
+                         else st.sampled_from(_EDGES) if kind == "edge"
+                         else st.text(max_size=12))
+        else:
+            continue
+        sections.setdefault(section, []).append(f"{key} = {value}")
+    unknown = draw(st.sampled_from([None] * 5 + ["model"] + [None] * 5
+                                   + ["bogus"] + [None] * 5))
+    if unknown:
+        sections.setdefault(unknown, []).append("bogus = 1")
+    return "".join(f"[{section}]\n" + "".join(f"{line}\n" for line in lines)
+                   for section, lines in sections.items())
+
+
+@settings(max_examples=700)
+@given(command=st.sampled_from(["sweep-nr", "sweep-snr", "sweep-kappa",
+                                "online", "single"]),
+       ini=_schema_ini())
+@example(command="single",      # a digital weight range of infinite width
+         ini="[experiment]\nbaseline = true\n[dataset]\nsynth_size = 40\n"
+             "[model]\nn_r = 16\ndigital_low = -1e308\n"
+             "digital_high = 1e308\n")
+def test_cli_on_schema_ini_returns_an_exit_code(tmp_path_factory, command,
+                                                ini):
+    """`main` on any INI text over the schema, with --seeds 1, returns an
+    exit code, 0 to 3, and no exception escapes it; the digital range
+    example needs three keys at once, which the draws seldom give."""
+    tmp = tmp_path_factory.getbasetemp() / "cli_fuzz"
+    tmp.mkdir(exist_ok=True)
+    data = tmp / "data.csv"
+    data.write_text("label,a,b\n" + "".join(
+        f"{1 + i % 2},{i % 5},{i % 3}\n" for i in range(24)))
+    path = tmp / "fuzz.ini"
+    path.write_text(ini.replace("{tmp}", str(tmp)).replace("{data}",
+                                                         str(data)),
+                    encoding="utf-8")
+    assert main([command, "--config", str(path), "--seeds", "1"]) in range(4)

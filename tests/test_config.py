@@ -219,7 +219,7 @@ def _parse_or_config_error(path, kind):
     assert cfg.kind in KINDS and cfg.n_r >= 1
 
 
-@settings(derandomize=True, max_examples=500, deadline=None)
+@settings(max_examples=500)
 @given(text=_INI_TEXT, kind=st.sampled_from([None, *KINDS]))
 def test_parse_config_of_any_ini_text_returns_a_config_or_raises_config_error(
         tmp_path_factory, text, kind):
@@ -231,7 +231,7 @@ def test_parse_config_of_any_ini_text_returns_a_config_or_raises_config_error(
     _parse_or_config_error(path, kind)
 
 
-@settings(derandomize=True, max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(data=st.binary(max_size=200) | st.text(max_size=60).map(
     lambda text: text.encode("utf-16")))
 def test_parse_config_of_any_bytes_returns_a_config_or_raises_config_error(

@@ -556,7 +556,7 @@ _IDX_BYTES = _FILE_BYTES | st.builds(
     st.binary(max_size=40))
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(loader=st.sampled_from(["csv", "secom", "idx"]), data=st.data())
 def test_any_file_bytes_load_as_a_table_or_raise_data_error(
         tmp_path_factory, loader, data):

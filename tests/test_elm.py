@@ -72,6 +72,10 @@ def test_hidden_matrix_dimension_mismatch():
     layer = _random_layer(0, n_r=4, d=3)
     with pytest.raises(ValueError):
         hidden_matrix(layer, np.ones((2, 5)))
+    # `receive` checks both kinds of layer
+    digital = digital_elm_hidden(RngStream(0), 4, 3)
+    with pytest.raises(ValueError, match=r"\(H\^r or W\) has 4 columns"):
+        hidden_matrix(digital, np.ones((2, 5)))
 
 
 def test_hidden_matrix_noise_requires_rng():
@@ -95,7 +99,7 @@ def test_hidden_matrix_is_rapp_of_the_receive_block_plus_one_draw(sigma2):
         assert np.array_equal(hidden_matrix(layer, x, RngStream(5)), direct)
 
 
-@settings(derandomize=True, max_examples=120, deadline=None)
+@settings(max_examples=120)
 @given(rows=st.integers(0, 30), cols=st.integers(1, 12),
        block=st.integers(1, 400), sigma2=st.sampled_from([0.0, 0.3, 40.0]),
        alpha=st.sampled_from([2, 4]), replay=st.booleans(),
@@ -300,6 +304,9 @@ def test_digital_weights_validation():
         digital_elm_hidden(rng, 4, -1)
     with pytest.raises(ConfigError):
         digital_elm_hidden(rng, 4, 4, low=1.0, high=1.0)
+    # high - low overflows: Generator.uniform raised OverflowError
+    with pytest.raises(ConfigError, match="finite high - low"):
+        digital_elm_hidden(rng, 4, 4, low=-1e308, high=1e308)
 
 
 def test_digital_hidden_matrix_is_sigmoid():

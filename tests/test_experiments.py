@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from airelm.channel import noise_for_snr, receive, sigma2_for_snr, signal_power
+from airelm.channel import noise_for_snr, sigma2_for_snr
 from airelm.config import DatasetConfig, ExperimentConfig, parse_config
 from airelm import cli, elm, experiments, numkernel
 from airelm.elm import augment
@@ -216,9 +216,8 @@ def test_noise_from_the_receive_block_is_sigma2_for_snr_bit_for_bit():
     for seed in range(3):
         trial = RngStream(cfg.master_seed).split(seed)
         dataset = experiments._trial_dataset(cfg, None, trial)
-        h_real = experiments._draw_channel(cfg, dataset, trial, 32, 1.0).real
-        x_tilde = augment(dataset.x_train)
-        p_sig = signal_power(receive(h_real, x_tilde))
+        h, p_sig = experiments._draw_channel(cfg, dataset, trial, 32, 1.0)
+        h_real, x_tilde = h.real, augment(dataset.x_train)
         for snr_db in (-3.0, 0.0, 7.5, 30.0, math.inf):
             expected = _sigma2_reference(h_real, x_tilde, snr_db)
             assert noise_for_snr(p_sig, snr_db).sigma2 == expected
@@ -546,6 +545,38 @@ def test_online_row_schema():
     # each step's time sits on its iteration-0 row, none on the others
     assert all(r.wall_ms > 0 for r in rows if r.iteration == 0)
     assert all(r.wall_ms is None for r in rows if r.iteration > 0)
+
+
+# ------------------------------------------- each runner owns its kind
+
+_SYNTHETIC = DatasetConfig(name="synthetic", synth_size=60)
+
+
+def test_a_runner_fills_its_own_kinds_defaults():
+    """run_sweep_nr on a config of the default kind, single, runs the
+    sweep_nr default grid: it used to iterate the unset grid, None."""
+    rows = run_sweep_nr(ExperimentConfig(seeds=1, dataset=_SYNTHETIC))
+    assert [r.n_r for r in rows] == [64, 128]
+    assert {r.experiment for r in rows} == {"sweep_nr"}
+
+
+def test_run_online_takes_the_online_n_r_whatever_the_kind():
+    """An unset n_r resolves to online's 1024, not single's 256."""
+    rows = run_online(ExperimentConfig(
+        kind="single", seeds=1, dataset=_SYNTHETIC, steps=1,
+        iters_per_step=1, batch_size=8))
+    assert {r.n_r for r in rows} == {1024}
+    assert {r.experiment for r in rows} == {"online"}
+
+
+def test_a_runner_checks_the_grid_as_its_own_kind():
+    """A sweep_snr grid handed to run_sweep_nr gets the antenna-count
+    check; it used to run unchecked and fail on a channel of 0 antennas."""
+    cfg = ExperimentConfig(kind="sweep_snr", seeds=1, dataset=_SYNTHETIC,
+                           grid=(0.5, 10.0))
+    with pytest.raises(ConfigError, match="sweep_nr grid values are antenna "
+                                          "counts"):
+        run_sweep_nr(cfg)
 
 
 # -------------------------------------------------------------- config
