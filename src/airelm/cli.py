@@ -84,13 +84,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     kind = _SUBCOMMANDS[args.command]
     try:
-        if args.config is not None:
-            cfg = parse_config(args.config, kind=kind)
-        else:
-            cfg = ExperimentConfig(kind=kind)
         overrides = {dest: getattr(args, dest) for dest, _ in _FLAGS.values()
                      if getattr(args, dest) is not None}
-        cfg = replace(cfg, **overrides).resolved()
+        cfg = replace(ExperimentConfig(kind=kind) if args.config is None
+                      else parse_config(args.config, kind=kind), **overrides)
         results = run(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -145,9 +145,14 @@ class ExperimentConfig:
             cfg = replace(cfg, grid=DEFAULT_GRIDS[cfg.kind])
         if cfg.kind in DEFAULT_GRIDS and not cfg.grid:
             raise ConfigError(f"{cfg.kind} needs a nonempty sweep grid")
-        for g in cfg.grid or ():
+        for i, g in enumerate(cfg.grid or ()):
             if math.isnan(g):
                 raise ConfigError(f"sweep grid values must be numbers, got {g}")
+            if g in cfg.grid[:i]:       # it would rerun the same trials
+                raise ConfigError(f"sweep grid repeats the value {g}")
+            if cfg.kind == "sweep_snr" and g == math.inf:
+                raise ConfigError(f"sweep_snr grid value {g} repeats the "
+                                  "noiseless point every SNR sweep ends with")
             if cfg.kind == "sweep_nr" and not (1 <= g <= sys.maxsize
                                                and g == int(g)):
                 raise ConfigError(
@@ -254,13 +259,14 @@ def manifest_path(out: str) -> str:
 
 
 def parse_config(path: str, kind: str = None) -> ExperimentConfig:
-    """Read an INI config file into an ExperimentConfig.
+    """Read an INI config file into an ExperimentConfig, unresolved:
+    `experiments.run` resolves it, after the caller's overrides.
 
     Each config field is one INI key, in the section its field metadata
     names; keys the file leaves unset or empty keep the field default.
     `kind`, when given (by the CLI subcommand), overrides any kind in the
-    file.  Unknown sections/keys, and a file that cannot be read as UTF-8
-    text, raise ConfigError.
+    file.  Unknown sections/keys, a value its converter refuses, and a file
+    that is not UTF-8 text raise ConfigError.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -294,5 +300,5 @@ def parse_config(path: str, kind: str = None) -> ExperimentConfig:
     if kind:
         values[ExperimentConfig]["kind"] = kind
     return ExperimentConfig(dataset=DatasetConfig(**values[DatasetConfig]),
-                            **values[ExperimentConfig]).resolved()
+                            **values[ExperimentConfig])
 

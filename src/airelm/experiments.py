@@ -39,7 +39,8 @@ from .elm import (HiddenLayer, augment, classify, digital_elm_hidden, fit,
                   online_update, predict)
 from .errors import OutputError
 from . import numkernel
-from .numkernel import blas_thread_control, lapack_cholesky, one_blas_thread
+from .numkernel import (blas_core, blas_thread_control, lapack_cholesky,
+                        one_blas_thread)
 from .rng import (RngStream, SUB_SPLIT, SUB_CHANNEL, SUB_TRAIN_NOISE,
                   SUB_TEST_NOISE, SUB_DIGITAL, SUB_MINIBATCH, SUB_AR,
                   SUB_SYNTH, SUB_FEATSEL)
@@ -214,22 +215,35 @@ def _per_seed(cfg: ExperimentConfig, body):
         return [one(seed) for seed in range(cfg.seeds)]
 
 
-def _run_grid(cfg: ExperimentConfig, points):
-    """Shared sweep driver, its rows named by cfg.kind.
+# (n_r, kappa, snr_db, with_baseline) of each point, by grid kind
+_GRID_POINTS = {
+    "sweep_nr": lambda c: [(int(g), c.kappa, c.snr_db, c.baseline)
+                           for g in c.grid],
+    "sweep_snr": lambda c: [(c.n_r, c.kappa, float(g), False)
+                            for g in (*c.grid, math.inf)],
+    "sweep_kappa": lambda c: [(c.n_r, float(g), c.snr_db, False)
+                              for g in c.grid],
+    "single": lambda c: [(c.n_r, c.kappa, c.snr_db, c.baseline)],
+}
 
-    points is a list of (n_r, kappa, snr_db, with_baseline) tuples; for every
-    point x seed, one mimo trial (plus optionally one digital trial) runs.
-    Every point of a seed splits the same trial stream, so a seed's dataset
-    and its channel at each (n_r, kappa) are the same at every point, and
-    its noise blocks at each n_r are the first D x n_r draws of the same two
-    noise streams; only the noise level and the width change.  One task per
-    seed therefore builds the dataset once and keeps one `_NoiseReplay` per
-    noise stream, which draws D x widest normals, widest the largest
-    finite-SNR n_r, and serves every point its prefix; the seed's last
-    finite-SNR point lets the draws go.  When (n_r, kappa) changes from the
-    previous point it draws the channel and measures the signal power of
-    its training receive block, for all the channel's points.  Results are
-    ordered by (point, seed, model) regardless of thread count."""
+
+def _run_grid(cfg: ExperimentConfig):
+    """Shared sweep driver of a resolved config, its rows named by cfg.kind.
+
+    For every point of `_GRID_POINTS[cfg.kind]` x seed, one mimo trial
+    (plus optionally one digital trial) runs.  Every point of a seed splits
+    the same trial stream, so a seed's dataset and its channel at each
+    (n_r, kappa) are the same at every point, and its noise blocks at each
+    n_r are the first D x n_r draws of the same two noise streams; only the
+    noise level and the width change.  One task per seed therefore builds
+    the dataset once and keeps one `_NoiseReplay` per noise stream, which
+    draws D x widest normals, widest the largest finite-SNR n_r, and serves
+    every point its prefix; the seed's last finite-SNR point lets the draws
+    go.  When (n_r, kappa) changes from the previous point it draws the
+    channel and measures the signal power of its training receive block,
+    for all the channel's points.  Results are ordered by (point, seed,
+    model) regardless of thread count."""
+    points = _GRID_POINTS[cfg.kind](cfg)
     finite = [snr_db != math.inf for _, _, snr_db, _ in points]
     last_noisy = max((i for i, f in enumerate(finite) if f), default=-1)
     widest = max((p[0] for p, f in zip(points, finite) if f), default=0)
@@ -273,36 +287,7 @@ def _run_grid(cfg: ExperimentConfig, points):
     return [r for point in zip(*per_seed) for rows in point for r in rows]
 
 
-def run_sweep_nr(cfg: ExperimentConfig):
-    """Accuracy versus antenna count N_r (Fig.-2-style experiment)."""
-    cfg = replace(cfg, kind="sweep_nr").resolved()
-    points = [(int(g), cfg.kappa, cfg.snr_db, cfg.baseline) for g in cfg.grid]
-    return _run_grid(cfg, points)
-
-
-def run_sweep_snr(cfg: ExperimentConfig):
-    """Accuracy versus receive SNR, plus a noise-free reference column."""
-    cfg = replace(cfg, kind="sweep_snr").resolved()
-    points = [(cfg.n_r, cfg.kappa, float(g), False) for g in cfg.grid]
-    points.append((cfg.n_r, cfg.kappa, float("inf"), False))  # reference
-    return _run_grid(cfg, points)
-
-
-def run_sweep_kappa(cfg: ExperimentConfig):
-    """Accuracy versus Ricean factor kappa (LoS dominance)."""
-    cfg = replace(cfg, kind="sweep_kappa").resolved()
-    points = [(cfg.n_r, float(g), cfg.snr_db, False) for g in cfg.grid]
-    return _run_grid(cfg, points)
-
-
-def run_single(cfg: ExperimentConfig):
-    """One grid point (n_r, kappa, snr) over the seed sweep."""
-    cfg = replace(cfg, kind="single").resolved()
-    points = [(cfg.n_r, cfg.kappa, cfg.snr_db, cfg.baseline)]
-    return _run_grid(cfg, points)
-
-
-def run_online(cfg: ExperimentConfig):
+def _run_online(cfg: ExperimentConfig):
     """Online re-training under an AR(1) aging channel.
 
     Per seed: fit the closed form on H(0); then for each channel step,
@@ -313,7 +298,6 @@ def run_online(cfg: ExperimentConfig):
     minimum-norm.  Each step's measured wall time goes on its iteration-0 row;
     the other rows carry none, and the H(0) fit belongs to no step.
     """
-    cfg = replace(cfg, kind="online").resolved()
     ar = ArConfig(eta=cfg.eta)
     rapp = RappParams(y_sat=cfg.y_sat, alpha=cfg.alpha)
 
@@ -360,13 +344,29 @@ def run_online(cfg: ExperimentConfig):
     return [r for rows in _per_seed(cfg, one) for r in rows]
 
 
-RUNNERS = {
-    "sweep_nr": run_sweep_nr,
-    "sweep_snr": run_sweep_snr,
-    "sweep_kappa": run_sweep_kappa,
-    "online": run_online,
-    "single": run_single,
-}
+def run_sweep_nr(cfg: ExperimentConfig):
+    """Accuracy versus antenna count N_r (Fig.-2-style experiment)."""
+    return run(replace(cfg, kind="sweep_nr", out=None))
+
+
+def run_sweep_snr(cfg: ExperimentConfig):
+    """Accuracy versus receive SNR, plus a noise-free reference column."""
+    return run(replace(cfg, kind="sweep_snr", out=None))
+
+
+def run_sweep_kappa(cfg: ExperimentConfig):
+    """Accuracy versus Ricean factor kappa (LoS dominance)."""
+    return run(replace(cfg, kind="sweep_kappa", out=None))
+
+
+def run_single(cfg: ExperimentConfig):
+    """One grid point (n_r, kappa, snr) over the seed sweep."""
+    return run(replace(cfg, kind="single", out=None))
+
+
+def run_online(cfg: ExperimentConfig):
+    """Online re-training under an AR(1) aging channel (`_run_online`)."""
+    return run(replace(cfg, kind="online", out=None))
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +443,9 @@ def _environment(cfg: ExperimentConfig) -> dict:
     except (TypeError, KeyError):
         blas = {}           # numpy before 1.26 only prints its config
     env = {"numpy": np.__version__, "blas": blas.get("name"),
-           "blas_version": blas.get("version"), "threads": cfg.threads,
+           "blas_version": blas.get("version"),
+           # OpenBLAS's CPU kernel: the CSV bytes hold per (build, kernel)
+           "blas_core": blas_core(), "threads": cfg.threads,
            # every trial runs inside `one_blas_thread`
            "blas_threads": 1 if blas_thread_control() else None,
            "lapack": lapack_cholesky() and lapack_cholesky()[1].__name__,
@@ -499,10 +501,12 @@ def write_manifest(cfg: ExperimentConfig, results, csv_path,
 
 
 def run(cfg: ExperimentConfig):
-    """Dispatch on cfg.kind; emit CSV + manifest when an output path is set."""
+    """Resolve cfg once and run it as its kind, writing the CSV and manifest
+    of that config when cfg.out is set.  Each `run_<kind>` is `run` as its
+    kind, whatever cfg.kind says, and writes no file."""
     cfg = cfg.resolved()
     t0 = time.perf_counter()
-    results = RUNNERS[cfg.kind](cfg)
+    results = _run_online(cfg) if cfg.kind == "online" else _run_grid(cfg)
     elapsed_ms = (time.perf_counter() - t0) * 1e3
     if cfg.out is not None:
         emit_csv(results, cfg.out)

@@ -58,6 +58,20 @@ def blas_thread_control():
 
 
 @functools.cache
+def blas_core():
+    """Name of the CPU kernel numpy's OpenBLAS chose when it loaded
+    ("SkylakeX", "Haswell", ...), which sets the round-off bits of its GEMM
+    and Cholesky; None for a BLAS that does not name one."""
+    lib = _linalg_lib()
+    for name in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
+        corename = getattr(lib, name, None)
+        if corename is not None:
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            return corename().decode()
+    return None
+
+
+@functools.cache
 def lapack_cholesky():
     """(dpotrf, dposv) of numpy's LAPACK, or None.  Only the scipy-openblas
     ILP64 names are bound: their `64_` suffix fixes the integer width."""

@@ -10,7 +10,8 @@ from dataclasses import fields
 from hypothesis import example, given, settings, strategies as st
 
 from airelm.cli import build_parser, main
-from airelm.config import KINDS, DatasetConfig, ExperimentConfig
+from airelm.config import (DEFAULT_GRIDS, KINDS, DatasetConfig,
+                           ExperimentConfig)
 
 
 def _ini(tmp_path, body):
@@ -261,12 +262,13 @@ def test_a_run_does_not_import_numpy_ma(tmp_path):
 
 
 def test_missing_output_directory_exits_3(tmp_path, capsys, monkeypatch):
-    import airelm.cli
+    import airelm.experiments
 
-    def no_compute(cfg):
+    def no_compute(cfg, body):
         raise AssertionError("the experiment ran before --out was checked")
 
-    monkeypatch.setattr(airelm.cli, "run", no_compute)
+    # `run` resolves the config, then `_per_seed` starts the trials
+    monkeypatch.setattr(airelm.experiments, "_per_seed", no_compute)
     out = tmp_path / "no_such_dir" / "r.csv"
     rc = main(["single", "--seeds", "1", "--out", str(out)])
     assert rc == 3
@@ -421,6 +423,17 @@ def test_blas_thread_env_preserves_bytes(tmp_path):
     # used to end in an OverflowError from the first digital weight draw
     ("sweep-nr", "baseline = true\n[model]\ndigital_low = -1e308\n"
      "digital_high = 1e308\n", "finite width"),
+    # each used to rerun identical trials, n_trials 4 at seeds = 2
+    ("sweep-snr", "[sweep]\ngrid = 10, 10\n",
+     "sweep grid repeats the value 10.0"),
+    ("sweep-nr", "[sweep]\ngrid = 16, 32, 16.0\n",
+     "sweep grid repeats the value 16.0"),
+    ("sweep-kappa", "[sweep]\ngrid = 0, 1, 0\n",
+     "sweep grid repeats the value 0.0"),
+    ("sweep-snr", "[sweep]\ngrid = 10, inf\n",
+     "sweep_snr grid value inf repeats the noiseless point"),
+    ("sweep-snr", "[sweep]\ngrid = noiseless\n",
+     "sweep_snr grid value inf repeats the noiseless point"),
 ], ids=["fractional_n_r", "nan_grid", "minus_inf_snr", "zero_n_r",
         "huge_n_r", "huge_n_r_grid",
         "gamma_above_1", "zero_eta", "zero_batch_size", "odd_alpha",
@@ -436,15 +449,18 @@ def test_blas_thread_env_preserves_bytes(tmp_path):
         "two_character_delimiter", "unknown_combiner",
         "negative_mnist_pixels", "negative_secom_features", "snr_db_4000",
         "snr_db_minus_4000", "snr_grid_4000",
-        "overflowing_digital_width"])
+        "overflowing_digital_width", "repeated_snr_grid",
+        "repeated_n_r_grid", "repeated_kappa_grid", "inf_in_snr_grid",
+        "noiseless_in_snr_grid"])
 def test_bad_sweep_values_exit_1_before_compute(tmp_path, capsys, monkeypatch,
                                                 command, body, message):
-    import airelm.cli
+    import airelm.experiments
 
-    def no_compute(cfg):
+    def no_compute(cfg, body):
         raise AssertionError("the experiment ran before the config was checked")
 
-    monkeypatch.setattr(airelm.cli, "run", no_compute)
+    # `run` resolves the config, then `_per_seed` starts the trials
+    monkeypatch.setattr(airelm.experiments, "_per_seed", no_compute)
     data = tmp_path / "data"    # an existing file for the keys that are set
     data.write_text("")
     cfg = _ini(tmp_path, "[experiment]\nkind = sweep_nr\nseeds = 1\n"
@@ -597,13 +613,14 @@ def test_block_larger_than_memory_exits_1_before_any_trial(
 
 def test_manifest_path_that_is_a_directory_exits_3_before_compute(
         tmp_path, capsys, monkeypatch):
-    import airelm.cli
+    import airelm.experiments
 
-    def no_compute(cfg):
+    def no_compute(cfg, body):
         raise AssertionError("the experiment ran before the manifest path "
                              "was checked")
 
-    monkeypatch.setattr(airelm.cli, "run", no_compute)
+    # `run` resolves the config, then `_per_seed` starts the trials
+    monkeypatch.setattr(airelm.experiments, "_per_seed", no_compute)
     out = tmp_path / "r.csv"
     (tmp_path / "r.csv.manifest.json").mkdir()
     rc = main(["single", "--seeds", "1", "--out", str(out)])
@@ -612,6 +629,53 @@ def test_manifest_path_that_is_a_directory_exits_3_before_compute(
     assert err == ("output error: output path is a directory: "
                    f"{out}.manifest.json\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sweep-nr", "sweep-snr", "sweep-kappa",
+                                     "online", "single"])
+def test_a_cli_run_resolves_its_config_once(tmp_path, monkeypatch, command):
+    """`main` resolves the config once, in `run`, after the flags apply,
+    and the manifest echoes that config: its kind's N_r and grid."""
+    resolved = ExperimentConfig.resolved
+    calls = []
+
+    def counted(cfg):
+        calls.append(cfg.kind)
+        return resolved(cfg)
+
+    monkeypatch.setattr(ExperimentConfig, "resolved", counted)
+    kind = command.replace("-", "_")
+    cfg = _ini(tmp_path, "[dataset]\nsynth_size = 40\n[online]\nsteps = 1\n"
+               "iters_per_step = 1\nbatch_size = 8\n")
+    out = tmp_path / "r.csv"
+    assert main([command, "--config", cfg, "--seeds", "1",
+                 "--out", str(out)]) == 0
+    assert calls == [kind]
+    echo = json.loads(pathlib.Path(f"{out}.manifest.json").read_text())
+    assert echo["config"]["n_r"] == (1024 if kind == "online" else 256)
+    assert echo["config"]["grid"] == (list(DEFAULT_GRIDS[kind])
+                                      if kind in DEFAULT_GRIDS else None)
+
+
+@pytest.mark.parametrize("key, flag", [("seeds", "--seeds"),
+                                       ("threads", "--threads")])
+def test_a_flag_overrides_a_bad_file_value_before_it_is_checked(
+        tmp_path, capsys, key, flag):
+    """`key = 0` in the file is refused before any trial runs, and no CSV
+    is written; with the flag set to 1 the run goes ahead and writes the
+    bytes of a file that says 1."""
+    body = "[experiment]\nseeds = 1\nthreads = 1\n[model]\nn_r = 8\n"
+    good, bad = tmp_path / "good.ini", tmp_path / "bad.ini"
+    good.write_text(body)
+    bad.write_text(body.replace(f"{key} = 1", f"{key} = 0"))
+    outs = [tmp_path / n for n in ("good.csv", "bad.csv", "rescued.csv")]
+    assert main(["single", "--config", str(good), "--out", str(outs[0])]) == 0
+    assert main(["single", "--config", str(bad), "--out", str(outs[1])]) == 1
+    assert f"{key} must be >= 1, got 0" in capsys.readouterr().err
+    assert not outs[1].exists()
+    assert main(["single", "--config", str(bad), flag, "1",
+                 "--out", str(outs[2])]) == 0
+    assert outs[2].read_bytes() == outs[0].read_bytes()
 
 
 def test_manifest_records_cli_config(tmp_path):
@@ -648,7 +712,9 @@ _EDGES = ["0", "-1", "1e308", "-1e308", "nan", "inf", "-inf",
 _NO_NUMBER = st.text(st.characters(exclude_categories=["Cs", "Nd"]),
                      max_size=12)
 # every example sets each key that sizes an array or a loop, and threads,
-# to a valid value of at most 64 or an invalid one, so no run is large
+# to a valid value of at most 64 or an invalid one, so no run is large;
+# the test's --seeds 1 overrides seeds before it is checked, so a bad
+# seeds runs one seed
 _SMALL = st.integers(1, 64).map(str)
 _BOUNDED = {key: _SMALL for key in (
     "seeds", "n_r", "synth_d", "batch_size", "mnist_pixels",

@@ -210,10 +210,10 @@ _INI_TEXT = st.one_of(
 
 
 def _parse_or_config_error(path, kind):
-    """parse_config must return a resolved config or raise ConfigError or
-    OutputError."""
+    """parse_config, then `resolved`, must give a resolved config or raise
+    ConfigError or OutputError."""
     try:
-        cfg = parse_config(str(path), kind=kind)
+        cfg = parse_config(str(path), kind=kind).resolved()
     except (ConfigError, OutputError):
         return
     assert cfg.kind in KINDS and cfg.n_r >= 1
@@ -223,7 +223,7 @@ def _parse_or_config_error(path, kind):
 @given(text=_INI_TEXT, kind=st.sampled_from([None, *KINDS]))
 def test_parse_config_of_any_ini_text_returns_a_config_or_raises_config_error(
         tmp_path_factory, text, kind):
-    """Any INI-shaped text parses to a resolved config or raises
+    """Any INI-shaped text parses and resolves to a config or raises
     ConfigError (OutputError for a bad out path), never another exception.
     Nothing runs: no generated value starts a trial or a thread."""
     path = tmp_path_factory.getbasetemp() / "fuzz.ini"

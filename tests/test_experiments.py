@@ -226,8 +226,8 @@ def test_noise_from_the_receive_block_is_sigma2_for_snr_bit_for_bit():
 
 @pytest.mark.parametrize("kind, grid, extra", [
     ("sweep_snr", (0.0, 30.0), {}),
-    # n_r = 32 comes back after 64, so its noise blocks are held across it
-    ("sweep_nr", (32, 64, 32), {"snr_db": 10.0, "baseline": True}),
+    # n_r = 16 comes after 64, so it is served a prefix of 64's noise draws
+    ("sweep_nr", (32, 64, 16), {"snr_db": 10.0, "baseline": True}),
     ("sweep_kappa", (0.0, 10.0), {"snr_db": 10.0}),
 ])
 def test_sweep_rows_equal_single_runs(kind, grid, extra):
@@ -241,9 +241,6 @@ def test_sweep_rows_equal_single_runs(kind, grid, extra):
         expected += run(dataclasses.replace(
             cfg, kind="single", n_r=n_r, kappa=kappa, snr_db=snr_db,
             grid=None))
-    # a repeated sweep_nr grid value repeats its rows
-    if kind == "sweep_nr":
-        expected += expected[:len(expected) // 2]
     fields = ("seed", "model", "n_r", "snr_db", "kappa", "accuracy",
               "train_residual", "receive_power")
     assert [[getattr(r, f) for f in fields] for r in rows] == \
@@ -408,13 +405,17 @@ def test_manifest_contents(tmp_path):
     assert env["threads"] == 1
     assert {"blas", "blas_version", "blas_threads"} <= set(env)
     assert env["blas_threads"] == (1 if blas_thread_control() else None)
+    # OpenBLAS's CPU kernel, such as "SkylakeX"; null for another BLAS
+    assert env["blas_core"] == numkernel.blas_core()
+    if "openblas" in (env["blas"] or ""):
+        assert env["blas_core"]
     # the routine of the Gram solve, which sets the round-off bits of w
     assert env["lapack"] == ("scipy_dposv_64_" if lapack_cholesky() else None)
     # the allocator policy as this process has it: `cli.main` sets it
     assert env["malloc"] == numkernel.malloc_applied in (
         None, numkernel.MALLOC_POLICY)
-    assert set(env) - {"numpy", "blas", "blas_version", "threads",
-                       "blas_threads", "lapack", "malloc"} <= {
+    assert set(env) - {"numpy", "blas", "blas_version", "blas_core",
+                       "threads", "blas_threads", "lapack", "malloc"} <= {
         "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}
     # run() records the runner's own wall time; on one thread it encloses
     # every trial, and the CSV bytes do not depend on it

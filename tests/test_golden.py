@@ -5,11 +5,13 @@ Each kind is pinned twice: with the default combiner, ridge, and with
 min-norm solver's two paths (Gram solve, `np.linalg.lstsq`).
 
 A refactor must leave these bytes alone.  LAPACK and BLAS give different
-round-off bits across builds, so the hashes are only checked under the
-numpy and BLAS build they were taken with.  Each case has two: one with
-the Cholesky solve run by LAPACK's dposv, as that build runs it, and one
-with the `numpy_linalg` fallback, whose `np.linalg.solve` moves round-off
-only.
+round-off bits across builds, and OpenBLAS picks its GEMM and Cholesky
+kernels by CPU when it loads, so the hashes are only checked under the
+numpy and BLAS build and the OpenBLAS kernel they were taken with (on
+another kernel, as under OPENBLAS_CORETYPE=Haswell, they skip).  Each
+case has two: one with the Cholesky solve run by LAPACK's dposv, as that
+build runs it, and one with the `numpy_linalg` fallback, whose
+`np.linalg.solve` moves round-off only.
 
 The accuracy cells of the same runs are checked on every build: each is
 a count of correct test predictions over the 24 test rows, which
@@ -28,6 +30,7 @@ from airelm.cli import main
 
 NUMPY_VERSION = "2.4.6"
 BLAS = ("scipy-openblas", "0.3.31.188.0")
+BLAS_CORE = "SkylakeX"
 
 # baseline only adds rows to sweep_nr and single; the others ignore it
 RIDGE_COMMON = ("[experiment]\nseeds = 2\nmaster_seed = 5\nbaseline = true\n"
@@ -96,7 +99,8 @@ def _build():
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):
         blas = {}
-    return np.__version__, (blas.get("name"), blas.get("version"))
+    return (np.__version__, (blas.get("name"), blas.get("version")),
+            airelm.numkernel.blas_core())
 
 
 def _run(tmp_path, command, ini_text):
@@ -109,10 +113,11 @@ def _run(tmp_path, command, ini_text):
 
 
 def _check_hash(tmp_path, command, extra, digest, common=COMMON):
-    numpy_version, blas = _build()
-    if (numpy_version, blas) != (NUMPY_VERSION, BLAS):
-        pytest.skip(f"hashes taken under numpy {NUMPY_VERSION} with {BLAS}, "
-                    f"this is numpy {numpy_version} with {blas}")
+    numpy_version, blas, core = _build()
+    if (numpy_version, blas, core) != (NUMPY_VERSION, BLAS, BLAS_CORE):
+        pytest.skip(f"hashes taken under numpy {NUMPY_VERSION} with {BLAS} "
+                    f"on the {BLAS_CORE} kernel, this is numpy "
+                    f"{numpy_version} with {blas} on the {core} kernel")
     out = _run(tmp_path, command, common + extra)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -461,6 +464,21 @@ def test_lapack_binding_rejects_bad_arrays_before_lapack_runs(
     assert ran == []
     numkernel._cholesky_in_place(np.eye(4), np.ones(4))
     assert ran == ["dposv"]
+
+
+def test_blas_core_names_the_kernel_openblas_loaded():
+    """`blas_core` reads the kernel OpenBLAS chose when it loaded, so one
+    forced by OPENBLAS_CORETYPE, in a fresh process, is the one it names.
+    Haswell runs on every x86 CPU whose own kernel is one of these."""
+    if numkernel.blas_core() not in ("Haswell", "SkylakeX", "CooperLake",
+                                     "SapphireRapids", "Zen"):
+        pytest.skip(f"OpenBLAS kernel {numkernel.blas_core()}")
+    script = "from airelm.numkernel import blas_core; print(blas_core())"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=60,
+                          env={**os.environ, "OPENBLAS_CORETYPE": "Haswell"})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "Haswell\n"
 
 
 def test_numpy_fallback_takes_the_same_paths(monkeypatch, numpy_linalg):
