@@ -1,30 +1,22 @@
-"""Ingestion tour: CSV with missing cells, raw IDX bytes, imputation.
+"""Ingestion tour: a CSV with a header and missing cells, and the WBCD layout.
 
 Everything here is built in a temp directory on the fly, so the script has
 no external file dependencies -- it just shows what each loader does and
 what it refuses to do.
 """
 
-import struct
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from airelm import (
-    DataError,
-    RngStream,
-    load_csv,
-    load_idx,
-    mnist_binarize,
-    secom_prepare,
-    split_standardize,
-)
+from airelm import DataError, RngStream, load_csv, load_wbcd, split_standardize
 
 with tempfile.TemporaryDirectory() as tmp_dir:
     tmp = Path(tmp_dir)
 
-    # --- csv with a missing-value token -------------------------------
+    # --- csv with a header and a missing-value token ------------------
     csv_path = tmp / "sensors.csv"
     csv_path.write_text(
         "pressure,temp,flow,label\n"
@@ -35,8 +27,8 @@ with tempfile.TemporaryDirectory() as tmp_dir:
         "1.02,290.8,12.6,1\n"
         "0.99,290.1,12.0,-1\n"
     )
-    table = load_csv(str(csv_path), label_column=3, missing_token="NA")
-    print(f"csv: {table.features.shape[0]} rows x {table.features.shape[1]} features,"
+    table = load_csv(str(csv_path), label_column="label", missing_token="NA")
+    print(f"csv: {table.n_rows} rows x {table.n_features} features,"
           f" {int((~table.present).sum())} missing cells")
     print(f"     columns: {table.feature_names}")
 
@@ -46,29 +38,39 @@ with tempfile.TemporaryDirectory() as tmp_dir:
     except DataError as e:
         print(f"     split on unimputed table -> DataError: {e}")
 
-    # mean-impute while choosing usable columns, then split cleanly
-    fixed = secom_prepare(table, n_features=3, rng=RngStream(0).split(8))
+    # imputing is the caller's choice; here, each column's mean
+    means = np.nanmean(table.features, axis=0)
+    fixed = replace(table, features=np.where(table.present, table.features,
+                                             means))
     data = split_standardize(fixed, 0.8, RngStream(0).split(0))
-    print(f"     after impute + split: train {data.x_train.shape}, test {data.x_test.shape}")
+    print(f"     after impute + split: train {data.x_train.shape},"
+          f" test {data.x_test.shape}")
     print(f"     train block mean ~ {np.abs(data.x_train.mean(axis=0)).max():.1e}")
 
-    # --- idx image/label pair -----------------------------------------
-    print()
-    imgs, lbls = tmp / "digits.idx3", tmp / "digits.idx1"
-    pixels = bytes([0, 64, 128, 255, 10, 20, 30, 40, 5, 15, 25, 35])
-    imgs.write_bytes(struct.pack(">IIII", 0x00000803, 3, 2, 2) + pixels)
-    lbls.write_bytes(struct.pack(">II", 0x00000801, 3) + bytes([3, 8, 4]))
-    digits = load_idx(str(imgs), str(lbls))
-    print(f"idx: {digits.features.shape[0]} images, {digits.features.shape[1]} pixels each,"
-          f" values rescaled to [0, 1]")
-    print(f"     first image: {digits.features[0]}")
-
-    binar = mnist_binarize(digits, n_pixels=4)
-    print(f"     digit labels {digits.labels.astype(int)} -> parity targets {binar.labels.astype(int)}")
-
-    # corrupt the magic and watch it bounce
-    (tmp / "bad.idx3").write_bytes(struct.pack(">IIII", 0xDEADBEEF, 3, 2, 2) + pixels)
+    # without a missing token, a bad cell names its file, line and column
     try:
-        load_idx(str(tmp / "bad.idx3"), str(lbls))
+        load_csv(str(csv_path), label_column="label")
     except DataError as e:
-        print(f"     corrupted magic -> DataError: {e}")
+        print(f"     no missing_token -> DataError: {e}")
+
+    # --- the WBCD layout: id, M/B diagnosis, 30 features, no header -----
+    print()
+    rng = np.random.default_rng(0)
+    wbcd_path = tmp / "wdbc.data"
+    wbcd_path.write_text("".join(
+        f"{842301 + i},{'MB'[i % 2]},"
+        + ",".join(f"{v:.4f}" for v in rng.uniform(0, 30, 30)) + "\n"
+        for i in range(4)))
+    cases = load_wbcd(str(wbcd_path))
+    print(f"wbcd: {cases.n_rows} cases x {cases.n_features} features,"
+          f" id column dropped")
+    print(f"     M/B -> labels {cases.labels.tolist()}")
+
+    # a row cut short bounces with its line number
+    lines = wbcd_path.read_text().splitlines(keepends=True)
+    lines[2] = lines[2].rsplit(",", 1)[0] + "\n"
+    wbcd_path.write_text("".join(lines))
+    try:
+        load_wbcd(str(wbcd_path))
+    except DataError as e:
+        print(f"     short row -> DataError: {e}")

@@ -25,9 +25,8 @@ from .channel import (RiceanConfig, ArConfig, NoiseModel, NOISELESS,
 from .elm import (HiddenLayer, DigitalLayer, ElmModel, augment,
                   hidden_matrix, train, fit, predict, classify, online_update,
                   digital_elm_hidden)
-from .data import (RawTable, Dataset, load_csv, load_wbcd, load_idx,
-                   load_secom, mnist_binarize, secom_prepare,
-                   split_standardize, synth_two_gaussians)
+from .data import (RawTable, Dataset, load_csv, load_wbcd, split_standardize,
+                   synth_two_gaussians)
 from .config import DatasetConfig, ExperimentConfig, parse_config
 from .experiments import (TrialResult, run_sweep_nr, run_sweep_snr,
                           run_sweep_kappa, run_online, run_single, run,

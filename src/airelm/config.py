@@ -20,10 +20,7 @@ from .elm import COMBINERS
 from .errors import ConfigError, OutputError
 
 KINDS = ("sweep_nr", "sweep_snr", "sweep_kappa", "online", "single")
-
-# the [dataset] keys naming the files each dataset reads
-DATASET_FILES = {"synthetic": (), "wbcd": ("path",), "csv": ("path",),
-                 "mnist": ("images", "labels"), "secom": ("path", "labels")}
+DATASETS = ("synthetic", "wbcd", "csv")
 
 DEFAULT_GRIDS = {
     "sweep_nr": (64.0, 128.0),
@@ -80,17 +77,10 @@ def _key(section: str, default, parse, least=None, between=None):
                            "least": least, "between": between})
 
 
-# the dataset that reads the keys of each name prefix; the others ignore them
-_READ_BY = {"synth": "synthetic", "mnist": "mnist", "secom": "secom"}
-
-
 @dataclass(frozen=True)
 class DatasetConfig:
-    # synthetic | wbcd | csv | mnist | secom
-    name: str = _key("dataset", "synthetic", str)
-    path: str = _key("dataset", None, str)     # csv file; secom features file
-    images: str = _key("dataset", None, str)   # mnist idx images
-    labels: str = _key("dataset", None, str)   # mnist idx labels; secom labels
+    name: str = _key("dataset", "synthetic", str)   # one of DATASETS
+    path: str = _key("dataset", None, str)     # wbcd and csv: the data file
     label_column: object = _key("dataset", 0, _to_label_column)
     delimiter: str = _key("dataset", ",", str)
     missing_token: str = _key("dataset", None, str)
@@ -102,8 +92,6 @@ class DatasetConfig:
     synth_size: int = _key("dataset", 400, int, least=2)
     synth_d: int = _key("dataset", 8, int, least=1)
     synth_separation: float = _key("dataset", 4.0, float)
-    mnist_pixels: int = _key("dataset", 100, int, least=1)
-    secom_features: int = _key("dataset", 20, int, least=1)
 
 
 @dataclass(frozen=True)
@@ -125,6 +113,10 @@ class ExperimentConfig:
     # resolved by `resolved()`: 1024 online, else 256
     n_r: int = _key("model", None, int, least=1)
     combiner: str = _key("model", "ridge", str)     # one of elm.COMBINERS
+    # weights in [0, 1] share a positive mean, so on the standardized WBCD
+    # stand-in of perfbench/workloads.py the hidden pre-activations correlate
+    # (mean |r| 0.87, against 0.32 for [-1, 1]) and the digital ELM's ridge
+    # accuracy drops 1.8-3.3 points at N_r 64-1024 (20 seeds)
     digital_low: float = _key("model", -1.0, float)
     digital_high: float = _key("model", 1.0, float)
     grid: tuple = _key("sweep", None, _to_grid)
@@ -166,10 +158,9 @@ class ExperimentConfig:
             for f in fields(obj):
                 value = getattr(obj, f.name)
                 least, between = map(f.metadata.get, ("least", "between"))
-                # a synth_, mnist_ or secom_ key is checked only for the
-                # dataset that reads it
-                reader = _READ_BY.get(f.name.split("_")[0], ds.name)
-                if value is None or reader != ds.name:
+                # a synth_ key is checked only for the dataset that reads it
+                if value is None or (f.name.startswith("synth_")
+                                     and ds.name != "synthetic"):
                     continue
                 # negated comparisons, so that NaN fails them
                 if least is not None and not value >= least:
@@ -195,15 +186,14 @@ class ExperimentConfig:
         if not 0.0 < high - low < math.inf:     # NaN and inf - inf fail
             raise ConfigError(f"need digital_low < digital_high, a finite "
                               f"width apart, got [{low}, {high}]")
-        if ds.name not in DATASET_FILES:
+        if ds.name not in DATASETS:
             raise ConfigError(f"unknown dataset name {ds.name!r}")
-        # a file key the dataset does not read is ignored, set or not
-        for key in DATASET_FILES[ds.name]:
-            p = getattr(ds, key)
-            if p is None:
-                raise ConfigError(f"dataset {ds.name!r} needs [dataset] {key}")
-            if not os.path.exists(p):
-                raise ConfigError(f"[dataset] {key} file does not exist: {p}")
+        if ds.name != "synthetic":      # which ignores path, set or not
+            if ds.path is None:
+                raise ConfigError(f"dataset {ds.name!r} needs [dataset] path")
+            if not os.path.exists(ds.path):
+                raise ConfigError(
+                    f"[dataset] path file does not exist: {ds.path}")
         if ds.name == "csv" and len(ds.delimiter) != 1:
             raise ConfigError(f"delimiter must be one character, got "
                               f"{ds.delimiter!r}")
@@ -229,8 +219,7 @@ class ExperimentConfig:
         """Reject, before any trial, what an n_rows x n_features table cannot
         run: an online batch_size above the training block left after
         `subsample` and the train/test split, or a channel matrix H or a
-        hidden matrix G larger than physical memory.  H is sized with all
-        n_features, which bounds the subset mnist and secom select."""
+        hidden matrix G larger than physical memory."""
         ds = self.dataset
         if ds.subsample is not None:
             n_rows = min(n_rows, ds.subsample)

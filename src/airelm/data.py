@@ -1,10 +1,9 @@
 """Dataset ingestion and preparation.
 
-Covers delimiter-separated tables, the MNIST IDX binary format, the two
-dataset transforms used by the experiments (even/odd MNIST with random pixel
-subsampling, SECOM feature selection with mean imputation), train/test
-splitting with training-block standardization, and a self-contained
-two-Gaussians generator so the test suite never needs a download.
+Covers delimiter-separated tables (any numeric CSV, and the WBCD layout),
+train/test splitting with training-block standardization, and a
+self-contained two-Gaussians generator so the test suite never needs a
+download.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import contextlib
 import csv
 import io
 import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,21 +77,17 @@ def _to_pm1(labels: np.ndarray) -> np.ndarray:
     raise DataError(f"cannot map label values {sorted(vals)} to -1/+1")
 
 
-def _open(path):
-    """open(path, "rb"), or a DataError naming the file."""
+def _read_text(path) -> io.StringIO:
+    """The file's text, decoded as UTF-8 with newlines kept for the csv
+    module, or a DataError naming the file, or the line of its first byte
+    that is not UTF-8."""
     try:
-        return open(path, "rb")
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
-
-
-def _read_text(path, newline=None) -> io.StringIO:
-    """The file's text, decoded as UTF-8, with `open`'s newline handling,
-    or a DataError naming the line of the first byte that is not UTF-8."""
-    with _open(path) as fh:
-        raw = fh.read()
     try:
-        return io.StringIO(raw.decode("utf-8"), newline=newline)
+        return io.StringIO(raw.decode("utf-8"), newline="")
     except UnicodeDecodeError as exc:
         line = raw.count(b"\n", 0, exc.start) + 1
         raise DataError(f"{path}:{line}: not UTF-8 text ({exc.reason} at "
@@ -128,7 +122,7 @@ def load_csv(path, label_column, delimiter: str = ",", missing_token: str = None
     error, as is a row whose label fails to parse (through label_map if
     given).
     """
-    reader = csv.reader(_read_text(path, newline=""), delimiter=delimiter)
+    reader = csv.reader(_read_text(path), delimiter=delimiter)
     try:
         rows = [r for r in reader if r]
     except csv.Error as exc:
@@ -203,132 +197,6 @@ def load_wbcd(path) -> RawTable:
         raise DataError(
             f"{path}: expected id + 30 features, got {table.n_features} columns")
     return RawTable(features=table.features[:, 1:], labels=table.labels)
-
-
-def _text_rows(path) -> list:
-    """(line number, whitespace-split cells) for every nonblank line."""
-    return [(n, line.split()) for n, line in enumerate(_read_text(path), 1)
-            if line.strip()]
-
-
-def load_secom(features_path, labels_path) -> RawTable:
-    """SECOM's two files: a space-separated feature matrix with "NaN" for a
-    missing cell, and a label file whose first column is the -1/+1 label.
-
-    An empty features file, a ragged row, a non-numeric or infinite cell or
-    a NaN spelt other than "NaN", an unparseable label and unequal row
-    counts are errors; a row's error names its file and line.
-    """
-    feat_rows = _text_rows(features_path)
-    if not feat_rows:
-        raise DataError(f"{features_path}: empty file")
-    width = len(feat_rows[0][1])
-    feats = np.empty((len(feat_rows), width))
-    for i, (lineno, row) in enumerate(feat_rows):
-        if len(row) != width:
-            raise DataError(
-                f"{features_path}:{lineno}: ragged row, expected {width} "
-                f"cells got {len(row)}")
-        feats[i] = [_finite_cell(cell, "NaN", features_path, lineno, j)
-                    for j, cell in enumerate(row)]
-    label_rows = _text_rows(labels_path)
-    if len(label_rows) != len(feat_rows):
-        raise DataError(
-            f"{features_path} has {len(feat_rows)} feature rows, "
-            f"{labels_path} {len(label_rows)} labels")
-    labels = np.empty(len(label_rows), dtype=int)
-    for i, (lineno, row) in enumerate(label_rows):
-        try:
-            labels[i] = int(float(row[0]))
-        except (ValueError, OverflowError):
-            raise DataError(
-                f"{labels_path}:{lineno}: unparseable label {row[0]!r}") from None
-    return RawTable(features=feats, labels=labels)
-
-
-_IDX_IMAGE_MAGIC = 0x00000803
-_IDX_LABEL_MAGIC = 0x00000801
-
-
-def _read_idx(path, magic: int, n_dims: int, what: str) -> np.ndarray:
-    """An IDX file's unsigned-byte payload in the shape its header gives.
-    The payload size the header claims is checked against the bytes the
-    file holds before any array is made."""
-    with _open(path) as fh:
-        raw = fh.read()
-    start = 4 * (n_dims + 1)
-    if len(raw) < start:
-        raise DataError(f"{path}: truncated header ({len(raw)} of {start} "
-                        f"bytes)")
-    header = struct.unpack_from(f">{n_dims + 1}I", raw)
-    if header[0] != magic:
-        raise DataError(f"{path}: bad {what} magic 0x{header[0]:08x}, "
-                        f"expected 0x{magic:08x}")
-    dims, left = header[1:], len(raw) - start
-    size = math.prod(dims)
-    if left < size:
-        raise DataError(f"{path}: truncated {what} payload ({left} of {size} "
-                        f"bytes)")
-    return np.frombuffer(raw, np.uint8, size, start).reshape(dims)
-
-
-def load_idx(images_path, labels_path) -> RawTable:
-    """Parse an MNIST-style IDX image/label file pair.
-
-    Big-endian 32-bit magics (0x00000803 images, 0x00000801 labels),
-    unsigned-byte payloads; pixels are flattened row-major and rescaled to
-    [0, 1].
-    """
-    pixels = _read_idx(images_path, _IDX_IMAGE_MAGIC, 3, "image")
-    labels = _read_idx(labels_path, _IDX_LABEL_MAGIC, 1, "label").astype(int)
-    count, h, w = pixels.shape
-    if len(labels) != count:
-        raise DataError(f"image/label count mismatch: {images_path} has "
-                        f"{count} images, {labels_path} {len(labels)} labels")
-    feats = pixels.reshape(count, h * w).astype(float) / 255.0
-    return RawTable(features=feats, labels=labels)
-
-
-def mnist_binarize(table: RawTable, n_pixels: int = 100,
-                   rng: RngStream = None) -> RawTable:
-    """Even/odd digit task on a random pixel subset.
-
-    Selects n_pixels distinct pixel indices uniformly (kept in index order,
-    shared by every row) and maps digit labels to +1 (even) / -1 (odd).
-    """
-    if n_pixels > table.n_features:
-        raise DataError(
-            f"n_pixels={n_pixels} exceeds available {table.n_features}")
-    if n_pixels == table.n_features:
-        idx = np.arange(table.n_features)
-    else:
-        idx = np.sort(rng.choice(table.n_features, n_pixels, replace=False))
-    labels = np.where(table.labels % 2 == 0, 1, -1)
-    return RawTable(features=table.features[:, idx],
-                    labels=labels,
-                    feature_names=None if table.feature_names is None
-                    else tuple(table.feature_names[i] for i in idx))
-
-
-def secom_prepare(table: RawTable, n_features: int = 20,
-                  rng: RngStream = None) -> RawTable:
-    """SECOM-style preparation: drop all-missing columns, pick n_features at
-    random, mean-impute what is still missing, normalize labels to +-1."""
-    usable = np.flatnonzero(~np.isnan(table.features).all(axis=0))
-    if len(usable) < n_features:
-        raise DataError(
-            f"only {len(usable)} usable columns, need {n_features}")
-    idx = np.sort(rng.choice(len(usable), n_features, replace=False))
-    cols = usable[idx]
-    feats = table.features[:, cols].copy()
-    for col in feats.T:                 # views: imputing writes into feats
-        missing = np.isnan(col)
-        if missing.any():
-            col[missing] = col[~missing].mean()
-    labels = _to_pm1(table.labels).astype(int)
-    return RawTable(features=feats, labels=labels,
-                    feature_names=None if table.feature_names is None
-                    else tuple(table.feature_names[c] for c in cols))
 
 
 def train_count(d_total: int, train_ratio: float) -> int:

@@ -136,8 +136,8 @@ def digital_elm_hidden(rng: RngStream, n_hidden: int, d: int,
     """Random dense hidden layer for the digital-ELM baseline.
 
     Weights (bias column included) are i.i.d. Uniform[low, high]; the
-    default support is [0, 1].  See the experiment harness for why sweeps
-    default to the symmetric range [-1, 1] instead.
+    default support is [0, 1].  Config-driven runs default to [-1, 1]; the
+    `digital_low` field of `config.ExperimentConfig` says why.
     """
     if n_hidden < 1 or d < 0:
         raise ConfigError(f"bad layer size n_hidden={n_hidden}, d={d}")

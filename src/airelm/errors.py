@@ -11,7 +11,7 @@ class ConfigError(ValueError):
 
 
 class DataError(ValueError):
-    """Malformed or unusable input data: parse failures, bad magic, bad labels."""
+    """Malformed or unusable input data: parse failures, bad cells or labels."""
 
 
 class OutputError(OSError):

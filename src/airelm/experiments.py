@@ -13,6 +13,7 @@ repeated run with the same master seed produces byte-identical CSV bytes.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import math
@@ -31,9 +32,8 @@ from .channel import (ArConfig, RiceanConfig, noise_for_snr, receive,
 # not called here since the receive block gives P_sig; perfbench/spans.py
 # looks sigma2_for_snr up on this module
 from .channel import sigma2_for_snr  # noqa: F401
-from .config import DATASET_FILES, ExperimentConfig, manifest_path
-from .data import (Dataset, load_csv, load_idx, load_secom, load_wbcd,
-                   mnist_binarize, secom_prepare, split_standardize,
+from .config import ExperimentConfig, manifest_path
+from .data import (Dataset, load_csv, load_wbcd, split_standardize,
                    synth_two_gaussians)
 from .elm import (HiddenLayer, augment, classify, digital_elm_hidden, fit,
                   online_update, predict)
@@ -88,29 +88,18 @@ def _load_base_table(cfg: ExperimentConfig):
         return None
     if ds.name == "wbcd":
         return load_wbcd(ds.path)
-    if ds.name == "csv":
-        return load_csv(ds.path, ds.label_column, delimiter=ds.delimiter,
-                        missing_token=ds.missing_token,
-                        has_header=ds.has_header, label_map=ds.label_map)
-    if ds.name == "mnist":
-        return load_idx(ds.images, ds.labels)
-    return load_secom(ds.path, ds.labels)     # `resolved` admits no other name
+    return load_csv(ds.path, ds.label_column, delimiter=ds.delimiter,
+                    missing_token=ds.missing_token, has_header=ds.has_header,
+                    label_map=ds.label_map)   # `resolved` admits no other name
 
 
 def _trial_dataset(cfg: ExperimentConfig, base_table, trial: RngStream) -> Dataset:
-    """Per-seed dataset: selection/generation + subsample + split/standardize."""
+    """Per-seed dataset: generation + subsample + split/standardize."""
     ds = cfg.dataset
+    table = base_table
     if ds.name == "synthetic":
         table = synth_two_gaussians(trial.split(SUB_SYNTH), ds.synth_size,
                                     ds.synth_d, ds.synth_separation)
-    elif ds.name == "mnist":
-        table = mnist_binarize(base_table, ds.mnist_pixels,
-                               trial.split(SUB_FEATSEL))
-    elif ds.name == "secom":
-        table = secom_prepare(base_table, ds.secom_features,
-                              trial.split(SUB_FEATSEL))
-    else:
-        table = base_table
     if ds.subsample is not None and ds.subsample < table.n_rows:
         keep = np.sort(trial.split(SUB_FEATSEL, 1).choice(
             table.n_rows, ds.subsample, replace=False))
@@ -416,13 +405,12 @@ def _fmt(value) -> str:
 
 def emit_csv(table, path) -> None:
     """Write a TrialResult list as RFC-4180-style CSV."""
-    import csv as _csv
     try:
         fh = open(path, "w", newline="")
     except OSError as exc:
         raise OutputError(f"cannot write CSV to {path}: {exc}") from None
     with fh:
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(TRIAL_COLUMNS)
         for row in table:
             writer.writerow([_fmt(getattr(row, c)) for c in TRIAL_COLUMNS])
@@ -467,14 +455,11 @@ def write_manifest(cfg: ExperimentConfig, results, csv_path,
     trials overlap on several threads; elapsed_ms is the runner's own wall
     time, given by `run`, and null when the caller did not time the run.
     """
-    checksums = {}
     ds = cfg.dataset
-    for key in DATASET_FILES[ds.name]:
-        p = getattr(ds, key)
-        checksums[p] = sha256_file(p)
-    if ds.name == "synthetic":
-        checksums["synthetic"] = (
-            f"size={ds.synth_size},d={ds.synth_d},sep={ds.synth_separation}")
+    checksums = ({"synthetic": f"size={ds.synth_size},d={ds.synth_d},"
+                               f"sep={ds.synth_separation}"}
+                 if ds.name == "synthetic"
+                 else {ds.path: sha256_file(ds.path)})
     walls = [r.wall_ms for r in results if r.wall_ms is not None]
     manifest = {
         # JSON has no inf; the grid tuples are written as lists

@@ -26,7 +26,7 @@ noise draw) can never shift the draws seen by another:
  5     online mini-batch index sampling
  6     AR(1) channel innovations
  7     synthetic dataset generation
- 8     feature selection (MNIST pixels, SECOM)
+ 8     row subsample, split at sub-key 1
 ====  =========================================
 """
 
@@ -45,7 +45,7 @@ SUB_DIGITAL = 4
 SUB_MINIBATCH = 5
 SUB_AR = 6
 SUB_SYNTH = 7
-SUB_FEATSEL = 8
+SUB_FEATSEL = 8     # the row subsample draws from split(SUB_FEATSEL, 1)
 
 
 class RngStream:

@@ -1,7 +1,6 @@
 import json
 import os
 import pathlib
-import struct
 import subprocess
 import sys
 
@@ -10,7 +9,7 @@ from dataclasses import fields
 from hypothesis import example, given, settings, strategies as st
 
 from airelm.cli import build_parser, main
-from airelm.config import (DEFAULT_GRIDS, KINDS, DatasetConfig,
+from airelm.config import (DATASETS, DEFAULT_GRIDS, KINDS, DatasetConfig,
                            ExperimentConfig)
 
 
@@ -133,20 +132,6 @@ def test_data_error_exits_2(tmp_path, capsys):
     assert "ragged" in capsys.readouterr().err
 
 
-def test_secom_non_numeric_cell_exits_2(tmp_path, capsys):
-    feats, labels = tmp_path / "secom.data", tmp_path / "labels.data"
-    feats.write_text("1 2 3\n4 abc 6\n")
-    labels.write_text("-1 x\n1 y\n")
-    rc = main(["single", "--config",
-               _ini(tmp_path,
-                    f"[dataset]\nname = secom\npath = {feats}\n"
-                    f"labels = {labels}\nsecom_features = 2\n")])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1
-    assert err.startswith("data error:") and "secom.data:2: non-numeric" in err
-
-
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
 def test_non_finite_data_cell_exits_2(tmp_path, capsys, cell):
     data = tmp_path / "d.csv"
@@ -163,26 +148,13 @@ def test_non_finite_data_cell_exits_2(tmp_path, capsys, cell):
     assert f"d.csv:6: non-finite cell '{cell}' in column 0" in err
 
 
-def _idx_header(magic, *dims):
-    return struct.pack(f">{len(dims) + 1}I", magic, *dims)
-
-
 @pytest.mark.parametrize("dataset, files, message", [
     ("name = csv\npath = {a}\nlabel_column = l\n",
      [b"a,l\n1,1\n2,\xff\n"], "a:3: not UTF-8 text"),
-    ("name = secom\npath = {a}\nlabels = {b}\n",
-     [b"1 2\n3 \xfe4\n", b"1\n-1\n"], "a:2: not UTF-8 text"),
     ("name = csv\npath = {a}\nlabel_column = l\n",
      [b"a,l\n1,1\n" + b"1" * 131073 + b",1\n"],
      "a:3: field larger than field limit"),
-    ("name = mnist\nimages = {a}\nlabels = {b}\n",
-     [_idx_header(0x803, *[2 ** 32 - 1] * 3), _idx_header(0x801, 0)],
-     "a: truncated image payload (0 of"),
-    ("name = mnist\nimages = {a}\nlabels = {b}\n",
-     [_idx_header(0x803, 2 ** 20, 2 ** 10, 2 ** 10), _idx_header(0x801, 0)],
-     f"a: truncated image payload (0 of {2 ** 40} bytes)"),
-], ids=["csv_not_utf8", "secom_not_utf8", "csv_field_over_limit",
-        "idx_dims_overflow", "idx_dims_beyond_memory"])
+], ids=["csv_not_utf8", "csv_field_over_limit"])
 def test_malformed_data_file_exits_2_before_any_trial(
         tmp_path, capsys, monkeypatch, dataset, files, message):
     import airelm.experiments
@@ -388,14 +360,13 @@ def test_blas_thread_env_preserves_bytes(tmp_path):
     ("sweep-nr", "master_seed = -1\n", "master_seed must be >= 0"),
     ("sweep-nr", "[dataset]\nname = csv\n",
      "dataset 'csv' needs [dataset] path"),
-    ("sweep-nr", "[dataset]\nname = mnist\nlabels = {file}\n",
-     "dataset 'mnist' needs [dataset] images"),
-    ("sweep-nr", "[dataset]\nname = mnist\nimages = {file}\n",
-     "dataset 'mnist' needs [dataset] labels"),
-    ("sweep-nr", "[dataset]\nname = secom\nlabels = {file}\n",
-     "dataset 'secom' needs [dataset] path"),
-    ("sweep-nr", "[dataset]\nname = secom\npath = {file}\n",
-     "dataset 'secom' needs [dataset] labels"),
+    ("sweep-nr", "[dataset]\nname = wbcd\npath = {file}.absent\n",
+     "[dataset] path file does not exist"),
+    # a name or key of a dataset the program does not read
+    ("sweep-nr", "[dataset]\nname = mnist\npath = {file}\n",
+     "unknown dataset name 'mnist'"),
+    ("sweep-nr", "[dataset]\nmnist_pixels = 5\n",
+     "unknown key 'mnist_pixels' in [dataset]"),
     # each used to end as a data error (exit 2) from the first trial
     ("sweep-nr", "[dataset]\nsynth_d = 0\n", "synth_d must be >= 1, got 0"),
     ("sweep-nr", "[dataset]\nsynth_size = 1\n",
@@ -410,11 +381,6 @@ def test_blas_thread_env_preserves_bytes(tmp_path):
      "delimiter must be one character, got ';;'"),
     ("sweep-nr", "[model]\ncombiner = pinv\n",
      "combiner must be one of ('min_norm', 'ridge'), got 'pinv'"),
-    # each used to end in "negative dimensions" from rng.choice in a trial
-    ("sweep-nr", "[dataset]\nname = mnist\nimages = {file}\nlabels = {file}\n"
-     "mnist_pixels = -1\n", "mnist_pixels must be >= 1, got -1"),
-    ("sweep-nr", "[dataset]\nname = secom\npath = {file}\nlabels = {file}\n"
-     "secom_features = -2\n", "secom_features must be >= 1, got -2"),
     # 10^(snr_db/10) overflows, or is 0 and sigma2 = P_sig / 0 infinite:
     # an OverflowError and a ridge_lstsq traceback from the first trial
     ("sweep-nr", "[channel]\nsnr_db = 4000\n", "got 4000.0"),
@@ -443,11 +409,11 @@ def test_blas_thread_env_preserves_bytes(tmp_path):
         "zero_pathloss", "nan_los_angle", "negative_iters_per_step",
         "wbcd_without_path", "inf_separation", "nan_separation",
         "minus_inf_digital_low", "negative_master_seed", "csv_without_path",
-        "mnist_without_images", "mnist_without_labels", "secom_without_path",
-        "secom_without_labels", "zero_synth_d", "synth_size_1",
+        "absent_wbcd_path",
+        "unknown_dataset_mnist", "unknown_key_mnist_pixels", "zero_synth_d",
+        "synth_size_1",
         "negative_synth_size", "synth_size_beyond_float64",
-        "two_character_delimiter", "unknown_combiner",
-        "negative_mnist_pixels", "negative_secom_features", "snr_db_4000",
+        "two_character_delimiter", "unknown_combiner", "snr_db_4000",
         "snr_db_minus_4000", "snr_grid_4000",
         "overflowing_digital_width", "repeated_snr_grid",
         "repeated_n_r_grid", "repeated_kappa_grid", "inf_in_snr_grid",
@@ -544,7 +510,7 @@ def test_file_key_the_dataset_does_not_read_is_not_checksummed(
     out = tmp_path / "r.csv"
     cfg = _ini(tmp_path, "[experiment]\nseeds = 1\n"
                "[dataset]\nname = synthetic\nsynth_size = 40\n"
-               f"path = {leftover}\nimages = {leftover}\n"
+               f"path = {leftover}\n"
                "[model]\nn_r = 16\n")
     assert main(["single", "--config", cfg, "--out", str(out)]) == 0
     doc = json.loads(pathlib.Path(str(out) + ".manifest.json").read_text())
@@ -717,8 +683,7 @@ _NO_NUMBER = st.text(st.characters(exclude_categories=["Cs", "Nd"]),
 # seeds runs one seed
 _SMALL = st.integers(1, 64).map(str)
 _BOUNDED = {key: _SMALL for key in (
-    "seeds", "n_r", "synth_d", "batch_size", "mnist_pixels",
-    "secom_features")}
+    "seeds", "n_r", "synth_d", "batch_size")}
 _BOUNDED["synth_size"] = _BOUNDED["subsample"] = st.integers(2, 64).map(str)
 # an online run makes steps x iters_per_step mini-batch fits
 _BOUNDED["steps"] = _BOUNDED["iters_per_step"] = st.integers(1, 8).map(str)
@@ -729,9 +694,7 @@ _INVALID_SIZE = st.sampled_from(_EDGES[:-1]) | _NO_NUMBER
 # test's directory: `out` is never a path the run could write elsewhere
 _VALID = {
     "kind": KINDS, "master_seed": ["7"], "baseline": ["true", "no"],
-    "out": ["{tmp}/r.csv"], "name": ["synthetic", "wbcd", "csv", "mnist",
-                                     "secom"],
-    "path": ["{data}"], "images": ["{data}"], "labels": ["{data}"],
+    "out": ["{tmp}/r.csv"], "name": DATASETS, "path": ["{data}"],
     "label_column": ["label"], "delimiter": [";"], "missing_token": ["?"],
     "has_header": ["off"], "label_map": ["1:1, 2:-1"],
     "train_ratio": ["0.5"], "synth_separation": ["1"], "kappa": ["10"],

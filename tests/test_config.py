@@ -3,18 +3,17 @@ from dataclasses import fields, replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from airelm.config import KINDS, DatasetConfig, ExperimentConfig, parse_config
+from airelm.config import (DATASETS, KINDS, DatasetConfig, ExperimentConfig,
+                           parse_config)
 from airelm.data import split_standardize, synth_two_gaussians
 from airelm.errors import ConfigError, OutputError
 from airelm.rng import RngStream
 
 
 def _all_keys_ini(tmp_path):
-    """An INI setting each of the 39 keys to a value other than its default."""
-    files = {}
-    for name in ("features.txt", "images.idx", "labels.txt"):
-        files[name] = tmp_path / name
-        files[name].write_text("1\n")
+    """An INI setting each of the 35 keys to a value other than its default."""
+    data = tmp_path / "data.txt"
+    data.write_text("1\n")
     text = (
         "[experiment]\n"
         "kind = sweep_kappa\n"
@@ -24,10 +23,8 @@ def _all_keys_ini(tmp_path):
         "threads = 2\n"
         f"out = {tmp_path / 'r.csv'}\n"
         "[dataset]\n"
-        "name = secom\n"
-        f"path = {files['features.txt']}\n"
-        f"images = {files['images.idx']}\n"
-        f"labels = {files['labels.txt']}\n"
+        "name = csv\n"
+        f"path = {data}\n"
         "label_column = 3\n"
         "delimiter = ;\n"
         "missing_token = NA\n"
@@ -38,8 +35,6 @@ def _all_keys_ini(tmp_path):
         "synth_size = 120\n"
         "synth_d = 5\n"
         "synth_separation = 2.5\n"
-        "mnist_pixels = 49\n"
-        "secom_features = 10\n"
         "[channel]\n"
         "kappa = 3.5\n"
         "pathloss = 2\n"
@@ -64,23 +59,21 @@ def _all_keys_ini(tmp_path):
         "iters_per_step = 4\n")
     path = tmp_path / "all.ini"
     path.write_text(text)
-    return path, text, files
+    return path, text, data
 
 
 def test_parse_config_reads_every_key(tmp_path):
-    path, text, files = _all_keys_ini(tmp_path)
+    path, text, data = _all_keys_ini(tmp_path)
     # written out literally, not derived from the dataclasses, so a key in the
     # wrong section or behind the wrong converter fails here
     expected = ExperimentConfig(
         kind="sweep_kappa", seeds=7, master_seed=11, baseline=True, threads=2,
         out=str(tmp_path / "r.csv"),
         dataset=DatasetConfig(
-            name="secom", path=str(files["features.txt"]),
-            images=str(files["images.idx"]), labels=str(files["labels.txt"]),
-            label_column=3, delimiter=";", missing_token="NA",
-            has_header=False, label_map={"M": -1, "B": 1}, train_ratio=0.7,
-            subsample=50, synth_size=120, synth_d=5, synth_separation=2.5,
-            mnist_pixels=49, secom_features=10),
+            name="csv", path=str(data), label_column=3, delimiter=";",
+            missing_token="NA", has_header=False, label_map={"M": -1, "B": 1},
+            train_ratio=0.7, subsample=50, synth_size=120, synth_d=5,
+            synth_separation=2.5),
         kappa=3.5, pathloss=2.0, los_angle_rx=0.25, los_angle_tx=-0.5,
         snr_db=15.0, y_sat=2.0, alpha=4, n_r=96, combiner="min_norm",
         digital_low=-0.5,
@@ -128,19 +121,6 @@ def test_synth_key_ranges_apply_to_the_synthetic_dataset_only(tmp_path):
         ExperimentConfig(dataset=replace(ds, name="synthetic")).resolved()
 
 
-@pytest.mark.parametrize("key, reader", [("mnist_pixels", "mnist"),
-                                         ("secom_features", "secom")])
-def test_mnist_and_secom_key_ranges_apply_to_their_dataset_only(
-        tmp_path, key, reader):
-    data = tmp_path / "d.csv"
-    data.write_text("a,label\n1,1\n2,-1\n")
-    ds = DatasetConfig(name="csv", path=str(data), labels=str(data),
-                       images=str(data), **{key: 0})
-    assert getattr(ExperimentConfig(dataset=ds).resolved().dataset, key) == 0
-    with pytest.raises(ConfigError, match=f"{key} must be >= 1, got 0"):
-        ExperimentConfig(dataset=replace(ds, name=reader)).resolved()
-
-
 @pytest.mark.parametrize("delimiter", ["", ";;", "\t\t"])
 def test_csv_delimiter_must_be_one_character(tmp_path, delimiter):
     """An empty delimiter cannot come from an INI file, where an empty value
@@ -183,8 +163,7 @@ _VALUES = st.one_of(
     st.sampled_from(["0", "-1", "2", "inf", "-inf", "nan", "1e999",
                      "1" + "0" * 400, "-" + "9" * 400]),
     st.sampled_from(["", "noiseless", "yes", "off", "0, 10", "64 128", ",",
-                     "M:-1, B:1", "a:", ":1", "synthetic", "wbcd", "csv",
-                     "mnist", "secom", *KINDS]))
+                     "M:-1, B:1", "a:", ":1", *DATASETS, *KINDS]))
 _LINES = st.one_of(
     st.sampled_from(sorted({*_KEYS.values(), "bogus"})).map("[{}]".format),
     st.tuples(st.sampled_from(sorted(_KEYS)) | st.text(max_size=10),

@@ -1,5 +1,3 @@
-import struct
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,11 +5,7 @@ from hypothesis import given, settings, strategies as st
 from airelm.data import (
     RawTable,
     load_csv,
-    load_idx,
-    load_secom,
     load_wbcd,
-    mnist_binarize,
-    secom_prepare,
     split_standardize,
     synth_two_gaussians,
     train_count,
@@ -53,6 +47,14 @@ def test_load_csv_ragged_row_reports_position(tmp_path):
     p.write_text("x,y,l\n1,2,1\n3,4\n")
     with pytest.raises(DataError, match=r":3: ragged row"):
         load_csv(str(p), label_column=2)
+
+
+@pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank_lines"])
+def test_load_csv_empty_file(tmp_path, text):
+    p = tmp_path / "t.csv"
+    p.write_text(text)
+    with pytest.raises(DataError, match=r"t\.csv: empty file"):
+        load_csv(str(p), label_column=0)
 
 
 def test_load_csv_bad_cell(tmp_path):
@@ -137,7 +139,7 @@ def test_load_csv_infinite_label(tmp_path):
 
 
 def test_unusable_labels_caught_at_split_time(tmp_path):
-    # raw tables may hold any numeric labels (MNIST digits etc.);
+    # raw tables may hold any numeric labels (digit classes etc.);
     # the +-1 requirement bites when building a classification split
     p = tmp_path / "t.csv"
     p.write_text("x,y,l\n1,2,7\n3,4,1\n5,6,-1\n")
@@ -187,166 +189,6 @@ def test_load_wbcd_rejects_wrong_width(tmp_path):
     p.write_text("1,M,0.5,0.5\n")
     with pytest.raises(DataError):
         load_wbcd(str(p))
-
-
-# -------------------------------------------------------------- idx
-
-def _write_idx_pair(tmp_path, pixels=(0, 128, 255, 64, 1, 2, 3, 4), labels=(3, 8),
-                    img_magic=0x00000803, lbl_magic=0x00000801, n_img=None, n_lbl=None):
-    n = len(labels)
-    imgs = tmp_path / "imgs.idx"
-    lbls = tmp_path / "lbls.idx"
-    imgs.write_bytes(struct.pack(">IIII", img_magic, n_img if n_img is not None else n, 2, 2)
-                     + bytes(pixels))
-    lbls.write_bytes(struct.pack(">II", lbl_magic, n_lbl if n_lbl is not None else n)
-                     + bytes(labels))
-    return str(imgs), str(lbls)
-
-
-def test_load_idx_byte_oracle(tmp_path):
-    imgs, lbls = _write_idx_pair(tmp_path)
-    table = load_idx(imgs, lbls)
-    assert table.features.shape == (2, 4)
-    assert np.allclose(table.features[0], [0.0, 128 / 255, 1.0, 64 / 255])
-    assert np.allclose(table.features[1], np.array([1, 2, 3, 4]) / 255)
-    assert np.array_equal(table.labels, [3, 8])
-    assert table.present.all()
-
-
-def test_load_idx_bad_magic(tmp_path):
-    imgs, lbls = _write_idx_pair(tmp_path, img_magic=0x00000802)
-    with pytest.raises(DataError):
-        load_idx(imgs, lbls)
-    imgs, lbls = _write_idx_pair(tmp_path, lbl_magic=0x00000803)
-    with pytest.raises(DataError):
-        load_idx(imgs, lbls)
-
-
-def test_load_idx_count_mismatch(tmp_path):
-    imgs, lbls = _write_idx_pair(tmp_path, labels=(3, 8, 1), n_img=2)
-    with pytest.raises(DataError, match=r"imgs\.idx has 2 images, "
-                                        r"\S*lbls\.idx 3 labels"):
-        load_idx(imgs, lbls)
-
-
-def test_load_idx_truncated_payload(tmp_path):
-    imgs, lbls = _write_idx_pair(tmp_path, pixels=(0, 1, 2))
-    with pytest.raises(DataError):
-        load_idx(imgs, lbls)
-
-
-def test_load_idx_header_fuzz(tmp_path):
-    """Randomly corrupted image magics must all be rejected cleanly."""
-    rng = np.random.default_rng(0)
-    for _ in range(100):
-        bad = int(rng.integers(0, 2 ** 32))
-        if bad == 0x00000803:
-            continue
-        imgs, lbls = _write_idx_pair(tmp_path, img_magic=bad)
-        with pytest.raises(DataError):
-            load_idx(imgs, lbls)
-
-
-# ------------------------------------------------------------ mnist
-
-def _digit_table():
-    feats = np.arange(16, dtype=float).reshape(4, 4) / 16.0
-    labels = np.array([0, 1, 2, 7])
-    return RawTable(feats, labels)
-
-
-def test_mnist_binarize_parity_labels():
-    out = mnist_binarize(_digit_table(), n_pixels=4)
-    assert np.array_equal(out.labels, [1, -1, 1, -1])  # even/odd
-
-
-def test_mnist_binarize_full_selection_is_identity():
-    table = _digit_table()
-    out = mnist_binarize(table, n_pixels=4)
-    assert np.array_equal(out.features, table.features)
-
-
-def test_mnist_binarize_subset_deterministic():
-    table = _digit_table()
-    a = mnist_binarize(table, n_pixels=2, rng=RngStream(0).split(8))
-    b = mnist_binarize(table, n_pixels=2, rng=RngStream(0).split(8))
-    assert np.array_equal(a.features, b.features)
-    assert a.features.shape == (4, 2)
-    # selected columns are real columns of the source
-    src_cols = {tuple(table.features[:, j]) for j in range(4)}
-    for j in range(2):
-        assert tuple(a.features[:, j]) in src_cols
-
-
-# ------------------------------------------------------------ secom
-
-def _secom_table():
-    feats = np.array([
-        [1.0, 5.0, np.nan],
-        [np.nan, 6.0, np.nan],
-        [3.0, 7.0, np.nan],
-        [1.0, 8.0, np.nan],
-    ])
-    labels = np.array([-1, -1, 1, -1])
-    return RawTable(feats, labels)
-
-
-def _secom_files(tmp_path, features, labels="-1 a\n1 b\n"):
-    f, lab = tmp_path / "secom.data", tmp_path / "secom_labels.data"
-    f.write_text(features)
-    lab.write_text(labels)
-    return str(f), str(lab)
-
-
-def test_load_secom_values_and_missing(tmp_path):
-    table = load_secom(*_secom_files(tmp_path, "1.5 NaN 3\n\n4 5 -6e1\n"))
-    assert np.array_equal(table.features, [[1.5, np.nan, 3.0], [4.0, 5.0, -60.0]],
-                          equal_nan=True)
-    assert np.array_equal(table.present, [[True, False, True], [True] * 3])
-    assert np.array_equal(table.labels, [-1, 1])
-
-
-@pytest.mark.parametrize("features, labels, message", [
-    ("1 2\n\n3 abc\n", "-1\n1\n", r"secom\.data:3: non-numeric cell 'abc'"),
-    ("1 2\n3\n", "-1\n1\n", r"secom\.data:2: ragged row"),
-    ("1 2\n3 inf\n", "-1\n1\n", r"secom\.data:2: non-finite cell 'inf'"),
-    ("1 nan\n3 4\n", "-1\n1\n", r"secom\.data:1: non-finite cell 'nan'"),
-    ("\n", "-1\n", r"secom\.data: empty file"),
-    ("1 2\n3 4\n", "-1\nx\n", r"secom_labels\.data:2: unparseable label 'x'"),
-    ("1 2\n3 4\n", "-1\n",
-     r"secom\.data has 2 feature rows, \S*secom_labels\.data 1 labels"),
-], ids=["non_numeric", "ragged", "inf", "lowercase_nan", "empty", "bad_label",
-        "count_mismatch"])
-def test_load_secom_errors(tmp_path, features, labels, message):
-    with pytest.raises(DataError, match=message):
-        load_secom(*_secom_files(tmp_path, features, labels))
-
-
-def test_secom_mean_impute():
-    out = secom_prepare(_secom_table(), n_features=2, rng=RngStream(0).split(8))
-    # column 0 has values (1, ., 3, 1): the gap fills with their mean 5/3
-    assert out.features.shape == (4, 2)
-    assert out.present.all()
-    col0 = out.features[:, 0]
-    assert col0[1] == pytest.approx(5.0 / 3.0, rel=1e-12)
-    assert np.allclose(np.delete(col0, 1), [1.0, 3.0, 1.0])
-
-
-def test_secom_never_selects_all_missing_column():
-    for seed in range(20):
-        out = secom_prepare(_secom_table(), n_features=2, rng=RngStream(seed).split(8))
-        assert np.isfinite(out.features).all()
-
-
-def test_secom_rejects_too_many_features():
-    with pytest.raises(DataError):
-        secom_prepare(_secom_table(), n_features=3, rng=RngStream(0).split(8))
-
-
-def test_secom_deterministic():
-    a = secom_prepare(_secom_table(), n_features=2, rng=RngStream(3).split(8))
-    b = secom_prepare(_secom_table(), n_features=2, rng=RngStream(3).split(8))
-    assert np.array_equal(a.features, b.features)
 
 
 # ------------------------------------------------- split/standardize
@@ -471,7 +313,8 @@ def test_split_validation():
 
 
 def test_split_rejects_missing_cells():
-    table = _secom_table()
+    table = RawTable(np.array([[1.0, np.nan], [2.0, 3.0], [4.0, 5.0]]),
+                     np.array([1, -1, 1]))
     with pytest.raises(DataError):
         split_standardize(table, 0.5, RngStream(0).split(0))
 
@@ -546,37 +389,18 @@ _TEXTISH = st.text(alphabet="0123456789.-+eE,; \t\n\r\"?naNifMBlbel",
 _FILE_BYTES = st.binary(max_size=200) | _TEXTISH
 
 
-def _idx_bytes(magic, dims, payload):
-    return struct.pack(f">{len(dims) + 1}I", magic, *dims) + payload
-
-
-_IDX_BYTES = _FILE_BYTES | st.builds(
-    _idx_bytes, st.sampled_from([0x803, 0x801, 0x802]),
-    st.lists(st.integers(0, 4) | st.integers(0, 2 ** 32 - 1), max_size=4),
-    st.binary(max_size=40))
-
-
 @settings(max_examples=300)
-@given(loader=st.sampled_from(["csv", "secom", "idx"]), data=st.data())
+@given(data=st.data())
 def test_any_file_bytes_load_as_a_table_or_raise_data_error(
-        tmp_path_factory, loader, data):
-    """Whatever bytes a data file holds, its loader returns a RawTable or
+        tmp_path_factory, data):
+    """Whatever bytes a data file holds, load_csv returns a RawTable or
     raises DataError, never another exception."""
-    first, second = (tmp_path_factory.getbasetemp() / name
-                     for name in ("fuzz.a", "fuzz.b"))
-    files = _IDX_BYTES if loader == "idx" else _FILE_BYTES
-    first.write_bytes(data.draw(files))
-    second.write_bytes(data.draw(files))
+    path = tmp_path_factory.getbasetemp() / "fuzz.csv"
+    path.write_bytes(data.draw(_FILE_BYTES))
     try:
-        if loader == "csv":
-            table = load_csv(first, data.draw(st.sampled_from([0, 1, "l"])),
-                             has_header=data.draw(st.booleans()),
-                             missing_token=data.draw(st.sampled_from(
-                                 [None, "?"])))
-        elif loader == "secom":
-            table = load_secom(first, second)
-        else:
-            table = load_idx(first, second)
+        table = load_csv(path, data.draw(st.sampled_from([0, 1, "l"])),
+                         has_header=data.draw(st.booleans()),
+                         missing_token=data.draw(st.sampled_from([None, "?"])))
     except DataError:
         return
     assert isinstance(table, RawTable) and table.features.ndim == 2
