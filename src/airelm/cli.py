@@ -44,10 +44,6 @@ _FLAGS = {
 }
 
 
-# summarize() columns the printed table leaves out
-_NOT_PRINTED = ("min_accuracy", "max_accuracy", "mean_receive_power")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="airelm",
@@ -63,8 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _print_summary(results) -> None:
     table = summarize(results)
-    keep = [c for c in SUMMARY_COLUMNS if c not in _NOT_PRINTED
-            and any(row.get(c) is not None for row in table)]
+    keep = [c for c in SUMMARY_COLUMNS
+            if any(row.get(c) is not None for row in table)]
     header = "  ".join(f"{c:>12}" for c in keep)
     print(header)
     for row in table:

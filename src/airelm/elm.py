@@ -131,19 +131,18 @@ def classify(t_hat: np.ndarray) -> np.ndarray:
     return np.where(t_hat >= 0, 1, -1)
 
 
-def digital_elm_hidden(rng: RngStream, n_hidden: int, d: int,
-                       low: float = 0.0, high: float = 1.0) -> DigitalLayer:
+def digital_elm_hidden(rng: RngStream, n_hidden: int, d: int) -> DigitalLayer:
     """Random dense hidden layer for the digital-ELM baseline.
 
-    Weights (bias column included) are i.i.d. Uniform[low, high]; the
-    default support is [0, 1].  Config-driven runs default to [-1, 1]; the
-    `digital_low` field of `config.ExperimentConfig` says why.
+    Weights (bias column included) are i.i.d. Uniform[-1, 1].  Weights in
+    [0, 1] would share a positive mean, so on the standardized WBCD stand-in
+    of perfbench/workloads.py the hidden pre-activations correlate (mean |r|
+    0.87, against 0.32 for [-1, 1]) and the digital ELM's ridge accuracy
+    drops 1.8-3.3 points at N_r 64-1024 (20 seeds).
     """
     if n_hidden < 1 or d < 0:
         raise ConfigError(f"bad layer size n_hidden={n_hidden}, d={d}")
-    if not 0.0 < high - low < np.inf:
-        raise ConfigError(f"need finite high - low > 0, got [{low}, {high}]")
-    w = rng.uniform(low, high, (n_hidden, d + 1))
+    w = rng.uniform(-1.0, 1.0, (n_hidden, d + 1))
     return DigitalLayer(weights=w)
 
 

@@ -6,9 +6,8 @@ sweep.  Every per-trial random quantity derives from the master seed through
 the documented substream registry in `rng`, so any trial can be re-run in
 isolation and repeated runs are byte-identical.
 
-Trial wall-times are measured and reported in the run manifest and the
-stdout summary, but deliberately kept out of the results CSV so that a
-repeated run with the same master seed produces byte-identical CSV bytes.
+The run's wall time goes in the manifest, never in the results CSV, so that
+a repeated run with the same master seed produces byte-identical CSV bytes.
 """
 
 from __future__ import annotations
@@ -47,8 +46,7 @@ from .rng import (RngStream, SUB_SPLIT, SUB_CHANNEL, SUB_TRAIN_NOISE,
 
 SUMMARY_COLUMNS = ("model", "n_r", "snr_db", "kappa", "eta", "step",
                    "iteration", "n_trials", "mean_accuracy", "std_accuracy",
-                   "min_accuracy", "max_accuracy", "mean_normalized_accuracy",
-                   "mean_receive_power", "mean_wall_ms")
+                   "mean_normalized_accuracy")
 
 
 @dataclass(slots=True)
@@ -69,13 +67,11 @@ class TrialResult:
     normalized_accuracy: float = None
     train_residual: float = None
     receive_power: float = None
-    wall_ms: float = None           # manifest/summary only, never in CSV
 
 
 # Fixed CSV schema, shared by all experiment kinds (union schema; cells that
-# do not apply stay empty).  Wall-times are excluded on purpose.
-TRIAL_COLUMNS = tuple(f.name for f in fields(TrialResult)
-                      if f.name != "wall_ms")
+# do not apply stay empty).
+TRIAL_COLUMNS = tuple(f.name for f in fields(TrialResult))
 
 
 # ---------------------------------------------------------------------------
@@ -88,9 +84,9 @@ def _load_base_table(cfg: ExperimentConfig):
         return None
     if ds.name == "wbcd":
         return load_wbcd(ds.path)
+    # csv, the one other name `resolved` admits
     return load_csv(ds.path, ds.label_column, delimiter=ds.delimiter,
-                    missing_token=ds.missing_token, has_header=ds.has_header,
-                    label_map=ds.label_map)   # `resolved` admits no other name
+                    has_header=ds.has_header, label_map=ds.label_map)
 
 
 def _trial_dataset(cfg: ExperimentConfig, base_table, trial: RngStream) -> Dataset:
@@ -248,7 +244,6 @@ def _run_grid(cfg: ExperimentConfig):
                                      sizes)] if widest else None
         by_point = []
         for i, (n_r, kappa, snr_db, with_baseline) in enumerate(points):
-            t0 = time.perf_counter()
             if (n_r, kappa) != chan_key:
                 chan_key = (n_r, kappa)
                 h, p_sig = _draw_channel(cfg, dataset, trial, n_r, kappa)
@@ -258,17 +253,13 @@ def _run_grid(cfg: ExperimentConfig):
                       for z, d in zip(replays, sizes)]
                      if finite[i] else (None, None))
             rows = [row(model="mimo", n_r=n_r, snr_db=snr_db, kappa=kappa,
-                        **_fit_and_score(cfg, dataset, layer, noise),
-                        wall_ms=(time.perf_counter() - t0) * 1e3)]
+                        **_fit_and_score(cfg, dataset, layer, noise))]
             if with_baseline:       # the digital ELM: no channel, no noise
-                t0 = time.perf_counter()
-                layer = digital_elm_hidden(
-                    trial.split(SUB_DIGITAL), n_r, dataset.d,
-                    low=cfg.digital_low, high=cfg.digital_high)
+                layer = digital_elm_hidden(trial.split(SUB_DIGITAL), n_r,
+                                           dataset.d)
                 rows.append(row(model="digital", n_r=n_r, snr_db=math.inf,
                                 kappa=kappa,
-                                **_fit_and_score(cfg, dataset, layer),
-                                wall_ms=(time.perf_counter() - t0) * 1e3))
+                                **_fit_and_score(cfg, dataset, layer)))
             by_point.append(rows)
         return by_point
 
@@ -284,8 +275,7 @@ def _run_online(cfg: ExperimentConfig):
     the trace of the mini-batch rule (iterations 1..n), where the
     normalizer is the full-data fit recomputed under the stepped channel.
     Both closed-form fits use cfg.combiner; the mini-batch rule is always
-    minimum-norm.  Each step's measured wall time goes on its iteration-0 row;
-    the other rows carry none, and the H(0) fit belongs to no step.
+    minimum-norm.
     """
     ar = ArConfig(eta=cfg.eta)
     rapp = RappParams(y_sat=cfg.y_sat, alpha=cfg.alpha)
@@ -307,7 +297,6 @@ def _run_online(cfg: ExperimentConfig):
                     combiner=cfg.combiner)
         rows = []
         for step in range(1, cfg.steps + 1):
-            t0 = time.perf_counter()
             h = evolve_ar(h, ar, ar_rng)
             layer_k = replace(layer, h_real=h.real)
             # normalizer: closed-form refit on the full data under H(k)
@@ -327,7 +316,6 @@ def _run_online(cfg: ExperimentConfig):
                                 normalized_accuracy=(acc / acc_full
                                                      if acc_full > 0
                                                      else math.nan)))
-            rows[-len(trace)].wall_ms = (time.perf_counter() - t0) * 1e3
         return rows
 
     return [r for rows in _per_seed(cfg, one) for r in rows]
@@ -362,8 +350,9 @@ def run_online(cfg: ExperimentConfig):
 # aggregation and emission
 
 def summarize(results):
-    """Per-grid-point aggregate: mean/std/min/max accuracy, mean ||w||^2,
-    mean wall time.  std is the population standard deviation."""
+    """Per-grid-point aggregate: mean and std of the accuracy, and the mean
+    normalized accuracy of online rows.  std is the population standard
+    deviation."""
     if not results:
         raise ValueError("summarize: empty result list")
     key_columns = SUMMARY_COLUMNS[:7]       # model .. iteration
@@ -376,19 +365,13 @@ def summarize(results):
         accs = np.array([r.accuracy for r in rows], dtype=float)
         naccs = [r.normalized_accuracy for r in rows
                  if r.normalized_accuracy is not None]
-        powers = [r.receive_power for r in rows if r.receive_power is not None]
-        walls = [r.wall_ms for r in rows if r.wall_ms is not None]
         table.append({
             **dict(zip(key_columns, key)),
             "n_trials": len(rows),
             "mean_accuracy": float(accs.mean()),
             "std_accuracy": float(accs.std()),
-            "min_accuracy": float(accs.min()),
-            "max_accuracy": float(accs.max()),
             "mean_normalized_accuracy":
                 float(np.mean(naccs)) if naccs else None,
-            "mean_receive_power": float(np.mean(powers)) if powers else None,
-            "mean_wall_ms": float(np.mean(walls)) if walls else None,
         })
     table.sort(key=lambda row: tuple((row[c] is None, row[c])
                                      for c in key_columns))
@@ -447,32 +430,23 @@ def _environment(cfg: ExperimentConfig) -> dict:
 
 def write_manifest(cfg: ExperimentConfig, results, csv_path,
                    elapsed_ms: float = None) -> str:
-    """Sidecar JSON recording config, seed, version, dataset checksums, the
-    environment and timing (timing lives here, not in the CSV, to keep CSV
-    bytes stable).
-
-    total_wall_ms sums the per-trial times, so it exceeds the wall time when
-    trials overlap on several threads; elapsed_ms is the runner's own wall
-    time, given by `run`, and null when the caller did not time the run.
-    """
+    """Sidecar JSON recording config, version, dataset checksums, the
+    environment and elapsed_ms, the runner's own wall time, given by `run`
+    (null when the caller did not time the run)."""
     ds = cfg.dataset
     checksums = ({"synthetic": f"size={ds.synth_size},d={ds.synth_d},"
                                f"sep={ds.synth_separation}"}
                  if ds.name == "synthetic"
                  else {ds.path: sha256_file(ds.path)})
-    walls = [r.wall_ms for r in results if r.wall_ms is not None]
     manifest = {
         # JSON has no inf; the grid tuples are written as lists
         "config": {key: "inf" if value == math.inf else value
                    for key, value in asdict(cfg).items()},
-        "master_seed": cfg.master_seed,
         "library_version": __version__,
         "dataset_checksums": checksums,
         "n_result_rows": len(results),
-        "total_wall_ms": float(np.sum(walls)) if walls else 0.0,
         "elapsed_ms": elapsed_ms,
         "environment": _environment(cfg),
-        "mean_trial_wall_ms": float(np.mean(walls)) if walls else 0.0,
         "created_unix": int(time.time()),
     }
     path = manifest_path(csv_path)
@@ -488,7 +462,9 @@ def write_manifest(cfg: ExperimentConfig, results, csv_path,
 def run(cfg: ExperimentConfig):
     """Resolve cfg once and run it as its kind, writing the CSV and manifest
     of that config when cfg.out is set.  Each `run_<kind>` is `run` as its
-    kind, whatever cfg.kind says, and writes no file."""
+    kind, whatever cfg.kind says, and writes no file; give it an unresolved
+    config, since a resolved one carries its kind's filled n_r and grid as
+    set values."""
     cfg = cfg.resolved()
     t0 = time.perf_counter()
     results = _run_online(cfg) if cfg.kind == "online" else _run_grid(cfg)

@@ -1,3 +1,4 @@
+import pathlib
 from dataclasses import fields, replace
 
 import pytest
@@ -11,7 +12,7 @@ from airelm.rng import RngStream
 
 
 def _all_keys_ini(tmp_path):
-    """An INI setting each of the 35 keys to a value other than its default."""
+    """An INI setting each of the 32 keys to a value other than its default."""
     data = tmp_path / "data.txt"
     data.write_text("1\n")
     text = (
@@ -27,7 +28,6 @@ def _all_keys_ini(tmp_path):
         f"path = {data}\n"
         "label_column = 3\n"
         "delimiter = ;\n"
-        "missing_token = NA\n"
         "has_header = off\n"
         "label_map = M:-1, B:1\n"
         "train_ratio = 0.7\n"
@@ -47,8 +47,6 @@ def _all_keys_ini(tmp_path):
         "[model]\n"
         "n_r = 96\n"
         "combiner = min_norm\n"
-        "digital_low = -0.5\n"
-        "digital_high = 0.75\n"
         "[sweep]\n"
         "grid = 0.5 2, 8\n"
         "[online]\n"
@@ -71,13 +69,12 @@ def test_parse_config_reads_every_key(tmp_path):
         out=str(tmp_path / "r.csv"),
         dataset=DatasetConfig(
             name="csv", path=str(data), label_column=3, delimiter=";",
-            missing_token="NA", has_header=False, label_map={"M": -1, "B": 1},
+            has_header=False, label_map={"M": -1, "B": 1},
             train_ratio=0.7, subsample=50, synth_size=120, synth_d=5,
             synth_separation=2.5),
         kappa=3.5, pathloss=2.0, los_angle_rx=0.25, los_angle_tx=-0.5,
         snr_db=15.0, y_sat=2.0, alpha=4, n_r=96, combiner="min_norm",
-        digital_low=-0.5,
-        digital_high=0.75, grid=(0.5, 2.0, 8.0), eta=0.8, gamma=0.25,
+        grid=(0.5, 2.0, 8.0), eta=0.8, gamma=0.25,
         batch_size=16, steps=3, iters_per_step=4)
     cfg = parse_config(str(path))
     assert cfg == expected
@@ -96,6 +93,21 @@ def test_parse_config_empty_key_keeps_default(tmp_path):
             ("snr_db = 15", replace(full, snr_db=float("inf")))):
         path.write_text(text.replace(line, line.split("=")[0] + "="))
         assert repr(parse_config(str(path))) == repr(expected), line
+
+
+def test_readme_ini_example_names_every_key_and_parses(tmp_path):
+    """The README's INI example, with its comments cut and its commented-out
+    keys restored, is a config file that names every key of the schema."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text(encoding="utf-8").split("```ini\n")[1]
+    lines = [line.split(" ;")[0].strip().removeprefix("; ")
+             for line in block.split("```")[0].splitlines()]
+    path = tmp_path / "readme.ini"
+    path.write_text("".join(f"{line}\n" for line in lines if line))
+    parse_config(str(path))         # no unknown key, no value it refuses
+    named = {line.split("=")[0].strip() for line in lines if "=" in line}
+    assert named == {f.name for cls in (ExperimentConfig, DatasetConfig)
+                     for f in fields(cls) if f.metadata}
 
 
 @pytest.mark.parametrize("section, key", [

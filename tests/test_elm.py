@@ -280,20 +280,13 @@ def test_fit_deterministic_under_noise():
 # ----------------------------------------------------- digital layer
 
 def test_digital_weights_default_support():
+    """Uniform[-1, 1] weights, so each hidden unit's weights center on 0."""
     layer = digital_elm_hidden(RngStream(0).split(4), n_hidden=300, d=40)
     w = layer.weights
     assert w.shape == (300, 41)
-    assert w.min() >= 0.0
-    assert w.max() <= 1.0
-    assert abs(w.mean() - 0.5) < 0.01
-
-
-def test_digital_weights_custom_range():
-    layer = digital_elm_hidden(RngStream(1).split(4), 300, 40, low=-1.0, high=1.0)
-    w = layer.weights
     assert w.min() >= -1.0
     assert w.max() <= 1.0
-    assert abs(w.mean()) < 0.02
+    assert np.abs(w.mean(axis=0)).max() < 0.15
 
 
 def test_digital_weights_validation():
@@ -302,11 +295,6 @@ def test_digital_weights_validation():
         digital_elm_hidden(rng, 0, 4)
     with pytest.raises(ConfigError):
         digital_elm_hidden(rng, 4, -1)
-    with pytest.raises(ConfigError):
-        digital_elm_hidden(rng, 4, 4, low=1.0, high=1.0)
-    # high - low overflows: Generator.uniform raised OverflowError
-    with pytest.raises(ConfigError, match="finite high - low"):
-        digital_elm_hidden(rng, 4, 4, low=-1e308, high=1e308)
 
 
 def test_digital_hidden_matrix_is_sigmoid():
