@@ -25,7 +25,7 @@ D_TRAIN = 64
 SEED = 0
 
 table = synth_two_gaussians(RngStream(SEED).split(SUB_SYNTH), 80, 8, 4.0)
-data = split_standardize(table, 0.8, RngStream(SEED).split(0))
+data = split_standardize(table, 0.8, rng=RngStream(SEED).split(0))
 print(f"synthetic task: {data.x_train.shape[0]} train samples, d = {data.d}")
 print()
 print(f"{'width':>6}  {'train rmse':>12}  {'||w||':>8}")

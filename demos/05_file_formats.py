@@ -34,7 +34,7 @@ with tempfile.TemporaryDirectory() as tmp_dir:
 
     # the splitter refuses tables that still have holes
     try:
-        split_standardize(table, 0.8, RngStream(0).split(0))
+        split_standardize(table, 0.8, rng=RngStream(0).split(0))
     except DataError as e:
         print(f"     split on unimputed table -> DataError: {e}")
 
@@ -42,7 +42,7 @@ with tempfile.TemporaryDirectory() as tmp_dir:
     means = np.nanmean(table.features, axis=0)
     fixed = replace(table, features=np.where(table.present, table.features,
                                              means))
-    data = split_standardize(fixed, 0.8, RngStream(0).split(0))
+    data = split_standardize(fixed, 0.8, rng=RngStream(0).split(0))
     print(f"     after impute + split: train {data.x_train.shape},"
           f" test {data.x_test.shape}")
     print(f"     train block mean ~ {np.abs(data.x_train.mean(axis=0)).max():.1e}")

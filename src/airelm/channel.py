@@ -2,7 +2,7 @@
 
 Implements the fading model
 
-    H = sqrt(kappa/(1+kappa)) sqrt(P_L) H_LoS + sqrt(1/(1+kappa)) sqrt(P_L) H_NLoS
+    H = sqrt(kappa/(1+kappa)) H_LoS + sqrt(1/(1+kappa)) H_NLoS
 
 with a rank-one uniform-linear-array line-of-sight component and i.i.d.
 CN(0,1) scattering, first-order AR time evolution, AWGN application, and
@@ -27,7 +27,6 @@ class RiceanConfig:
     n_r: int
     n_t: int
     kappa: float = 0.0
-    pathloss: float = 1.0
     los_angle_rx: float = 0.0
     los_angle_tx: float = 0.0
 
@@ -37,9 +36,6 @@ class RiceanConfig:
         if not 0.0 <= self.kappa < math.inf:
             raise ConfigError(
                 f"kappa must be finite and >= 0, got {self.kappa}")
-        if not 0.0 < self.pathloss < math.inf:
-            raise ConfigError(
-                f"pathloss must be finite and > 0, got {self.pathloss}")
         for angle in (self.los_angle_rx, self.los_angle_tx):
             if not math.isfinite(angle):
                 raise ConfigError(f"LoS angles must be finite, got {angle}")
@@ -99,12 +95,11 @@ def ricean_mix(kappa: float):
 
 
 def sample_ricean(cfg: RiceanConfig, rng: RngStream) -> np.ndarray:
-    """Draw one complex Ricean fading realization H at the configured kappa
-    and pathloss; the learner uses its real part H.real."""
+    """Draw one complex Ricean fading realization H at the configured kappa,
+    with unit power per entry; the learner uses its real part H.real."""
     c_los, c_nlos = ricean_mix(cfg.kappa)
     h_nlos = sample_cgaussian(rng, cfg.n_r, cfg.n_t)
-    root_pl = np.sqrt(cfg.pathloss)
-    return c_los * root_pl * los_matrix(cfg) + c_nlos * root_pl * h_nlos
+    return c_los * los_matrix(cfg) + c_nlos * h_nlos
 
 
 def evolve_ar(h_prev: np.ndarray, cfg: ArConfig, rng: RngStream) -> np.ndarray:
@@ -159,8 +154,7 @@ def signal_power(r: np.ndarray) -> float:
     """P_sig of a receive block r, one receive vector per row: the average
     per-antenna received signal power mean_i ||r_i||^2 / N_r.  The squares
     are summed row block by row block, each row as the whole block would
-    sum it.  A ConfigError names the pathloss when the power overflows or
-    is zero."""
+    sum it.  A ValueError when the power is 0 or overflows."""
     r = np.atleast_2d(r)
     if r.size == 0:
         raise ValueError("signal_power: empty transmit-vector set")
@@ -169,12 +163,9 @@ def signal_power(r: np.ndarray) -> float:
         for rows in row_blocks(r.shape):
             np.sum(r[rows] ** 2, axis=1, out=sums[rows])
     p_sig = np.mean(sums) / r.shape[1]
-    if p_sig == 0.0:
-        raise ConfigError("the received signal power underflows to 0 in "
-                          "float64; raise [channel] pathloss")
-    if not math.isfinite(p_sig):
-        raise ConfigError("the received signal power overflows float64; "
-                          "lower [channel] pathloss")
+    if not 0.0 < p_sig < math.inf:
+        raise ValueError(f"signal_power: P_sig = {p_sig} is not a positive "
+                         "finite float")
     return p_sig
 
 
@@ -182,8 +173,7 @@ def noise_for_snr(p_sig: float, snr_db: float) -> NoiseModel:
     """The noise that puts signal power p_sig at snr_db at the receiver:
     sigma^2 = p_sig / 10^(snr_db/10).  snr_db = +inf is noiseless and
     leaves p_sig unused.  A ConfigError names snr_db when 10^(snr_db/10)
-    is not a positive finite float, and the pathloss too when sigma^2
-    overflows."""
+    is not a positive finite float, or when sigma^2 overflows."""
     if snr_db == math.inf:
         return NOISELESS
     try:
@@ -197,7 +187,7 @@ def noise_for_snr(p_sig: float, snr_db: float) -> NoiseModel:
     sigma2 = float(p_sig) / ratio
     if sigma2 == math.inf:
         raise ConfigError(f"the noise power at snr_db = {snr_db} overflows "
-                          f"float64; raise snr_db or lower [channel] pathloss")
+                          f"float64; raise snr_db")
     return NoiseModel(sigma2)
 
 

@@ -103,7 +103,6 @@ class ExperimentConfig:
     out: str = _key("experiment", None, str)
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
     kappa: float = _key("channel", 0.0, float)
-    pathloss: float = _key("channel", 1.0, float)
     los_angle_rx: float = _key("channel", 0.0, float)
     los_angle_tx: float = _key("channel", 0.0, float)
     snr_db: float = _key("channel", float("inf"), _to_float)
@@ -170,7 +169,7 @@ class ExperimentConfig:
         kappas = cfg.grid if cfg.kind == "sweep_kappa" else ()
         for kappa in (cfg.kappa, *kappas):                # validates each
             RiceanConfig(n_r=cfg.n_r, n_t=1, kappa=kappa,
-                         pathloss=cfg.pathloss, los_angle_rx=cfg.los_angle_rx,
+                         los_angle_rx=cfg.los_angle_rx,
                          los_angle_tx=cfg.los_angle_tx)
         if cfg.combiner not in COMBINERS:
             raise ConfigError(f"combiner must be one of {COMBINERS}, got "

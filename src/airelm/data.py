@@ -206,8 +206,8 @@ def train_count(d_total: int, train_ratio: float) -> int:
     return min(max(n_tr, 1), d_total - 1)
 
 
-def split_standardize(table: RawTable, train_ratio: float = 0.8,
-                      rng: RngStream = None) -> Dataset:
+def split_standardize(table: RawTable, train_ratio: float = 0.8, *,
+                      rng: RngStream) -> Dataset:
     """Uniform random split + per-feature standardization.
 
     Standardization statistics come from the training block only and are

@@ -101,13 +101,13 @@ def train(g: np.ndarray, t: np.ndarray, hidden=None,
 
 
 def _receive_power(w: np.ndarray) -> float:
-    """||w||^2 of a fitted combiner, or a ConfigError naming the pathloss if
-    it overflows: P_sig may still be a normal float, so only a fit finds it."""
+    """||w||^2 of a fitted combiner, or a ConfigError if it overflows: where
+    noise dominates, G ~ y_sat^2 / n, so raising snr_db or y_sat helps."""
     with np.errstate(over="ignore"):
         power = float(w @ w)
     if not np.isfinite(power):
         raise ConfigError("the combiner's power ||w||^2 overflows float64; "
-                          "raise [channel] pathloss")
+                          "raise snr_db or y_sat")
     return power
 
 

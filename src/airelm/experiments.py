@@ -101,7 +101,7 @@ def _trial_dataset(cfg: ExperimentConfig, base_table, trial: RngStream) -> Datas
             table.n_rows, ds.subsample, replace=False))
         table = replace(table, features=table.features[keep],
                         labels=table.labels[keep])
-    return split_standardize(table, ds.train_ratio, trial.split(SUB_SPLIT))
+    return split_standardize(table, ds.train_ratio, rng=trial.split(SUB_SPLIT))
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +112,7 @@ def _draw_channel(cfg, dataset, trial, n_r: int, kappa: float):
     signal power of the training receive block under its real part."""
     h = sample_ricean(
         RiceanConfig(n_r=n_r, n_t=dataset.d + 1, kappa=kappa,
-                     pathloss=cfg.pathloss, los_angle_rx=cfg.los_angle_rx,
+                     los_angle_rx=cfg.los_angle_rx,
                      los_angle_tx=cfg.los_angle_tx),
         trial.split(SUB_CHANNEL))
     return h, signal_power(receive(h.real, augment(dataset.x_train)))
@@ -407,8 +407,8 @@ def sha256_file(path) -> str:
     return digest.hexdigest()
 
 
-def _environment(cfg: ExperimentConfig) -> dict:
-    """numpy and BLAS build, and the thread settings the timings ran under."""
+def _environment() -> dict:
+    """numpy and BLAS build, and the BLAS threads the timings ran under."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):
@@ -416,7 +416,7 @@ def _environment(cfg: ExperimentConfig) -> dict:
     env = {"numpy": np.__version__, "blas": blas.get("name"),
            "blas_version": blas.get("version"),
            # OpenBLAS's CPU kernel: the CSV bytes hold per (build, kernel)
-           "blas_core": blas_core(), "threads": cfg.threads,
+           "blas_core": blas_core(),
            # every trial runs inside `one_blas_thread`
            "blas_threads": 1 if blas_thread_control() else None,
            "lapack": lapack_cholesky() and lapack_cholesky()[1].__name__,
@@ -446,7 +446,7 @@ def write_manifest(cfg: ExperimentConfig, results, csv_path,
         "dataset_checksums": checksums,
         "n_result_rows": len(results),
         "elapsed_ms": elapsed_ms,
-        "environment": _environment(cfg),
+        "environment": _environment(),
         "created_unix": int(time.time()),
     }
     path = manifest_path(csv_path)

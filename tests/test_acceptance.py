@@ -50,7 +50,7 @@ def test_1_square_design_interpolates():
     hits = 0
     for seed in range(100):
         table = synth_two_gaussians(RngStream(seed).split(SUB_SYNTH), 80, 8, 4.0)
-        data = split_standardize(table, 0.8, RngStream(seed).split(0))
+        data = split_standardize(table, 0.8, rng=RngStream(seed).split(0))
         h = RngStream(seed).split(SUB_CHANNEL).normal(size=(64, 9))
         g = hidden_matrix(HiddenLayer(h_real=h), data.x_train)
         model = train(g, data.t_train)

@@ -89,11 +89,14 @@ def test_strong_los_approaches_deterministic():
     assert np.allclose(h, np.ones((8, 8)), atol=1e-4)
 
 
-def test_pathloss_scales_power():
-    cfg = RiceanConfig(n_r=300, n_t=334, kappa=0.0, pathloss=4.0)
-    h = sample_ricean(cfg, RngStream(12).split(1))
-    power = (np.abs(h) ** 2).mean()
-    assert abs(power - 4.0) < 0.12
+def test_channel_has_unit_power():
+    """E|h|^2 = 1 at any kappa: the channel carries no path loss, and
+    y_sat alone sets the signal level at the Rapp knee."""
+    for kappa in (0.0, 10.0):
+        cfg = RiceanConfig(n_r=300, n_t=334, kappa=kappa)
+        h = sample_ricean(cfg, RngStream(12).split(1))
+        power = (np.abs(h) ** 2).mean()
+        assert abs(power - 1.0) < 0.03, kappa
 
 
 def test_h_real_is_real_part():
@@ -115,8 +118,6 @@ def test_ricean_config_validation():
         RiceanConfig(n_r=0, n_t=2)
     with pytest.raises(ConfigError):
         RiceanConfig(n_r=2, n_t=2, kappa=-0.5)
-    with pytest.raises(ConfigError):
-        RiceanConfig(n_r=2, n_t=2, pathloss=0.0)
 
 
 # ---------------------------------------------------------- AR drift
@@ -253,5 +254,9 @@ def test_sigma2_infinite_snr_is_zero():
 
 
 def test_sigma2_zero_signal_rejected():
-    with pytest.raises(ValueError):
-        sigma2_for_snr(np.eye(2), np.zeros((3, 2)), 10.0)
+    """A zero or overflowing P_sig is a library error: no config reaches it,
+    since H has unit power and the training block is standardized."""
+    for x in (np.zeros((3, 2)), np.full((3, 2), 1e200)):
+        with pytest.raises(ValueError, match="signal_power: P_sig") as err:
+            sigma2_for_snr(np.eye(2), x, 10.0)
+        assert not isinstance(err.value, ConfigError)

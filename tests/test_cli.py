@@ -348,8 +348,6 @@ def test_blas_thread_env_preserves_bytes(tmp_path):
     ("sweep-nr", "[channel]\nkappa = -1\n", "kappa must be finite and >= 0"),
     ("sweep-kappa", "[sweep]\ngrid = 0, -2\n",
      "kappa must be finite and >= 0, got -2.0"),
-    ("sweep-nr", "[channel]\npathloss = inf\n", "pathloss must be finite"),
-    ("sweep-nr", "[channel]\npathloss = 0\n", "pathloss must be finite and > 0"),
     ("sweep-nr", "[channel]\nlos_angle_rx = nan\n", "LoS angles must be"),
     ("sweep-nr", "[online]\niters_per_step = -1\n", "iters_per_step must be"),
     # each used to end in a traceback: a TypeError on loading (no path), a
@@ -376,6 +374,9 @@ def test_blas_thread_env_preserves_bytes(tmp_path):
      "unknown key 'digital_low' in [model]"),
     ("sweep-nr", "[dataset]\nmissing_token = NA\n",
      "unknown key 'missing_token' in [dataset]"),
+    # a path loss only rescales the signal against y_sat
+    ("sweep-nr", "[channel]\npathloss = 1\n",
+     "unknown key 'pathloss' in [channel]"),
     # each used to end as a data error (exit 2) from the first trial
     ("sweep-nr", "[dataset]\nsynth_d = 0\n", "synth_d must be >= 1, got 0"),
     ("sweep-nr", "[dataset]\nsynth_size = 1\n",
@@ -411,13 +412,14 @@ def test_blas_thread_env_preserves_bytes(tmp_path):
         "gamma_above_1", "zero_eta", "zero_batch_size", "odd_alpha",
         "zero_y_sat", "zero_steps", "negative_subsample", "subsample_1",
         "nan_kappa", "inf_kappa",
-        "negative_kappa", "negative_kappa_grid", "inf_pathloss",
-        "zero_pathloss", "nan_los_angle", "negative_iters_per_step",
+        "negative_kappa", "negative_kappa_grid",
+        "nan_los_angle", "negative_iters_per_step",
         "wbcd_without_path", "inf_separation", "nan_separation",
         "negative_master_seed", "csv_without_path",
         "absent_wbcd_path",
         "unknown_dataset_mnist", "unknown_key_mnist_pixels",
-        "unknown_key_digital_low", "unknown_key_missing_token", "zero_synth_d",
+        "unknown_key_digital_low", "unknown_key_missing_token",
+        "unknown_key_pathloss", "zero_synth_d",
         "synth_size_1",
         "negative_synth_size", "synth_size_beyond_float64",
         "two_character_delimiter", "unknown_combiner", "snr_db_4000",
@@ -445,33 +447,24 @@ def test_bad_sweep_values_exit_1_before_compute(tmp_path, capsys, monkeypatch,
     assert err.startswith("config error:") and message in err
 
 
-def test_signal_power_overflow_exits_1_naming_pathloss(tmp_path, capsys):
-    """A pathloss whose received signal power, noise power or combiner
-    power overflows float64 is found in the first trial, which needs the
-    data to compute P_sig, and the fit to compute ||w||^2.  At 20 dB it
-    used to end in "ridge_lstsq: input contains NaN or Inf"; noiseless,
-    P_sig went unmeasured and the run exited 0 at chance accuracy;
-    sigma2 = P_sig / 1e-300 overflowing at -3000 dB ended as the first did.
-    A tiny pathloss makes w huge: the 1e-320 and 1e-307 runs exited 0
-    with an overflow warning and an infinite receive_power, the min-norm
-    one at a P_sig of 4.3e-307, a normal float; on 3 rows, with a 2 x 2
-    Gram matrix, ridge's lam was subnormal too."""
-    for i, channel in enumerate((
-            "pathloss = 1e308\nsnr_db = 20\n[model]\nn_r = 16\n",
-            "pathloss = 1e308\nsnr_db = inf\n[model]\nn_r = 16\n",
-            "pathloss = 1e10\nsnr_db = -3000\n[model]\nn_r = 16\n",
-            "pathloss = 1e-320\nsnr_db = 20\n[model]\nn_r = 16\n",
-            "pathloss = 1e-307\nsnr_db = 20\n[model]\ncombiner = min_norm\n",
-            # lam is subnormal: the unscaled ridge solve warned "invalid
-            # value encountered in matmul"
-            "pathloss = 1e-320\n[dataset]\nsynth_size = 3\n")):
+def test_noise_or_combiner_overflow_exits_1_naming_snr_db(tmp_path, capsys):
+    """A noise power or combiner power that overflows float64 is found in
+    the first trial, which needs the data to compute P_sig and the fit to
+    compute ||w||^2.  At -3080 dB sigma^2 = P_sig / 1e-308 overflows; at
+    -2800 dB the noise swamps a knee of 1e-10, G ~ y_sat^2 / n is tiny
+    and w huge, so a higher snr_db or y_sat is the remedy."""
+    for i, (body, message) in enumerate((
+            ("[channel]\nsnr_db = -3080\n",
+             "noise power at snr_db = -3080.0 overflows float64; raise snr_db"),
+            ("[channel]\nsnr_db = -2800\n[activation]\ny_sat = 1e-10\n",
+             "||w||^2 overflows float64; raise snr_db or y_sat"))):
         out = tmp_path / f"r{i}.csv"
-        cfg = _ini(tmp_path, "[experiment]\nseeds = 1\n[channel]\n"
-                   + channel)
+        cfg = _ini(tmp_path, "[experiment]\nseeds = 1\n" + body)
         assert main(["single", "--config", cfg, "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.count("\n") == 1, channel
-        assert err.startswith("config error:") and "pathloss" in err
+        assert err.count("\n") == 1, body
+        assert err.startswith("config error:") and message in err, err
+        assert "pathloss" not in err
         assert not out.exists()
 
 
@@ -705,7 +698,7 @@ _VALID = {
     "label_column": ["label"], "delimiter": [";"],
     "has_header": ["off"], "label_map": ["1:1, 2:-1"],
     "train_ratio": ["0.5"], "synth_separation": ["1"], "kappa": ["10"],
-    "pathloss": ["1e-320"], "los_angle_rx": ["0.5"],
+    "los_angle_rx": ["0.5"],
     "los_angle_tx": ["0.5"], "snr_db": ["20", "noiseless"], "y_sat": ["0.5"],
     "alpha": ["4"], "combiner": ["min_norm", "ridge"],
     "eta": ["1"], "gamma": ["0.9"],

@@ -12,7 +12,7 @@ from airelm.rng import RngStream
 
 
 def _all_keys_ini(tmp_path):
-    """An INI setting each of the 32 keys to a value other than its default."""
+    """An INI setting each of the 31 keys to a value other than its default."""
     data = tmp_path / "data.txt"
     data.write_text("1\n")
     text = (
@@ -37,7 +37,6 @@ def _all_keys_ini(tmp_path):
         "synth_separation = 2.5\n"
         "[channel]\n"
         "kappa = 3.5\n"
-        "pathloss = 2\n"
         "los_angle_rx = 0.25\n"
         "los_angle_tx = -0.5\n"
         "snr_db = 15\n"
@@ -72,7 +71,7 @@ def test_parse_config_reads_every_key(tmp_path):
             has_header=False, label_map={"M": -1, "B": 1},
             train_ratio=0.7, subsample=50, synth_size=120, synth_d=5,
             synth_separation=2.5),
-        kappa=3.5, pathloss=2.0, los_angle_rx=0.25, los_angle_tx=-0.5,
+        kappa=3.5, los_angle_rx=0.25, los_angle_tx=-0.5,
         snr_db=15.0, y_sat=2.0, alpha=4, n_r=96, combiner="min_norm",
         grid=(0.5, 2.0, 8.0), eta=0.8, gamma=0.25,
         batch_size=16, steps=3, iters_per_step=4)
@@ -152,7 +151,7 @@ def test_online_batch_size_limit_is_the_split_train_block(
         synth_size, train_ratio, subsample):
     rows = min(synth_size, subsample or synth_size)
     table = synth_two_gaussians(RngStream(0), rows, 2, 1.0)
-    d_train = split_standardize(table, train_ratio, RngStream(1)).x_train.shape[0]
+    d_train = split_standardize(table, train_ratio, rng=RngStream(1)).x_train.shape[0]
     cfg = ExperimentConfig(kind="online", dataset=DatasetConfig(
         synth_size=synth_size, train_ratio=train_ratio, subsample=subsample))
     assert replace(cfg, batch_size=d_train).resolved().batch_size == d_train

@@ -146,7 +146,7 @@ def test_unusable_labels_caught_at_split_time(tmp_path):
     table = load_csv(str(p), label_column=2)
     assert np.array_equal(table.labels, [7, 1, -1])
     with pytest.raises(DataError):
-        split_standardize(table, 0.5, RngStream(0).split(0))
+        split_standardize(table, 0.5, rng=RngStream(0).split(0))
 
 
 def test_load_csv_label_map(tmp_path):
@@ -209,14 +209,14 @@ def _train_stats(table, rng, train_ratio=0.8):
 
 
 def test_split_sizes():
-    data = split_standardize(_clean_table(10), 0.8, RngStream(0).split(0))
+    data = split_standardize(_clean_table(10), 0.8, rng=RngStream(0).split(0))
     assert data.x_train.shape == (8, 3)
     assert data.x_test.shape == (2, 3)
     assert data.d == 3
 
 
 def test_split_train_block_standardized():
-    data = split_standardize(_clean_table(200), 0.8, RngStream(1).split(0))
+    data = split_standardize(_clean_table(200), 0.8, rng=RngStream(1).split(0))
     assert np.all(np.abs(data.x_train.mean(axis=0)) < 1e-8)
     assert np.allclose(data.x_train.std(axis=0), 1.0, atol=1e-6)
 
@@ -225,7 +225,7 @@ def test_split_test_uses_train_stats():
     # test block is standardized with the train block's numbers, so its
     # own mean need not vanish
     table = _clean_table(50, seed=3)
-    data = split_standardize(table, 0.8, RngStream(2).split(0))
+    data = split_standardize(table, 0.8, rng=RngStream(2).split(0))
     perm, mean, std = _train_stats(table, RngStream(2).split(0))
     assert np.array_equal(data.x_test, (table.features[perm[40:]] - mean) / std)
     assert np.abs(data.x_test.mean(axis=0)).max() > 1e-8
@@ -236,7 +236,7 @@ def test_split_constant_column_flagged():
     feats = table.features.copy()
     feats[:, 1] = 4.2
     table = RawTable(feats, table.labels)
-    data = split_standardize(table, 0.8, RngStream(3).split(0))
+    data = split_standardize(table, 0.8, rng=RngStream(3).split(0))
     # std 1 after centering on the column's value: zeros in both blocks
     assert np.all(data.x_train[:, 1] == 0.0)
     assert np.all(data.x_test[:, 1] == 0.0)
@@ -252,14 +252,14 @@ def test_split_overflowing_column_is_a_data_error_unless_constant():
     feats = table.features.copy()
     feats[:, 2] = 1.5e308
     data = split_standardize(RawTable(feats, table.labels), 0.8,
-                             RngStream(3).split(0))
+                             rng=RngStream(3).split(0))
     assert np.all(data.x_train[:, 2] == 0.0)
     assert np.all(data.x_test[:, 2] == 0.0)
     feats[::2, 2] = -1.5e308
     huge = RawTable(feats, table.labels, feature_names=("a", "b", "c"))
     with pytest.raises(DataError, match="feature 'c': its training mean or "
                                         "std overflows float64"):
-        split_standardize(huge, 0.8, RngStream(3).split(0))
+        split_standardize(huge, 0.8, rng=RngStream(3).split(0))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -275,15 +275,15 @@ def test_split_test_cell_overflowing_when_standardized_is_a_data_error():
     table = RawTable(feats, labels, feature_names=("a", "b"))
     with pytest.raises(DataError, match="feature 'a': a test-block value "
                                         "overflows float64 when standardized"):
-        split_standardize(table, 0.8, RngStream(6))
+        split_standardize(table, 0.8, rng=RngStream(6))
     feats[test_row, 0] = 1e150
-    data = split_standardize(RawTable(feats, labels), 0.8, RngStream(6))
+    data = split_standardize(RawTable(feats, labels), 0.8, rng=RngStream(6))
     assert np.isfinite(data.x_test).all() and data.x_test.max() > 1e151
 
 
 def test_split_roundtrip():
     table = _clean_table(40)
-    data = split_standardize(table, 0.8, RngStream(4).split(0))
+    data = split_standardize(table, 0.8, rng=RngStream(4).split(0))
     perm, mean, std = _train_stats(table, RngStream(4).split(0))
     assert np.allclose(data.x_train * std + mean, table.features[perm[:32]],
                        atol=1e-10)
@@ -293,7 +293,7 @@ def test_split_roundtrip():
 
 def test_split_partition_is_disjoint_and_complete():
     table = _clean_table(25, seed=9)
-    data = split_standardize(table, 0.8, RngStream(5).split(0))
+    data = split_standardize(table, 0.8, rng=RngStream(5).split(0))
     _, mean, std = _train_stats(table, RngStream(5).split(0))
     rebuilt = np.vstack([data.x_train, data.x_test]) * std + mean
     assert rebuilt.shape == table.features.shape
@@ -305,30 +305,41 @@ def test_split_partition_is_disjoint_and_complete():
 
 def test_split_validation():
     with pytest.raises(DataError):
-        split_standardize(_clean_table(10), 0.0, RngStream(0).split(0))
+        split_standardize(_clean_table(10), 0.0, rng=RngStream(0).split(0))
     with pytest.raises(DataError):
-        split_standardize(_clean_table(10), 1.0, RngStream(0).split(0))
+        split_standardize(_clean_table(10), 1.0, rng=RngStream(0).split(0))
     with pytest.raises(DataError):
-        split_standardize(_clean_table(1), 0.8, RngStream(0).split(0))
+        split_standardize(_clean_table(1), 0.8, rng=RngStream(0).split(0))
+
+
+def test_split_needs_an_rng():
+    """The split is drawn from rng, so there is no default to fall back on;
+    train_ratio keeps its 0.8."""
+    for args in ((), (0.8,)):
+        with pytest.raises(TypeError, match="rng"):
+            split_standardize(_clean_table(10), *args)
+    a = split_standardize(_clean_table(10), rng=RngStream(0).split(0))
+    b = split_standardize(_clean_table(10), 0.8, rng=RngStream(0).split(0))
+    assert np.array_equal(a.x_train, b.x_train)
 
 
 def test_split_rejects_missing_cells():
     table = RawTable(np.array([[1.0, np.nan], [2.0, 3.0], [4.0, 5.0]]),
                      np.array([1, -1, 1]))
     with pytest.raises(DataError):
-        split_standardize(table, 0.5, RngStream(0).split(0))
+        split_standardize(table, 0.5, rng=RngStream(0).split(0))
 
 
 def test_split_single_class_guard():
     table = _clean_table(10)
     ones = RawTable(table.features, np.ones(10))
     with pytest.raises(DataError):
-        split_standardize(ones, 0.8, RngStream(0).split(0))
+        split_standardize(ones, 0.8, rng=RngStream(0).split(0))
 
 
 def test_split_deterministic():
-    a = split_standardize(_clean_table(30), 0.8, RngStream(6).split(0))
-    b = split_standardize(_clean_table(30), 0.8, RngStream(6).split(0))
+    a = split_standardize(_clean_table(30), 0.8, rng=RngStream(6).split(0))
+    b = split_standardize(_clean_table(30), 0.8, rng=RngStream(6).split(0))
     assert np.array_equal(a.x_train, b.x_train)
     assert np.array_equal(a.t_test, b.t_test)
 
@@ -367,7 +378,7 @@ def test_synth_wide_separation_is_easy():
     accs = []
     for seed in range(50):
         table = synth_two_gaussians(RngStream(seed).split(SUB_SYNTH), 400, 2, 8.0)
-        data = split_standardize(table, 0.8, RngStream(seed).split(0))
+        data = split_standardize(table, 0.8, rng=RngStream(seed).split(0))
         h = RngStream(seed).split(SUB_CHANNEL).normal(size=(64, 3))
         from airelm.elm import HiddenLayer
         model = fit(HiddenLayer(h_real=h), data.x_train, data.t_train)

@@ -31,7 +31,7 @@ from airelm.rng import RngStream, SUB_CHANNEL, SUB_MINIBATCH, SUB_SYNTH
 
 def _synth_dataset(seed, d_total=80, d=8, sep=4.0):
     table = synth_two_gaussians(RngStream(seed).split(SUB_SYNTH), d_total, d, sep)
-    return split_standardize(table, 0.8, RngStream(seed).split(0))
+    return split_standardize(table, 0.8, rng=RngStream(seed).split(0))
 
 
 def _random_layer(seed, n_r, d):

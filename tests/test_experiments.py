@@ -398,7 +398,7 @@ def test_manifest_contents(tmp_path):
     assert doc["elapsed_ms"] is None        # the caller did not time the run
     env = doc["environment"]
     assert env["numpy"] == np.__version__
-    assert env["threads"] == 1
+    assert doc["config"]["threads"] == 1    # and not in the environment
     assert {"blas", "blas_version", "blas_threads"} <= set(env)
     assert env["blas_threads"] == (1 if blas_thread_control() else None)
     # OpenBLAS's CPU kernel, such as "SkylakeX"; null for another BLAS
@@ -411,7 +411,7 @@ def test_manifest_contents(tmp_path):
     assert env["malloc"] == numkernel.malloc_applied in (
         None, numkernel.MALLOC_POLICY)
     assert set(env) - {"numpy", "blas", "blas_version", "blas_core",
-                       "threads", "blas_threads", "lapack", "malloc"} <= {
+                       "blas_threads", "lapack", "malloc"} <= {
         "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}
     # run() records the runner's own wall time, and the CSV bytes do not
     # depend on it
