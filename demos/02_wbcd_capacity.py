@@ -40,7 +40,7 @@ for combiner in COMBINERS:
         grid=GRID,
         combiner=combiner,
         dataset=DatasetConfig(name="wbcd", path=path),
-    ).resolved()
+    )
     print(f"running 20 seeds x 6 widths (analog + digital), {combiner}...")
     for r in run_sweep_nr(cfg):
         acc.setdefault((combiner, r.model, r.n_r), []).append(r.accuracy)

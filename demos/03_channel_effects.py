@@ -34,7 +34,7 @@ def mean_acc(rows, key):
 
 print("[ 1 ] accuracy vs snr, width 256, 20 seeds")
 cfg = ExperimentConfig(kind="sweep_snr", seeds=20, master_seed=0,
-                       grid=(-10.0, -5.0, 0.0, 10.0, 20.0), dataset=ds).resolved()
+                       grid=(-10.0, -5.0, 0.0, 10.0, 20.0), dataset=ds)
 by_snr = mean_acc(run_sweep_snr(cfg), lambda r: r.snr_db)
 ceiling = by_snr.pop(float("inf"))
 for snr, a in by_snr.items():
@@ -47,7 +47,7 @@ print("[ 2 ] accuracy vs ricean kappa, width 256, noiseless, 20 seeds,")
 print("      arrays steered off broadside (0.3 / 0.2 rad)")
 cfg = ExperimentConfig(kind="sweep_kappa", seeds=20, master_seed=0,
                        grid=(0.0, 1.0, 10.0, 100.0),
-                       los_angle_rx=0.3, los_angle_tx=0.2, dataset=ds).resolved()
+                       los_angle_rx=0.3, los_angle_tx=0.2, dataset=ds)
 by_kappa = mean_acc(run_sweep_kappa(cfg), lambda r: r.kappa)
 for kappa, a in by_kappa.items():
     bar = "#" * int(60 * a)

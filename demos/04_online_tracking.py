@@ -21,7 +21,7 @@ ds = DatasetConfig(name="synthetic", synth_size=400, synth_d=8, synth_separation
 def run(eta, seeds=8):
     cfg = ExperimentConfig(kind="online", seeds=seeds, master_seed=0, eta=eta,
                            n_r=1024, steps=3, iters_per_step=10,
-                           dataset=ds).resolved()
+                           dataset=ds)
     return run_online(cfg)
 
 

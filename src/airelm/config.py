@@ -11,7 +11,7 @@ import configparser
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 from .activation import RappParams
 from .channel import ArConfig, RiceanConfig, noise_for_snr
@@ -19,14 +19,17 @@ from .data import train_count
 from .elm import COMBINERS
 from .errors import ConfigError, OutputError
 
-KINDS = ("sweep_nr", "sweep_snr", "sweep_kappa", "online", "single")
-DATASETS = ("synthetic", "wbcd", "csv")
-
-DEFAULT_GRIDS = {
-    "sweep_nr": (64.0, 128.0),
-    "sweep_snr": (0.0, 10.0, 20.0, 30.0),
-    "sweep_kappa": (0.0, 1.0, 10.0, 100.0),
+# each kind's swept field, the one its [sweep] grid sets point by point
+# (None: the kind runs one point), its default grid and its default n_r
+KIND_TABLE = {
+    "sweep_nr": ("n_r", (64.0, 128.0), 256),
+    "sweep_snr": ("snr_db", (0.0, 10.0, 20.0, 30.0), 256),
+    "sweep_kappa": ("kappa", (0.0, 1.0, 10.0, 100.0), 256),
+    "online": (None, None, 1024),
+    "single": (None, None, 256),
 }
+KINDS = tuple(KIND_TABLE)
+DATASETS = ("synthetic", "wbcd", "csv")
 
 
 def _to_bool(raw: str) -> bool:
@@ -108,7 +111,7 @@ class ExperimentConfig:
     snr_db: float = _key("channel", float("inf"), _to_float)
     y_sat: float = _key("activation", 1.5, float)
     alpha: int = _key("activation", 2, int)
-    # resolved by `resolved()`: 1024 online, else 256
+    # unset: the default of the kind it runs as, in KIND_TABLE
     n_r: int = _key("model", None, int, least=1)
     combiner: str = _key("model", "ridge", str)     # one of elm.COMBINERS
     grid: tuple = _key("sweep", None, _to_grid)
@@ -118,37 +121,35 @@ class ExperimentConfig:
     steps: int = _key("online", 5, int, least=1)
     iters_per_step: int = _key("online", 20, int, least=0)
 
+    def points(self) -> list:
+        """The (n_r, kappa, snr_db) of each point the config runs as its
+        kind, in run order: the kind's swept field takes each grid value,
+        and sweep_snr ends with its noiseless point.  An unset n_r or grid
+        is the kind's (`KIND_TABLE`).  A ConfigError names an n_r that is
+        not an antenna count."""
+        swept, grid, n_r = KIND_TABLE[self.kind]
+        point = {"n_r": n_r if self.n_r is None else self.n_r,
+                 "kappa": self.kappa, "snr_db": self.snr_db}
+        points = [point]
+        if swept is not None:
+            grid = self.grid or grid
+            if swept == "snr_db":
+                grid = (*grid, math.inf)
+            points = [{**point, swept: float(g)} for g in grid]
+        for n_r in (p["n_r"] for p in points):  # negated, so NaN fails
+            if not (1 <= n_r <= sys.maxsize and n_r == int(n_r)):
+                raise ConfigError(f"n_r must be a whole number in "
+                                  f"[1, {sys.maxsize}], got {n_r}")
+        return [(int(p["n_r"]), p["kappa"], p["snr_db"]) for p in points]
+
     def resolved(self) -> "ExperimentConfig":
-        """Fill kind-dependent defaults and validate.  The filled n_r and
-        grid are set values like a user's, so a config resolved as one kind
-        keeps that kind's defaults when it is run as another."""
-        cfg = self
-        if cfg.kind not in KINDS:
-            raise ConfigError(f"unknown experiment kind {cfg.kind!r}")
-        if cfg.n_r is None:
-            cfg = replace(cfg, n_r=1024 if cfg.kind == "online" else 256)
-        if cfg.grid is None and cfg.kind in DEFAULT_GRIDS:
-            cfg = replace(cfg, grid=DEFAULT_GRIDS[cfg.kind])
-        if cfg.kind in DEFAULT_GRIDS and not cfg.grid:
-            raise ConfigError(f"{cfg.kind} needs a nonempty sweep grid")
-        for i, g in enumerate(cfg.grid or ()):
-            if math.isnan(g):
-                raise ConfigError(f"sweep grid values must be numbers, got {g}")
-            if g in cfg.grid[:i]:       # it would rerun the same trials
-                raise ConfigError(f"sweep grid repeats the value {g}")
-            if cfg.kind == "sweep_snr" and g == math.inf:
-                raise ConfigError(f"sweep_snr grid value {g} repeats the "
-                                  "noiseless point every SNR sweep ends with")
-            if cfg.kind == "sweep_nr" and not (1 <= g <= sys.maxsize
-                                               and g == int(g)):
-                raise ConfigError(
-                    f"sweep_nr grid values are antenna counts and must be "
-                    f"integers in [1, {sys.maxsize}], got {g}")
-        snrs = cfg.grid if cfg.kind == "sweep_snr" else ()
-        for snr in (cfg.snr_db, *snrs):     # NaN, -inf and huge |snr| fail
-            noise_for_snr(0.0, snr)
-        ds = cfg.dataset
-        for obj in (cfg, ds):
+        """Validate the config as run as its kind, checking every point of
+        `points()`, and return it as set: an unset n_r or grid stays unset
+        and takes the defaults of whichever kind it is run as."""
+        if self.kind not in KINDS:
+            raise ConfigError(f"unknown experiment kind {self.kind!r}")
+        ds = self.dataset
+        for obj in (self, ds):
             for f in fields(obj):
                 value = getattr(obj, f.name)
                 least, between = map(f.metadata.get, ("least", "between"))
@@ -163,19 +164,20 @@ class ExperimentConfig:
                 if between and not between[0] < value < between[1]:
                     raise ConfigError(
                         f"{f.name} must lie in {between}, got {value}")
-        if cfg.n_r > sys.maxsize:
-            raise ConfigError(
-                f"n_r must be at most {sys.maxsize}, got {cfg.n_r}")
-        kappas = cfg.grid if cfg.kind == "sweep_kappa" else ()
-        for kappa in (cfg.kappa, *kappas):                # validates each
-            RiceanConfig(n_r=cfg.n_r, n_t=1, kappa=kappa,
-                         los_angle_rx=cfg.los_angle_rx,
-                         los_angle_tx=cfg.los_angle_tx)
-        if cfg.combiner not in COMBINERS:
+        points = self.points()
+        for i, (n_r, kappa, snr_db) in enumerate(points):
+            noise_for_snr(0.0, snr_db)      # NaN, -inf and huge |snr| fail
+            RiceanConfig(n_r=n_r, n_t=1, kappa=kappa,     # validates each
+                         los_angle_rx=self.los_angle_rx,
+                         los_angle_tx=self.los_angle_tx)
+            if (n_r, kappa, snr_db) in points[:i]:  # it would rerun trials
+                raise ConfigError(f"sweep grid repeats the point n_r = {n_r}"
+                                  f", kappa = {kappa}, snr_db = {snr_db}")
+        if self.combiner not in COMBINERS:
             raise ConfigError(f"combiner must be one of {COMBINERS}, got "
-                              f"{cfg.combiner!r}")
-        RappParams(y_sat=cfg.y_sat, alpha=cfg.alpha)    # validates both
-        ArConfig(eta=cfg.eta)                           # eta in (0, 1]
+                              f"{self.combiner!r}")
+        RappParams(y_sat=self.y_sat, alpha=self.alpha)  # validates both
+        ArConfig(eta=self.eta)                          # eta in (0, 1]
         if ds.name not in DATASETS:
             raise ConfigError(f"unknown dataset name {ds.name!r}")
         if ds.name != "synthetic":      # which ignores path, set or not
@@ -192,18 +194,24 @@ class ExperimentConfig:
                 raise ConfigError("synth_size x synth_d must be at most "
                                   f"{sys.maxsize} cells, got "
                                   f"{ds.synth_size} x {ds.synth_d}")
-            if not math.isfinite(ds.synth_separation):
-                raise ConfigError(f"synth_separation must be finite, got "
-                                  f"{ds.synth_separation}")
-            cfg.check_table(ds.synth_size, ds.synth_d)
-        if cfg.out is not None:
-            parent = os.path.dirname(os.path.abspath(cfg.out))
+            # a feature's training std sums up to synth_size squared
+            # deviations of about (separation / 2)^2 / synth_d each
+            bound = 2 * math.sqrt(sys.float_info.max) * math.sqrt(
+                ds.synth_d / ds.synth_size)     # so that the sum is finite
+            if not abs(ds.synth_separation) <= bound:
+                raise ConfigError(f"synth_separation must be finite and at "
+                                  f"most {bound:.3g} in magnitude for "
+                                  f"{ds.synth_size} x {ds.synth_d} features, "
+                                  f"got {ds.synth_separation}")
+            self.check_table(ds.synth_size, ds.synth_d)
+        if self.out is not None:
+            parent = os.path.dirname(os.path.abspath(self.out))
             if not os.path.isdir(parent):
                 raise OutputError(f"output directory does not exist: {parent}")
-            for path in (cfg.out, manifest_path(cfg.out)):
+            for path in (self.out, manifest_path(self.out)):
                 if os.path.isdir(path):
                     raise OutputError(f"output path is a directory: {path}")
-        return cfg
+        return self
 
     def check_table(self, n_rows: int, n_features: int) -> None:
         """Reject, before any trial, what an n_rows x n_features table cannot
@@ -220,7 +228,7 @@ class ExperimentConfig:
             raise ConfigError(
                 f"batch_size must be at most the {d_train} training rows, "
                 f"got {self.batch_size}")
-        n_r = int(max(self.grid)) if self.kind == "sweep_nr" else self.n_r
+        n_r = max(n_r for n_r, _, _ in self.points())
         memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
         for name, rows, cols, item in (
                 ("channel matrix H", n_r, n_features + 1, 16),  # complex

@@ -31,7 +31,7 @@ from .channel import (ArConfig, RiceanConfig, noise_for_snr, receive,
 # not called here since the receive block gives P_sig; perfbench/spans.py
 # looks sigma2_for_snr up on this module
 from .channel import sigma2_for_snr  # noqa: F401
-from .config import ExperimentConfig, manifest_path
+from .config import KIND_TABLE, ExperimentConfig, manifest_path
 from .data import (Dataset, load_csv, load_wbcd, split_standardize,
                    synth_two_gaussians)
 from .elm import (HiddenLayer, augment, classify, digital_elm_hidden, fit,
@@ -200,23 +200,11 @@ def _per_seed(cfg: ExperimentConfig, body):
         return [one(seed) for seed in range(cfg.seeds)]
 
 
-# (n_r, kappa, snr_db, with_baseline) of each point, by grid kind
-_GRID_POINTS = {
-    "sweep_nr": lambda c: [(int(g), c.kappa, c.snr_db, c.baseline)
-                           for g in c.grid],
-    "sweep_snr": lambda c: [(c.n_r, c.kappa, float(g), False)
-                            for g in (*c.grid, math.inf)],
-    "sweep_kappa": lambda c: [(c.n_r, float(g), c.snr_db, False)
-                              for g in c.grid],
-    "single": lambda c: [(c.n_r, c.kappa, c.snr_db, c.baseline)],
-}
-
-
 def _run_grid(cfg: ExperimentConfig):
     """Shared sweep driver of a resolved config, its rows named by cfg.kind.
 
-    For every point of `_GRID_POINTS[cfg.kind]` x seed, one mimo trial
-    (plus optionally one digital trial) runs.  Every point of a seed splits
+    For every point of `cfg.points()` x seed, one mimo trial (plus, with
+    cfg.baseline, one digital trial) runs.  Every point of a seed splits
     the same trial stream, so a seed's dataset and its channel at each
     (n_r, kappa) are the same at every point, and its noise blocks at each
     n_r are the first D x n_r draws of the same two noise streams; only the
@@ -228,11 +216,13 @@ def _run_grid(cfg: ExperimentConfig):
     channel and measures the signal power of its training receive block,
     for all the channel's points.  Results are ordered by (point, seed,
     model) regardless of thread count."""
-    points = _GRID_POINTS[cfg.kind](cfg)
-    finite = [snr_db != math.inf for _, _, snr_db, _ in points]
+    points = cfg.points()
+    finite = [snr_db != math.inf for _, _, snr_db in points]
     last_noisy = max((i for i, f in enumerate(finite) if f), default=-1)
     widest = max((p[0] for p, f in zip(points, finite) if f), default=0)
     rapp = RappParams(y_sat=cfg.y_sat, alpha=cfg.alpha)
+    # the digital ELM has no channel or noise: a kappa or SNR sweep skips it
+    baseline = cfg.baseline and KIND_TABLE[cfg.kind][0] in ("n_r", None)
 
     def one(seed, trial, dataset):
         row = partial(TrialResult, experiment=cfg.kind,
@@ -243,7 +233,7 @@ def _run_grid(cfg: ExperimentConfig):
                    for sub, d in zip((SUB_TRAIN_NOISE, SUB_TEST_NOISE),
                                      sizes)] if widest else None
         by_point = []
-        for i, (n_r, kappa, snr_db, with_baseline) in enumerate(points):
+        for i, (n_r, kappa, snr_db) in enumerate(points):
             if (n_r, kappa) != chan_key:
                 chan_key = (n_r, kappa)
                 h, p_sig = _draw_channel(cfg, dataset, trial, n_r, kappa)
@@ -254,7 +244,7 @@ def _run_grid(cfg: ExperimentConfig):
                      if finite[i] else (None, None))
             rows = [row(model="mimo", n_r=n_r, snr_db=snr_db, kappa=kappa,
                         **_fit_and_score(cfg, dataset, layer, noise))]
-            if with_baseline:       # the digital ELM: no channel, no noise
+            if baseline:
                 layer = digital_elm_hidden(trial.split(SUB_DIGITAL), n_r,
                                            dataset.d)
                 rows.append(row(model="digital", n_r=n_r, snr_db=math.inf,
@@ -279,15 +269,15 @@ def _run_online(cfg: ExperimentConfig):
     """
     ar = ArConfig(eta=cfg.eta)
     rapp = RappParams(y_sat=cfg.y_sat, alpha=cfg.alpha)
+    (n_r, kappa, snr_db), = cfg.points()
 
     def one(seed, trial, dataset):
         row = partial(TrialResult, experiment=cfg.kind,
                       dataset=cfg.dataset.name, seed=seed, model="mimo",
-                      n_r=cfg.n_r, snr_db=cfg.snr_db, kappa=cfg.kappa,
-                      eta=cfg.eta)
-        h, p_sig = _draw_channel(cfg, dataset, trial, cfg.n_r, cfg.kappa)
+                      n_r=n_r, snr_db=snr_db, kappa=kappa, eta=cfg.eta)
+        h, p_sig = _draw_channel(cfg, dataset, trial, n_r, kappa)
         layer = HiddenLayer(h_real=h.real, rapp=rapp,
-                            noise=noise_for_snr(p_sig, cfg.snr_db))
+                            noise=noise_for_snr(p_sig, snr_db))
         train_noise = trial.split(SUB_TRAIN_NOISE)
         test_noise = trial.split(SUB_TEST_NOISE)
         ar_rng = trial.split(SUB_AR)
@@ -430,10 +420,12 @@ def _environment() -> dict:
 
 def write_manifest(cfg: ExperimentConfig, results, csv_path,
                    elapsed_ms: float = None) -> str:
-    """Sidecar JSON recording config, version, dataset checksums, the
-    environment and elapsed_ms, the runner's own wall time, given by `run`
-    (null when the caller did not time the run)."""
+    """Sidecar JSON recording the config, its kind's n_r and grid filled
+    in, the version, dataset checksums, the environment and elapsed_ms, the
+    run's wall time from `run` (null when the caller did not time it)."""
     ds = cfg.dataset
+    _, grid, n_r = KIND_TABLE[cfg.kind]
+    echo = replace(cfg, n_r=cfg.n_r or n_r, grid=cfg.grid or grid)
     checksums = ({"synthetic": f"size={ds.synth_size},d={ds.synth_d},"
                                f"sep={ds.synth_separation}"}
                  if ds.name == "synthetic"
@@ -441,7 +433,7 @@ def write_manifest(cfg: ExperimentConfig, results, csv_path,
     manifest = {
         # JSON has no inf; the grid tuples are written as lists
         "config": {key: "inf" if value == math.inf else value
-                   for key, value in asdict(cfg).items()},
+                   for key, value in asdict(echo).items()},
         "library_version": __version__,
         "dataset_checksums": checksums,
         "n_result_rows": len(results),
@@ -460,11 +452,10 @@ def write_manifest(cfg: ExperimentConfig, results, csv_path,
 
 
 def run(cfg: ExperimentConfig):
-    """Resolve cfg once and run it as its kind, writing the CSV and manifest
-    of that config when cfg.out is set.  Each `run_<kind>` is `run` as its
-    kind, whatever cfg.kind says, and writes no file; give it an unresolved
-    config, since a resolved one carries its kind's filled n_r and grid as
-    set values."""
+    """Check cfg once (`ExperimentConfig.resolved`) and run it as its kind,
+    writing the CSV and manifest of that config when cfg.out is set.  Each
+    `run_<kind>` is `run` as its kind, whatever cfg.kind says, and writes
+    no file; an unset n_r or grid takes that kind's defaults."""
     cfg = cfg.resolved()
     t0 = time.perf_counter()
     results = _run_online(cfg) if cfg.kind == "online" else _run_grid(cfg)

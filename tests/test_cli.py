@@ -9,7 +9,7 @@ from dataclasses import fields
 from hypothesis import given, settings, strategies as st
 
 from airelm.cli import build_parser, main
-from airelm.config import (DATASETS, DEFAULT_GRIDS, KINDS, DatasetConfig,
+from airelm.config import (DATASETS, KIND_TABLE, KINDS, DatasetConfig,
                            ExperimentConfig)
 
 
@@ -183,10 +183,18 @@ def test_malformed_data_file_exits_2_before_any_trial(
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_synth_separation_just_under_its_bound_runs(tmp_path):
+    """The bound on synth_separation, 3.79e+153 for 400 x 8 features, lets
+    the largest separation it admits standardize without overflow."""
+    cfg = _ini(tmp_path, "[dataset]\nsynth_separation = -3.79e153\n"
+               "[model]\nn_r = 8\n")
+    assert main(["single", "--seeds", "2", "--config", cfg]) == 0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("dataset, message", [
     ("name = csv\npath = {data}\nlabel_column = label\n", "feature 'a'"),
-    ("synth_separation = 1e308\n", "feature 0"),
-], ids=["huge_csv_cells", "huge_synth_separation"])
+], ids=["huge_csv_cells"])
 def test_finite_but_huge_features_exit_2(tmp_path, capsys, dataset, message):
     """Finite features whose training mean or std overflows float64 are a
     data error, not NaN features ending in a solver traceback or a column
@@ -332,7 +340,8 @@ def test_blas_thread_env_preserves_bytes(tmp_path):
     # each used to end in "Maximum allowed dimension exceeded" from the
     # channel draw
     ("single", "[model]\nn_r = " + "1" + "0" * 30 + "\n",
-     "n_r must be at most"),
+     "n_r must be a whole number in [1, 9223372036854775807], got 1"
+     + "0" * 30),
     ("sweep-nr", "[sweep]\ngrid = 16, 1e30\n", "1e+30"),
     ("sweep-nr", "[online]\ngamma = 2\n", "gamma must lie in (0, 1)"),
     ("sweep-nr", "[online]\neta = 0\n", "eta must lie in (0, 1]"),
@@ -359,6 +368,10 @@ def test_blas_thread_env_preserves_bytes(tmp_path):
      "synth_separation must be finite"),
     ("sweep-nr", "[dataset]\nsynth_separation = nan\n",
      "synth_separation must be finite"),
+    # used to end as a data error (exit 2): the training std overflows
+    ("single", "[model]\nn_r = 8\n[dataset]\nsynth_separation = 1e154\n",
+     "synth_separation must be finite and at most 3.79e+153 in magnitude "
+     "for 400 x 8 features, got 1e+154"),
     ("sweep-nr", "master_seed = -1\n", "master_seed must be >= 0"),
     ("sweep-nr", "[dataset]\nname = csv\n",
      "dataset 'csv' needs [dataset] path"),
@@ -396,17 +409,19 @@ def test_blas_thread_env_preserves_bytes(tmp_path):
     ("sweep-nr", "[channel]\nsnr_db = 4000\n", "got 4000.0"),
     ("sweep-nr", "[channel]\nsnr_db = -4000\n", "got -4000.0"),
     ("sweep-snr", "[sweep]\ngrid = 10, 4000\n", "got 4000.0"),
-    # each used to rerun identical trials, n_trials 4 at seeds = 2
+    # each used to rerun identical trials, n_trials 4 at seeds = 2; a
+    # sweep_snr grid's inf repeats the noiseless point every SNR sweep ends
+    # with
     ("sweep-snr", "[sweep]\ngrid = 10, 10\n",
-     "sweep grid repeats the value 10.0"),
+     "sweep grid repeats the point n_r = 256, kappa = 0.0, snr_db = 10.0"),
     ("sweep-nr", "[sweep]\ngrid = 16, 32, 16.0\n",
-     "sweep grid repeats the value 16.0"),
+     "sweep grid repeats the point n_r = 16, kappa = 0.0, snr_db = inf"),
     ("sweep-kappa", "[sweep]\ngrid = 0, 1, 0\n",
-     "sweep grid repeats the value 0.0"),
+     "sweep grid repeats the point n_r = 256, kappa = 0.0, snr_db = inf"),
     ("sweep-snr", "[sweep]\ngrid = 10, inf\n",
-     "sweep_snr grid value inf repeats the noiseless point"),
+     "sweep grid repeats the point n_r = 256, kappa = 0.0, snr_db = inf"),
     ("sweep-snr", "[sweep]\ngrid = noiseless\n",
-     "sweep_snr grid value inf repeats the noiseless point"),
+     "sweep grid repeats the point n_r = 256, kappa = 0.0, snr_db = inf"),
 ], ids=["fractional_n_r", "nan_grid", "minus_inf_snr", "zero_n_r",
         "huge_n_r", "huge_n_r_grid",
         "gamma_above_1", "zero_eta", "zero_batch_size", "odd_alpha",
@@ -415,6 +430,7 @@ def test_blas_thread_env_preserves_bytes(tmp_path):
         "negative_kappa", "negative_kappa_grid",
         "nan_los_angle", "negative_iters_per_step",
         "wbcd_without_path", "inf_separation", "nan_separation",
+        "huge_synth_separation",
         "negative_master_seed", "csv_without_path",
         "absent_wbcd_path",
         "unknown_dataset_mnist", "unknown_key_mnist_pixels",
@@ -619,8 +635,8 @@ def test_a_cli_run_resolves_its_config_once(tmp_path, monkeypatch, command):
     assert calls == [kind]
     echo = json.loads(pathlib.Path(f"{out}.manifest.json").read_text())
     assert echo["config"]["n_r"] == (1024 if kind == "online" else 256)
-    assert echo["config"]["grid"] == (list(DEFAULT_GRIDS[kind])
-                                      if kind in DEFAULT_GRIDS else None)
+    grid = KIND_TABLE[kind][1]
+    assert echo["config"]["grid"] == (list(grid) if grid else None)
 
 
 @pytest.mark.parametrize("key, flag", [("seeds", "--seeds"),

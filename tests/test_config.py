@@ -1,4 +1,5 @@
 import pathlib
+import sys
 from dataclasses import fields, replace
 
 import pytest
@@ -206,7 +207,8 @@ def _parse_or_config_error(path, kind):
         cfg = parse_config(str(path), kind=kind).resolved()
     except (ConfigError, OutputError):
         return
-    assert cfg.kind in KINDS and cfg.n_r >= 1
+    assert cfg.kind in KINDS
+    assert all(1 <= n_r <= sys.maxsize for n_r, _, _ in cfg.points())
 
 
 @settings(max_examples=500)

@@ -548,19 +548,25 @@ _SYNTHETIC = DatasetConfig(name="synthetic", synth_size=60)
 
 def test_a_runner_fills_its_own_kinds_defaults():
     """run_sweep_nr on a config of the default kind, single, runs the
-    sweep_nr default grid: it used to iterate the unset grid, None."""
-    rows = run_sweep_nr(ExperimentConfig(seeds=1, dataset=_SYNTHETIC))
-    assert [r.n_r for r in rows] == [64, 128]
-    assert {r.experiment for r in rows} == {"sweep_nr"}
+    sweep_nr default grid: it used to iterate the unset grid, None.  A
+    config resolved as sweep_snr keeps its grid unset, so it runs the
+    same grid; it used to be refused for the sweep_snr default grid."""
+    cfg = ExperimentConfig(seeds=1, dataset=_SYNTHETIC)
+    for cfg in (cfg, dataclasses.replace(cfg, kind="sweep_snr").resolved()):
+        rows = run_sweep_nr(cfg)
+        assert [r.n_r for r in rows] == [64, 128]
+        assert {r.experiment for r in rows} == {"sweep_nr"}
 
 
 def test_run_online_takes_the_online_n_r_whatever_the_kind():
-    """An unset n_r resolves to online's 1024, not single's 256."""
-    rows = run_online(ExperimentConfig(
-        kind="single", seeds=1, dataset=_SYNTHETIC, steps=1,
-        iters_per_step=1, batch_size=8))
-    assert {r.n_r for r in rows} == {1024}
-    assert {r.experiment for r in rows} == {"online"}
+    """An unset n_r is online's 1024, not single's 256, also in a config
+    resolved as single, which keeps n_r unset; it used to run at 256."""
+    cfg = ExperimentConfig(kind="single", seeds=1, dataset=_SYNTHETIC,
+                           steps=1, iters_per_step=1, batch_size=8)
+    for cfg in (cfg, cfg.resolved()):
+        rows = run_online(cfg)
+        assert {r.n_r for r in rows} == {1024}
+        assert {r.experiment for r in rows} == {"online"}
 
 
 def test_a_runner_checks_the_grid_as_its_own_kind():
@@ -568,8 +574,8 @@ def test_a_runner_checks_the_grid_as_its_own_kind():
     check; it used to run unchecked and fail on a channel of 0 antennas."""
     cfg = ExperimentConfig(kind="sweep_snr", seeds=1, dataset=_SYNTHETIC,
                            grid=(0.5, 10.0))
-    with pytest.raises(ConfigError, match="sweep_nr grid values are antenna "
-                                          "counts"):
+    with pytest.raises(ConfigError, match=r"n_r must be a whole number in "
+                                          r"\[1, \d+\], got 0.5"):
         run_sweep_nr(cfg)
 
 
@@ -635,13 +641,16 @@ def test_parse_config_label_map(tmp_path):
 
 
 def test_resolved_defaults():
+    """`resolved` returns n_r and grid as set; `points` fills the kind's
+    defaults."""
     cfg = ExperimentConfig(kind="sweep_snr",
                            dataset=DatasetConfig(name="synthetic")).resolved()
-    assert cfg.n_r == 256
-    assert cfg.grid == (0.0, 10.0, 20.0, 30.0)
+    assert cfg.n_r is None and cfg.grid is None
+    assert cfg.points() == [(256, 0.0, snr) for snr in
+                            (0.0, 10.0, 20.0, 30.0, math.inf)]
     online = ExperimentConfig(kind="online",
                               dataset=DatasetConfig(name="synthetic")).resolved()
-    assert online.n_r == 1024
+    assert online.n_r is None and online.points() == [(1024, 0.0, math.inf)]
 
 
 def test_resolved_missing_dataset_file():
