@@ -29,7 +29,7 @@ from .data import (RawTable, Dataset, load_csv, load_wbcd, split_standardize,
                    synth_two_gaussians)
 from .config import DatasetConfig, ExperimentConfig, parse_config
 from .experiments import (TrialResult, run_sweep_nr, run_sweep_snr,
-                          run_sweep_kappa, run_online, run_single, run,
+                          run_sweep_kappa, run_online, run,
                           summarize, emit_csv, write_manifest)
 
 # every public name imported above; the submodules themselves are not exports

@@ -8,6 +8,7 @@ random-feature map its expressive power at large input scale.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,17 +32,20 @@ class RappParams:
         if not self.y_sat > 0:
             raise ConfigError(f"y_sat must be positive, got {self.y_sat!r}")
         a = self.alpha
-        if not (isinstance(a, (int, np.integer)) and a >= 2 and a % 2 == 0):
-            raise ConfigError(
-                f"alpha must be an even integer >= 2, got {a!r}")
+        # numpy raises its power to a float64, so alpha must fit one
+        if not (isinstance(a, (int, np.integer)) and a % 2 == 0
+                and 2 <= a <= sys.float_info.max):
+            raise ConfigError(f"alpha must be an even integer >= 2 that a "
+                              f"float64 holds, got {a!r}")
 
 
 DEFAULT_RAPP = RappParams()
 
 
 def rapp(y: float, p: RappParams = DEFAULT_RAPP) -> float:
-    """Scalar Rapp soft threshold g(y) = y / (1 + (y/y_sat)^alpha)."""
-    return float(y / (1.0 + (y / p.y_sat) ** p.alpha))
+    """Scalar Rapp soft threshold g(y) = y / (1 + (y/y_sat)^alpha): the
+    float of `rapp_vec` at y."""
+    return float(rapp_vec(y, p))
 
 
 def rapp_vec(y: np.ndarray, p: RappParams = DEFAULT_RAPP,
@@ -63,15 +67,13 @@ def rapp_vec(y: np.ndarray, p: RappParams = DEFAULT_RAPP,
 
 
 def rapp_deriv(y: np.ndarray, p: RappParams = DEFAULT_RAPP) -> np.ndarray:
-    """Analytic derivative dg/dy.
-
-    dg/dy = y_sat^a (y_sat^a + (1 - a) y^a) / (y_sat^a + y^a)^2  with a = alpha.
-    """
+    """Analytic derivative dg/dy = r (1 - alpha (1 - r)), where
+    r = 1 / (1 + (y/y_sat)^alpha), so g = y r."""
     y = np.asarray(y, dtype=float)
-    a = p.alpha
-    ys_a = p.y_sat ** a
-    y_a = y ** a
-    return ys_a * (ys_a + (1 - a) * y_a) / (ys_a + y_a) ** 2
+    # an overflowing power gives r = 0 and the derivative's limit, -0
+    with np.errstate(over="ignore"):
+        r = 1.0 / (1.0 + (y / p.y_sat) ** p.alpha)
+    return r * (1.0 - p.alpha * (1.0 - r))
 
 
 def rapp_peak(p: RappParams = DEFAULT_RAPP):

@@ -118,11 +118,11 @@ def evolve_ar(h_prev: np.ndarray, cfg: ArConfig, rng: RngStream) -> np.ndarray:
 
 
 def receive(h_real: np.ndarray, x_tilde: np.ndarray) -> np.ndarray:
-    """Noiseless receive block: H^r x~ for one transmit vector x~, or
-    x~ (H^r)^T for a batch, one per row; a digital layer's W serves as H^r."""
+    """Noiseless receive block x~ (H^r)^T of a transmit block x~, one
+    transmit vector per row; a digital layer's W serves as H^r."""
     h_real = np.asarray(h_real, dtype=float)
     x = np.asarray(x_tilde, dtype=float)
-    if x.ndim not in (1, 2) or h_real.shape[1] != x.shape[-1]:
+    if x.ndim != 2 or h_real.shape[1] != x.shape[1]:
         raise ValueError(
             f"receive: the layer matrix (H^r or W) has {h_real.shape[1]} "
             f"columns but x~ has shape {x.shape}")
@@ -154,10 +154,11 @@ def signal_power(r: np.ndarray) -> float:
     """P_sig of a receive block r, one receive vector per row: the average
     per-antenna received signal power mean_i ||r_i||^2 / N_r.  The squares
     are summed row block by row block, each row as the whole block would
-    sum it.  A ValueError when the power is 0 or overflows."""
-    r = np.atleast_2d(r)
-    if r.size == 0:
-        raise ValueError("signal_power: empty transmit-vector set")
+    sum it.  A ValueError for an empty block or one that is not 2-D, and
+    when the power is 0 or overflows."""
+    if r.ndim != 2 or r.size == 0:
+        raise ValueError(f"signal_power: needs a non-empty 2-D receive "
+                         f"block, got shape {r.shape}")
     sums = np.empty(len(r))
     with np.errstate(over="ignore"):
         for rows in row_blocks(r.shape):

@@ -157,6 +157,14 @@ class ExperimentConfig:
                 if value is None or (f.name.startswith("synth_")
                                      and ds.name != "synthetic"):
                     continue
+                # an int beyond float64, which only code can set, would
+                # raise OverflowError where compute first converts it
+                parse = f.metadata.get("parse")
+                if parse in (float, _to_float, _to_grid) and any(
+                        isinstance(v, int) and abs(v) > sys.float_info.max
+                        for v in (value if parse is _to_grid else (value,))):
+                    raise ConfigError(f"{f.name} must be a float64 number, "
+                                      f"got an integer beyond its range")
                 # negated comparisons, so that NaN fails them
                 if least is not None and not value >= least:
                     raise ConfigError(

@@ -93,7 +93,7 @@ def train(g: np.ndarray, t: np.ndarray, hidden=None,
     if combiner not in COMBINERS:
         raise ValueError(f"unknown combiner {combiner!r}")
     g = np.asarray(g, dtype=float)
-    t = np.asarray(t, dtype=float).reshape(-1)
+    t = np.asarray(t, dtype=float)
     w = (ridge_lstsq if combiner == "ridge" else min_norm_lstsq)(g, t)
     residual = float(np.linalg.norm(g @ w - t))
     return ElmModel(w=w, hidden=hidden, train_residual=residual,

@@ -326,11 +326,6 @@ def run_sweep_kappa(cfg: ExperimentConfig):
     return run(replace(cfg, kind="sweep_kappa", out=None))
 
 
-def run_single(cfg: ExperimentConfig):
-    """One grid point (n_r, kappa, snr) over the seed sweep."""
-    return run(replace(cfg, kind="single", out=None))
-
-
 def run_online(cfg: ExperimentConfig):
     """Online re-training under an AR(1) aging channel (`_run_online`)."""
     return run(replace(cfg, kind="online", out=None))

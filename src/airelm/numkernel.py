@@ -38,23 +38,28 @@ def _linalg_lib():
     return ctypes.CDLL(np.linalg._umath_linalg.__file__)
 
 
-@functools.cache
-def blas_thread_control():
-    """(get, set) thread-count functions of numpy's OpenBLAS, under the
-    plain or the scipy-openblas names, 64-bit-integer builds included; None
-    for a BLAS without them (MKL, Accelerate, unknown builds)."""
+def _openblas_function(name: str, argtypes, restype):
+    """OpenBLAS's function `name` in numpy's build, bound with these types,
+    under the plain or the scipy-openblas prefix, with or without the
+    `64_` suffix of 64-bit-integer builds; None where none of them is
+    found (MKL, Accelerate, unknown builds)."""
     lib = _linalg_lib()
     for prefix in ("scipy_openblas", "openblas"):
         for suffix in ("64_", ""):
-            try:
-                get = getattr(lib, f"{prefix}_get_num_threads{suffix}")
-                put = getattr(lib, f"{prefix}_set_num_threads{suffix}")
-            except AttributeError:
-                continue
-            get.argtypes, get.restype = [], ctypes.c_int
-            put.argtypes, put.restype = [ctypes.c_int], None
-            return get, put
+            fn = getattr(lib, f"{prefix}_{name}{suffix}", None)
+            if fn is not None:
+                fn.argtypes, fn.restype = argtypes, restype
+                return fn
     return None
+
+
+@functools.cache
+def blas_thread_control():
+    """(get, set) thread-count functions of numpy's OpenBLAS, or None for a
+    BLAS without them."""
+    get = _openblas_function("get_num_threads", [], ctypes.c_int)
+    put = _openblas_function("set_num_threads", [ctypes.c_int], None)
+    return None if get is None or put is None else (get, put)
 
 
 @functools.cache
@@ -62,13 +67,8 @@ def blas_core():
     """Name of the CPU kernel numpy's OpenBLAS chose when it loaded
     ("SkylakeX", "Haswell", ...), which sets the round-off bits of its GEMM
     and Cholesky; None for a BLAS that does not name one."""
-    lib = _linalg_lib()
-    for name in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
-        corename = getattr(lib, name, None)
-        if corename is not None:
-            corename.argtypes, corename.restype = [], ctypes.c_char_p
-            return corename().decode()
-    return None
+    corename = _openblas_function("get_corename", [], ctypes.c_char_p)
+    return None if corename is None else corename().decode()
 
 
 @functools.cache
@@ -205,46 +205,32 @@ def svd(a: np.ndarray):
     return u, s, vt.conj().T
 
 
-def _cutoff(rel_tol: float, shape, s_max: float) -> float:
-    """Singular-value cutoff tau = rel_tol * max(rows, cols) * s_max.
-
-    Singular values at or below tau count as zero.  Rejects a rel_tol
-    outside (0, 1): a negative one keeps zero singular values and divides
-    by them, and one >= 1 cuts every direction.
-    """
-    if not (0.0 < rel_tol < 1.0):
-        raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol!r}")
-    return rel_tol * max(shape) * s_max
-
-
-def pseudoinverse(a: np.ndarray, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray:
+def pseudoinverse(a: np.ndarray) -> np.ndarray:
     """Moore-Penrose pseudoinverse via SVD with a relative cutoff.
 
-    Singular values at or below tau = rel_tol * max(rows, cols) * s_max are
-    treated as zero.  The result satisfies the four Penrose conditions to
-    roughly machine precision for well-scaled inputs.
+    Singular values at or below tau = DEFAULT_REL_TOL * max(rows, cols) *
+    s_max are treated as zero.  The result satisfies the four Penrose
+    conditions to roughly machine precision for well-scaled inputs.
     """
     a = np.asarray(a, dtype=float)
     u, s, v = svd(a)                    # rejects NaN and Inf
-    keep = s > _cutoff(rel_tol, a.shape, s[0] if s.size else 0.0)
+    keep = s > DEFAULT_REL_TOL * max(a.shape) * (s[0] if s.size else 0.0)
     inv_s = np.zeros_like(s)
     inv_s[keep] = 1.0 / s[keep]
     return v @ (inv_s[:, None] * u.T)
 
 
 def _gram_system(g, t, name: str):
-    """(G, t, A, wide) for G w ~= t: G and t as float64 arrays (a column t
-    flattened) and A the smaller Gram matrix, G G^T for a wide G (no more
-    rows than columns) else G^T G, or None for an empty G.  Raises
-    ValueError, before any factorization, for a NaN or Inf in G or t and
-    for mismatched shapes; a finite G whose Gram matrix overflows passes,
-    its A holding Inf, with no warning."""
+    """(G, t, A, wide) for G w ~= t: G and t as float64 arrays and A the
+    smaller Gram matrix, G G^T for a wide G (no more rows than columns)
+    else G^T G, or None for an empty G.  Raises ValueError, before any
+    factorization, for a NaN or Inf in G or t and for mismatched shapes,
+    a t that is not 1-D among them; a finite G whose Gram matrix overflows
+    passes, its A holding Inf, with no warning."""
     g = np.asarray(g, dtype=float)
     t = np.asarray(t, dtype=float)
     if not np.isfinite(t).all():
         raise ValueError(f"{name}: input contains NaN or Inf")
-    if t.ndim == 2 and t.shape[1] == 1:
-        t = t[:, 0]
     if t.ndim != 1 or g.ndim != 2 or g.shape[0] != t.shape[0]:
         raise ValueError(
             f"{name}: shape mismatch, G is {g.shape}, t has {t.shape}")
@@ -285,15 +271,14 @@ def _certified(a: np.ndarray, floor: float) -> bool:
     return _cholesky_in_place(shifted) == 0
 
 
-def min_norm_lstsq(g: np.ndarray, t: np.ndarray,
-                   rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray:
+def min_norm_lstsq(g: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Minimum-norm least-squares solution w of G w ~= t, i.e. w = G^+ t.
 
     Among all minimizers of ||G w - t|| the returned w has the smallest
     Euclidean norm and lies in the row space of G.  With the Gram matrix
     A = G G^T (n x n) when G has no more rows than columns, else G^T G, and
-    the cutoff tau = r * s_max, r = rel_tol * max(rows, cols), two paths
-    compute it:
+    the cutoff tau = r * s_max, r = DEFAULT_REL_TOL * max(rows, cols), two
+    paths compute it:
 
     - Gram solve, when a bare dpotrf('L') factors A - s I for the shift
 
@@ -323,8 +308,7 @@ def min_norm_lstsq(g: np.ndarray, t: np.ndarray,
     round-off only.  Per-fit costs: README, "Numerics".
     """
     g, t, a, wide = _gram_system(g, t, "min_norm_lstsq")
-    # rejects a bad rel_tol before any factorization
-    r = _cutoff(rel_tol, g.shape, 1.0)
+    r = DEFAULT_REL_TOL * max(g.shape)
     if a is not None and _certified(a, max(GRAM_MAX_COND ** -2, r * r)):
         return _gram_solve(g, t, a, wide)
     del a                   # free the Gram matrix before dgelsd's buffers

@@ -200,6 +200,20 @@ def test_rapp_vec_overflowing_denominator_gives_the_limit_without_a_warning():
     assert np.array_equal(_bits(got), _bits(np.array([0.0, -0.0])))
 
 
+@pytest.mark.parametrize("y", [1e200, -1e200])
+@pytest.mark.parametrize("params", [DEFAULT_RAPP, RappParams(1.5, 8)])
+def test_rapp_and_its_derivative_reach_their_limits_at_huge_y(y, params):
+    """Where (y / y_sat)^alpha overflows, the scalar rapp is the limit +-0
+    and rapp_deriv the limit 0, with no OverflowError and no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = rapp(y, params)
+        deriv = rapp_deriv(np.array([y, y / 2]), params)
+    assert g == 0.0 and math.copysign(1.0, g) == math.copysign(1.0, y)
+    assert isinstance(g, float)
+    assert np.array_equal(deriv, [0.0, 0.0])
+
+
 @pytest.mark.parametrize("x", _FIXED_INPUTS)
 @pytest.mark.parametrize("fn", [sigmoid, rapp_vec])
 def test_out_argument_gives_the_same_bits_in_the_given_buffer(x, fn):

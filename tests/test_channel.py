@@ -13,6 +13,7 @@ from airelm.channel import (
     ricean_mix,
     sample_ricean,
     sigma2_for_snr,
+    signal_power,
     steering_vector,
 )
 from airelm.errors import ConfigError
@@ -173,30 +174,32 @@ def test_ar_config_validation():
 # ------------------------------------------------------- application
 # the channel is applied as `add_noise` on the `receive` block
 
-def test_apply_channel_noiseless():
-    y = receive(np.eye(2), np.array([3.0, 4.0]))
-    assert np.array_equal(y, [3.0, 4.0])
+def test_receive_noiseless():
+    y = receive(np.eye(2), np.array([[3.0, 4.0]]))
+    assert np.array_equal(y, [[3.0, 4.0]])
     assert add_noise(y, NOISELESS) is y
 
 
-def test_apply_channel_matmul():
+def test_receive_matmul():
     h = np.array([[1.0, 2.0], [0.0, 1.0], [1.0, 0.0]])
-    y = receive(h, np.array([1.0, 1.0]))
-    assert np.allclose(y, [3.0, 1.0, 1.0])
+    y = receive(h, np.array([[1.0, 1.0]]))
+    assert np.allclose(y, [[3.0, 1.0, 1.0]])
 
 
-def test_apply_channel_dimension_mismatch():
+def test_receive_rejects_a_dimension_mismatch_or_a_single_vector():
+    """x~ is a 2-D transmit block, one vector per row, as wide as H^r."""
+    for x in (np.ones((1, 3)), np.ones(2), np.ones((1, 1, 2))):
+        with pytest.raises(ValueError, match="x~ has shape"):
+            receive(np.eye(2), x)
+
+
+def test_add_noise_requires_rng():
     with pytest.raises(ValueError):
-        receive(np.eye(2), np.array([1.0, 2.0, 3.0]))
+        add_noise(np.ones((1, 2)), NoiseModel(sigma2=0.1))
 
 
-def test_apply_channel_noise_requires_rng():
-    with pytest.raises(ValueError):
-        add_noise(np.ones(2), NoiseModel(sigma2=0.1))
-
-
-def test_apply_channel_noise_perturbs():
-    x = np.ones(4)
+def test_add_noise_perturbs():
+    x = np.ones((1, 4))
     y = receive(np.eye(4), x)
     noisy = add_noise(y, NoiseModel(sigma2=0.5), RngStream(30).split(2))
     assert not np.array_equal(noisy, x)
@@ -204,14 +207,14 @@ def test_apply_channel_noise_perturbs():
     assert np.array_equal(y, x)     # the receive block is left as it is
 
 
-def test_apply_channel_batch_one_row_per_vector():
+def test_receive_batch_one_row_per_vector():
     rng = RngStream(31)
     h = rng.normal(size=(5, 3))
     xs = rng.normal(size=(4, 3))
     y = receive(h, xs)
     assert y.shape == (4, 5)
     for i in range(4):
-        assert np.allclose(y[i], receive(h, xs[i]), atol=1e-13)
+        assert np.allclose(y[i], receive(h, xs[i:i + 1])[0], atol=1e-13)
     with pytest.raises(ValueError):
         receive(h, np.ones((4, 5)))
     # one draw of N(0, sigma^2/2) noise for the whole batch, row by row
@@ -251,6 +254,12 @@ def test_sigma2_infinite_snr_is_zero():
     h = np.eye(2)
     xs = np.array([[1.0, 1.0]])
     assert sigma2_for_snr(h, xs, np.inf) == 0.0
+
+
+def test_signal_power_needs_a_nonempty_2d_block():
+    for r in (np.ones(3), np.ones((0, 2)), np.ones((2, 0))):
+        with pytest.raises(ValueError, match="non-empty 2-D receive block"):
+            signal_power(r)
 
 
 def test_sigma2_zero_signal_rejected():

@@ -5,6 +5,7 @@ from dataclasses import fields, replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from airelm import experiments
 from airelm.config import (DATASETS, KINDS, DatasetConfig, ExperimentConfig,
                            parse_config)
 from airelm.data import split_standardize, synth_two_gaussians
@@ -122,6 +123,27 @@ def test_declared_ranges_reject_nan(section, key):
         cfg = replace(cfg, **{key: float("nan")})
     with pytest.raises(ConfigError, match=f"^{key} must .*, got nan$"):
         cfg.resolved()
+
+
+def _no_trial(*args):
+    raise AssertionError("a trial ran")
+
+
+@pytest.mark.parametrize("kind, key, value", [
+    ("single", "kappa", 10 ** 400), ("single", "los_angle_rx", -10 ** 400),
+    ("single", "los_angle_tx", 10 ** 400), ("single", "y_sat", 10 ** 400),
+    ("single", "snr_db", -10 ** 400), ("single", "alpha", 10 ** 400),
+    ("sweep_nr", "grid", (64, 10 ** 400)), ("sweep_snr", "grid", (10 ** 400,)),
+    ("sweep_kappa", "grid", (0.0, -10 ** 400))],
+    ids=lambda v: "1e400" if isinstance(v, (int, tuple)) else None)
+def test_an_int_beyond_float64_is_refused_before_compute(monkeypatch, kind,
+                                                        key, value):
+    """An integer too large for a float64, which only the Python API can
+    give, is a ConfigError naming its key, raised before any trial."""
+    monkeypatch.setattr(experiments, "_per_seed", _no_trial)
+    cfg = ExperimentConfig(kind=kind, seeds=1, n_r=8, **{key: value})
+    with pytest.raises(ConfigError, match=f"^{key} must"):
+        experiments.run(cfg)
 
 
 def test_synth_key_ranges_apply_to_the_synthetic_dataset_only(tmp_path):

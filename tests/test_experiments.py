@@ -22,7 +22,6 @@ from airelm.experiments import (
     emit_csv,
     run,
     run_online,
-    run_single,
     run_sweep_kappa,
     run_sweep_nr,
     summarize,
@@ -281,8 +280,8 @@ def test_kappa_zero_cell_matches_nr_sweep():
 
 def test_infinite_snr_equals_noiseless():
     base = _cfg(kind="single", n_r=64)
-    noiseless = run_single(base)
-    explicit = run_single(dataclasses.replace(base, snr_db=float("inf")))
+    noiseless = run(base)
+    explicit = run(dataclasses.replace(base, snr_db=float("inf")))
     assert [r.accuracy for r in noiseless] == [r.accuracy for r in explicit]
 
 

@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 
 import airelm.elm
+import airelm.experiments
 import airelm.numkernel
 from airelm.cli import main
 
@@ -95,12 +96,11 @@ N_TEST = 24
 
 
 def _build():
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except (TypeError, KeyError):
-        blas = {}
-    return (np.__version__, (blas.get("name"), blas.get("version")),
-            airelm.numkernel.blas_core())
+    """(numpy version, (BLAS name, BLAS version), OpenBLAS kernel), as the
+    run manifest records them."""
+    env = airelm.experiments._environment()
+    return (env["numpy"], (env["blas"], env["blas_version"]),
+            env["blas_core"])
 
 
 def _run(tmp_path, command, ini_text):

@@ -1,7 +1,9 @@
+import ctypes
 import os
 import subprocess
 import sys
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -77,23 +79,22 @@ def test_pinv_zero_matrix():
 
 @pytest.mark.parametrize(
     "solve", [pseudoinverse,
-              lambda a, rel_tol: min_norm_lstsq(a, np.ones(2), rel_tol)],
+              lambda a, *tol: min_norm_lstsq(a, np.ones(2), *tol)],
     ids=["pseudoinverse", "min_norm_lstsq"])
 def test_pinv_rel_tol_validation(solve):
+    """Neither solver takes a tolerance: both cut at DEFAULT_REL_TOL."""
     a = np.eye(2)
-    with pytest.raises(ValueError):
-        solve(a, rel_tol=0.0)
-    with pytest.raises(ValueError):
-        solve(a, rel_tol=1.0)
-    with pytest.raises(ValueError):
-        solve(a, rel_tol=-1e-3)
+    solve(a)
+    for rel_tol in (1e-3, 0.0):
+        with pytest.raises(TypeError):
+            solve(a, rel_tol)
 
 
 def test_pinv_cutoff_discards_tiny_directions():
     # rank-1 plus a direction below the relative cutoff
     u = np.array([[1.0], [0.0]])
     a = u @ u.T + 1e-15 * np.array([[0.0, 0.0], [0.0, 1.0]])
-    p = pseudoinverse(a, rel_tol=1e-12)
+    p = pseudoinverse(a)
     assert np.allclose(p, u @ u.T, atol=1e-10)
 
 
@@ -136,12 +137,13 @@ def test_min_norm_overdetermined_example():
     assert np.allclose(w, [1.0], atol=1e-14)
 
 
-def test_min_norm_accepts_column_targets():
+@pytest.mark.parametrize("solve", [min_norm_lstsq, ridge_lstsq])
+def test_min_norm_rejects_column_targets(solve):
+    """t is one target per row of G, a 1-D array: a column is a shape
+    mismatch."""
     g = np.array([[1.0, 0.0], [0.0, 2.0]])
-    t = np.array([[1.0], [4.0]])
-    w = min_norm_lstsq(g, t)
-    assert w.shape == (2,)
-    assert np.allclose(w, [1.0, 2.0])
+    with pytest.raises(ValueError, match="shape mismatch"):
+        solve(g, np.array([[1.0], [4.0]]))
 
 
 def _with_spectrum(rng, rows, cols, s):
@@ -222,7 +224,7 @@ def _no_eigvalsh(a):
     raise AssertionError("min_norm_lstsq called eigvalsh")
 
 
-def _path_taken(monkeypatch, g, t, rel_tol=DEFAULT_REL_TOL):
+def _path_taken(monkeypatch, g, t):
     """The path one `min_norm_lstsq` call takes, from the calls it makes,
     and its result: one `_certified` call, then `np.linalg.lstsq` unless
     the certificate passed.  `eigvalsh` raises if it is called, and
@@ -234,35 +236,35 @@ def _path_taken(monkeypatch, g, t, rel_tol=DEFAULT_REL_TOL):
         for name in ("_certified", "svd"):
             mp.setattr(numkernel, name,
                        _counting(calls[name], getattr(numkernel, name)))
-        w = min_norm_lstsq(g, t, rel_tol)
+        w = min_norm_lstsq(g, t)
     counts = tuple(len(calls[name]) for name in calls)
     paths = {(1, 0, 0): "gram", (1, 1, 0): "lstsq"}
     assert counts in paths, (g.shape, counts)
     return paths[counts], w
 
 
-def _eigvalsh_rule(g, rel_tol):
+def _eigvalsh_rule(g):
     """The path G's Gram matrix would take by its eigenvalues: "gram" for
     lam_min > tau^2 and kappa(G) <= GRAM_MAX_COND, else "lstsq"."""
     a = g @ g.T if g.shape[0] <= g.shape[1] else g.T @ g
     lam = np.linalg.eigvalsh(a)
-    tau = rel_tol * max(g.shape) * np.sqrt(max(lam[-1], 0.0))
+    tau = DEFAULT_REL_TOL * max(g.shape) * np.sqrt(max(lam[-1], 0.0))
     if lam[0] > 0.0 and lam[0] > tau ** 2 and (
             lam[-1] <= GRAM_MAX_COND ** 2 * lam[0]):
         return "gram"
     return "lstsq"
 
 
-def _certificates_agree(g, rel_tol, path):
+def _certificates_agree(g, path):
     """Whether a path is consistent with G's eigenvalues.  The certificate
     proves kappa(G) <= 2**-0.5 * GRAM_MAX_COND, so "gram" admits only rule
     "gram"; it fails, sending the fit to "lstsq", only where lam_min is
     within twice its shift s: a Cholesky of A - s I with lam_min(A) > 2 s
     would complete."""
     if path == "gram":
-        return _eigvalsh_rule(g, rel_tol) == "gram"
+        return _eigvalsh_rule(g) == "gram"
     a = g @ g.T if g.shape[0] <= g.shape[1] else g.T @ g
-    n, r = a.shape[0], rel_tol * max(g.shape)
+    n, r = a.shape[0], DEFAULT_REL_TOL * max(g.shape)
     shift = (2.0 * np.linalg.norm(a) * max(GRAM_MAX_COND ** -2, r * r)
              + (n + 1) * np.finfo(float).eps * np.trace(a))
     return np.linalg.eigvalsh(a)[0] <= 2.0 * shift
@@ -276,61 +278,66 @@ def test_min_norm_svd_fallback_only_when_ill_conditioned(monkeypatch):
     for g, t, path in _solver_cases():
         taken, _ = _path_taken(monkeypatch, g, t)
         assert taken == path, (path, g.shape, np.linalg.cond(g))
-        assert _certificates_agree(g, DEFAULT_REL_TOL, path)
-    # a rel_tol whose cutoff lies above s_min sends even kappa = 1e3 to the
-    # fallback, which then drops the directions below the cutoff
+        assert _certificates_agree(g, path)
+    # a spectrum of kappa 1e3 but for a last singular value below the
+    # cutoff goes to the fallback, which then drops that direction
     rng = np.random.default_rng(4)
-    for cond in (1e3, 1e5):
-        g, t = _conditioned(rng, 12, 12, cond), rng.normal(size=12)
-        assert np.linalg.svd(g, compute_uv=False)[-1] <= 1e-3 * 12
-        taken, w = _path_taken(monkeypatch, g, t, rel_tol=1e-3)
+    for last in (1e-14, 0.0):
+        s = np.geomspace(1.0, 1e-3, 12)
+        s[-1] = last
+        g, t = _with_spectrum(rng, 12, 12, s), rng.normal(size=12)
+        assert np.linalg.svd(g, compute_uv=False)[-1] <= DEFAULT_REL_TOL * 12
+        taken, w = _path_taken(monkeypatch, g, t)
         assert taken == "lstsq"
-        assert np.allclose(w, pseudoinverse(g, 1e-3) @ t, atol=1e-10)
+        assert np.allclose(w, pseudoinverse(g) @ t, atol=1e-10)
     # the certificate's slack sends a fit the eigenvalues place on the Gram
     # path to the fallback, which still returns G^+ t: s_min lies above the
     # cutoff
     g, t = _spread(rng, 16, 16, 5e3), rng.normal(size=16)
-    assert _eigvalsh_rule(g, 1e-5) == "gram"
-    taken, w = _path_taken(monkeypatch, g, t, rel_tol=1e-5)
+    assert _eigvalsh_rule(g) == "gram"
+    taken, w = _path_taken(monkeypatch, g, t)
     assert taken == "lstsq"
     ref = pseudoinverse(g) @ t
     assert np.linalg.norm(w - ref) <= 1e-9 * np.linalg.norm(ref)
 
 
 def _fallback_cases():
-    """(G, rel_tol): rank-deficient and ill-conditioned G, wide, tall and
-    square, at three cutoffs.  At rel_tol 1e-5 and 1e-3 the cutoff lies
-    between singular values of the geometric spectra, so some are cut."""
+    """Rank-deficient and ill-conditioned G, wide, tall and square: rank 4,
+    geometric spectra from 1 to 1e-5, 1e-7 and 1e-9, all above the cutoff,
+    and spectra from 1 to 1e-5 whose last 1, 2 or 3 singular values lie
+    between 1e-14 and 1e-16, below it, so those are cut."""
     rng = np.random.default_rng(12)
     cases = []
     for rows, cols in [(12, 30), (30, 12), (16, 16)]:
-        low_rank = rng.normal(size=(rows, 4)) @ rng.normal(size=(4, cols))
-        for rel_tol in (DEFAULT_REL_TOL, 1e-5, 1e-3):
-            cases.append((low_rank, rel_tol))
-            for cond in (1e5, 1e7, 1e9):
-                cases.append((_conditioned(rng, rows, cols, cond), rel_tol))
+        cases.append(rng.normal(size=(rows, 4)) @ rng.normal(size=(4, cols)))
+        for cond in (1e5, 1e7, 1e9):
+            cases.append(_conditioned(rng, rows, cols, cond))
+        for cut in (1, 2, 3):
+            s = np.geomspace(1.0, 1e-5, min(rows, cols))
+            s[-cut:] = np.geomspace(1e-14, 1e-16, cut)
+            cases.append(_with_spectrum(rng, rows, cols, s))
     return cases
 
 
 def test_min_norm_lstsq_fallback_matches_pseudoinverse(monkeypatch):
     """The fallback and `pseudoinverse` cut the same directions: every
-    uncertified fit gives pseudoinverse(G, rel_tol) t within 1e-9,
-    whether the cutoff tau removes zero, tiny or moderate singular
-    values.  No singular value lies within 1e-6 of tau, where the two
-    SVDs' round-off could decide a cut differently."""
+    uncertified fit gives pseudoinverse(G) t within 1e-9, whether the
+    cutoff tau removes zero, tiny or no singular values.  No singular value
+    lies within a factor 10 of tau, where the two SVDs' round-off could
+    decide a cut differently."""
     cut_above_s_min = 0
     rng = np.random.default_rng(13)
-    for g, rel_tol in _fallback_cases():
+    for g in _fallback_cases():
         t = rng.normal(size=g.shape[0])
         s = np.linalg.svd(g, compute_uv=False)
-        tau = rel_tol * max(g.shape) * s[0]
-        assert np.all(np.abs(s / tau - 1.0) > 1e-6)
+        tau = DEFAULT_REL_TOL * max(g.shape) * s[0]
+        assert not np.any((tau / 10 < s) & (s < tau * 10))
         cut_above_s_min += bool(0.0 < s[-1] * 1e3 < tau)
-        taken, w = _path_taken(monkeypatch, g, t, rel_tol)
+        taken, w = _path_taken(monkeypatch, g, t)
         assert taken == "lstsq"
-        ref = pseudoinverse(g, rel_tol) @ t
+        ref = pseudoinverse(g) @ t
         assert np.linalg.norm(w - ref) <= 1e-9 * np.linalg.norm(ref)
-    assert cut_above_s_min >= 6
+    assert cut_above_s_min >= 9
 
 
 def test_min_norm_never_calls_eigvalsh(monkeypatch):
@@ -338,28 +345,27 @@ def test_min_norm_never_calls_eigvalsh(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", _no_eigvalsh)
     for g, t, path in _solver_cases():
         min_norm_lstsq(g, t)
-        for rel_tol in (1e-7, 1e-5, 1e-3):
-            min_norm_lstsq(g, t, rel_tol)
+    for g in _fallback_cases():
+        min_norm_lstsq(g, np.ones(g.shape[0]))
 
 
 @settings(max_examples=200)
 @given(shape=st.sampled_from([(6, 6), (24, 24), (5, 14), (10, 40), (14, 5),
                               (40, 10), (1, 9), (9, 1)]),
-       # half the draws near the certified limit and GRAM_MAX_COND
-       log_cond=st.one_of(st.floats(0.0, 7.0), st.floats(3.3, 4.2)),
+       # half the draws near the certified limit and GRAM_MAX_COND; kappa
+       # above 1e12 puts singular values below the cutoff
+       log_cond=st.one_of(st.floats(0.0, 16.0), st.floats(3.3, 4.2)),
        spread=st.booleans(),
-       rel_tol=st.sampled_from([DEFAULT_REL_TOL, 1e-7, 1e-5, 1e-3]),
        seed=st.integers(0, 2 ** 32 - 1))
-def test_min_norm_path_follows_eigvalsh_rule(shape, log_cond, spread, rel_tol,
-                                             seed):
-    """Over kappa in [1, 1e7], without `eigvalsh`, a Gram-certified fit has
-    rule "gram", and a fit that takes `np.linalg.lstsq` has lam_min within
-    twice the certificate's shift."""
+def test_min_norm_path_follows_eigvalsh_rule(shape, log_cond, spread, seed):
+    """Over kappa in [1, 1e16], without `eigvalsh`, a Gram-certified fit
+    has rule "gram", and a fit that takes `np.linalg.lstsq` has lam_min
+    within twice the certificate's shift."""
     rng = np.random.default_rng(seed)
     g = (_spread if spread else _conditioned)(rng, *shape, 10.0 ** log_cond)
     with pytest.MonkeyPatch.context() as mp:
-        taken, _ = _path_taken(mp, g, rng.normal(size=shape[0]), rel_tol)
-    assert _certificates_agree(g, rel_tol, taken)
+        taken, _ = _path_taken(mp, g, rng.normal(size=shape[0]))
+    assert _certificates_agree(g, taken)
 
 
 needs_lapack = pytest.mark.skipif(
@@ -481,6 +487,43 @@ def test_blas_core_names_the_kernel_openblas_loaded():
     assert proc.stdout == "Haswell\n"
 
 
+@pytest.fixture
+def fresh_blas_lookups():
+    """Empty the caches of the OpenBLAS lookups before and after the test,
+    so that no stand-in library outlives it."""
+    for lookup in (numkernel.blas_core, numkernel.blas_thread_control):
+        lookup.cache_clear()
+    yield
+    for lookup in (numkernel.blas_core, numkernel.blas_thread_control):
+        lookup.cache_clear()
+
+
+@pytest.mark.parametrize("prefix", ["scipy_openblas", "openblas"])
+@pytest.mark.parametrize("suffix", ["64_", ""])
+def test_blas_lookups_find_every_openblas_name(monkeypatch, fresh_blas_lookups,
+                                               prefix, suffix):
+    """The kernel name and the thread control are both found under the
+    plain and the scipy-openblas prefix, with or without the 64-bit-integer
+    suffix, and neither is found in a library that has none of them."""
+    threads = []
+    lib = SimpleNamespace(**{
+        f"{prefix}_get_corename{suffix}": lambda: b"Haswell",
+        f"{prefix}_get_num_threads{suffix}": lambda: 3,
+        f"{prefix}_set_num_threads{suffix}": lambda n: threads.append(n)})
+    monkeypatch.setattr(numkernel, "_linalg_lib", lambda: lib)
+    assert numkernel.blas_core() == "Haswell"
+    assert numkernel.blas_thread_control() is not None
+    with numkernel.one_blas_thread():
+        assert threads == [1]
+    assert threads == [1, 3]
+    assert lib.__dict__[f"{prefix}_get_corename{suffix}"].restype is (
+        ctypes.c_char_p)
+    monkeypatch.setattr(numkernel, "_linalg_lib", SimpleNamespace)
+    for lookup in (numkernel.blas_core, numkernel.blas_thread_control):
+        lookup.cache_clear()
+        assert lookup() is None
+
+
 def test_numpy_fallback_takes_the_same_paths(monkeypatch, numpy_linalg):
     """Without the LAPACK binding every case takes the path it takes with
     it, the certificate by one `np.linalg.cholesky` and the Gram solve by
@@ -546,19 +589,6 @@ def test_min_norm_of_g_whose_gram_matrix_overflows_is_the_svd_solution(
     # wide: both interpolate t; tall: both reach the least-squares residual
     assert np.linalg.norm(g @ w - t) <= (1.001 * np.linalg.norm(g @ ref - t)
                                          + 1e-12 * np.linalg.norm(t))
-
-
-def test_min_norm_rejects_bad_rel_tol_before_any_factorization(monkeypatch):
-    def no_factorization(*args, **kwargs):
-        raise AssertionError("factorized before rel_tol was checked")
-
-    for name in ("cholesky", "eigvalsh", "lstsq", "qr", "solve"):
-        monkeypatch.setattr(np.linalg, name, no_factorization)
-    for name in ("_cholesky_in_place", "svd"):
-        monkeypatch.setattr(numkernel, name, no_factorization)
-    for rel_tol in (0.0, 1.0, -1e-3, float("nan")):
-        with pytest.raises(ValueError, match="rel_tol"):
-            min_norm_lstsq(np.eye(3), np.ones(3), rel_tol)
 
 
 def test_min_norm_has_smallest_norm_in_solution_set():
