@@ -1,4 +1,4 @@
-"""Ingestion tour: a CSV with a header and missing cells, and the WBCD layout.
+"""Ingestion tour: a CSV with a header, a missing cell, and the WBCD layout.
 
 Everything here is built in a temp directory on the fly, so the script has
 no external file dependencies -- it just shows what each loader does and
@@ -6,7 +6,6 @@ what it refuses to do.
 """
 
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,42 +15,33 @@ from airelm import DataError, RngStream, load_csv, load_wbcd, split_standardize
 with tempfile.TemporaryDirectory() as tmp_dir:
     tmp = Path(tmp_dir)
 
-    # --- csv with a header and a missing-value token ------------------
+    # --- csv with a header ---------------------------------------------
     csv_path = tmp / "sensors.csv"
     csv_path.write_text(
         "pressure,temp,flow,label\n"
-        "1.01,290.5,NA,1\n"
+        "1.01,290.5,12.2,1\n"
         "0.98,291.2,12.4,-1\n"
-        "1.05,NA,11.9,1\n"
+        "1.05,290.3,11.9,1\n"
         "0.97,289.9,12.1,-1\n"
         "1.02,290.8,12.6,1\n"
         "0.99,290.1,12.0,-1\n"
     )
-    table = load_csv(str(csv_path), label_column="label", missing_token="NA")
-    print(f"csv: {table.n_rows} rows x {table.n_features} features,"
-          f" {int((~table.present).sum())} missing cells")
+    table = load_csv(str(csv_path), label_column="label")
+    print(f"csv: {table.n_rows} rows x {table.n_features} features")
     print(f"     columns: {table.feature_names}")
-
-    # the splitter refuses tables that still have holes
-    try:
-        split_standardize(table, 0.8, rng=RngStream(0).split(0))
-    except DataError as e:
-        print(f"     split on unimputed table -> DataError: {e}")
-
-    # imputing is the caller's choice; here, each column's mean
-    means = np.nanmean(table.features, axis=0)
-    fixed = replace(table, features=np.where(table.present, table.features,
-                                             means))
-    data = split_standardize(fixed, 0.8, rng=RngStream(0).split(0))
-    print(f"     after impute + split: train {data.x_train.shape},"
-          f" test {data.x_test.shape}")
+    data = split_standardize(table, 0.8, rng=RngStream(0).split(0))
+    print(f"     split: train {data.x_train.shape}, test {data.x_test.shape}")
     print(f"     train block mean ~ {np.abs(data.x_train.mean(axis=0)).max():.1e}")
 
-    # without a missing token, a bad cell names its file, line and column
+    # a table is loaded whole: a missing cell is never filled in, and
+    # names its file, line and column; imputing is the caller's job
+    lines = csv_path.read_text().splitlines(keepends=True)
+    lines[3] = lines[3].replace("290.3", "NA")
+    csv_path.write_text("".join(lines))
     try:
         load_csv(str(csv_path), label_column="label")
     except DataError as e:
-        print(f"     no missing_token -> DataError: {e}")
+        print(f"     NA cell -> DataError: {e}")
 
     # --- the WBCD layout: id, M/B diagnosis, 30 features, no header -----
     print()

@@ -13,7 +13,7 @@ from types import ModuleType as _ModuleType
 from .errors import ConfigError, DataError, OutputError
 from .rng import (RngStream, SUB_SPLIT, SUB_CHANNEL, SUB_TRAIN_NOISE,
                   SUB_TEST_NOISE, SUB_DIGITAL, SUB_MINIBATCH, SUB_AR,
-                  SUB_SYNTH, SUB_FEATSEL)
+                  SUB_SYNTH)
 from .numkernel import (sample_cgaussian, svd, pseudoinverse, min_norm_lstsq,
                         ridge_lstsq)
 from .activation import (RappParams, rapp, rapp_vec, rapp_deriv, rapp_peak,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, shown
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,7 @@ class RappParams:
         if not (isinstance(a, (int, np.integer)) and a % 2 == 0
                 and 2 <= a <= sys.float_info.max):
             raise ConfigError(f"alpha must be an even integer >= 2 that a "
-                              f"float64 holds, got {a!r}")
+                              f"float64 holds, got {shown(a)}")
 
 
 DEFAULT_RAPP = RappParams()

@@ -10,10 +10,10 @@ Subcommands map one-to-one onto the experiment runners:
 
 Without --config, built-in defaults run the synthetic two-Gaussians dataset.
 Exit codes: 0 success, 1 configuration error, 2 data error, 3 output error
-(the --out directory does not exist, the CSV cannot be written, or the
-reader of stdout closed it before the summary was printed; the CSV and the
-manifest are written by then).  A missing output directory is found before
-any trial runs.
+(the --out directory does not exist, --out or its manifest path is the
+dataset file, the CSV cannot be written, or stdout's reader closed it
+before the summary was printed; the CSV and the manifest are written by
+then).  The --out path checks run before any trial.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from .activation import RappParams
 from .channel import ArConfig, RiceanConfig, noise_for_snr
 from .data import train_count
 from .elm import COMBINERS
-from .errors import ConfigError, OutputError
+from .errors import ConfigError, OutputError, shown
 
 # each kind's swept field, the one its [sweep] grid sets point by point
 # (None: the kind runs one point), its default grid and its default n_r
@@ -89,8 +89,6 @@ class DatasetConfig:
     has_header: bool = _key("dataset", True, _to_bool)
     label_map: dict = _key("dataset", None, _to_label_map)
     train_ratio: float = _key("dataset", 0.8, float, between=(0, 1))
-    # optional row cap before splitting
-    subsample: int = _key("dataset", None, int, least=2)
     synth_size: int = _key("dataset", 400, int, least=2)
     synth_d: int = _key("dataset", 8, int, least=1)
     synth_separation: float = _key("dataset", 4.0, float)
@@ -139,7 +137,7 @@ class ExperimentConfig:
         for n_r in (p["n_r"] for p in points):  # negated, so NaN fails
             if not (1 <= n_r <= sys.maxsize and n_r == int(n_r)):
                 raise ConfigError(f"n_r must be a whole number in "
-                                  f"[1, {sys.maxsize}], got {n_r}")
+                                  f"[1, {sys.maxsize}], got {shown(n_r)}")
         return [(int(p["n_r"]), p["kappa"], p["snr_db"]) for p in points]
 
     def resolved(self) -> "ExperimentConfig":
@@ -168,7 +166,7 @@ class ExperimentConfig:
                 # negated comparisons, so that NaN fails them
                 if least is not None and not value >= least:
                     raise ConfigError(
-                        f"{f.name} must be >= {least}, got {value}")
+                        f"{f.name} must be >= {least}, got {shown(value)}")
                 if between and not between[0] < value < between[1]:
                     raise ConfigError(
                         f"{f.name} must lie in {between}, got {value}")
@@ -201,7 +199,7 @@ class ExperimentConfig:
             if ds.synth_size * ds.synth_d > sys.maxsize:
                 raise ConfigError("synth_size x synth_d must be at most "
                                   f"{sys.maxsize} cells, got "
-                                  f"{ds.synth_size} x {ds.synth_d}")
+                                  f"{shown(ds.synth_size * ds.synth_d)}")
             # a feature's training std sums up to synth_size squared
             # deviations of about (separation / 2)^2 / synth_d each
             bound = 2 * math.sqrt(sys.float_info.max) * math.sqrt(
@@ -219,23 +217,26 @@ class ExperimentConfig:
             for path in (self.out, manifest_path(self.out)):
                 if os.path.isdir(path):
                     raise OutputError(f"output path is a directory: {path}")
+                # writing it would replace the input the manifest hashes
+                if (ds.name != "synthetic" and os.path.exists(path)
+                        and os.path.samefile(path, ds.path)):
+                    raise OutputError(f"output path is the dataset file: "
+                                      f"{path}")
         return self
 
     def check_table(self, n_rows: int, n_features: int) -> None:
         """Reject, before any trial, what an n_rows x n_features table cannot
-        run: an online batch_size above the training block left after
-        `subsample` and the train/test split, or a channel matrix H or a
-        hidden matrix G larger than physical memory."""
+        run: an online batch_size above the training block of its train/test
+        split, or a channel matrix H or a hidden matrix G larger than
+        physical memory."""
         ds = self.dataset
-        if ds.subsample is not None:
-            n_rows = min(n_rows, ds.subsample)
         if n_rows < 2:
             return          # too few rows is a data error, found on loading
         d_train = train_count(n_rows, ds.train_ratio)
         if self.kind == "online" and self.batch_size > d_train:
             raise ConfigError(
                 f"batch_size must be at most the {d_train} training rows, "
-                f"got {self.batch_size}")
+                f"got {shown(self.batch_size)}")
         n_r = max(n_r for n_r, _, _ in self.points())
         memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
         for name, rows, cols, item in (

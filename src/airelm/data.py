@@ -1,9 +1,9 @@
 """Dataset ingestion and preparation.
 
 Covers delimiter-separated tables (any numeric CSV, and the WBCD layout),
-train/test splitting with training-block standardization, and a
-self-contained two-Gaussians generator so the test suite never needs a
-download.
+each loaded whole or refused; train/test splitting with training-block
+standardization; and a two-Gaussians generator so the test suite never
+needs a download.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ from .rng import RngStream
 class RawTable:
     """Numeric feature table with labels.
 
-    A missing cell holds NaN in `features`; it is never silently zeroed.
+    A loaded table holds no NaN.  One built by hand may hold NaN at its
+    missing cells; `split_standardize` refuses it until they are imputed.
     """
 
     features: np.ndarray = field(repr=False)
@@ -94,13 +95,9 @@ def _read_text(path) -> io.StringIO:
                         f"byte {exc.start})") from None
 
 
-def _finite_cell(cell: str, missing: str, path, lineno: int,
-                 column: int) -> float:
-    """A feature cell as a float, NaN for the missing token; any other
-    non-numeric, NaN or infinite value is an error naming file, line and
-    column."""
-    if cell == missing:
-        return math.nan
+def _check_cell(cell: str, path, lineno: int, column: int) -> None:
+    """A DataError naming file, line and column if the feature cell is
+    non-numeric, NaN or infinite."""
     try:
         value = float(cell)
     except ValueError:
@@ -109,18 +106,16 @@ def _finite_cell(cell: str, missing: str, path, lineno: int,
     if not math.isfinite(value):
         raise DataError(f"{path}:{lineno}: non-finite cell {cell!r} in "
                         f"column {column}")
-    return value
 
 
-def load_csv(path, label_column, delimiter: str = ",", missing_token: str = None,
+def load_csv(path, label_column, delimiter: str = ",",
              has_header: bool = True, label_map: dict = None) -> RawTable:
     """Parse a delimiter-separated table into a RawTable.
 
     label_column is a header name (with has_header) or a 0-based column
-    index in [0, width).  Cells equal to missing_token become NaN;
-    any other non-numeric, NaN or infinite feature cell is a row-indexed
-    error, as is a row whose label fails to parse (through label_map if
-    given).
+    index in [0, width).  A non-numeric (`NA` included), NaN or infinite
+    feature cell is a DataError naming file, line and column, as is a row
+    whose label fails to parse (through label_map if given).
     """
     reader = csv.reader(_read_text(path), delimiter=delimiter)
     try:
@@ -148,16 +143,15 @@ def load_csv(path, label_column, delimiter: str = ",", missing_token: str = None
             raise DataError(f"{path}: label_column {label_idx} is outside the "
                             f"{width} columns")
 
-    # without a missing token, every feature cell converts in one call; the
-    # cell loop below runs where that fails, to name the first bad cell
-    cells = None
-    if missing_token is None:
-        with contextlib.suppress(ValueError):
-            cells = np.array([row[:label_idx] + row[label_idx + 1:]
-                              for row in body], dtype=float)
-            cells = cells if np.isfinite(cells).all() else None
+    # every feature cell converts in this one call, which reads what
+    # float(cell) reads; where it fails, the row loop names the first bad cell
+    features = None
+    with contextlib.suppress(ValueError):
+        features = np.array([row[:label_idx] + row[label_idx + 1:]
+                             for row in body], dtype=float)
+    whole = features is not None and np.isfinite(features).all()
 
-    feats, labels = [], np.empty(len(body), dtype=int)
+    labels = np.empty(len(body), dtype=int)
     for i, row in enumerate(body):
         lineno = i + (2 if has_header else 1)
         if len(row) != width:
@@ -173,16 +167,15 @@ def load_csv(path, label_column, delimiter: str = ",", missing_token: str = None
         except (ValueError, OverflowError):
             raise DataError(
                 f"{path}:{lineno}: unparseable label {raw_label!r}") from None
-        if cells is None:
-            feats.append([_finite_cell(cell.strip(), missing_token, path,
-                                       lineno, j)
-                          for j, cell in enumerate(row) if j != label_idx])
+        if not whole:
+            for j, cell in enumerate(row):
+                if j != label_idx:
+                    _check_cell(cell.strip(), path, lineno, j)
 
     names = None
     if header is not None:
         names = tuple(h for j, h in enumerate(header) if j != label_idx)
     # D x (width - 1) even for a table with no rows
-    features = np.array(feats, dtype=float) if cells is None else cells
     return RawTable(features=features.reshape(len(body), width - 1),
                     labels=labels, feature_names=names)
 

@@ -16,3 +16,13 @@ class DataError(ValueError):
 
 class OutputError(OSError):
     """The results cannot be written: missing output directory, unwritable path."""
+
+
+def shown(value) -> str:
+    """repr(value) for an error message, or, for an integer beyond Python's
+    int-to-str digit limit, which repr refuses, its sign and bit length."""
+    try:
+        return repr(value)
+    except ValueError:
+        sign = "a negative" if value < 0 else "an"
+        return f"{sign} integer of {value.bit_length()} bits"

@@ -42,7 +42,7 @@ from .numkernel import (blas_core, blas_thread_control, lapack_cholesky,
                         one_blas_thread)
 from .rng import (RngStream, SUB_SPLIT, SUB_CHANNEL, SUB_TRAIN_NOISE,
                   SUB_TEST_NOISE, SUB_DIGITAL, SUB_MINIBATCH, SUB_AR,
-                  SUB_SYNTH, SUB_FEATSEL)
+                  SUB_SYNTH)
 
 SUMMARY_COLUMNS = ("model", "n_r", "snr_db", "kappa", "eta", "step",
                    "iteration", "n_trials", "mean_accuracy", "std_accuracy",
@@ -90,17 +90,13 @@ def _load_base_table(cfg: ExperimentConfig):
 
 
 def _trial_dataset(cfg: ExperimentConfig, base_table, trial: RngStream) -> Dataset:
-    """Per-seed dataset: generation + subsample + split/standardize."""
+    """Per-seed dataset: the loaded table, or the seed's synthetic one, split
+    and standardized."""
     ds = cfg.dataset
     table = base_table
     if ds.name == "synthetic":
         table = synth_two_gaussians(trial.split(SUB_SYNTH), ds.synth_size,
                                     ds.synth_d, ds.synth_separation)
-    if ds.subsample is not None and ds.subsample < table.n_rows:
-        keep = np.sort(trial.split(SUB_FEATSEL, 1).choice(
-            table.n_rows, ds.subsample, replace=False))
-        table = replace(table, features=table.features[keep],
-                        labels=table.labels[keep])
     return split_standardize(table, ds.train_ratio, rng=trial.split(SUB_SPLIT))
 
 
@@ -374,14 +370,13 @@ def _fmt(value) -> str:
 def emit_csv(table, path) -> None:
     """Write a TrialResult list as RFC-4180-style CSV."""
     try:
-        fh = open(path, "w", newline="")
-    except OSError as exc:
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(TRIAL_COLUMNS)
+            for row in table:
+                writer.writerow([_fmt(getattr(row, c)) for c in TRIAL_COLUMNS])
+    except OSError as exc:      # open, or a write or the flush on closing
         raise OutputError(f"cannot write CSV to {path}: {exc}") from None
-    with fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRIAL_COLUMNS)
-        for row in table:
-            writer.writerow([_fmt(getattr(row, c)) for c in TRIAL_COLUMNS])
 
 
 def sha256_file(path) -> str:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -350,8 +351,6 @@ def test_blas_thread_env_preserves_bytes(tmp_path):
     ("sweep-nr", "[activation]\ny_sat = 0\n", "y_sat must be positive"),
     # steps = 0 used to end in a summarize traceback after the run
     ("sweep-nr", "[online]\nsteps = 0\n", "steps must be >= 1"),
-    ("sweep-nr", "[dataset]\nsubsample = -1\n", "subsample must be >= 2"),
-    ("sweep-nr", "[dataset]\nsubsample = 1\n", "subsample must be >= 2"),
     ("sweep-nr", "[channel]\nkappa = nan\n", "kappa must be finite and >= 0"),
     ("sweep-nr", "[channel]\nkappa = inf\n", "kappa must be finite and >= 0"),
     ("sweep-nr", "[channel]\nkappa = -1\n", "kappa must be finite and >= 0"),
@@ -387,6 +386,13 @@ def test_blas_thread_env_preserves_bytes(tmp_path):
      "unknown key 'digital_low' in [model]"),
     ("sweep-nr", "[dataset]\nmissing_token = NA\n",
      "unknown key 'missing_token' in [dataset]"),
+    # a row cap no run sets: every value, one it refused before included
+    ("sweep-nr", "[dataset]\nsubsample = 40\n",
+     "unknown key 'subsample' in [dataset]"),
+    ("sweep-nr", "[dataset]\nsubsample = -1\n",
+     "unknown key 'subsample' in [dataset]"),
+    ("sweep-nr", "[dataset]\nsubsample = 1\n",
+     "unknown key 'subsample' in [dataset]"),
     # a path loss only rescales the signal against y_sat
     ("sweep-nr", "[channel]\npathloss = 1\n",
      "unknown key 'pathloss' in [channel]"),
@@ -425,7 +431,7 @@ def test_blas_thread_env_preserves_bytes(tmp_path):
 ], ids=["fractional_n_r", "nan_grid", "minus_inf_snr", "zero_n_r",
         "huge_n_r", "huge_n_r_grid",
         "gamma_above_1", "zero_eta", "zero_batch_size", "odd_alpha",
-        "zero_y_sat", "zero_steps", "negative_subsample", "subsample_1",
+        "zero_y_sat", "zero_steps",
         "nan_kappa", "inf_kappa",
         "negative_kappa", "negative_kappa_grid",
         "nan_los_angle", "negative_iters_per_step",
@@ -435,6 +441,7 @@ def test_blas_thread_env_preserves_bytes(tmp_path):
         "absent_wbcd_path",
         "unknown_dataset_mnist", "unknown_key_mnist_pixels",
         "unknown_key_digital_low", "unknown_key_missing_token",
+        "unknown_key_subsample", "negative_subsample", "subsample_1",
         "unknown_key_pathloss", "zero_synth_d",
         "synth_size_1",
         "negative_synth_size", "synth_size_beyond_float64",
@@ -535,9 +542,9 @@ def test_file_key_the_dataset_does_not_read_is_not_checksummed(
 
 @pytest.mark.parametrize("dataset, d_train", [
     ("name = synthetic\nsynth_size = 40\n", 32),
-    # 60 rows, 40 of them kept by subsample: 32 train the model
-    ("name = csv\npath = {data}\nlabel_column = label\nsubsample = 40\n", 32),
-], ids=["synthetic", "csv_subsample"])
+    # the 60 rows of the loaded table: 48 train the model
+    ("name = csv\npath = {data}\nlabel_column = label\n", 48),
+], ids=["synthetic", "csv"])
 def test_online_batch_above_train_block_exits_1_before_fit(
         tmp_path, capsys, monkeypatch, dataset, d_train):
     import airelm.experiments
@@ -551,13 +558,13 @@ def test_online_batch_above_train_block_exits_1_before_fit(
         f"{i},{i % 7},{1 if i % 2 else -1}\n" for i in range(60)))
     cfg = _ini(tmp_path, "[experiment]\nseeds = 1\n[dataset]\n"
                + dataset.format(data=data)
-               + "[model]\nn_r = 16\n[online]\nbatch_size = 40\n")
+               + "[model]\nn_r = 16\n[online]\nbatch_size = 50\n")
     rc = main(["online", "--config", cfg])
     assert rc == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith("config error:")
-    assert f"at most the {d_train} training rows, got 40" in err
+    assert f"at most the {d_train} training rows, got 50" in err
 
 
 @pytest.mark.parametrize("command, dataset, model, block", [
@@ -611,6 +618,55 @@ def test_manifest_path_that_is_a_directory_exits_3_before_compute(
     assert err == ("output error: output path is a directory: "
                    f"{out}.manifest.json\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("suffix", ["", ".manifest.json"],
+                         ids=["out", "manifest"])
+def test_output_path_that_is_the_dataset_file_exits_3_before_compute(
+        tmp_path, capsys, monkeypatch, suffix):
+    """--out, or the manifest path next to it, naming the dataset file would
+    replace the input with the results and hash the results as the input;
+    it is refused before any trial, and the input keeps its bytes."""
+    import airelm.experiments
+
+    def no_compute(cfg, body):
+        raise AssertionError("the experiment ran before --out was checked")
+
+    monkeypatch.setattr(airelm.experiments, "_per_seed", no_compute)
+    data = tmp_path / f"d.csv{suffix}"
+    data.write_text("a,label\n1,1\n2,-1\n3,1\n4,-1\n")
+    before = data.read_bytes()
+    cfg = _ini(tmp_path, f"[dataset]\nname = csv\npath = {data}\n"
+                         "label_column = label\n")
+    # spelt another way than [dataset] path, so only the file is the same
+    out = tmp_path / "sub" / ".." / "d.csv"
+    (tmp_path / "sub").mkdir()
+    rc = main(["single", "--config", cfg, "--seeds", "1", "--out", str(out)])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        f"output error: output path is the dataset file: {out}{suffix}\n")
+    assert data.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [data.name, "exp.ini", "sub"])
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs the /dev/full device")
+def test_csv_write_that_fails_exits_3_without_traceback(capsys):
+    """A write or flush that fails after the CSV opened, here on a full
+    device, is an OutputError, exit 3, before any manifest is written."""
+    from airelm.errors import OutputError
+    from airelm.experiments import TrialResult, emit_csv
+    row = TrialResult(experiment="single", dataset="synthetic", seed=0,
+                      model="mimo", n_r=8, snr_db=math.inf, kappa=0.0)
+    with pytest.raises(OutputError, match="cannot write CSV to /dev/full"):
+        emit_csv([row], "/dev/full")
+    rc = main(["single", "--seeds", "1", "--out", "/dev/full"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("output error: cannot write CSV to /dev/full")
+    assert err.count("\n") == 1
+    assert not os.path.exists("/dev/full.manifest.json")
 
 
 @pytest.mark.parametrize("command", ["sweep-nr", "sweep-snr", "sweep-kappa",
@@ -700,7 +756,7 @@ _NO_NUMBER = st.text(st.characters(exclude_categories=["Cs", "Nd"]),
 _SMALL = st.integers(1, 64).map(str)
 _BOUNDED = {key: _SMALL for key in (
     "seeds", "n_r", "synth_d", "batch_size")}
-_BOUNDED["synth_size"] = _BOUNDED["subsample"] = st.integers(2, 64).map(str)
+_BOUNDED["synth_size"] = st.integers(2, 64).map(str)
 # an online run makes steps x iters_per_step mini-batch fits
 _BOUNDED["steps"] = _BOUNDED["iters_per_step"] = st.integers(1, 8).map(str)
 _BOUNDED["grid"] = st.lists(_SMALL, min_size=1, max_size=3).map(", ".join)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from airelm import experiments
+from airelm.activation import RappParams
 from airelm.config import (DATASETS, KINDS, DatasetConfig, ExperimentConfig,
                            parse_config)
 from airelm.data import split_standardize, synth_two_gaussians
@@ -14,7 +15,7 @@ from airelm.rng import RngStream
 
 
 def _all_keys_ini(tmp_path):
-    """An INI setting each of the 31 keys to a value other than its default."""
+    """An INI setting each of the 30 keys to a value other than its default."""
     data = tmp_path / "data.txt"
     data.write_text("1\n")
     text = (
@@ -33,7 +34,6 @@ def _all_keys_ini(tmp_path):
         "has_header = off\n"
         "label_map = M:-1, B:1\n"
         "train_ratio = 0.7\n"
-        "subsample = 50\n"
         "synth_size = 120\n"
         "synth_d = 5\n"
         "synth_separation = 2.5\n"
@@ -71,7 +71,7 @@ def test_parse_config_reads_every_key(tmp_path):
         dataset=DatasetConfig(
             name="csv", path=str(data), label_column=3, delimiter=";",
             has_header=False, label_map={"M": -1, "B": 1},
-            train_ratio=0.7, subsample=50, synth_size=120, synth_d=5,
+            train_ratio=0.7, synth_size=120, synth_d=5,
             synth_separation=2.5),
         kappa=3.5, los_angle_rx=0.25, los_angle_tx=-0.5,
         snr_db=15.0, y_sat=2.0, alpha=4, n_r=96, combiner="min_norm",
@@ -113,7 +113,7 @@ def test_readme_ini_example_names_every_key_and_parses(tmp_path):
 
 @pytest.mark.parametrize("section, key", [
     ("experiment", "seeds"), ("online", "gamma"), ("dataset", "train_ratio"),
-    ("dataset", "subsample")])
+    ("dataset", "synth_size")])
 def test_declared_ranges_reject_nan(section, key):
     """A NaN fails the range a key declares, open interval or bound."""
     cfg = ExperimentConfig()
@@ -167,21 +167,48 @@ def test_csv_delimiter_must_be_one_character(tmp_path, delimiter):
     assert ExperimentConfig(dataset=replace(ds, delimiter="\t")).resolved()
 
 
-@pytest.mark.parametrize("synth_size, train_ratio, subsample", [
+@pytest.mark.parametrize("synth_size, train_ratio, table_rows", [
     (40, 0.8, None), (41, 0.5, None), (3, 0.9, None), (400, 0.8, 25),
     (30, 0.7, 90)])
 def test_online_batch_size_limit_is_the_split_train_block(
-        synth_size, train_ratio, subsample):
-    rows = min(synth_size, subsample or synth_size)
+        synth_size, train_ratio, table_rows):
+    """The limit is the training block of the table the run splits: the
+    synth_size rows of a synthetic run, checked by `resolved`, or the rows
+    of a loaded table, checked by `check_table` whatever synth_size says."""
+    rows = table_rows or synth_size
     table = synth_two_gaussians(RngStream(0), rows, 2, 1.0)
     d_train = split_standardize(table, train_ratio, rng=RngStream(1)).x_train.shape[0]
     cfg = ExperimentConfig(kind="online", dataset=DatasetConfig(
-        synth_size=synth_size, train_ratio=train_ratio, subsample=subsample))
-    assert replace(cfg, batch_size=d_train).resolved().batch_size == d_train
+        synth_size=synth_size, train_ratio=train_ratio))
+
+    def check(**changes):
+        changed = replace(cfg, **changes)
+        if table_rows is None:
+            return changed.resolved()
+        return changed.check_table(table_rows, 2)
+
+    check(batch_size=d_train)
     with pytest.raises(ConfigError, match=f"at most the {d_train} training"):
-        replace(cfg, batch_size=d_train + 1).resolved()
+        check(batch_size=d_train + 1)
     # only online runs draw mini-batches
-    replace(cfg, kind="single", batch_size=d_train + 1).resolved()
+    check(kind="single", batch_size=d_train + 1)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: ExperimentConfig(n_r=10 ** 5000).resolved(),
+     r"n_r must be a whole number in \[1, \d+\], got an integer of 16610 "
+     r"bits$"),
+    (lambda: ExperimentConfig(seeds=-10 ** 5000).resolved(),
+     r"^seeds must be >= 1, got a negative integer of 16610 bits$"),
+    (lambda: RappParams(alpha=10 ** 5000),
+     r"^alpha must be an even integer >= 2 that a float64 holds, got an "
+     r"integer of 16610 bits$")], ids=["n_r", "seeds", "alpha"])
+def test_an_int_too_long_to_print_is_a_config_error(make, message):
+    """An integer beyond Python's int-to-str digit limit, which only code
+    can give, is shown by its bit length, so the refusal is a ConfigError
+    and not the ValueError that printing it would raise."""
+    with pytest.raises(ConfigError, match=message):
+        make()
 
 
 # ------------------------------------------------------------ parser fuzz

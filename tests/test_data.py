@@ -34,12 +34,13 @@ def test_load_csv_no_header(tmp_path):
 
 
 def test_load_csv_missing_token(tmp_path):
+    """A missing-value token such as NA is a non-numeric cell: load_csv
+    never fills a cell in, and names the file, line and column."""
     p = tmp_path / "t.csv"
-    p.write_text("x,y,l\n1,NA,1\n2,3,-1\n")
-    table = load_csv(str(p), label_column=2, missing_token="NA")
-    assert np.isnan(table.features[0, 1])
-    assert not table.present[0, 1]
-    assert table.present[1].all()
+    p.write_text("x,y,l\n1,2,1\n3,NA,-1\n")
+    with pytest.raises(DataError,
+                       match=r"t\.csv:3: non-numeric cell 'NA' in column 1"):
+        load_csv(str(p), label_column=2)
 
 
 def test_load_csv_ragged_row_reports_position(tmp_path):
@@ -75,60 +76,43 @@ def test_load_csv_non_finite_cell(tmp_path, cell):
         load_csv(str(p), label_column=2)
 
 
-def test_load_csv_missing_token_may_be_nan(tmp_path):
-    p = tmp_path / "t.csv"
-    p.write_text("x,y,l\n1,nan,1\n3,4,-1\n")
-    table = load_csv(str(p), label_column=2, missing_token="nan")
-    assert not table.present[0, 1]
-
-
 def test_load_csv_one_shot_conversion_parses_as_the_cell_loop(
         tmp_path, monkeypatch):
     """A table of finite cells converts in one call, without the per-cell
-    loop, to the bits the loop gives: whitespace-padded, exponent, signed
-    and digit-grouped cells included.  A missing token sends the table
-    through the loop."""
+    check, to the bits float(cell) gives: whitespace-padded, exponent,
+    signed, digit-grouped and non-ASCII-digit cells included."""
     from airelm import data
     cells = [" 1.5", "2.5e-3 ", "\t-4E+2", "+.5", "1_000", "6.02214076e23",
-             "-0.0", " 7 ", "1e-320"]
+             "-0.0", " 7 ", "1e-320", "\uff11\uff12"]
     rows = [cells[i:] + cells[:i] for i in range(len(cells))]
-    header = ",".join(f"c{j}" for j in range(len(cells))) + ",l\n"
-    body = "".join(",".join(row) + f",{(-1) ** i}\n"
-                   for i, row in enumerate(rows))
-    fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
-    fast.write_text(header + body)
-    slow.write_text(header + body + ",".join(["?"] + cells[1:]) + ",1\n")
-    looped, cell_loop = [], data._finite_cell
-    monkeypatch.setattr(data, "_finite_cell",
-                        lambda cell, *args: looped.append(cell)
-                        or cell_loop(cell, *args))
+    p = tmp_path / "t.csv"
+    p.write_text(",".join(f"c{j}" for j in range(len(cells))) + ",l\n"
+                 + "".join(",".join(row) + f",{(-1) ** i}\n"
+                           for i, row in enumerate(rows)), encoding="utf-8")
+    checked = []
+    monkeypatch.setattr(data, "_check_cell",
+                        lambda cell, *args: checked.append(cell))
 
-    one_shot = load_csv(str(fast), label_column="l")
-    assert looped == []
-    table = load_csv(str(slow), label_column="l", missing_token="?")
-    assert len(looped) == len(cells) ** 2 + len(cells)
+    table = load_csv(str(p), label_column="l")
+    assert checked == []
     expected = np.array([[float(c.strip()) for c in row] for row in rows])
-    assert np.array_equal(one_shot.features.view(np.int64),
+    assert np.array_equal(table.features.view(np.int64),
                           expected.view(np.int64))
-    assert np.array_equal(table.features[:-1].view(np.int64),
-                          expected.view(np.int64))
-    assert np.isnan(table.features[-1, 0])
-    assert np.array_equal(one_shot.labels, table.labels[:-1])
+    assert np.array_equal(table.labels, [(-1) ** i for i in range(len(rows))])
 
 
-def test_load_csv_cell_errors_and_numeric_missing_token_keep_the_loop(
-        tmp_path):
-    """The first bad cell in file order is the one reported, before a bad
-    label on a later line; a missing token that reads as a number still
-    marks a missing cell."""
+def test_load_csv_reports_the_first_bad_cell_in_file_order(tmp_path):
+    """The first bad cell or label in file order is the one reported: a bad
+    cell before a bad label on a later line, and a bad label before a bad
+    cell on a later line."""
     p = tmp_path / "t.csv"
     p.write_text("x,y,l\n1,2,1\n3,frog,1\n5,6,maybe\n")
     with pytest.raises(DataError,
                        match=r"t\.csv:3: non-numeric cell 'frog' in column 1"):
         load_csv(str(p), label_column=2)
-    p.write_text("x,y,l\n1, 0 ,1\n3,4,-1\n")
-    table = load_csv(str(p), label_column=2, missing_token="0")
-    assert np.isnan(table.features[0, 1]) and table.features[1, 1] == 4.0
+    p.write_text("x,y,l\n1,2,maybe\n3,inf,1\n")
+    with pytest.raises(DataError, match=r"t\.csv:2: unparseable label"):
+        load_csv(str(p), label_column=2)
 
 
 def test_load_csv_infinite_label(tmp_path):
@@ -410,8 +394,8 @@ def test_any_file_bytes_load_as_a_table_or_raise_data_error(
     path.write_bytes(data.draw(_FILE_BYTES))
     try:
         table = load_csv(path, data.draw(st.sampled_from([0, 1, "l"])),
-                         has_header=data.draw(st.booleans()),
-                         missing_token=data.draw(st.sampled_from([None, "?"])))
+                         has_header=data.draw(st.booleans()))
     except DataError:
         return
     assert isinstance(table, RawTable) and table.features.ndim == 2
+    assert np.isfinite(table.features).all()

@@ -1,5 +1,6 @@
 import ctypes
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -19,7 +20,6 @@ from airelm.rng import (
     SUB_MINIBATCH,
     SUB_AR,
     SUB_SYNTH,
-    SUB_FEATSEL,
 )
 from airelm import numkernel
 from airelm.numkernel import (
@@ -780,10 +780,21 @@ def test_rng_split_chain_extends_key():
 
 
 def test_rng_substream_ids_are_distinct():
+    """The SUB_* ids are distinct, and the rng docstring's table lists each
+    of them, in order, plus id 8, retired with the row subsample so that no
+    later stream reuses its draws."""
+    from airelm import rng
     ids = [SUB_SPLIT, SUB_CHANNEL, SUB_TRAIN_NOISE, SUB_TEST_NOISE,
-           SUB_DIGITAL, SUB_MINIBATCH, SUB_AR, SUB_SYNTH, SUB_FEATSEL]
+           SUB_DIGITAL, SUB_MINIBATCH, SUB_AR, SUB_SYNTH]
     assert len(set(ids)) == len(ids)
     assert ids == sorted(ids)
+    assert {name for name in vars(rng) if name.startswith("SUB_")} == {
+        "SUB_SPLIT", "SUB_CHANNEL", "SUB_TRAIN_NOISE", "SUB_TEST_NOISE",
+        "SUB_DIGITAL", "SUB_MINIBATCH", "SUB_AR", "SUB_SYNTH"}
+    rows = dict(re.findall(r"^ (\d+) +(.+)$", rng.__doc__, re.M))
+    assert [int(i) for i in rows] == ids + [8]
+    assert rows["8"].startswith("retired")
+    assert not any(rows[str(i)].startswith("retired") for i in ids)
 
 
 def test_rng_negative_seed_rejected():
