@@ -106,6 +106,4 @@ def sigmoid(x, out: np.ndarray = None):
     np.exp(out, out=out)
     e += 1.0
     out /= e
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return float(out) if out.ndim == 0 else out

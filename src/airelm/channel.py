@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, shown
 from .numkernel import sample_cgaussian
 from .rng import RngStream
 
@@ -32,7 +32,8 @@ class RiceanConfig:
 
     def __post_init__(self):
         if self.n_r < 1 or self.n_t < 1:
-            raise ConfigError(f"antenna counts must be >= 1, got {self.n_r}x{self.n_t}")
+            raise ConfigError(f"antenna counts must be >= 1, got "
+                              f"{shown(self.n_r)}x{shown(self.n_t)}")
         if not 0.0 <= self.kappa < math.inf:
             raise ConfigError(
                 f"kappa must be finite and >= 0, got {self.kappa}")

@@ -64,16 +64,9 @@ def _print_summary(results) -> None:
     header = "  ".join(f"{c:>12}" for c in keep)
     print(header)
     for row in table:
-        cells = []
-        for c in keep:
-            v = row.get(c)
-            if v is None:
-                cells.append(f"{'':>12}")
-            elif isinstance(v, float):
-                cells.append(f"{v:>12.4f}")
-            else:
-                cells.append(f"{str(v):>12}")
-        print("  ".join(cells))
+        print("  ".join(format("" if v is None else v,
+                               ">12.4f" if isinstance(v, float) else ">12")
+                        for v in map(row.get, keep)))
 
 
 def main(argv=None) -> int:

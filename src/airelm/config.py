@@ -98,7 +98,8 @@ class DatasetConfig:
 class ExperimentConfig:
     kind: str = _key("experiment", "single", str)
     seeds: int = _key("experiment", 300, int, least=1)
-    master_seed: int = _key("experiment", 0, int, least=0)
+    master_seed: int = _key("experiment", 0, int, least=0,
+                            between=(-1, 2 ** 64))  # 64 bits, as in RngStream
     baseline: bool = _key("experiment", False, _to_bool)
     threads: int = _key("experiment", 1, int, least=1)
     out: str = _key("experiment", None, str)
@@ -169,7 +170,7 @@ class ExperimentConfig:
                         f"{f.name} must be >= {least}, got {shown(value)}")
                 if between and not between[0] < value < between[1]:
                     raise ConfigError(
-                        f"{f.name} must lie in {between}, got {value}")
+                        f"{f.name} must lie in {between}, got {shown(value)}")
         points = self.points()
         for i, (n_r, kappa, snr_db) in enumerate(points):
             noise_for_snr(0.0, snr_db)      # NaN, -inf and huge |snr| fail

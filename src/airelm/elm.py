@@ -16,7 +16,7 @@ import numpy as np
 
 from .activation import RappParams, DEFAULT_RAPP, rapp_vec, sigmoid
 from .channel import NoiseModel, NOISELESS, add_noise, receive, row_blocks
-from .errors import ConfigError
+from .errors import ConfigError, shown
 from .numkernel import min_norm_lstsq, ridge_lstsq
 from .rng import RngStream
 
@@ -127,8 +127,7 @@ def predict(model: ElmModel, x: np.ndarray, rng: RngStream = None) -> np.ndarray
 
 def classify(t_hat: np.ndarray) -> np.ndarray:
     """Binary decision: +1 if t_hat >= 0 else -1 (ties break to +1)."""
-    t_hat = np.asarray(t_hat)
-    return np.where(t_hat >= 0, 1, -1)
+    return np.where(np.asarray(t_hat) >= 0, 1, -1)
 
 
 def digital_elm_hidden(rng: RngStream, n_hidden: int, d: int) -> DigitalLayer:
@@ -141,9 +140,9 @@ def digital_elm_hidden(rng: RngStream, n_hidden: int, d: int) -> DigitalLayer:
     drops 1.8-3.3 points at N_r 64-1024 (20 seeds).
     """
     if n_hidden < 1 or d < 0:
-        raise ConfigError(f"bad layer size n_hidden={n_hidden}, d={d}")
-    w = rng.uniform(-1.0, 1.0, (n_hidden, d + 1))
-    return DigitalLayer(weights=w)
+        raise ConfigError(f"bad layer size n_hidden={shown(n_hidden)}, "
+                          f"d={shown(d)}")
+    return DigitalLayer(weights=rng.uniform(-1.0, 1.0, (n_hidden, d + 1)))
 
 
 def online_update(model: ElmModel, layer_k: HiddenLayer, data, gamma: float,

@@ -115,19 +115,22 @@ def _draw_channel(cfg, dataset, trial, n_r: int, kappa: float):
 
 
 class _NoiseReplay:
-    """A noise substream's first `size` draws, replayed from its start at
-    any noise level and length up to `size`.
+    """A noise substream served from its first draw at any noise level,
+    pass after pass: its first `held` draws are drawn once and replayed,
+    and a pass that reads past them is served the stream's next draws.
 
     numpy's normal(mean, std, size) is mean + std * z element by element,
     z its standard-normal draw, and split calls continue the stream bit for
     bit.  So after `rewind`, successive `normal` calls return what a fresh
-    stream's successive calls would.  z is drawn in one call when the
-    replay is built; the last pass lets it go once it has served its draws.
+    stream's successive calls would.  A draw past the held ones is served
+    once, in order: reading it again is a ValueError.  The last pass lets
+    the held draws go once it has served them.
     """
 
-    def __init__(self, stream: RngStream, size: int):
-        self._z = stream.normal(0.0, 1.0, size)
+    def __init__(self, stream: RngStream, held: int):
+        self._stream, self._z = stream, stream.normal(0.0, 1.0, held)
         self._pos, self._end = 0, -1    # next draw; the last pass's end
+        self._next = held               # the stream's next draw
 
     def rewind(self, size: int, last: bool = False):
         """Serve the stream from its first draw again, for a pass of `size`
@@ -139,7 +142,14 @@ class _NoiseReplay:
 
     def normal(self, mean, std, shape):
         start, self._pos = self._pos, self._pos + math.prod(shape)
-        out = std * self._z[start:self._pos]
+        z = self._z[start:self._pos]
+        if self._pos > len(self._z):
+            if max(start, len(self._z)) != self._next:
+                raise ValueError("_NoiseReplay: a streamed draw is read once")
+            z = np.concatenate((z, self._stream.normal(
+                0.0, 1.0, self._pos - self._next)))
+            self._next = self._pos
+        out = std * z
         out += mean
         if self._pos == self._end:
             self._z = None
@@ -200,22 +210,23 @@ def _run_grid(cfg: ExperimentConfig):
     """Shared sweep driver of a resolved config, its rows named by cfg.kind.
 
     For every point of `cfg.points()` x seed, one mimo trial (plus, with
-    cfg.baseline, one digital trial) runs.  Every point of a seed splits
-    the same trial stream, so a seed's dataset and its channel at each
-    (n_r, kappa) are the same at every point, and its noise blocks at each
-    n_r are the first D x n_r draws of the same two noise streams; only the
-    noise level and the width change.  One task per seed therefore builds
-    the dataset once and keeps one `_NoiseReplay` per noise stream, which
-    draws D x widest normals, widest the largest finite-SNR n_r, and serves
-    every point its prefix; the seed's last finite-SNR point lets the draws
-    go.  When (n_r, kappa) changes from the previous point it draws the
-    channel and measures the signal power of its training receive block,
-    for all the channel's points.  Results are ordered by (point, seed,
-    model) regardless of thread count."""
+    cfg.baseline, one digital trial) runs.  Every point of a seed splits the
+    same trial stream, so a seed's dataset and its channel at each (n_r, kappa)
+    are the same at every point, and its noise blocks at each n_r are the first
+    D x n_r draws of the same two noise streams; only the noise level and the
+    width change.  One task per seed therefore builds the dataset once and
+    keeps one `_NoiseReplay` per noise stream, holding D x held normals, held
+    the second-widest finite-SNR n_r (the widest when two points share it, 0
+    for one point): only the widest point reads past them, streaming its tail.
+    The seed's last finite-SNR point lets the held draws go.  When (n_r, kappa)
+    changes from the previous point it draws the channel and measures the
+    signal power of its training receive block, for all the channel's points.
+    Results are ordered by (point, seed, model) regardless of thread count."""
     points = cfg.points()
     finite = [snr_db != math.inf for _, _, snr_db in points]
     last_noisy = max((i for i, f in enumerate(finite) if f), default=-1)
-    widest = max((p[0] for p, f in zip(points, finite) if f), default=0)
+    widths = sorted((p[0] for p, f in zip(points, finite) if f), reverse=True)
+    held = widths[1] if len(widths) > 1 else 0
     rapp = RappParams(y_sat=cfg.y_sat, alpha=cfg.alpha)
     # the digital ELM has no channel or noise: a kappa or SNR sweep skips it
     baseline = cfg.baseline and KIND_TABLE[cfg.kind][0] in ("n_r", None)
@@ -225,9 +236,9 @@ def _run_grid(cfg: ExperimentConfig):
                       dataset=cfg.dataset.name, seed=seed)
         sizes = len(dataset.x_train), len(dataset.x_test)
         chan_key = None
-        replays = [_NoiseReplay(trial.split(sub), d * widest)
+        replays = [_NoiseReplay(trial.split(sub), d * held)
                    for sub, d in zip((SUB_TRAIN_NOISE, SUB_TEST_NOISE),
-                                     sizes)] if widest else None
+                                     sizes)] if widths else None
         by_point = []
         for i, (n_r, kappa, snr_db) in enumerate(points):
             if (n_r, kappa) != chan_key:

@@ -91,6 +91,3 @@ class RngStream:
 
     def choice(self, n, size, replace=True):
         return self._gen.choice(n, size=size, replace=replace)
-
-    def __repr__(self):
-        return f"RngStream(seed={self.seed}, key={self.key})"

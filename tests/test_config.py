@@ -7,9 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from airelm import experiments
 from airelm.activation import RappParams
+from airelm.channel import RiceanConfig
 from airelm.config import (DATASETS, KINDS, DatasetConfig, ExperimentConfig,
                            parse_config)
 from airelm.data import split_standardize, synth_two_gaussians
+from airelm.elm import digital_elm_hidden
 from airelm.errors import ConfigError, OutputError
 from airelm.rng import RngStream
 
@@ -202,13 +204,39 @@ def test_online_batch_size_limit_is_the_split_train_block(
      r"^seeds must be >= 1, got a negative integer of 16610 bits$"),
     (lambda: RappParams(alpha=10 ** 5000),
      r"^alpha must be an even integer >= 2 that a float64 holds, got an "
-     r"integer of 16610 bits$")], ids=["n_r", "seeds", "alpha"])
+     r"integer of 16610 bits$"),
+    (lambda: RiceanConfig(n_r=-10 ** 5000, n_t=1),
+     r"^antenna counts must be >= 1, got a negative integer of 16610 bits"
+     r"x1$"),
+    (lambda: digital_elm_hidden(RngStream(0), -10 ** 5000, 3),
+     r"^bad layer size n_hidden=a negative integer of 16610 bits, d=3$"),
+    (lambda: ExperimentConfig(master_seed=10 ** 5000).resolved(),
+     r"^master_seed must lie in \(-1, 18446744073709551616\), got an "
+     r"integer of 16610 bits$")],
+    ids=["n_r", "seeds", "alpha", "ricean_n_r", "digital_n_hidden",
+         "master_seed"])
 def test_an_int_too_long_to_print_is_a_config_error(make, message):
     """An integer beyond Python's int-to-str digit limit, which only code
     can give, is shown by its bit length, so the refusal is a ConfigError
     and not the ValueError that printing it would raise."""
     with pytest.raises(ConfigError, match=message):
         make()
+
+
+@pytest.mark.parametrize("seed", [2 ** 64, 10 ** 5000],
+                         ids=["2**64", "10**5000"])
+def test_a_master_seed_beyond_64_bits_writes_nothing(tmp_path, seed):
+    """RngStream takes a 64-bit seed, so a larger one is refused before any
+    trial: no CSV, and no manifest that `json.dump` leaves cut short."""
+    out = tmp_path / "out.csv"
+    with pytest.raises(ConfigError, match="^master_seed must lie in"):
+        experiments.run(ExperimentConfig(master_seed=seed, seeds=1, n_r=8,
+                                         out=str(out)))
+    assert list(tmp_path.iterdir()) == []
+    experiments.run(ExperimentConfig(master_seed=2 ** 64 - 1, seeds=1,
+                                     n_r=8, out=str(out)))
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "out.csv", "out.csv.manifest.json"]
 
 
 # ------------------------------------------------------------ parser fuzz

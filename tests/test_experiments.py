@@ -180,22 +180,29 @@ def test_nr_sweep_draws_each_normal_once_for_the_widest_n_r(monkeypatch,
                                                             grid, snr_db):
     """Every N_r reads a prefix of the same two noise streams, so a seed
     draws D_train * 64 training and D_test * 64 test normals, not
-    D * (16 + 32 + 64), in one call per stream, in whatever order the grid
-    runs; a sweep without noise draws none."""
-    drawn = {}
-    normal = RngStream.normal
+    D * (16 + 32 + 64), each once, in whatever order the grid runs.  The
+    replay holds the D * 32 draws that n_r = 32 reads again, and n_r = 64
+    streams the rest; a sweep without noise draws none."""
+    drawn, held = {}, []
+    normal, replay = RngStream.normal, experiments._NoiseReplay
 
     def counted(stream, mean=0.0, std=1.0, size=None):
         if stream.key[-1] in (SUB_TRAIN_NOISE, SUB_TEST_NOISE):
-            drawn.setdefault(stream.key, []).append(int(np.prod(size)))
+            drawn[stream.key] = drawn.get(stream.key, 0) + int(np.prod(size))
         return normal(stream, mean, std, size)
 
+    def built(stream, size):
+        held.append((stream.key, size))
+        return replay(stream, size)
+
     monkeypatch.setattr(RngStream, "normal", counted)
+    monkeypatch.setattr(experiments, "_NoiseReplay", built)
     run(_cfg(grid=grid, seeds=3, snr_db=snr_db))
-    assert drawn == ({} if snr_db == math.inf else
-                     {(seed, sub): [rows * 64] for seed in range(3)
-                      for sub, rows in ((SUB_TRAIN_NOISE, 96),
-                                        (SUB_TEST_NOISE, 24))})
+    rows = {SUB_TRAIN_NOISE: 96, SUB_TEST_NOISE: 24}
+    streams = [] if snr_db == math.inf else [
+        (seed, sub) for seed in range(3) for sub in rows]
+    assert drawn == {key: rows[key[1]] * 64 for key in streams}
+    assert held == [(key, rows[key[1]] * 32) for key in streams]
 
 
 def _sigma2_reference(h_real, x_tilde, snr_db):
@@ -227,6 +234,8 @@ def test_noise_from_the_receive_block_is_sigma2_for_snr_bit_for_bit():
     # n_r = 16 comes after 64, so it is served a prefix of 64's noise draws
     ("sweep_nr", (32, 64, 16), {"snr_db": 10.0, "baseline": True}),
     ("sweep_kappa", (0.0, 10.0), {"snr_db": 10.0}),
+    # the widest point runs first and streams what no later point reads
+    ("sweep_nr", (64, 32, 16), {"snr_db": 10.0}),
 ])
 def test_sweep_rows_equal_single_runs(kind, grid, extra):
     """Reusing a seed's dataset, channel and noise draws across the grid
@@ -266,6 +275,36 @@ def test_noise_replay_equals_stream_draws():
     assert replay._z is None            # the last pass let every draw go
     with pytest.raises(ValueError, match="last pass"):
         replay.rewind(1)
+
+
+def test_noise_replay_streams_the_draws_past_the_held_ones():
+    """A pass that reads past the held draws, in calls that end inside the
+    held block, straddle its end and lie wholly past it, gets the stream's
+    own bits; a later pass replays the held draws as before."""
+    replay = experiments._NoiseReplay(RngStream(4).split(0, 2), 5 * 3)
+    for std, calls, last in ((0.7, [(2, 4), (3, 4), (6,), (2, 3)], False),
+                             (1.9, [(4, 2), (7,)], True)):
+        replay.rewind(sum(math.prod(size) for size in calls), last=last)
+        stream = RngStream(4).split(0, 2)
+        for size in calls:
+            expected = stream.normal(0.0, std, size)
+            got = replay.normal(0.0, std, size)
+            assert np.array_equal(got.view(np.int64),
+                                  expected.view(np.int64))
+    assert replay._z is None
+
+
+@pytest.mark.parametrize("held", [0, 6])
+def test_noise_replay_serves_a_streamed_draw_once(held):
+    """The draws past the held ones come from the stream itself, so a
+    second pass that reads one again is refused, not served other bits."""
+    replay = experiments._NoiseReplay(RngStream(4).split(0, 3), held)
+    replay.rewind(10).normal(0.0, 1.0, (2, 5))
+    replay.rewind(held)
+    replay.normal(0.0, 1.0, (held,))    # the held draws replay as often
+    replay.rewind(10)
+    with pytest.raises(ValueError, match="read once"):
+        replay.normal(0.0, 1.0, (10,))
 
 
 def test_kappa_zero_cell_matches_nr_sweep():
