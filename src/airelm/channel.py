@@ -64,10 +64,6 @@ class NoiseModel:
         if self.sigma2 < 0:
             raise ConfigError(f"sigma2 must be >= 0, got {self.sigma2}")
 
-    @property
-    def noiseless(self) -> bool:
-        return self.sigma2 == 0.0
-
 
 NOISELESS = NoiseModel(0.0)
 
@@ -109,12 +105,11 @@ def evolve_ar(h_prev: np.ndarray, cfg: ArConfig, rng: RngStream) -> np.ndarray:
     Applied to the full complex matrix exactly as written (the LoS mean decays
     along with everything else, and the stationary variance shrinks since
     eta^2 + (1-eta)^2 < 1 for eta in (0,1); both follow from taking the
-    recursion literally).  eta = 1 is a bit-exact identity.  The innovation is
-    drawn from `rng` regardless of eta, so stream consumption is uniform.
+    recursion literally).  At eta = 1 it is 1 H + 0 Theta: H bit for bit for
+    a finite H with no -0 part, as a sampled H is.  The innovation is drawn
+    from `rng` at every eta, so stream consumption is uniform.
     """
     theta = sample_cgaussian(rng, *h_prev.shape)
-    if cfg.eta == 1.0:
-        return h_prev
     return cfg.eta * h_prev + (1.0 - cfg.eta) * theta
 
 
@@ -136,7 +131,7 @@ def add_noise(y: np.ndarray, noise: NoiseModel,
     call (row-major, so row by row), in the noise draw's own buffer; y is
     left as it is.  A noiseless model returns y itself.
     """
-    if noise.noiseless:
+    if noise.sigma2 == 0.0:
         return y
     if rng is None:
         raise ValueError("add_noise: finite-SNR noise needs an RngStream")

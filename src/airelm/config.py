@@ -85,7 +85,8 @@ class DatasetConfig:
     name: str = _key("dataset", "synthetic", str)   # one of DATASETS
     path: str = _key("dataset", None, str)     # wbcd and csv: the data file
     label_column: object = _key("dataset", 0, _to_label_column)
-    delimiter: str = _key("dataset", ",", str)
+    delimiter: str = _key("dataset", ",",  # write a tab as \t: INI strips it
+                          lambda raw: "\t" if raw == r"\t" else raw)
     has_header: bool = _key("dataset", True, _to_bool)
     label_map: dict = _key("dataset", None, _to_label_map)
     train_ratio: float = _key("dataset", 0.8, float, between=(0, 1))
@@ -228,8 +229,8 @@ class ExperimentConfig:
     def check_table(self, n_rows: int, n_features: int) -> None:
         """Reject, before any trial, what an n_rows x n_features table cannot
         run: an online batch_size above the training block of its train/test
-        split, or a channel matrix H or a hidden matrix G larger than
-        physical memory."""
+        split, or a feature table, a channel matrix H or a hidden matrix G
+        larger than physical memory."""
         ds = self.dataset
         if n_rows < 2:
             return          # too few rows is a data error, found on loading
@@ -241,6 +242,7 @@ class ExperimentConfig:
         n_r = max(n_r for n_r, _, _ in self.points())
         memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
         for name, rows, cols, item in (
+                ("feature table", n_rows, n_features, 8),
                 ("channel matrix H", n_r, n_features + 1, 16),  # complex
                 ("hidden matrix G", max(d_train, n_rows - d_train), n_r, 8)):
             if rows * cols * item > memory:
@@ -270,7 +272,9 @@ def parse_config(path: str, kind: str = None) -> ExperimentConfig:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    parser = configparser.ConfigParser(interpolation=None)
+    # no header spells a newline, so [DEFAULT] is one more unknown section
+    parser = configparser.ConfigParser(interpolation=None,
+                                       default_section="\n")
     try:
         parser.read_string(text, source=path)
     except configparser.Error as exc:

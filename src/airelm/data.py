@@ -80,15 +80,16 @@ def _to_pm1(labels: np.ndarray) -> np.ndarray:
 
 def _read_text(path) -> io.StringIO:
     """The file's text, decoded as UTF-8 with newlines kept for the csv
-    module, or a DataError naming the file, or the line of its first byte
-    that is not UTF-8."""
+    module and a leading byte-order mark dropped, or a DataError naming the
+    file, or the line of its first byte that is not UTF-8."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
-    try:
-        return io.StringIO(raw.decode("utf-8"), newline="")
+    try:    # the mark goes after decoding, so exc.start is a file offset
+        return io.StringIO(raw.decode("utf-8").removeprefix("\ufeff"),
+                           newline="")
     except UnicodeDecodeError as exc:
         line = raw.count(b"\n", 0, exc.start) + 1
         raise DataError(f"{path}:{line}: not UTF-8 text ({exc.reason} at "
@@ -115,7 +116,7 @@ def load_csv(path, label_column, delimiter: str = ",",
     label_column is a header name (with has_header) or a 0-based column
     index in [0, width).  A non-numeric (`NA` included), NaN or infinite
     feature cell is a DataError naming file, line and column, as is a row
-    whose label fails to parse (through label_map if given).
+    whose label is not a whole number (through label_map if given).
     """
     reader = csv.reader(_read_text(path), delimiter=delimiter)
     try:
@@ -162,8 +163,11 @@ def load_csv(path, label_column, delimiter: str = ",",
             raise DataError(
                 f"{path}:{lineno}: label {raw_label!r} not in mapping")
         try:        # an integer label too large for the array overflows
-            labels[i] = (int(label_map[raw_label]) if label_map is not None
-                         else int(float(raw_label)))
+            label = (int(label_map[raw_label]) if label_map is not None
+                     else float(raw_label))
+            labels[i] = int(label)
+            if labels[i] != label:      # 1.4 is no class code, 1.0 is
+                raise ValueError
         except (ValueError, OverflowError):
             raise DataError(
                 f"{path}:{lineno}: unparseable label {raw_label!r}") from None

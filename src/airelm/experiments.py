@@ -422,15 +422,14 @@ def _environment() -> dict:
 def write_manifest(cfg: ExperimentConfig, results, csv_path,
                    elapsed_ms: float = None) -> str:
     """Sidecar JSON recording the config, its kind's n_r and grid filled
-    in, the version, dataset checksums, the environment and elapsed_ms, the
-    run's wall time from `run` (null when the caller did not time it)."""
+    in, the version, the dataset file's SHA-256 (none for synthetic data),
+    the environment and elapsed_ms, the run's wall time from `run` (null
+    when the caller did not time it)."""
     ds = cfg.dataset
     _, grid, n_r = KIND_TABLE[cfg.kind]
     echo = replace(cfg, n_r=cfg.n_r or n_r, grid=cfg.grid or grid)
-    checksums = ({"synthetic": f"size={ds.synth_size},d={ds.synth_d},"
-                               f"sep={ds.synth_separation}"}
-                 if ds.name == "synthetic"
-                 else {ds.path: sha256_file(ds.path)})
+    checksums = {} if ds.name == "synthetic" else {
+        ds.path: sha256_file(ds.path)}
     manifest = {
         # JSON has no inf; the grid tuples are written as lists
         "config": {key: "inf" if value == math.inf else value

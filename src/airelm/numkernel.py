@@ -206,18 +206,14 @@ def svd(a: np.ndarray):
 
 
 def pseudoinverse(a: np.ndarray) -> np.ndarray:
-    """Moore-Penrose pseudoinverse via SVD with a relative cutoff.
-
-    Singular values at or below tau = DEFAULT_REL_TOL * max(rows, cols) *
-    s_max are treated as zero.  The result satisfies the four Penrose
-    conditions to roughly machine precision for well-scaled inputs.
-    """
+    """Moore-Penrose pseudoinverse by `np.linalg.pinv`, whose SVD treats
+    singular values at or below tau = r * s_max as zero, with
+    r = DEFAULT_REL_TOL * max(rows, cols), the cutoff of `min_norm_lstsq`'s
+    fallback.  A NaN or Inf in a raises ValueError."""
     a = np.asarray(a, dtype=float)
-    u, s, v = svd(a)                    # rejects NaN and Inf
-    keep = s > DEFAULT_REL_TOL * max(a.shape) * (s[0] if s.size else 0.0)
-    inv_s = np.zeros_like(s)
-    inv_s[keep] = 1.0 / s[keep]
-    return v @ (inv_s[:, None] * u.T)
+    if not np.all(np.isfinite(a)):
+        raise ValueError("pseudoinverse: input contains NaN or Inf")
+    return np.linalg.pinv(a, rcond=DEFAULT_REL_TOL * max(a.shape))
 
 
 def _gram_system(g, t, name: str):

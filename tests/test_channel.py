@@ -223,9 +223,11 @@ def test_receive_batch_one_row_per_vector():
 
 
 def test_noise_model_flags():
-    assert NOISELESS.noiseless
-    assert NoiseModel(sigma2=0.0).noiseless
-    assert not NoiseModel(sigma2=1e-6).noiseless
+    """sigma2 = 0, and only it, is noiseless: add_noise returns y itself."""
+    y = np.ones((2, 3))
+    assert NOISELESS == NoiseModel(sigma2=0.0)
+    assert add_noise(y, NoiseModel(sigma2=0.0)) is y
+    assert add_noise(y, NoiseModel(sigma2=1e-300), RngStream(0)) is not y
     with pytest.raises(ConfigError):
         NoiseModel(sigma2=-1.0)
 

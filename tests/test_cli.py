@@ -470,6 +470,49 @@ def test_bad_sweep_values_exit_1_before_compute(tmp_path, capsys, monkeypatch,
     assert err.startswith("config error:") and message in err
 
 
+@pytest.mark.parametrize("body", [
+    "[DEFAULT]\nseeds = 2\nn_r = 8\n",
+    "[DEFAULT]\nseeds = 2\n[model]\nn_r = 8\n",
+    "[model]\nn_r = 8\n[DEFAULT]\nseeds = 2\n",
+], ids=["default_only", "default_first", "default_last"])
+def test_default_section_exits_1_before_any_trial(
+        tmp_path, capsys, monkeypatch, body):
+    """configparser reads [DEFAULT] as defaults for every section: alone,
+    its keys would be ignored (a run at 300 seeds), and beside a real
+    section they would surface as unknown keys of that section."""
+    import airelm.experiments
+
+    def no_compute(cfg, body):
+        raise AssertionError("the experiment ran before the config was checked")
+
+    monkeypatch.setattr(airelm.experiments, "_per_seed", no_compute)
+    rc = main(["single", "--config", _ini(tmp_path, body)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("config error:")
+    assert err.rstrip().endswith("exp.ini: unknown section [DEFAULT]")
+
+
+def test_tab_delimiter_is_written_as_backslash_t(tmp_path, capsys):
+    """An INI value is stripped, so a tab cannot be the value itself; `\\t`
+    names it, and a TSV runs as the same table written as a CSV does."""
+    rows = ["a,b,label"] + [f"{i},{i % 3},{1 if i % 2 else -1}"
+                            for i in range(12)]
+    outs = []
+    for name, sep, written in (("d.csv", ",", ","), ("d.tsv", "\t", "\\t")):
+        data = tmp_path / name
+        data.write_text("\n".join(row.replace(",", sep) for row in rows))
+        out = tmp_path / f"{name}.out.csv"
+        cfg = _ini(tmp_path, f"[experiment]\nseeds = 1\n[dataset]\n"
+                   f"name = csv\npath = {data}\nlabel_column = label\n"
+                   f"delimiter = {written}\n[model]\nn_r = 8\n")
+        assert main(["single", "--config", cfg, "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    capsys.readouterr()
+
+
 def test_noise_or_combiner_overflow_exits_1_naming_snr_db(tmp_path, capsys):
     """A noise power or combiner power that overflows float64 is found in
     the first trial, which needs the data to compute P_sig and the fit to
@@ -537,7 +580,7 @@ def test_file_key_the_dataset_does_not_read_is_not_checksummed(
                "[model]\nn_r = 16\n")
     assert main(["single", "--config", cfg, "--out", str(out)]) == 0
     doc = json.loads(pathlib.Path(str(out) + ".manifest.json").read_text())
-    assert doc["dataset_checksums"] == {"synthetic": "size=40,d=8,sep=4.0"}
+    assert doc["dataset_checksums"] == {}     # synthetic data has no file
 
 
 @pytest.mark.parametrize("dataset, d_train", [

@@ -1,3 +1,4 @@
+import os
 import pathlib
 import sys
 from dataclasses import fields, replace
@@ -167,6 +168,18 @@ def test_csv_delimiter_must_be_one_character(tmp_path, delimiter):
     with pytest.raises(ConfigError, match="delimiter must be one character"):
         ExperimentConfig(dataset=ds).resolved()
     assert ExperimentConfig(dataset=replace(ds, delimiter="\t")).resolved()
+
+
+def test_feature_table_larger_than_memory_is_refused_on_resolving():
+    """The synthetic D x d feature table is held as float64, so one beyond
+    physical memory is a ConfigError before any trial, as H and G are."""
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    d = memory // (8 * 100000) + 1
+    cfg = ExperimentConfig(kind="single", seeds=1, n_r=1, dataset=DatasetConfig(
+        synth_size=100000, synth_d=d))
+    with pytest.raises(ConfigError,
+                       match=f"the 100000 x {d} feature table needs"):
+        cfg.resolved()
 
 
 @pytest.mark.parametrize("synth_size, train_ratio, table_rows", [

@@ -122,6 +122,19 @@ def test_load_csv_infinite_label(tmp_path):
         load_csv(str(p), label_column=1)
 
 
+@pytest.mark.parametrize("label", ["1.4", "-0.9", "0.5", "1e-300"])
+def test_load_csv_fractional_label_is_a_data_error(tmp_path, label):
+    """A label is a class code: 1.0 loads as 1, but a fractional label is
+    refused at its line, not truncated toward zero."""
+    p = tmp_path / "t.csv"
+    p.write_text(f"x,l\n1,1.0\n2,-1\n3,{label}\n")
+    with pytest.raises(DataError,
+                       match=rf"t\.csv:4: unparseable label '{label}'"):
+        load_csv(str(p), label_column=1)
+    p.write_text("x,l\n1,1.0\n2,-1.0\n3,0e0\n")
+    assert np.array_equal(load_csv(str(p), label_column=1).labels, [1, -1, 0])
+
+
 def test_unusable_labels_caught_at_split_time(tmp_path):
     # raw tables may hold any numeric labels (digit classes etc.);
     # the +-1 requirement bites when building a classification split
@@ -166,6 +179,35 @@ def test_load_wbcd_shape_and_classes(wbcd_csv):
     # benign maps to +1 (357 cases), malignant to -1 (212)
     assert int((table.labels == 1).sum()) == 357
     assert int((table.labels == -1).sum()) == 212
+
+
+@pytest.mark.parametrize("has_header", [True, False])
+def test_load_csv_skips_a_utf8_byte_order_mark(tmp_path, has_header):
+    """A UTF-8 byte-order mark opening the file is not part of its first
+    cell, with a header row or without; it still counts as file bytes, so
+    a bad byte on line 2 is reported on line 2, at its offset in the file."""
+    p = tmp_path / "t.csv"
+    text = ("a,b,label\n" if has_header else "") + "1,2,1\n3,4,-1\n"
+    p.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    table = load_csv(str(p), label_column="label" if has_header else 2,
+                     has_header=has_header)
+    assert np.array_equal(table.features, [[1.0, 2.0], [3.0, 4.0]])
+    assert np.array_equal(table.labels, [1, -1])
+    assert table.feature_names == (("a", "b") if has_header else None)
+    p.write_bytes(b"\xef\xbb\xbfa\n\xff\n")
+    with pytest.raises(DataError,
+                       match=r"t\.csv:2: not UTF-8 text \(.* at byte 5\)"):
+        load_csv(str(p), label_column=0, has_header=has_header)
+
+
+def test_load_wbcd_skips_a_utf8_byte_order_mark(tmp_path):
+    p = tmp_path / "wdbc.data"
+    rows = [f"{842301 + i},{diag}," + ",".join([f"{i}.5"] * 30)
+            for i, diag in enumerate("MB")]
+    p.write_bytes(b"\xef\xbb\xbf" + "\n".join(rows).encode())
+    table = load_wbcd(str(p))
+    assert np.array_equal(table.features, [[0.5] * 30, [1.5] * 30])
+    assert np.array_equal(table.labels, [-1, 1])
 
 
 def test_load_wbcd_rejects_wrong_width(tmp_path):

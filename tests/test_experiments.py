@@ -431,7 +431,7 @@ def test_manifest_contents(tmp_path):
     assert doc["config"]["master_seed"] == 0
     assert doc["config"]["kind"] == "sweep_nr"
     assert "library_version" in doc
-    assert doc["dataset_checksums"] == {"synthetic": "size=120,d=8,sep=4.0"}
+    assert doc["dataset_checksums"] == {}     # synthetic data has no file
     assert doc["n_result_rows"] == len(rows)
     assert doc["elapsed_ms"] is None        # the caller did not time the run
     env = doc["environment"]
