@@ -94,8 +94,10 @@ def ricean_mix(kappa: float):
 def sample_ricean(cfg: RiceanConfig, rng: RngStream) -> np.ndarray:
     """Draw one complex Ricean fading realization H at the configured kappa,
     with unit power per entry; the learner uses its real part H.real."""
-    c_los, c_nlos = ricean_mix(cfg.kappa)
     h_nlos = sample_cgaussian(rng, cfg.n_r, cfg.n_t)
+    if cfg.kappa == 0.0:    # c_LoS = 0 and c_NLoS = 1 leave its bits as drawn
+        return h_nlos
+    c_los, c_nlos = ricean_mix(cfg.kappa)
     return c_los * los_matrix(cfg) + c_nlos * h_nlos
 
 

@@ -38,9 +38,8 @@ _FLAGS = {
     "--baseline": ("baseline", dict(action=argparse.BooleanOptionalAction,
                                     help="also run the digital-ELM baseline")),
     "--threads": ("threads", dict(type=int,
-                                  help="worker threads, each running whole "
-                                       "seeds; BLAS runs one thread per "
-                                       "worker")),
+                                  help="seed workers, the calling thread "
+                                       "one of them; one BLAS thread each")),
 }
 
 

@@ -268,7 +268,7 @@ def parse_config(path: str, kind: str = None) -> ExperimentConfig:
     that is not UTF-8 text raise ConfigError.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:   # skips a BOM
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None

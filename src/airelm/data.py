@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import io
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -78,22 +78,28 @@ def _to_pm1(labels: np.ndarray) -> np.ndarray:
     raise DataError(f"cannot map label values {sorted(vals)} to -1/+1")
 
 
-def _read_text(path) -> io.StringIO:
-    """The file's text, decoded as UTF-8 with newlines kept for the csv
-    module and a leading byte-order mark dropped, or a DataError naming the
-    file, or the line of its first byte that is not UTF-8."""
+def _rows(path, delimiter: str):
+    """(line, cells) of each non-empty row of the UTF-8 file, a leading
+    byte-order mark dropped, read row by row.  A DataError names the file,
+    and the line where the csv module refuses a row or a byte is not UTF-8."""
     try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            reader = csv.reader(fh, delimiter=delimiter)
+            yield from ((reader.line_num, row) for row in reader if row)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
-    try:    # the mark goes after decoding, so exc.start is a file offset
-        return io.StringIO(raw.decode("utf-8").removeprefix("\ufeff"),
-                           newline="")
-    except UnicodeDecodeError as exc:
-        line = raw.count(b"\n", 0, exc.start) + 1
-        raise DataError(f"{path}:{line}: not UTF-8 text ({exc.reason} at "
-                        f"byte {exc.start})") from None
+    except csv.Error as exc:
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from None
+    except UnicodeDecodeError:  # decoded again whole, for the file offset
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = raw.count(b"\n", 0, exc.start) + 1
+            raise DataError(f"{path}:{line}: not UTF-8 text ({exc.reason} at "
+                            f"byte {exc.start})") from None
+        raise DataError(f"{path}: not UTF-8 text") from None   # it changed
 
 
 def _check_cell(cell: str, path, lineno: int, column: int) -> None:
@@ -111,24 +117,20 @@ def _check_cell(cell: str, path, lineno: int, column: int) -> None:
 
 def load_csv(path, label_column, delimiter: str = ",",
              has_header: bool = True, label_map: dict = None) -> RawTable:
-    """Parse a delimiter-separated table into a RawTable.
+    """Parse a delimiter-separated table, row by row, into a RawTable.
 
     label_column is a header name (with has_header) or a 0-based column
     index in [0, width).  A non-numeric (`NA` included), NaN or infinite
     feature cell is a DataError naming file, line and column, as is a row
-    whose label is not a whole number (through label_map if given).
+    whose label is not a whole number (through label_map if given); the
+    line is the file line the row ends on, blank lines counted.
     """
-    reader = csv.reader(_read_text(path), delimiter=delimiter)
-    try:
-        rows = [r for r in reader if r]
-    except csv.Error as exc:
-        raise DataError(f"{path}:{reader.line_num}: {exc}") from None
-    if not rows:
+    rows = _rows(path, delimiter)
+    first = next(rows, None)
+    if first is None:
         raise DataError(f"{path}: empty file")
-
-    header = [h.strip() for h in rows[0]] if has_header else None
-    body = rows[1:] if has_header else rows
-    width = len(rows[0])
+    width = len(first[1])
+    header = [h.strip() for h in first[1]] if has_header else None
     if has_header and isinstance(label_column, str):
         if label_column not in header:
             raise DataError(f"{path}: no column named {label_column!r}")
@@ -144,17 +146,8 @@ def load_csv(path, label_column, delimiter: str = ",",
             raise DataError(f"{path}: label_column {label_idx} is outside the "
                             f"{width} columns")
 
-    # every feature cell converts in this one call, which reads what
-    # float(cell) reads; where it fails, the row loop names the first bad cell
-    features = None
-    with contextlib.suppress(ValueError):
-        features = np.array([row[:label_idx] + row[label_idx + 1:]
-                             for row in body], dtype=float)
-    whole = features is not None and np.isfinite(features).all()
-
-    labels = np.empty(len(body), dtype=int)
-    for i, row in enumerate(body):
-        lineno = i + (2 if has_header else 1)
+    features, labels = [], []
+    for lineno, row in rows if has_header else itertools.chain([first], rows):
         if len(row) != width:
             raise DataError(
                 f"{path}:{lineno}: ragged row, expected {width} cells got {len(row)}")
@@ -165,23 +158,31 @@ def load_csv(path, label_column, delimiter: str = ",",
         try:        # an integer label too large for the array overflows
             label = (int(label_map[raw_label]) if label_map is not None
                      else float(raw_label))
-            labels[i] = int(label)
-            if labels[i] != label:      # 1.4 is no class code, 1.0 is
+            labels.append(np.int_(int(label)))
+            if labels[-1] != label:     # 1.4 is no class code, 1.0 is
                 raise ValueError
         except (ValueError, OverflowError):
             raise DataError(
                 f"{path}:{lineno}: unparseable label {raw_label!r}") from None
-        if not whole:
+        # the row's feature cells convert in one call, which reads what
+        # float(cell) reads; where it fails, _check_cell names the bad cell
+        values = None
+        with contextlib.suppress(ValueError):
+            values = np.array(row[:label_idx] + row[label_idx + 1:],
+                              dtype=float)
+        if values is None or not np.isfinite(values).all():
             for j, cell in enumerate(row):
                 if j != label_idx:
                     _check_cell(cell.strip(), path, lineno, j)
+        features.append(values)
 
     names = None
     if header is not None:
         names = tuple(h for j, h in enumerate(header) if j != label_idx)
     # D x (width - 1) even for a table with no rows
-    return RawTable(features=features.reshape(len(body), width - 1),
-                    labels=labels, feature_names=names)
+    return RawTable(features=np.array(features, dtype=float).reshape(
+                        len(features), width - 1),
+                    labels=np.array(labels, dtype=int), feature_names=names)
 
 
 def load_wbcd(path) -> RawTable:

@@ -4,10 +4,8 @@ Four experiment families (antenna sweep, SNR sweep, Ricean-factor sweep,
 online re-training) plus a single-point run, each averaging over a seed
 sweep.  Every per-trial random quantity derives from the master seed through
 the documented substream registry in `rng`, so any trial can be re-run in
-isolation and repeated runs are byte-identical.
-
-The run's wall time goes in the manifest, never in the results CSV, so that
-a repeated run with the same master seed produces byte-identical CSV bytes.
+isolation; the run's wall time goes in the manifest, never in the results
+CSV, so repeated runs give byte-identical CSV bytes.
 """
 
 from __future__ import annotations
@@ -17,8 +15,8 @@ import hashlib
 import json
 import math
 import os
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 
@@ -74,9 +72,6 @@ class TrialResult:
 TRIAL_COLUMNS = tuple(f.name for f in fields(TrialResult))
 
 
-# ---------------------------------------------------------------------------
-# dataset plumbing
-
 def _load_base_table(cfg: ExperimentConfig):
     """Load the seed-independent part of the dataset (None for synthetic)."""
     ds = cfg.dataset
@@ -99,9 +94,6 @@ def _trial_dataset(cfg: ExperimentConfig, base_table, trial: RngStream) -> Datas
                                     ds.synth_d, ds.synth_separation)
     return split_standardize(table, ds.train_ratio, rng=trial.split(SUB_SPLIT))
 
-
-# ---------------------------------------------------------------------------
-# single-trial cores
 
 def _draw_channel(cfg, dataset, trial, n_r: int, kappa: float):
     """The trial's channel realization H at (n_r, kappa), and P_sig, the
@@ -174,53 +166,60 @@ def _fit_and_score(cfg, dataset, layer, noise=(None, None)) -> dict:
             "receive_power": model.receive_power}
 
 
-# ---------------------------------------------------------------------------
-# experiment runners
-
 def _per_seed(cfg: ExperimentConfig, body):
-    """body(seed, trial, dataset) for every seed, on cfg.threads workers.
+    """body(seed, trial, dataset) for every seed, results in seed order.
 
-    The base table is loaded once; each seed's trial stream is
-    RngStream(master_seed).split(seed) and its dataset is built from that
-    stream.  cfg.threads is the only parallelism: BLAS is held at one thread
-    per worker for the whole map, so workers do not oversubscribe the cores
-    and LAPACK results, hence the CSV bytes, do not depend on the core
-    count.  Results come back in seed order whatever the thread count.
-    The allocator policy (`numkernel.set_malloc_policy`) is set first, so
-    every runner's trials run under it, whoever calls the runner.
+    The base table is loaded once; each seed's dataset is built from its
+    trial stream RngStream(master_seed).split(seed).  The calling thread
+    and min(threads, seeds) - 1 helper threads each take the next seed
+    until none is left or one has failed; then the lowest failing seed's
+    exception is raised.  All run inside `one_blas_thread`, and under the
+    allocator policy (`numkernel.set_malloc_policy`) whoever calls the runner.
     """
     numkernel.set_malloc_policy()
     base_table = _load_base_table(cfg)
     if base_table is not None:
         cfg.check_table(base_table.n_rows, base_table.n_features)
+    results, failed, lock = [None] * cfg.seeds, {}, threading.Lock()
+    seeds = iter(range(cfg.seeds))
 
-    def one(seed):
-        trial = RngStream(cfg.master_seed).split(seed)
-        return body(seed, trial, _trial_dataset(cfg, base_table, trial))
+    def take():
+        with lock:
+            return None if failed else next(seeds, None)
+
+    def work():
+        for seed in iter(take, None):
+            try:
+                trial = RngStream(cfg.master_seed).split(seed)
+                results[seed] = body(seed, trial,
+                                     _trial_dataset(cfg, base_table, trial))
+            except BaseException as exc:
+                with lock:
+                    failed[seed] = exc
 
     with one_blas_thread():
-        if cfg.threads > 1:
-            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                return list(pool.map(one, range(cfg.seeds)))
-        # not a one-worker pool, whose thread's malloc arena raises peak RSS
-        return [one(seed) for seed in range(cfg.seeds)]
+        helpers = [threading.Thread(target=work)
+                   for _ in range(min(cfg.threads, cfg.seeds) - 1)]
+        for helper in helpers:
+            helper.start()
+        work()
+        for helper in helpers:
+            helper.join()
+    if failed:
+        raise failed[min(failed)]
+    return results
 
 
 def _run_grid(cfg: ExperimentConfig):
     """Shared sweep driver of a resolved config, its rows named by cfg.kind.
 
     For every point of `cfg.points()` x seed, one mimo trial (plus, with
-    cfg.baseline, one digital trial) runs.  Every point of a seed splits the
-    same trial stream, so a seed's dataset and its channel at each (n_r, kappa)
-    are the same at every point, and its noise blocks at each n_r are the first
-    D x n_r draws of the same two noise streams; only the noise level and the
-    width change.  One task per seed therefore builds the dataset once and
-    keeps one `_NoiseReplay` per noise stream, holding D x held normals, held
-    the second-widest finite-SNR n_r (the widest when two points share it, 0
-    for one point): only the widest point reads past them, streaming its tail.
-    The seed's last finite-SNR point lets the held draws go.  When (n_r, kappa)
-    changes from the previous point it draws the channel and measures the
-    signal power of its training receive block, for all the channel's points.
+    cfg.baseline, one digital trial) runs.  A seed's points split one trial
+    stream, so its dataset, its channel at each (n_r, kappa) and its noise
+    draws are the same at every point: a seed builds its dataset once, draws
+    the channel when (n_r, kappa) changes, keeping H^r and P_sig, not H, and
+    serves each noise stream from a `_NoiseReplay` holding the draws of the
+    second-widest finite-SNR n_r, the widest n_r streaming the rest.
     Results are ordered by (point, seed, model) regardless of thread count."""
     points = cfg.points()
     finite = [snr_db != math.inf for _, _, snr_db in points]
@@ -244,7 +243,8 @@ def _run_grid(cfg: ExperimentConfig):
             if (n_r, kappa) != chan_key:
                 chan_key = (n_r, kappa)
                 h, p_sig = _draw_channel(cfg, dataset, trial, n_r, kappa)
-            layer = HiddenLayer(h_real=h.real, rapp=rapp,
+                h = np.ascontiguousarray(h.real)    # H^r: H itself goes
+            layer = HiddenLayer(h_real=h, rapp=rapp,
                                 noise=noise_for_snr(p_sig, snr_db))
             noise = ([z.rewind(d * n_r, last=i == last_noisy)
                       for z, d in zip(replays, sizes)]
@@ -337,9 +337,6 @@ def run_online(cfg: ExperimentConfig):
     """Online re-training under an AR(1) aging channel (`_run_online`)."""
     return run(replace(cfg, kind="online", out=None))
 
-
-# ---------------------------------------------------------------------------
-# aggregation and emission
 
 def summarize(results):
     """Per-grid-point aggregate: mean and std of the accuracy, and the mean

@@ -17,6 +17,7 @@ from airelm.channel import (
     steering_vector,
 )
 from airelm.errors import ConfigError
+from airelm.numkernel import sample_cgaussian
 from airelm.rng import RngStream
 
 
@@ -112,6 +113,22 @@ def test_sample_ricean_deterministic():
     a = sample_ricean(cfg, RngStream(14).split(1))
     b = sample_ricean(cfg, RngStream(14).split(1))
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("kappa, angles", [
+    (0.0, (0.0, 0.0)), (0.0, (0.4, -0.7)), (2.0, (0.0, 0.0)),
+    (2.0, (0.4, -0.7))])
+def test_sample_ricean_is_the_mix_formula_bit_for_bit(kappa, angles):
+    """c_LoS H_LoS + c_NLoS H_NLoS over the same stream, to the bit: at
+    kappa = 0, where no LoS term is formed, as at kappa > 0."""
+    cfg = RiceanConfig(n_r=64, n_t=9, kappa=kappa, los_angle_rx=angles[0],
+                       los_angle_tx=angles[1])
+    c_los, c_nlos = ricean_mix(kappa)
+    expected = (c_los * los_matrix(cfg) + c_nlos
+                * sample_cgaussian(RngStream(15).split(1), cfg.n_r, cfg.n_t))
+    h = sample_ricean(cfg, RngStream(15).split(1))
+    assert h.dtype == np.complex128 and h.shape == expected.shape
+    assert np.array_equal(h.view(np.int64), expected.view(np.int64))
 
 
 def test_ricean_config_validation():

@@ -234,16 +234,20 @@ def test_test_cell_overflowing_when_standardized_exits_2(tmp_path, capsys):
                    "float64 when standardized\n")
 
 
-def test_a_run_does_not_import_numpy_ma(tmp_path):
-    """numpy.ma, which `np.unique` imports on first use, costs a run about
-    15 ms of import time and 1.5 MB of memory; no step of a run needs it."""
-    ini = _ini(tmp_path, "[experiment]\nseeds = 2\n[dataset]\n"
+@pytest.mark.parametrize("module", ["numpy.ma", "concurrent.futures",
+                                    "logging"])
+def test_a_run_does_not_import_numpy_ma(tmp_path, module):
+    """No step of a run, on one thread or two, needs these modules, and
+    each costs every run memory: numpy.ma, which `np.unique` imports on
+    first use, about 15 ms of import time and 1.5 MB; concurrent.futures,
+    which imports logging, about 0.3 MB."""
+    ini = _ini(tmp_path, "[experiment]\nseeds = 2\nthreads = 2\n[dataset]\n"
                          "name = synthetic\nsynth_size = 60\nsynth_d = 3\n"
                          "[model]\nn_r = 16\n[sweep]\ngrid = 0, 20\n")
     script = ("import sys\nfrom airelm.cli import main\n"
               f"code = main(['sweep-snr', '--config', {ini!r}, "
               f"'--out', {str(tmp_path / 'r.csv')!r}])\n"
-              "print(code, 'numpy.ma' in sys.modules)\n")
+              f"print(code, {module!r} in sys.modules)\n")
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -87,6 +87,16 @@ def test_parse_config_reads_every_key(tmp_path):
     assert parse_config(str(path), kind="online").kind == "online"
 
 
+def test_parse_config_skips_a_utf8_byte_order_mark(tmp_path):
+    """A config file that opens with a UTF-8 byte-order mark, as some
+    editors write it, parses to the config of the same text without it."""
+    path, text, _ = _all_keys_ini(tmp_path)
+    marked = tmp_path / "bom.ini"
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert repr(parse_config(str(marked))) == repr(parse_config(str(path)))
+    assert parse_config(str(marked)).kind == "sweep_kappa"
+
+
 def test_parse_config_empty_key_keeps_default(tmp_path):
     path, text, _ = _all_keys_ini(tmp_path)
     full = parse_config(str(path))

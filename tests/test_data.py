@@ -78,7 +78,7 @@ def test_load_csv_non_finite_cell(tmp_path, cell):
 
 def test_load_csv_one_shot_conversion_parses_as_the_cell_loop(
         tmp_path, monkeypatch):
-    """A table of finite cells converts in one call, without the per-cell
+    """A row of finite cells converts in one call, without the per-cell
     check, to the bits float(cell) gives: whitespace-padded, exponent,
     signed, digit-grouped and non-ASCII-digit cells included."""
     from airelm import data
@@ -99,6 +99,25 @@ def test_load_csv_one_shot_conversion_parses_as_the_cell_loop(
     assert np.array_equal(table.features.view(np.int64),
                           expected.view(np.int64))
     assert np.array_equal(table.labels, [(-1) ** i for i in range(len(rows))])
+
+
+@pytest.mark.parametrize("text, message", [
+    ("a,b,label\n1,2,0\n\n3,x,1\n", r":4: non-numeric cell 'x' in column 1"),
+    ("a,b,label\n1,2,0\n\n3,4,1\n\n5,6\n", r":6: ragged row"),
+    ("\n\na,b,label\n1,2,0\n3,4,maybe\n", r":5: unparseable label 'maybe'"),
+    # a quoted cell spanning lines 2-3: the row ends on line 3
+    ('a,b,label\n"1\n",inf,0\n', r":3: non-finite cell 'inf' in column 1"),
+    ('a,b,label\n1,"2\n\n",0\n3,y,1\n', r":5: non-numeric cell 'y'"),
+    ("a,b,label\r\n1,2,0\r\n\r\n3,x,1\r\n", r":4: non-numeric cell 'x'"),
+], ids=["blank_line", "two_blank_lines", "leading_blank_lines",
+        "quoted_newline", "quoted_newlines_then_bad_cell", "crlf"])
+def test_load_csv_names_the_file_line(tmp_path, text, message):
+    """The line in a message is the file line the row ends on: blank lines
+    and the lines of a quoted multi-line cell count."""
+    p = tmp_path / "t.csv"
+    p.write_bytes(text.encode())
+    with pytest.raises(DataError, match=r"t\.csv" + message):
+        load_csv(str(p), label_column=2)
 
 
 def test_load_csv_reports_the_first_bad_cell_in_file_order(tmp_path):

@@ -6,6 +6,9 @@ import os
 import pathlib
 import subprocess
 import sys
+import threading
+import time
+import weakref
 
 import numpy as np
 import pytest
@@ -116,6 +119,144 @@ def test_trials_run_on_one_blas_thread(monkeypatch):
         assert get() == before
     finally:
         put(original)
+
+
+def _fail_on_a_helper(monkeypatch):
+    """Make each seed's fit raise ConfigError on a helper thread; the
+    calling thread's seed waits until a helper has taken its seed."""
+    fit, helper_took = experiments.fit, threading.Event()
+
+    def fit_or_fail(*args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            helper_took.set()
+            raise ConfigError("raised on a helper thread")
+        assert helper_took.wait(timeout=60)
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "fit", fit_or_fail)
+    return helper_took
+
+
+def test_a_helper_threads_exception_reaches_run_and_the_cli(
+        tmp_path, monkeypatch, capsys):
+    """A seed that fails on a helper thread raises its own exception from
+    `run`, so a ConfigError exits 1 through the CLI; no helper is left
+    alive either way."""
+    before = threading.active_count()
+    helper_took = _fail_on_a_helper(monkeypatch)
+    with pytest.raises(ConfigError, match="raised on a helper thread"):
+        run(_cfg(kind="single", seeds=2, threads=2))
+    assert threading.active_count() == before
+    helper_took.clear()
+    assert cli.main(["single", "--seeds", "2", "--threads", "2", "--out",
+                     str(tmp_path / "r.csv")]) == 1
+    assert capsys.readouterr().err == \
+        "config error: raised on a helper thread\n"
+    assert threading.active_count() == before
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("late", [0, 1])
+def test_the_lowest_failing_seeds_exception_is_raised(late):
+    """When two seeds fail, in either order, the lower seed's exception is
+    the one `_per_seed` raises, after both workers have ended."""
+    cfg = _cfg(kind="single", seeds=2, threads=2)
+    both_started = threading.Barrier(2, timeout=60)
+
+    def body(seed, trial, dataset):
+        both_started.wait()
+        if seed == late:
+            time.sleep(0.05)
+        raise ValueError(f"seed {seed}")
+
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="^seed 0$"):
+        experiments._per_seed(cfg, body)
+    assert threading.active_count() == before
+
+
+def test_no_seed_starts_after_a_failure():
+    """Once a seed has failed, no worker takes another seed."""
+    cfg = _cfg(kind="single", seeds=6, threads=2)
+    started = []
+
+    def body(seed, trial, dataset):
+        started.append(seed)
+        raise ValueError(f"seed {seed}")
+
+    with pytest.raises(ValueError):
+        experiments._per_seed(cfg, body)
+    # each worker fails on its first seed and takes no other
+    assert 1 <= len(started) <= 2
+
+
+@pytest.mark.parametrize("threads, seeds, helpers", [
+    (1, 3, 0), (2, 3, 1), (4, 2, 1), (3, 1, 0)])
+def test_the_calling_thread_is_one_worker(monkeypatch, threads, seeds,
+                                          helpers):
+    """min(threads, seeds) - 1 helper threads start, the calling thread
+    being the other worker; results come back in seed order."""
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    cfg = _cfg(kind="single", seeds=seeds, threads=threads)
+    assert experiments._per_seed(cfg, lambda seed, *_: seed) == \
+        list(range(seeds))
+    assert len(started) == helpers
+    assert not any(t.is_alive() for t in started)
+
+
+def test_each_seed_runs_once_under_fast_thread_switching():
+    """More workers than cores, switching every microsecond: every seed is
+    taken by exactly one worker and its result lands in its own slot."""
+    cfg = _cfg(kind="single", seeds=200, threads=8)
+    ran = []
+
+    def body(seed, trial, dataset):
+        ran.append(seed)
+        return seed, trial.key
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = experiments._per_seed(cfg, body)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(ran) == list(range(200))
+    assert results == [(seed, (seed,)) for seed in range(200)]
+
+
+def test_grid_layers_hold_a_c_contiguous_h_real_and_no_h(monkeypatch):
+    """Every channel layer a grid run fits through holds H^r as its own
+    C-contiguous float64 array, and no complex H drawn for it is alive."""
+    fit, sample = experiments.fit, experiments.sample_ricean
+    drawn, layers = [], []
+
+    def sample_and_track(*args):
+        h = sample(*args)
+        drawn.append(weakref.ref(h))
+        return h
+
+    def fit_and_capture(layer, *args, **kwargs):
+        if isinstance(layer, elm.HiddenLayer):
+            layers.append(layer)
+            assert drawn and all(ref() is None for ref in drawn)
+        return fit(layer, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "sample_ricean", sample_and_track)
+    monkeypatch.setattr(experiments, "fit", fit_and_capture)
+    run(_cfg(kind="sweep_kappa", grid=(0.0, 2.0), snr_db=10.0))
+    run(_cfg(grid=(16, 32), baseline=True, threads=2))
+    assert len(layers) == 8
+    for layer in layers:
+        h_real = layer.h_real
+        assert h_real.dtype == np.float64 and h_real.flags.c_contiguous
+        assert h_real.base is None
 
 
 # -------------------------------------------------- seed-major driver
