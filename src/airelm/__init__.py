@@ -14,8 +14,7 @@ from .errors import ConfigError, DataError, OutputError
 from .rng import (RngStream, SUB_SPLIT, SUB_CHANNEL, SUB_TRAIN_NOISE,
                   SUB_TEST_NOISE, SUB_DIGITAL, SUB_MINIBATCH, SUB_AR,
                   SUB_SYNTH)
-from .numkernel import (sample_cgaussian, svd, pseudoinverse, min_norm_lstsq,
-                        ridge_lstsq)
+from .numkernel import sample_cgaussian, svd, min_norm_lstsq, ridge_lstsq
 from .activation import (RappParams, rapp, rapp_vec, rapp_deriv, rapp_peak,
                          sigmoid)
 from .channel import (RiceanConfig, ArConfig, NoiseModel, NOISELESS,

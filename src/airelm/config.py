@@ -98,7 +98,8 @@ class DatasetConfig:
 @dataclass(frozen=True)
 class ExperimentConfig:
     kind: str = _key("experiment", "single", str)
-    seeds: int = _key("experiment", 300, int, least=1)
+    seeds: int = _key("experiment", 300, int, least=1,
+                      between=(0, sys.maxsize + 1))  # one result slot each
     master_seed: int = _key("experiment", 0, int, least=0,
                             between=(-1, 2 ** 64))  # 64 bits, as in RngStream
     baseline: bool = _key("experiment", False, _to_bool)
@@ -197,6 +198,11 @@ class ExperimentConfig:
         if ds.name == "csv" and len(ds.delimiter) != 1:
             raise ConfigError(f"delimiter must be one character, got "
                               f"{ds.delimiter!r}")
+        bad = [v for v in (ds.label_map or {}).values()
+               if v not in (-1, 0, 1)]
+        if bad:
+            raise ConfigError(f"label_map values must be the class codes -1, "
+                              f"0 and 1, got {shown(bad[0])}")
         if ds.name == "synthetic":
             if ds.synth_size * ds.synth_d > sys.maxsize:
                 raise ConfigError("synth_size x synth_d must be at most "

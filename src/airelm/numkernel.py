@@ -1,5 +1,5 @@
-"""Dense numerical kernel: Gaussian sampling, SVD, pseudoinverse, min-norm
-and ridge least squares.
+"""Dense numerical kernel: Gaussian sampling, SVD, min-norm and ridge least
+squares.
 
 Matrices are plain float64 (or complex128) numpy arrays in row-major order;
 no wrapper class is introduced.  All operations are pure functions of their
@@ -205,17 +205,6 @@ def svd(a: np.ndarray):
     return u, s, vt.conj().T
 
 
-def pseudoinverse(a: np.ndarray) -> np.ndarray:
-    """Moore-Penrose pseudoinverse by `np.linalg.pinv`, whose SVD treats
-    singular values at or below tau = r * s_max as zero, with
-    r = DEFAULT_REL_TOL * max(rows, cols), the cutoff of `min_norm_lstsq`'s
-    fallback.  A NaN or Inf in a raises ValueError."""
-    a = np.asarray(a, dtype=float)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("pseudoinverse: input contains NaN or Inf")
-    return np.linalg.pinv(a, rcond=DEFAULT_REL_TOL * max(a.shape))
-
-
 def _gram_system(g, t, name: str):
     """(G, t, A, wide) for G w ~= t: G and t as float64 arrays and A the
     smaller Gram matrix, G G^T for a wide G (no more rows than columns)
@@ -296,7 +285,7 @@ def min_norm_lstsq(g: np.ndarray, t: np.ndarray) -> np.ndarray:
       or one whose Gram matrix overflowed (a non-finite shift fails the
       certificate), takes one `np.linalg.lstsq` call with rcond = r:
       LAPACK's dgelsd, an SVD of G that treats singular values at or below
-      tau as zero, the cut of `pseudoinverse`.
+      tau as zero, the cut of `np.linalg.pinv(G, rcond=r)`.
 
     Without numpy's ILP64 dpotrf and dposv, `_cholesky_in_place` runs the
     certificate by `np.linalg.cholesky`, with the same decision, and the

@@ -432,6 +432,14 @@ def test_blas_thread_env_preserves_bytes(tmp_path):
      "sweep grid repeats the point n_r = 256, kappa = 0.0, snr_db = inf"),
     ("sweep-snr", "[sweep]\ngrid = noiseless\n",
      "sweep grid repeats the point n_r = 256, kappa = 0.0, snr_db = inf"),
+    # each used to end as a data error (exit 2) on loading the table
+    ("single", "[dataset]\nname = csv\npath = {file}\n"
+     "label_map = 1:2, -1:0\n",
+     "label_map values must be the class codes -1, 0 and 1, got 2"),
+    ("single", "[dataset]\nname = csv\npath = {file}\n"
+     "label_map = 1:99999999999999999999999, -1:0\n",
+     "label_map values must be the class codes -1, 0 and 1, got "
+     "99999999999999999999999"),
 ], ids=["fractional_n_r", "nan_grid", "minus_inf_snr", "zero_n_r",
         "huge_n_r", "huge_n_r_grid",
         "gamma_above_1", "zero_eta", "zero_batch_size", "odd_alpha",
@@ -453,7 +461,7 @@ def test_blas_thread_env_preserves_bytes(tmp_path):
         "snr_db_minus_4000", "snr_grid_4000",
         "repeated_snr_grid",
         "repeated_n_r_grid", "repeated_kappa_grid", "inf_in_snr_grid",
-        "noiseless_in_snr_grid"])
+        "noiseless_in_snr_grid", "label_map_2", "label_map_huge"])
 def test_bad_sweep_values_exit_1_before_compute(tmp_path, capsys, monkeypatch,
                                                 command, body, message):
     import airelm.experiments
@@ -472,6 +480,26 @@ def test_bad_sweep_values_exit_1_before_compute(tmp_path, capsys, monkeypatch,
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith("config error:") and message in err
+
+
+@pytest.mark.parametrize("in_ini", [False, True], ids=["flag", "ini"])
+def test_seeds_beyond_sys_maxsize_exit_1_before_any_trial(
+        tmp_path, capsys, monkeypatch, in_ini):
+    """--seeds or [experiment] seeds above sys.maxsize used to end in an
+    OverflowError traceback (exit 1) where the run made its result list."""
+    import airelm.experiments
+
+    def no_compute(cfg, body):
+        raise AssertionError("the experiment ran before the config was checked")
+
+    monkeypatch.setattr(airelm.experiments, "_per_seed", no_compute)
+    seeds = "1" + "0" * 20
+    args = (["--config", _ini(tmp_path, f"[experiment]\nseeds = {seeds}\n")]
+            if in_ini else ["--seeds", seeds])
+    assert main(["single", *args]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"config error: seeds must lie in (0, {sys.maxsize + 1}), "
+                   f"got {seeds}\n")
 
 
 @pytest.mark.parametrize("body", [

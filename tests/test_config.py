@@ -168,6 +168,38 @@ def test_synth_key_ranges_apply_to_the_synthetic_dataset_only(tmp_path):
         ExperimentConfig(dataset=replace(ds, name="synthetic")).resolved()
 
 
+def test_seeds_beyond_sys_maxsize_are_refused_before_compute(monkeypatch):
+    """A run holds one result slot per seed, so seeds has n_r's bound:
+    above sys.maxsize the slot list raised OverflowError in the first
+    call of `_per_seed`."""
+    monkeypatch.setattr(experiments, "_per_seed", _no_trial)
+    for seeds in (sys.maxsize + 1, 10 ** 20):
+        with pytest.raises(ConfigError, match=r"^seeds must lie in \(0, "
+                           f"{sys.maxsize + 1}\\), got {seeds}$"):
+            experiments.run(ExperimentConfig(seeds=seeds, n_r=8))
+    assert ExperimentConfig(seeds=sys.maxsize).resolved()
+
+
+@pytest.mark.parametrize("label_map, shown", [
+    ({"1": 2, "-1": 0}, "2"),
+    ({"1": 10 ** 23 - 1, "-1": 0}, str(10 ** 23 - 1)),
+    ({"a": -1, "b": 0.5}, "0.5")])
+def test_label_map_values_must_be_class_codes(tmp_path, label_map, shown):
+    """A label_map value other than -1, 0 or 1 is a ConfigError naming the
+    key, raised before the table is read; it used to be blamed on the data
+    (a DataError, exit 2)."""
+    data = tmp_path / "d.csv"
+    data.write_text("a,label\n1,1\n2,-1\n")
+    ds = DatasetConfig(name="csv", path=str(data), label_column="label",
+                       label_map=label_map)
+    with pytest.raises(ConfigError, match=f"^label_map values must be the "
+                       f"class codes -1, 0 and 1, got {shown}$"):
+        ExperimentConfig(dataset=ds).resolved()
+    for codes in ({"1": 1, "-1": -1}, {"1": 1, "-1": 0}):
+        assert ExperimentConfig(
+            dataset=replace(ds, label_map=codes)).resolved()
+
+
 @pytest.mark.parametrize("delimiter", ["", ";;", "\t\t"])
 def test_csv_delimiter_must_be_one_character(tmp_path, delimiter):
     """An empty delimiter cannot come from an INI file, where an empty value

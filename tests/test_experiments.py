@@ -233,19 +233,20 @@ def test_each_seed_runs_once_under_fast_thread_switching():
 
 def test_grid_layers_hold_a_c_contiguous_h_real_and_no_h(monkeypatch):
     """Every channel layer a grid run fits through holds H^r as its own
-    C-contiguous float64 array, and no complex H drawn for it is alive."""
+    C-contiguous float64 array, and no complex H its thread drew is alive.
+    Another seed's thread may still hold the H it is drawing."""
     fit, sample = experiments.fit, experiments.sample_ricean
-    drawn, layers = [], []
+    drawn, layers = {}, []      # thread id: weakrefs to the H it drew
 
     def sample_and_track(*args):
         h = sample(*args)
-        drawn.append(weakref.ref(h))
+        drawn.setdefault(threading.get_ident(), []).append(weakref.ref(h))
         return h
 
     def fit_and_capture(layer, *args, **kwargs):
         if isinstance(layer, elm.HiddenLayer):
             layers.append(layer)
-            assert drawn and all(ref() is None for ref in drawn)
+            assert all(ref() is None for ref in drawn[threading.get_ident()])
         return fit(layer, *args, **kwargs)
 
     monkeypatch.setattr(experiments, "sample_ricean", sample_and_track)

@@ -27,7 +27,6 @@ from airelm.numkernel import (
     GRAM_MAX_COND,
     RIDGE_C,
     min_norm_lstsq,
-    pseudoinverse,
     ridge_lstsq,
     sample_cgaussian,
     svd,
@@ -60,42 +59,39 @@ def test_svd_rejects_nonfinite():
         svd(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
 
-# ------------------------------------------------------- pseudoinverse
+# ------------------------------------ min_norm_lstsq as a pseudoinverse
+
+def _pinv(g):
+    """numpy's G^+, at the cutoff of `min_norm_lstsq`'s fallback."""
+    return np.linalg.pinv(g, rcond=DEFAULT_REL_TOL * max(g.shape))
+
+
+def _min_norm_inverse(a):
+    """The matrix whose column j is min_norm_lstsq(a, e_j): A^+ wherever
+    the solver returns A^+ t."""
+    return np.column_stack([min_norm_lstsq(a, e) for e in np.eye(len(a))])
+
 
 def test_pinv_column_vector():
     # A = [3, 4]^T: A+ = A^T / ||A||^2 = [3/25, 4/25]
-    p = pseudoinverse(np.array([[3.0], [4.0]]))
+    p = _min_norm_inverse(np.array([[3.0], [4.0]]))
     assert p.shape == (1, 2)
     assert np.allclose(p, [[0.12, 0.16]], atol=1e-14)
 
 
-def test_pinv_identity():
-    assert np.allclose(pseudoinverse(np.eye(4)), np.eye(4), atol=1e-14)
-
-
 def test_pinv_zero_matrix():
-    assert np.allclose(pseudoinverse(np.zeros((3, 2))), np.zeros((2, 3)))
+    assert np.allclose(_min_norm_inverse(np.zeros((3, 2))), np.zeros((2, 3)))
 
 
-@pytest.mark.parametrize(
-    "solve", [pseudoinverse,
-              lambda a, *tol: min_norm_lstsq(a, np.ones(2), *tol)],
-    ids=["pseudoinverse", "min_norm_lstsq"])
+@pytest.mark.parametrize("solve", [min_norm_lstsq, ridge_lstsq])
 def test_pinv_rel_tol_validation(solve):
-    """Neither solver takes a tolerance: both cut at DEFAULT_REL_TOL."""
-    a = np.eye(2)
-    solve(a)
+    """Neither solver takes a tolerance: `min_norm_lstsq` cuts at
+    DEFAULT_REL_TOL."""
+    a, t = np.eye(2), np.ones(2)
+    solve(a, t)
     for rel_tol in (1e-3, 0.0):
         with pytest.raises(TypeError):
-            solve(a, rel_tol)
-
-
-def test_pinv_cutoff_discards_tiny_directions():
-    # rank-1 plus a direction below the relative cutoff
-    u = np.array([[1.0], [0.0]])
-    a = u @ u.T + 1e-15 * np.array([[0.0, 0.0], [0.0, 1.0]])
-    p = pseudoinverse(a)
-    assert np.allclose(p, u @ u.T, atol=1e-10)
+            solve(a, t, rel_tol)
 
 
 def _penrose(a, p, tol):
@@ -110,7 +106,7 @@ def test_penrose_conditions_random(shape):
     rng = np.random.default_rng(7)
     for _ in range(20):
         a = rng.normal(size=shape)
-        _penrose(a, pseudoinverse(a), 1e-10)
+        _penrose(a, _min_norm_inverse(a), 1e-10)
 
 
 def test_penrose_rank_deficient():
@@ -118,7 +114,7 @@ def test_penrose_rank_deficient():
     for _ in range(20):
         b = rng.normal(size=(8, 3))
         a = b @ rng.normal(size=(3, 8))  # rank 3 inside 8x8
-        _penrose(a, pseudoinverse(a), 1e-9)
+        _penrose(a, _min_norm_inverse(a), 1e-9)
 
 
 def test_default_rel_tol_value():
@@ -289,7 +285,7 @@ def test_min_norm_svd_fallback_only_when_ill_conditioned(monkeypatch):
         assert np.linalg.svd(g, compute_uv=False)[-1] <= DEFAULT_REL_TOL * 12
         taken, w = _path_taken(monkeypatch, g, t)
         assert taken == "lstsq"
-        assert np.allclose(w, pseudoinverse(g) @ t, atol=1e-10)
+        assert np.allclose(w, _pinv(g) @ t, atol=1e-10)
     # the certificate's slack sends a fit the eigenvalues place on the Gram
     # path to the fallback, which still returns G^+ t: s_min lies above the
     # cutoff
@@ -297,7 +293,7 @@ def test_min_norm_svd_fallback_only_when_ill_conditioned(monkeypatch):
     assert _eigvalsh_rule(g) == "gram"
     taken, w = _path_taken(monkeypatch, g, t)
     assert taken == "lstsq"
-    ref = pseudoinverse(g) @ t
+    ref = _pinv(g) @ t
     assert np.linalg.norm(w - ref) <= 1e-9 * np.linalg.norm(ref)
 
 
@@ -320,11 +316,11 @@ def _fallback_cases():
 
 
 def test_min_norm_lstsq_fallback_matches_pseudoinverse(monkeypatch):
-    """The fallback and `pseudoinverse` cut the same directions: every
-    uncertified fit gives pseudoinverse(G) t within 1e-9, whether the
-    cutoff tau removes zero, tiny or no singular values.  No singular value
-    lies within a factor 10 of tau, where the two SVDs' round-off could
-    decide a cut differently."""
+    """The fallback and `np.linalg.pinv` cut the same directions: every
+    uncertified fit gives G^+ t within 1e-9, whether the cutoff tau removes
+    zero, tiny or no singular values.  No singular value lies within a
+    factor 10 of tau, where the two SVDs' round-off could decide a cut
+    differently."""
     cut_above_s_min = 0
     rng = np.random.default_rng(13)
     for g in _fallback_cases():
@@ -335,7 +331,7 @@ def test_min_norm_lstsq_fallback_matches_pseudoinverse(monkeypatch):
         cut_above_s_min += bool(0.0 < s[-1] * 1e3 < tau)
         taken, w = _path_taken(monkeypatch, g, t)
         assert taken == "lstsq"
-        ref = pseudoinverse(g) @ t
+        ref = _pinv(g) @ t
         assert np.linalg.norm(w - ref) <= 1e-9 * np.linalg.norm(ref)
     assert cut_above_s_min >= 9
 
@@ -575,8 +571,8 @@ def test_min_norm_of_g_whose_gram_matrix_overflows_is_the_svd_solution(
         request, shape, lapack):
     """A finite G whose squares overflow float64 fails the certificate,
     even where dpotrf would complete on the NaN-shifted diagonal, and goes
-    to `np.linalg.lstsq`, an SVD, without a warning: w is
-    pseudoinverse(G) t, wide or tall."""
+    to `np.linalg.lstsq`, an SVD, without a warning: w is G^+ t, wide or
+    tall."""
     if not lapack:
         request.getfixturevalue("numpy_linalg")
     rng = np.random.default_rng(13)
@@ -584,7 +580,7 @@ def test_min_norm_of_g_whose_gram_matrix_overflows_is_the_svd_solution(
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         w = min_norm_lstsq(g, t)
-    ref = pseudoinverse(g) @ t
+    ref = _pinv(g) @ t
     assert np.allclose(w, ref, rtol=1e-10, atol=0.0)
     # wide: both interpolate t; tall: both reach the least-squares residual
     assert np.linalg.norm(g @ w - t) <= (1.001 * np.linalg.norm(g @ ref - t)
@@ -719,7 +715,7 @@ def test_min_norm_of_g_whose_gram_matrix_is_subnormal_is_the_svd_solution(
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         w = min_norm_lstsq(np.ldexp(g, -530), t)
-    assert np.allclose(w, np.ldexp(pseudoinverse(g) @ t, 530), rtol=1e-10,
+    assert np.allclose(w, np.ldexp(_pinv(g) @ t, 530), rtol=1e-10,
                        atol=0.0)
 
 
