@@ -27,16 +27,21 @@ def run(eta, seeds=8):
 
 print("one fast-drift step (eta = 0.5), seed 1, width 1024:")
 rows_fast = run(0.5)
-for r in sorted((r for r in rows_fast if r.seed == 1 and r.step == 1),
-                key=lambda r: r.iteration):
+trace = sorted((r for r in rows_fast if r.seed == 1 and r.step == 1),
+               key=lambda r: r.iteration)
+for r in trace:
     tag = "stale" if r.iteration == 0 else f"it {r.iteration:>2}"
     bar = "#" * int(50 * min(r.normalized_accuracy, 1.2))
     print(f"  {tag:>6}  {r.normalized_accuracy:.4f}  {bar}")
-print("  one mini-batch of 32 samples repairs a ~17-point deficit.")
+deficit = 1.0 - trace[0].normalized_accuracy
+print(f"  the stale combiner is {100 * deficit:.1f} points below the refit."
+      if deficit > 0 else
+      "  the stale combiner is no worse than the refit: no deficit to repair.")
 
 print()
 print("medians over 8 seeds and 3 drift steps, width 1024:")
 print(f"{'eta':>6}  {'stale':>7}  {'best':>7}  {'updates to 0.95':>16}")
+needed = 0
 for eta, rows in [(0.5, rows_fast), (0.9, run(0.9)), (0.99, run(0.99))]:
     stale, best, hit = [], {}, {}
     for r in rows:
@@ -48,10 +53,16 @@ for eta, rows in [(0.5, rows_fast), (0.9, run(0.9)), (0.99, run(0.99))]:
             hit[k] = r.iteration
     for k in best:
         hit.setdefault(k, 11)
+    updates = np.median(list(hit.values()))
+    needed = max(needed, updates)
     print(f"{eta:>6}  {np.median(stale):>7.4f}  "
-          f"{np.median(list(best.values())):>7.4f}  "
-          f"{np.median(list(hit.values())):>16.0f}")
+          f"{np.median(list(best.values())):>7.4f}  {updates:>16.0f}")
 
 print()
-print("slow drift (eta near 1) keeps the stale combiner useful; even under")
-print("fast drift a couple of cheap updates match the full refit.")
+if needed == 0:
+    print("noiseless, at width 1024, the stale combiner already reaches 0.95")
+    print("of the refit at every eta: this setting cannot show the update")
+    print("rule tracking the drift.")
+else:
+    print(f"across eta, the update rule needs at most a median {needed:.0f}")
+    print("updates to reach 0.95 of the refit.")

@@ -182,6 +182,12 @@ class ExperimentConfig:
             if (n_r, kappa, snr_db) in points[:i]:  # it would rerun trials
                 raise ConfigError(f"sweep grid repeats the point n_r = {n_r}"
                                   f", kappa = {kappa}, snr_db = {snr_db}")
+        # a seed gives a row of 14 cells, 8 bytes or more each, per point
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        if self.seeds * len(points) * 14 * 8 > memory:
+            raise ConfigError(f"seeds = {self.seeds} gives more result rows "
+                              f"than {memory / 2 ** 30:.1f} GiB of physical "
+                              f"memory holds")
         if self.combiner not in COMBINERS:
             raise ConfigError(f"combiner must be one of {COMBINERS}, got "
                               f"{self.combiner!r}")

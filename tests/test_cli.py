@@ -4,6 +4,8 @@ import os
 import pathlib
 import subprocess
 import sys
+import threading
+import tracemalloc
 
 import pytest
 from dataclasses import fields
@@ -297,11 +299,15 @@ def test_threads_flag_preserves_bytes(tmp_path):
         assert a.read_bytes() == b.read_bytes(), body
 
 
-@pytest.mark.parametrize("command, body", [
-    ("sweep-snr", "[sweep]\ngrid = 0, 10, 30\n"),
-    ("sweep-kappa", "[channel]\nsnr_db = 10\n[sweep]\ngrid = 0, 1, 10\n"),
-], ids=["sweep-snr", "sweep-kappa"])
-def test_threads_flag_preserves_seed_major_bytes(tmp_path, command, body):
+@pytest.mark.parametrize("command, body, rows_per_seed", [
+    ("sweep-snr", "[sweep]\ngrid = 0, 10, 30\n", 4),
+    ("sweep-kappa", "[channel]\nsnr_db = 10\n[sweep]\ngrid = 0, 1, 10\n", 3),
+    # each step's models scored on one test block
+    ("online", "[channel]\nsnr_db = 10\n"
+     "[online]\nsteps = 2\niters_per_step = 3\nbatch_size = 16\n", 8),
+], ids=["sweep-snr", "sweep-kappa", "online"])
+def test_threads_flag_preserves_seed_major_bytes(tmp_path, command, body,
+                                                 rows_per_seed):
     # three seeds on two workers: one worker runs two whole seeds
     cfg = _ini(tmp_path,
                "[experiment]\nseeds = 3\n"
@@ -312,8 +318,7 @@ def test_threads_flag_preserves_seed_major_bytes(tmp_path, command, body):
     assert main([command, "--config", cfg, "--out", str(b),
                  "--threads", "2"]) == 0
     assert a.read_bytes() == b.read_bytes()
-    assert len(a.read_text().splitlines()) == 1 + 3 * (4 if command ==
-                                                       "sweep-snr" else 3)
+    assert len(a.read_text().splitlines()) == 1 + 3 * rows_per_seed
 
 
 def test_blas_thread_env_preserves_bytes(tmp_path):
@@ -500,6 +505,33 @@ def test_seeds_beyond_sys_maxsize_exit_1_before_any_trial(
     err = capsys.readouterr().err
     assert err == (f"config error: seeds must lie in (0, {sys.maxsize + 1}), "
                    f"got {seeds}\n")
+
+
+def test_seeds_whose_rows_exceed_physical_memory_exit_1_before_any_trial(
+        capsys, monkeypatch):
+    """A seeds in range but whose result rows cannot fit in physical
+    memory used to end in a MemoryError traceback where `_per_seed` made
+    its result list, after the table loaded.  It is refused by `resolved`:
+    no thread starts and next to nothing is allocated."""
+    import airelm.experiments
+
+    def no_compute(cfg, body):
+        raise AssertionError("the experiment ran before the config was checked")
+
+    monkeypatch.setattr(airelm.experiments, "_per_seed", no_compute)
+    seeds = 2 ** 62
+    threads = threading.active_count()
+    tracemalloc.start()
+    try:
+        assert main(["single", "--seeds", str(seeds)]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert threading.active_count() == threads and peak < 1 << 20
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: seeds = {seeds} gives more result "
+                          "rows than") and err.endswith(
+                              " GiB of physical memory holds\n")
 
 
 @pytest.mark.parametrize("body", [

@@ -177,7 +177,10 @@ def test_seeds_beyond_sys_maxsize_are_refused_before_compute(monkeypatch):
         with pytest.raises(ConfigError, match=r"^seeds must lie in \(0, "
                            f"{sys.maxsize + 1}\\), got {seeds}$"):
             experiments.run(ExperimentConfig(seeds=seeds, n_r=8))
-    assert ExperimentConfig(seeds=sys.maxsize).resolved()
+    # sys.maxsize is in range, and refused for the memory of its rows
+    with pytest.raises(ConfigError, match=f"^seeds = {sys.maxsize} gives "
+                       "more result rows than"):
+        ExperimentConfig(seeds=sys.maxsize).resolved()
 
 
 @pytest.mark.parametrize("label_map, shown", [

@@ -53,8 +53,8 @@ CASES = {
                     "d272747de76d81cc7a24d016904bec58b2c4cf3750cf942a56c6f0c57dfcbc5a",
                     "12a0f7c55ea00b0ea668130ef1c0d0e8734b4eef414071341bab00159e0a69ff"),
     "online": ("[online]\nsteps = 2\niters_per_step = 2\nbatch_size = 16\n",
-               "e0b85ded2491992648c749d4a4eb551725107e2f7a927d70c80fd8e74d026978",
-               "e011f3babe762fba6d6b9d6cffc33631d734356c0be0476337000c46fbf24309"),
+               "931134c491bd6a66aa8956c2c8c964534d10d042657073ff727c021fb117ca9e",
+               "08547629ea767751f4f041911be037ab7385e093f4a49294a4ad41167af02365"),
     "single": ("",
                "fcce0bbdec9f55380eed8d1a5fd61b6a78b86253daf79236f35665242a1260a0",
                "25e395f89ead88ba05d820dd4ad999b903bb5089a3050207d77fb3e1df866f41"),
@@ -71,9 +71,9 @@ RIDGE = {
     "sweep-kappa": ("8aa8e0604b24ecf33c4229ae9a2eb5817552aa69e8bca2587107767b181dbc1e",
                     "149b0f2f7b969973c5adeb11f6aed0d4e2eb5f7e764781487c8d34d42eae5639",
                     (23, 23, 23, 21)),
-    "online": ("04b7b4c111275f3ea8e86755713585db899c6da097420a51167a936b61334762",
-               "b2cf1b3540e8793b6965d51622576010148b269855b74d8eb3a7d293ddd4986a",
-               (23, 23, 23, 23, 23, 22, 23, 22, 22, 22, 23, 23)),
+    "online": ("fd9a8c83311c37e411995607a9d9a6eb1fb4b950330777efd17f5da28a6adeea",
+               "6aec0acd479d611abdda35680479d79adaec56149b3613676a4f6d7929bbe317",
+               (23, 23, 23, 23, 23, 23, 23, 22, 23, 23, 24, 23)),
     "single": ("c88bc06d8590bc347f85b1239efd5cecb37787f1ac72b4f6a48d3b6c056048bd",
                "30f7de5648c99b23059b5ac3928f6552442281fa556aeac7829069347406d017",
                (23, 23, 23, 23)),
@@ -87,7 +87,7 @@ CORRECT = {
     "sweep-nr": (23, 21, 23, 23, 23, 20, 22, 23),
     "sweep-snr": (22, 21, 23, 23, 23, 21),
     "sweep-kappa": (23, 23, 22, 23),
-    "online": (23, 23, 23, 23, 23, 23, 23, 22, 22, 21, 23, 21),
+    "online": (22, 23, 23, 23, 23, 23, 23, 23, 23, 23, 23, 22),
     "single": (23, 21, 23, 22),
     "threshold": (23, 20, 22, 23, 22, 18, 17, 19,
                   22, 17, 21, 15, 22, 20, 21, 16),

@@ -1,4 +1,5 @@
-"""The grid kinds against a plain-numpy reference of the pipeline.
+"""The grid kinds and `online` against a plain-numpy reference of the
+pipeline.
 
 For every (point, seed) the reference draws its own H, noise and digital
 weights from Generator(Philox(SeedSequence(master_seed, spawn_key=(seed,
@@ -6,8 +7,15 @@ sub)))), with the substream ids of the `airelm.rng` table, forms
 G = rapp(H^r x~ + n), fits the ridge combiner by `np.linalg.solve` and
 scores t_hat = G_test w.  Only the dataset (the synthetic table, its split
 and its standardization) is the package's.  Accuracies must be equal;
-train_residual and receive_power agree to 1e-12 relative.  The min-norm
-combiner and `online` are not covered here.
+train_residual and receive_power agree to 1e-12 relative.
+
+`online` is covered with both combiners: H(0) from the channel substream,
+AR(1) steps on H^r alone (the real part of eta H + (1 - eta) Theta is
+eta H^r + (1 - eta) Theta^r), mini-batches of sorted indices solved by
+`np.linalg.pinv` at the solver's cut, and one test block per step that
+every model of the step is scored on.  Accuracies must be equal;
+normalized_accuracy and receive_power agree to 1e-12 relative (worst seen:
+0 and 6.6e-15).  The grid kinds' min-norm combiner is not covered here.
 """
 
 import math
@@ -18,13 +26,14 @@ import pytest
 from airelm.config import ExperimentConfig
 from airelm.data import split_standardize, synth_two_gaussians
 from airelm.experiments import run
-from airelm.numkernel import RIDGE_C
+from airelm.numkernel import DEFAULT_REL_TOL, RIDGE_C
 from airelm.rng import RngStream
 
 MASTER = 5
 SEEDS = 3
 # substream ids of the airelm.rng table
-SPLIT, CHANNEL, TRAIN_NOISE, TEST_NOISE, DIGITAL, SYNTH = 0, 1, 2, 3, 4, 7
+(SPLIT, CHANNEL, TRAIN_NOISE, TEST_NOISE, DIGITAL, MINIBATCH, AR,
+ SYNTH) = range(8)
 INF = math.inf
 
 
@@ -133,3 +142,71 @@ def test_grid_rows_match_the_plain_numpy_reference(case):
         for name in ("train_residual", "receive_power"):
             assert getattr(row, name) == pytest.approx(cells[name],
                                                        rel=1e-12, abs=0)
+
+
+
+def _online(cfg, seed, data):
+    """Online rows of one seed: fit H(0), then per AR(1) step refit the
+    normalizer on the full data and take iters_per_step mini-batch
+    updates; the step's models are all scored on one received test block
+    of D_test x N_r noise draws."""
+    x_train, x_test = _with_bias(data.x_train), _with_bias(data.x_test)
+    h = _channel_real(cfg, seed, cfg.n_r, x_train.shape[1], cfg.kappa)
+    std = math.sqrt(np.mean((x_train @ h.T) ** 2)
+                    / 10 ** (cfg.snr_db / 10) / 2)
+    train_noise, test_noise = (_stream(seed, TRAIN_NOISE),
+                               _stream(seed, TEST_NOISE))
+    ar, batches = _stream(seed, AR), _stream(seed, MINIBATCH)
+
+    def hidden(x, noise):
+        y = x @ h.T
+        y += noise.normal(0.0, std, y.shape)
+        return y / (1 + (y / cfg.y_sat) ** cfg.alpha)
+
+    def pinv(g):
+        return np.linalg.pinv(g, rcond=DEFAULT_REL_TOL * max(g.shape))
+
+    def closed_form(g, t):
+        if cfg.combiner == "min_norm":
+            return pinv(g) @ t
+        lam = RIDGE_C * np.sum(g ** 2) / min(g.shape)
+        return np.linalg.solve(g.T @ g + lam * np.eye(g.shape[1]), g.T @ t)
+
+    w, rows = closed_form(hidden(x_train, train_noise), data.t_train), []
+    for step in range(1, cfg.steps + 1):
+        theta = ar.normal(0.0, math.sqrt(0.5), (2, *h.shape))
+        h = cfg.eta * h + (1 - cfg.eta) * theta[0]
+        w_full = closed_form(hidden(x_train, train_noise), data.t_train)
+        trace = [w]
+        for _ in range(cfg.iters_per_step):
+            idx = np.sort(batches.choice(len(x_train), cfg.batch_size,
+                                         replace=False))
+            trace.append(trace[-1] + cfg.gamma * pinv(
+                hidden(x_train[idx], train_noise)) @ data.t_train[idx])
+        w = trace[-1]
+        g_test = hidden(x_test, test_noise)
+        acc_full, *accs = [np.mean(np.where(g_test @ v >= 0, 1, -1)
+                                   == data.t_test) for v in (w_full, *trace)]
+        rows += [(step, i, acc, acc / acc_full, v @ v)
+                 for i, (v, acc) in enumerate(zip(trace, accs))]
+    return rows
+
+
+@pytest.mark.parametrize("combiner", ["ridge", "min_norm"])
+def test_online_rows_match_the_plain_numpy_reference(combiner):
+    cfg = ExperimentConfig(kind="online", seeds=SEEDS, master_seed=MASTER,
+                           n_r=64, snr_db=10.0, kappa=1.0, los_angle_rx=0.3,
+                           los_angle_tx=-0.7, eta=0.7, steps=3,
+                           iters_per_step=4, batch_size=16,
+                           combiner=combiner)
+    expected = [(seed, *cells) for seed in range(SEEDS)
+                for cells in _online(cfg, seed, _dataset(cfg, seed))]
+    rows = run(cfg)
+    assert len(rows) == len(expected)
+    for row, (seed, step, iteration, acc, normalized, power) in zip(
+            rows, expected):
+        assert (row.seed, row.step, row.iteration) == (seed, step, iteration)
+        assert row.accuracy == acc, (row, acc)
+        assert row.normalized_accuracy == pytest.approx(normalized,
+                                                        rel=1e-12, abs=0)
+        assert row.receive_power == pytest.approx(power, rel=1e-12, abs=0)

@@ -41,8 +41,9 @@ def test_trace_point_resolves(module, attribute):
 def test_trace_points_see_every_trial(kind, extra):
     """The benchmark's elm.fit and elm.predict spans see every trial: one
     each per mimo and digital trial of a grid; online, one fit for H(0)
-    and one per step, and one prediction per CSV row plus one per step.
-    Every G is an elm.hidden_matrix span."""
+    and one per step, and no prediction, since a step scores all its
+    models on one test block.  Every G is an elm.hidden_matrix span: the
+    test blocks and mini-batches of online too."""
     cfg = ExperimentConfig(kind=kind, seeds=2, n_r=16, **extra,
                            dataset=DatasetConfig(name="synthetic",
                                                  synth_size=60))
@@ -57,8 +58,8 @@ def test_trace_points_see_every_trial(kind, extra):
                                                 "elm.hidden_matrix"))
     if kind == "online":
         steps = cfg.seeds * cfg.steps
-        assert (fits, predicts) == (cfg.seeds + steps, len(rows) + steps)
-        assert hidden == fits + predicts + steps * cfg.iters_per_step
+        assert (fits, predicts) == (cfg.seeds + steps, 0)
+        assert hidden == fits + steps + steps * cfg.iters_per_step
     else:
         assert fits == predicts == len(rows)
         assert hidden == fits + predicts
